@@ -10,7 +10,7 @@ from .dimensions import (CorrectionProfile, DimensionTable, InconsistencyError,
                          LatticePoint, WellDefinednessError,
                          check_decomposition, correction_profile,
                          degree_points, graded_dimension, solve_correction)
-from .linalg import determinant, smith_normal_form
+from .linalg import smith_normal_form
 from .models import (CD2Model, CheckResult, NormalFormResult, ValidationReport,
                      blowup_vector, check_required_monomials, classify_normal_form,
                      eliminate_x5, generate_model, model_equations,

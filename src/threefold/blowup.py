@@ -145,15 +145,16 @@ def _strict_transform(eq: SparsePoly, variables, v: Sequence[Fraction],
     """Substitute x_l -> y_l * t^(v_l) with t the chart coordinate and divide
     by t^(order).  The chart coordinate's exponents are recorded in units of
     t^(1/denominator) so that everything stays integral."""
-    scaled = [int(x * denominator) for x in v]
-    order = weighted_order(eq, dict(zip(variables, v)))
-    shift = order * denominator
-    assert Fraction(shift).denominator == 1
-    shift = int(shift)
+    scaled = [x * denominator for x in v]
+    if any(x.denominator != 1 for x in scaled):
+        raise ArithmeticError(f"denominator {denominator} does not clear the weights {v}")
+    scaled = [int(x) for x in scaled]
+    shift = int(weighted_order(eq, dict(zip(variables, v))) * denominator)
     terms = {}
     for exps, c in eq.terms.items():
         t_power = sum(s * e for s, e in zip(scaled, exps)) - shift
-        assert t_power >= 0
+        if t_power < 0:
+            raise ArithmeticError("strict transform has a negative power of the chart coordinate")
         new = list(exps)
         new[chart] = t_power
         terms[tuple(new)] = c

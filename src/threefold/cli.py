@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .blowup import analyze_blowup, model_germ
@@ -24,22 +22,6 @@ from .quotients import (QuotientType, blowup_charts, reid_tai_is_canonical,
                         reid_tai_is_terminal)
 
 PASS, FAIL, BAD_INPUT = 0, 1, 2
-
-
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("THREEFOLD_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    items = list(items)
-    workers = _worker_count()
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def render_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -85,21 +67,27 @@ def cmd_ni(args) -> int:
     return PASS
 
 
+def _degree_bound(imax: int) -> int:
+    if imax < 0:
+        raise ValueError(f"--imax must be non-negative, got {imax}")
+    return imax
+
+
 def cmd_dims(args) -> int:
-    table = DimensionTable.compute(args.r, args.imax)
+    imax = _degree_bound(args.imax)
+    table = DimensionTable.compute(args.r, imax)
     rows = [[str(i), str(table.dimension(i, 0)), str(table.dimension(i, 1))]
-            for i in range(args.imax + 1)]
+            for i in range(imax + 1)]
     emit(table.to_json_dict(), args, render_table(["i", "dim j=0", "dim j=1"], rows))
     return PASS
 
 
 def cmd_verify_dim(args) -> int:
     r = args.r
-    imax = args.imax if args.imax is not None else 6 * r
+    imax = 6 * r if args.imax is None else _degree_bound(args.imax)
     checks = []
 
-    results = _pmap(lambda ij: check_decomposition(r, ij[0], ij[1]),
-                    [(i, j) for i in range(imax + 1) for j in (0, 1)])
+    results = [check_decomposition(r, i, j) for i in range(imax + 1) for j in (0, 1)]
     failures = results.count(False)
     checks.append({"name": "decomposition", "passed": failures == 0,
                    "detail": f"{len(results) - failures}/{len(results)} degree/parity pairs"})

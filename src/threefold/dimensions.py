@@ -155,11 +155,12 @@ def correction_profile(r: int, max_degree: int | None = None) -> CorrectionProfi
     if max_degree < 2 * r:
         raise ValueError(f"max_degree must be at least 2r = {2 * r}")
     period = 2 * r
+    table = DimensionTable.compute(r, max_degree)
     delta: dict[int, Fraction] = {}
     witnesses: dict[int, tuple[int, int]] = {}
     for i in range(2, max_degree + 1):
         for j in (0, 1):
-            value = (Fraction(graded_dimension(r, i, j) - graded_dimension(r, i - 2, 1 - j))
+            value = (Fraction(table.dimension(i, j) - table.dimension(i - 2, 1 - j))
                      - Fraction(2 * i + 1, r))
             key = (2 * i + r * j) % period
             if key in delta:

@@ -1,7 +1,7 @@
-"""Exact integer matrix utilities: Smith normal form with transforms,
-determinants and unimodular inverses.  Everything runs on Python integers
-(or Fraction where an inverse is genuinely rational), so there is no
-overflow and no rounding anywhere.
+"""Exact matrix utilities: Smith normal form with transforms, rational
+inverses and determinants, and unimodular inverses.  Everything runs on
+Python integers or Fraction, so there is no overflow and no rounding
+anywhere.
 """
 
 from __future__ import annotations
@@ -14,14 +14,6 @@ IntMatrix = list[list[int]]
 
 def identity_matrix(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def matrix_product(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("incompatible shapes")
-    cols = len(b[0]) if b else 0
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-            for i in range(len(a))]
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -113,33 +105,6 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMa
             d[i] = [-x for x in d[i]]
             u[i] = [-x for x in u[i]]
     return u, d, v
-
-
-def determinant(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
-    a = [[int(x) for x in row] for row in matrix]
-    n = len(a)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in a):
-        raise ValueError("not square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def invert_rational(matrix: Sequence[Sequence]) -> list[list[Fraction]]:

@@ -91,6 +91,8 @@ class CD2Model:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "CD2Model":
+        if not isinstance(data, Mapping):
+            raise ValueError(f"a model must be a JSON object, not {type(data).__name__}")
         return cls(int(data["r"]), poly_from_dict(data["p"]), poly_from_dict(data["q"]))
 
 
@@ -194,9 +196,7 @@ def _even_p_monomials(r: int, extra_degree: int) -> list[tuple[int, ...]]:
     return out
 
 
-def generate_model(r: int, seed: int, extra_degree: int = 4,
-                   include_required: bool = True,
-                   include_axis_term: bool = True) -> CD2Model:
+def generate_model(r: int, seed: int, extra_degree: int = 4) -> CD2Model:
     """Deterministically sample a valid model for the given r.
 
     Fixed algorithm (Mersenne Twister seeded from (r, seed, extra_degree)):
@@ -206,8 +206,7 @@ def generate_model(r: int, seed: int, extra_degree: int = 4,
     [1, 9].  The congruence-forced monomials are always included (they are
     necessary for the germ family), as is x4^(r-1) in q, which keeps the
     germ disjoint from the x4-axis away from the origin and hence the
-    blow-up chart of x4 smooth at its origin.  Both inclusions can be
-    switched off to build negative fixtures.
+    blow-up chart of x4 smooth at its origin.
     """
     if not valid_r(r):
         raise ValueError(f"r must be >= 7 and = +-1 mod 8, got {r}")
@@ -220,11 +219,7 @@ def generate_model(r: int, seed: int, extra_degree: int = 4,
 
     need = required_monomials(r)
     for _ in range(100):
-        q_terms: dict[tuple[int, ...], Fraction] = {}
-        if include_required:
-            q_terms[need["q"]] = coefficient()
-        if include_axis_term:
-            q_terms[(0, 0, r - 1)] = coefficient()
+        q_terms = {need["q"]: coefficient(), (0, 0, r - 1): coefficient()}
         for mono in _even_q_monomials(r):
             if mono not in q_terms and rng.random() < 0.2:
                 q_terms[mono] = coefficient()
@@ -234,9 +229,7 @@ def generate_model(r: int, seed: int, extra_degree: int = 4,
     else:
         raise RuntimeError("square-form rejection sampling did not converge")
 
-    p_terms: dict[tuple[int, ...], Fraction] = {}
-    if include_required:
-        p_terms[need["p"]] = coefficient()
+    p_terms = {need["p"]: coefficient()}
     for mono in _even_p_monomials(r, extra_degree):
         if mono not in p_terms and rng.random() < 0.2:
             p_terms[mono] = coefficient()

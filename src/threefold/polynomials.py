@@ -182,9 +182,6 @@ class SparsePoly:
                     used.add(v)
         return used
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def with_variables(self, variables: Iterable[str]) -> "SparsePoly":
         """Re-express over another variable tuple; every used variable must survive."""
         variables = tuple(variables)
@@ -497,6 +494,8 @@ def poly_to_dict(p: SparsePoly) -> dict:
 
 
 def poly_from_dict(data: Mapping) -> SparsePoly:
+    if not isinstance(data, Mapping):
+        raise ValueError(f"a polynomial must be a JSON object, not {type(data).__name__}")
     variables = tuple(data["vars"])
     terms = {tuple(t["e"]): Fraction(str(t["c"])) for t in data["terms"]}
     return SparsePoly(variables, terms)

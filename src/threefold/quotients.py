@@ -113,26 +113,27 @@ class QuotientType:
 # -- Reid-Tai terminality ----------------------------------------------------
 
 
+def _ages_above(q: QuotientType, bound: int) -> bool:
+    # n times the age of the k-th group element exceeds bound for every k
+    n = q.n
+    for k in range(1, n):
+        if sum((k * a) % n for a in q.weights) <= bound:
+            return False
+    return True
+
+
 def reid_tai_is_terminal(q: QuotientType) -> bool:
     """Strict Reid-Tai criterion: every nontrivial group element has age > 1.
 
     Non-isolated and non-faithful actions fail the criterion; no
     codimension-one freeness is assumed.
     """
-    n = q.n
-    for k in range(1, n):
-        if sum((k * a) % n for a in q.weights) <= n:
-            return False
-    return True
+    return _ages_above(q, q.n)
 
 
 def reid_tai_is_canonical(q: QuotientType) -> bool:
     """Companion non-strict form: every nontrivial element has age >= 1."""
-    n = q.n
-    for k in range(1, n):
-        if sum((k * a) % n for a in q.weights) < n:
-            return False
-    return True
+    return _ages_above(q, q.n - 1)
 
 
 # -- finite quotients of one lattice by another ------------------------------

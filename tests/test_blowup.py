@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from threefold.blowup import (CIGerm, DimensionError, MANUAL, QUOTIENT, SMOOTH,
-                              analyze_blowup, chart_singularities, discrepancy,
-                              e_cubed, equation_orders, model_germ,
-                              verify_blowup_profile)
+                              _strict_transform, analyze_blowup,
+                              chart_singularities, discrepancy, e_cubed,
+                              equation_orders, model_germ, verify_blowup_profile)
 from threefold.models import (CD2Model, P_VARIABLES, Q_VARIABLES, blowup_vector,
                               generate_model)
 from threefold.polynomials import SparsePoly
@@ -176,6 +176,15 @@ class TestChartSingularities:
         perturbed = CIGerm(germ.ambient, germ.variables,
                            (germ.equations[0] + x3 ** 12, germ.equations[1]))
         assert chart_singularities(perturbed, v) == baseline
+
+
+class TestStrictTransform:
+    def test_denominator_must_clear_the_weights(self):
+        # v = (1/2, 1/2, 1) needs t^(1/2) units; denominator 1 cannot record them
+        names = ("x1", "x2", "x3")
+        eq = SparsePoly.from_string("x1*x2 + x3^2", names)
+        with pytest.raises(ArithmeticError):
+            _strict_transform(eq, names, (HALF, HALF, Fraction(1)), 0, 1)
 
 
 class TestProfile:

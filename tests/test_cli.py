@@ -58,11 +58,11 @@ class TestVerifyDim:
         code, data, _ = run_json(capsys, "verify-dim", "--r", "7")
         assert code == 0 and data["imax"] == 42
 
-    def test_thread_fanout_matches_serial(self, capsys, monkeypatch):
-        serial = run_json(capsys, "verify-dim", "--r", "9")
-        monkeypatch.setenv("THREEFOLD_THREADS", "4")
-        threaded = run_json(capsys, "verify-dim", "--r", "9")
-        assert serial == threaded
+    def test_negative_imax_is_input_error(self, capsys):
+        for command in ("verify-dim", "dims"):
+            code, out, err = run(capsys, "--format", "json", command, "--r", "7",
+                                 "--imax", "-5")
+            assert (code, out) == (2, "") and "--imax" in err, command
 
 
 class TestTerminal:
@@ -133,6 +133,14 @@ class TestModelPipeline:
         path.write_text("{not json")
         code, _, err = run(capsys, "validate", "--model", str(path))
         assert code == 2 and "error" in err
+
+    def test_non_object_file_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        for text in ("[1, 2]", '{"r": 7, "p": [1], "q": []}'):
+            path.write_text(text)
+            for command in ("validate", "blowup"):
+                code, out, err = run(capsys, command, "--model", str(path))
+                assert (code, out) == (2, "") and "JSON object" in err, (command, text)
 
     def test_missing_file_exits_two(self, capsys, tmp_path):
         code, _, err = run(capsys, "blowup", "--model", str(tmp_path / "nope.json"))

@@ -131,6 +131,16 @@ class TestCorrectionProfile:
         with pytest.raises(ValueError):
             correction_profile(7, 10)
 
+    def test_matches_graded_dimension(self):
+        # the table-backed increments against one enumeration per count
+        r = 9
+        profile = correction_profile(r, 6 * r)
+        for i in range(2, 6 * r + 1):
+            for j in (0, 1):
+                expected = (graded_dimension(r, i, j) - graded_dimension(r, i - 2, 1 - j)
+                            - Fraction(2 * i + 1, r))
+                assert profile.delta[(2 * i + r * j) % (2 * r)] == expected, (i, j)
+
     def test_orbit_sums_vanish(self):
         profile = correction_profile(9, 100)
         for start in (0, 1):

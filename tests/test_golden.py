@@ -1,0 +1,55 @@
+"""Byte-for-byte replay of the CLI's JSON output.
+
+Each file under tests/golden/ is the ``--format json`` stdout of one command
+below, and model_r7_seed42.json is the model file ``generate --r 7 --seed 42``
+writes.  A refactor that changes any byte of that output fails here.  The
+path ``generate`` reports is replaced by OUT before comparing, since the
+test writes to a temporary directory.
+"""
+
+import io
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from threefold.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+MODEL = GOLDEN / "model_r7_seed42.json"
+OUT = "<out>"
+
+# (golden file, exit code, arguments after --format json)
+CASES = (
+    ("ni_r23_i69.json", 0, ["ni", "--r", "23", "--i", "69"]),
+    ("dims_r7_imax42.json", 0, ["dims", "--r", "7", "--imax", "42"]),
+    ("verify_dim_r7.json", 0, ["verify-dim", "--r", "7"]),
+    ("verify_dim_r23.json", 0, ["verify-dim", "--r", "23"]),
+    ("terminal_1_14_1_13_11.json", 0, ["terminal", "--type", "1/14(1,13,11)"]),
+    ("terminal_1_2_1_1_0.json", 1, ["terminal", "--type", "1/2(1,1,0)"]),
+    ("charts_r95.json", 0, ["charts", "--ambient", "1/2(1,1,1,0,0)",
+                            "--weights", "48,47,2,1,95"]),
+    ("validate_r7_seed42.json", 0, ["validate", "--model", str(MODEL), "--strict-remark"]),
+    ("blowup_r7_seed42.json", 0, ["blowup", "--model", str(MODEL)]),
+)
+
+
+def replay(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["--format", "json", *argv])
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name, code, argv", CASES, ids=[case[0] for case in CASES])
+def test_command_output(name, code, argv):
+    assert replay(argv) == (code, (GOLDEN / name).read_text(encoding="utf-8"))
+
+
+def test_generate_output_and_model_file(tmp_path):
+    path = tmp_path / "model.json"
+    code, out = replay(["generate", "--r", "7", "--seed", "42", "--out", str(path)])
+    assert code == 0
+    assert out.replace(str(path), OUT) == (GOLDEN / "generate_r7_seed42.json").read_text(
+        encoding="utf-8")
+    assert path.read_bytes() == MODEL.read_bytes()

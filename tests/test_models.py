@@ -104,8 +104,18 @@ class TestGenerate:
         assert model.q.coefficient((0, 4, 0)) != 0  # x3^4 at r = 9
 
     def test_negative_fixture_flag(self):
-        model = generate_model(7, 3, 4, include_required=False)
-        assert not validate_model(model, strict=True).passed
+        model = generate_model(7, 3, 4)
+        need = required_monomials(7)
+
+        def without(poly, mono):
+            return SparsePoly(poly.variables,
+                              {e: c for e, c in poly.terms.items() if e != mono})
+
+        fixture = CD2Model(7, without(model.p, need["p"]), without(model.q, need["q"]))
+        report = validate_model(fixture, strict=True)
+        assert not report.passed
+        assert {c.name for c in report.failures()} == {"required_p_monomial",
+                                                      "required_q_monomial"}
 
     def test_rejects_bad_r(self):
         with pytest.raises(ValueError):
