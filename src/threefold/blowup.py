@@ -18,15 +18,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
 from typing import Sequence
 
-from .linalg import rational_determinant
+from .linalg import pivot_columns
 from .models import (CD2Model, CheckResult, GERM_VARIABLES, ValidationReport,
                      blowup_vector, model_equations, validate_model, AMBIENT)
 from .polynomials import (SparsePoly, is_semi_invariant, poly_from_dict,
                           poly_to_dict, weighted_order)
-from .quotients import QuotientType, blowup_charts, effective_factors
+from .quotients import ChartReport, QuotientType, blowup_charts, effective_factors
 
 
 class DimensionError(ValueError):
@@ -99,24 +99,35 @@ def equation_orders(germ: CIGerm, v: Sequence) -> tuple[Fraction, ...]:
     return tuple(weighted_order(eq, weights) for eq in germ.equations)
 
 
-def discrepancy(germ: CIGerm, v: Sequence) -> Fraction:
-    orders = equation_orders(germ, v)
+def _discrepancy(v: Sequence, orders: Sequence[Fraction]) -> Fraction:
     return sum(Fraction(x) for x in v) - sum(orders, Fraction(0)) - 1
 
 
-def e_cubed(germ: CIGerm, v: Sequence) -> Fraction:
-    """Toric degree of the exceptional divisor of the weighted blow-up."""
+def _check_threefold(germ: CIGerm) -> None:
     if germ.fiber_dimension != 3:
         raise DimensionError(
             f"E^3 needs a three-fold; got {len(germ.variables)} variables "
             f"and {len(germ.equations)} equations")
+
+
+def _e_cubed(germ: CIGerm, v: Sequence, orders: Sequence[Fraction]) -> Fraction:
     numerator = Fraction(1)
-    for order in equation_orders(germ, v):
+    for order in orders:
         numerator *= order
     denominator = Fraction(germ.ambient.n)
     for x in v:
         denominator *= Fraction(x)
     return numerator / denominator
+
+
+def discrepancy(germ: CIGerm, v: Sequence) -> Fraction:
+    return _discrepancy(v, equation_orders(germ, v))
+
+
+def e_cubed(germ: CIGerm, v: Sequence) -> Fraction:
+    """Toric degree of the exceptional divisor of the weighted blow-up."""
+    _check_threefold(germ)
+    return _e_cubed(germ, v, equation_orders(germ, v))
 
 
 # -- strict transforms and chart analysis -------------------------------------
@@ -144,15 +155,17 @@ def _strict_transform(eq: SparsePoly, variables, v: Sequence[Fraction],
                       chart: int, denominator: int) -> SparsePoly:
     """Substitute x_l -> y_l * t^(v_l) with t the chart coordinate and divide
     by t^(order).  The chart coordinate's exponents are recorded in units of
-    t^(1/denominator) so that everything stays integral."""
+    t^(1/denominator) so that everything stays integral: the order is the
+    least such power over the terms."""
     scaled = [x * denominator for x in v]
     if any(x.denominator != 1 for x in scaled):
         raise ArithmeticError(f"denominator {denominator} does not clear the weights {v}")
     scaled = [int(x) for x in scaled]
-    shift = int(weighted_order(eq, dict(zip(variables, v))) * denominator)
+    powers = {exps: sum(s * e for s, e in zip(scaled, exps)) for exps in eq.terms}
+    shift = min(powers.values())
     terms = {}
     for exps, c in eq.terms.items():
-        t_power = sum(s * e for s, e in zip(scaled, exps)) - shift
+        t_power = powers[exps] - shift
         if t_power < 0:
             raise ArithmeticError("strict transform has a negative power of the chart coordinate")
         new = list(exps)
@@ -161,22 +174,41 @@ def _strict_transform(eq: SparsePoly, variables, v: Sequence[Fraction],
     return SparsePoly(variables, terms)
 
 
-def _chart_character(poly: SparsePoly, factor, chart: int, denominator: int) -> Fraction | None:
-    # character of a strict transform under one chart group factor, with the
-    # chart coordinate's weight scaled by 1/denominator per recorded unit
+def _chart_character(poly: SparsePoly, factor, chart: int, denominator: int) -> int | None:
+    # denominator times the character of a strict transform under one chart
+    # group factor, modulo denominator * order: each recorded unit of the
+    # chart coordinate carries 1/denominator of its weight
+    modulus = factor.order * denominator
+    scaled = [w if l == chart else w * denominator for l, w in enumerate(factor.weights)]
     found = None
     for exps in poly.terms:
-        chi = Fraction(0)
-        for l, e in enumerate(exps):
-            if e:
-                w = Fraction(factor.weights[l])
-                chi += (w / denominator if l == chart else w) * e
-        chi %= factor.order
+        chi = sum(w * e for w, e in zip(scaled, exps)) % modulus
         if found is None:
             found = chi
         elif chi != found:
             return None
     return found
+
+
+@lru_cache(maxsize=64)
+def _cached_charts(compute, ambient: QuotientType, v: tuple[Fraction, ...]) -> ChartReport:
+    return compute(ambient, v)
+
+
+def _toric_charts(ambient: QuotientType, v: tuple[Fraction, ...]) -> ChartReport:
+    """The chart groups of (ambient, v), computed once and then shared.
+
+    They depend on r alone for the model family, so every model of one r
+    reuses one report.  The cache is keyed on the chart function as well,
+    so rebinding the module name blowup_charts (as a test or a tracer may)
+    computes afresh rather than serving another function's reports.
+    LatticeError is not cached and is raised on every call.
+    """
+    return _cached_charts(blowup_charts, ambient, v)
+
+
+def _matrix_str(rows) -> str:
+    return "[" + ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in rows) + "]"
 
 
 def chart_singularities(germ: CIGerm, v: Sequence) -> tuple[ChartFinding, ...]:
@@ -186,7 +218,7 @@ def chart_singularities(germ: CIGerm, v: Sequence) -> tuple[ChartFinding, ...]:
     vv = tuple(Fraction(x) for x in v)
     _weight_map(germ, vv)
     m = len(germ.variables)
-    report = blowup_charts(germ.ambient, vv)
+    report = _toric_charts(germ.ambient, vv)
     denominator = 1
     for x in vv:
         denominator = denominator * x.denominator // math.gcd(denominator, x.denominator)
@@ -216,21 +248,13 @@ def chart_singularities(germ: CIGerm, v: Sequence) -> tuple[ChartFinding, ...]:
                 probe[l] = denominator if l == i else 1
                 row.append(poly.coefficient(probe))
             linear.append(row)
-
-        chosen = None
-        k = len(transforms)
-        for cols in combinations(range(m), k):
-            minor = [[linear[a][c] for c in cols] for a in range(k)]
-            if rational_determinant(minor) != 0:
-                chosen = cols
-                break
-        if k == 0:
-            chosen = ()
-        if chosen is None:
+        chosen = pivot_columns(linear)
+        data = f"linear terms {_matrix_str(linear)}, rank {len(chosen)}"
+        if len(chosen) < len(transforms):
             findings.append(ChartFinding(var, MANUAL,
                                          detail="no independent linear terms; "
                                                 "strict transform is singular or needs "
-                                                "analytic units at the chart origin"))
+                                                f"analytic units at the chart origin; {data}"))
             continue
 
         keep = [l for l in range(m) if l not in chosen]
@@ -244,7 +268,7 @@ def chart_singularities(germ: CIGerm, v: Sequence) -> tuple[ChartFinding, ...]:
                                          detail=f"quotient point of type {qtype}"))
         else:
             findings.append(ChartFinding(var, MANUAL,
-                                         detail="residual group is not cyclic"))
+                                         detail=f"residual group is not cyclic; {data}"))
     return tuple(findings)
 
 
@@ -265,8 +289,10 @@ class BlowupReport:
 
 
 def analyze_blowup(germ: CIGerm, v: Sequence) -> BlowupReport:
-    return BlowupReport(equation_orders(germ, v), discrepancy(germ, v),
-                        e_cubed(germ, v), chart_singularities(germ, v))
+    orders = equation_orders(germ, v)
+    _check_threefold(germ)
+    return BlowupReport(orders, _discrepancy(v, orders), _e_cubed(germ, v, orders),
+                        chart_singularities(germ, v))
 
 
 # -- the full model pipeline ---------------------------------------------------

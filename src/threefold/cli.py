@@ -17,7 +17,8 @@ from .blowup import analyze_blowup, model_germ
 from .dimensions import (DimensionTable, InconsistencyError, check_decomposition,
                          correction_profile, degree_points, solve_correction,
                          WellDefinednessError)
-from .models import CD2Model, blowup_vector, generate_model, validate_model
+from .models import (CD2Model, ValidationReport, blowup_vector, generate_model,
+                     validate_model)
 from .quotients import (QuotientType, blowup_charts, reid_tai_is_canonical,
                         reid_tai_is_terminal)
 
@@ -45,6 +46,12 @@ def emit(payload: dict, args, table: str) -> None:
 
 def _parse_weights(text: str) -> tuple[Fraction, ...]:
     return tuple(Fraction(part.strip()) for part in text.split(","))
+
+
+def _emit_checks(report: ValidationReport, args, **extra) -> None:
+    rows = [[c.name, "pass" if c.passed else "FAIL", c.detail] for c in report.checks]
+    emit({**report.to_json_dict(), **extra}, args,
+         render_table(["check", "status", "detail"], rows))
 
 
 def _load_model(path: str) -> CD2Model:
@@ -151,6 +158,13 @@ def cmd_charts(args) -> int:
 
 def cmd_blowup(args) -> int:
     model = _load_model(args.model)
+    validation = validate_model(model)
+    if not validation.passed:
+        names = ", ".join(c.name for c in validation.failures())
+        print(f"blowup: model fails validation ({names}); no blow-up computed",
+              file=sys.stderr)
+        _emit_checks(validation, args, r=model.r)
+        return FAIL
     report = analyze_blowup(model_germ(model), blowup_vector(model.r))
     payload = report.to_json_dict()
     payload["r"] = model.r
@@ -167,8 +181,7 @@ def cmd_blowup(args) -> int:
 def cmd_validate(args) -> int:
     model = _load_model(args.model)
     report = validate_model(model, strict=args.strict_remark)
-    rows = [[c.name, "pass" if c.passed else "FAIL", c.detail] for c in report.checks]
-    emit(report.to_json_dict(), args, render_table(["check", "status", "detail"], rows))
+    _emit_checks(report, args)
     return PASS if report.passed else FAIL
 
 

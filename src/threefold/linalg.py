@@ -1,7 +1,7 @@
 """Exact matrix utilities: Smith normal form with transforms, rational
-inverses and determinants, and unimodular inverses.  Everything runs on
-Python integers or Fraction, so there is no overflow and no rounding
-anywhere.
+inverses, determinants and pivot columns, and unimodular inverses.
+Everything runs on Python integers or Fraction, so there is no overflow and
+no rounding anywhere.
 """
 
 from __future__ import annotations
@@ -163,3 +163,25 @@ def rational_determinant(matrix: Sequence[Sequence]) -> Fraction:
                 c = a[i][col] / scale
                 a[i] = [x - c * y for x, y in zip(a[i], a[col])]
     return det
+
+
+def pivot_columns(matrix: Sequence[Sequence]) -> tuple[int, ...]:
+    """Pivot columns of the row echelon form of a rational matrix.
+
+    Their number is the rank, and they are the lexicographically first set
+    of linearly independent columns spanning the column space.
+    """
+    a = [[Fraction(x) for x in row] for row in matrix]
+    pivots = []
+    for col in range(len(a[0]) if a else 0):
+        row = len(pivots)
+        pivot = next((i for i in range(row, len(a)) if a[i][col] != 0), None)
+        if pivot is None:
+            continue
+        a[row], a[pivot] = a[pivot], a[row]
+        for i in range(row + 1, len(a)):
+            if a[i][col] != 0:
+                c = a[i][col] / a[row][col]
+                a[i] = [x - c * y for x, y in zip(a[i], a[row])]
+        pivots.append(col)
+    return tuple(pivots)

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .polynomials import (SparsePoly, detect_square_form, is_semi_invariant,
-                          poly_from_dict, poly_to_dict, substitute,
-                          term_weight, weighted_order)
+from .polynomials import (SparsePoly, detect_square_form, is_json_int,
+                          is_semi_invariant, poly_from_dict, poly_to_dict,
+                          substitute, term_weight, weighted_order)
 from .quotients import QuotientType
 
 GERM_VARIABLES = ("x1", "x2", "x3", "x4", "x5")
@@ -93,7 +93,9 @@ class CD2Model:
     def from_json_dict(cls, data: Mapping) -> "CD2Model":
         if not isinstance(data, Mapping):
             raise ValueError(f"a model must be a JSON object, not {type(data).__name__}")
-        return cls(int(data["r"]), poly_from_dict(data["p"]), poly_from_dict(data["q"]))
+        if not is_json_int(data["r"]):
+            raise ValueError(f"r must be a JSON integer, got {data['r']!r}")
+        return cls(data["r"], poly_from_dict(data["p"]), poly_from_dict(data["q"]))
 
 
 def required_monomials(r: int) -> dict[str, tuple[int, ...]]:

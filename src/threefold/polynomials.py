@@ -493,9 +493,29 @@ def poly_to_dict(p: SparsePoly) -> dict:
     }
 
 
+def is_json_int(x) -> bool:
+    """True for a JSON integer; JSON booleans load as bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def poly_from_dict(data: Mapping) -> SparsePoly:
+    """Inverse of poly_to_dict; raises ValueError on data of any other shape."""
     if not isinstance(data, Mapping):
         raise ValueError(f"a polynomial must be a JSON object, not {type(data).__name__}")
-    variables = tuple(data["vars"])
-    terms = {tuple(t["e"]): Fraction(str(t["c"])) for t in data["terms"]}
-    return SparsePoly(variables, terms)
+    variables, terms = data["vars"], data["terms"]
+    if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+        raise ValueError(f"polynomial 'vars' must be a list of strings, got {variables!r}")
+    if not isinstance(terms, list):
+        raise ValueError(f"polynomial 'terms' must be a list, got {terms!r}")
+    clean = {}
+    for t in terms:
+        if (not isinstance(t, Mapping) or not isinstance(t.get("e"), list)
+                or not all(is_json_int(e) for e in t["e"])
+                or not (is_json_int(t.get("c")) or isinstance(t.get("c"), str))):
+            raise ValueError("each polynomial term must be an object with an integer "
+                             f"list 'e' and an integer or 'p/q' string 'c', got {t!r}")
+        try:
+            clean[tuple(t["e"])] = Fraction(t["c"])
+        except ZeroDivisionError:
+            raise ValueError(f"coefficient {t['c']!r} has a zero denominator") from None
+    return SparsePoly(variables, clean)

@@ -166,6 +166,7 @@ class TestChartSingularities:
         germ = CIGerm(QuotientType(2, (1, 1, 1, 1)), names, (eq,))
         findings = chart_singularities(germ, (1, 1, 1, 2))
         assert [f.kind for f in findings] == [SMOOTH, SMOOTH, SMOOTH, MANUAL]
+        assert findings[3].detail.endswith("; linear terms [[0, 0, 0, 0]], rank 0")
 
     def test_high_weight_perturbation_stable(self):
         model = generate_model(9, 5, 2)

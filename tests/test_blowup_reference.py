@@ -1,0 +1,177 @@
+"""The blow-up layer against the slow reference it replaced.
+
+The reference is built here from the parts the fast path no longer uses:
+an uncached blowup_charts call for every germ, strict transforms shifted by
+weighted_order times the denominator, characters as Fractions, and the
+first independent columns found by trying every k x k minor of the linear
+terms with rational_determinant.
+"""
+
+import math
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from threefold import blowup
+from threefold.blowup import (BlowupReport, CIGerm, ChartFinding, MANUAL, QUOTIENT, SMOOTH,
+                              _chart_character, analyze_blowup, chart_singularities,
+                              model_germ, verify_blowup_profile)
+from threefold.linalg import rational_determinant
+from threefold.models import blowup_vector, generate_model
+from threefold.polynomials import SparsePoly, weighted_order
+from threefold.quotients import (ChartGroupFactor, LatticeError, QuotientType, blowup_charts,
+                                  effective_factors)
+
+HALF = Fraction(1, 2)
+
+
+def reference_transform(eq, variables, v, chart, denominator):
+    shift = weighted_order(eq, dict(zip(variables, v))) * denominator
+    assert shift.denominator == 1
+    terms = {}
+    for exps, c in eq.terms.items():
+        new = list(exps)
+        new[chart] = int(sum(x * denominator * e for x, e in zip(v, exps)) - shift)
+        terms[tuple(new)] = c
+    return SparsePoly(variables, terms)
+
+
+def reference_characters(poly, factor, chart, denominator):
+    return {sum(Fraction(w, denominator if l == chart else 1) * e
+                for l, (w, e) in enumerate(zip(factor.weights, exps))) % factor.order
+            for exps in poly.terms}
+
+
+def nonzero_minor(matrix, rows, cols):
+    return rational_determinant([[matrix[a][c] for c in cols] for a in rows]) != 0
+
+
+def reference_rank(matrix, width):
+    return max(size for size in range(min(len(matrix), width) + 1)
+               if any(nonzero_minor(matrix, rows, cols)
+                      for rows in combinations(range(len(matrix)), size)
+                      for cols in combinations(range(width), size)))
+
+
+def reference_findings(germ, v):
+    vv = tuple(Fraction(x) for x in v)
+    m, k = len(germ.variables), len(germ.equations)
+    report = blowup_charts(germ.ambient, vv)
+    denominator = math.lcm(*(x.denominator for x in vv))
+    findings = []
+    for i, var in enumerate(germ.variables):
+        transforms = [reference_transform(eq, germ.variables, vv, i, denominator)
+                      for eq in germ.equations]
+        for factor in report.charts[i].factors:
+            assert all(len(reference_characters(p, factor, i, denominator)) == 1
+                       for p in transforms)
+        constant = next((n for n, p in enumerate(transforms) if p.constant_term() != 0), None)
+        if constant is not None:
+            findings.append(ChartFinding(var, SMOOTH, detail=f"equation {constant} has a "
+                                         "nonzero constant term; origin is off the germ"))
+            continue
+        linear = [[p.coefficient([(denominator if l == i else 1) if l == c else 0
+                                  for l in range(m)]) for c in range(m)]
+                  for p in transforms]
+        rows = "[" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in linear) + "]"
+        data = f"linear terms {rows}, rank {reference_rank(linear, m)}"
+        chosen = next((cols for cols in combinations(range(m), k)
+                       if nonzero_minor(linear, range(k), cols)), None)
+        if chosen is None:
+            findings.append(ChartFinding(var, MANUAL, detail="no independent linear terms; "
+                                         "strict transform is singular or needs analytic "
+                                         f"units at the chart origin; {data}"))
+            continue
+        keep = [l for l in range(m) if l not in chosen]
+        residual = effective_factors(report.charts[i].restricted(keep), len(keep))
+        if not residual:
+            findings.append(ChartFinding(var, SMOOTH, detail="residual group is trivial"))
+        elif len(residual) == 1:
+            qtype = residual[0].as_type().normalized()
+            findings.append(ChartFinding(var, QUOTIENT, qtype,
+                                         detail=f"quotient point of type {qtype}"))
+        else:
+            findings.append(ChartFinding(var, MANUAL,
+                                         detail=f"residual group is not cyclic; {data}"))
+    return tuple(findings)
+
+
+def reference_report(germ, v):
+    vv = tuple(Fraction(x) for x in v)
+    orders = tuple(weighted_order(eq, dict(zip(germ.variables, vv))) for eq in germ.equations)
+    return BlowupReport(orders, sum(vv) - sum(orders) - 1,
+                        math.prod(orders) / (germ.ambient.n * math.prod(vv)),
+                        reference_findings(germ, vv))
+
+
+def germ(ambient, text):
+    names = tuple(f"x{i + 1}" for i in range(ambient.arity))
+    equations = tuple(SparsePoly.from_string(eq, names) for eq in text.split(";") if eq)
+    return CIGerm(ambient, names, equations)
+
+
+# the fractional-weight, manual and quotient-point germs of test_blowup.py,
+# and the ordinary double point
+FIXTURES = {
+    "half_weight_quadric": (germ(QuotientType(2, (1, 1, 1, 1)), "x1^2 + x2^2 + x3^2 + x4^2"),
+                            (HALF, HALF, HALF, HALF)),
+    "manual": (germ(QuotientType(2, (1, 1, 1, 1)), "x1^2 + x2^2 + x3^2 + x4^4"), (1, 1, 1, 2)),
+    "kawamata_1_5_2_3_1": (germ(QuotientType(5, (2, 3, 1)), ""),
+                           (Fraction(2, 5), Fraction(3, 5), Fraction(1, 5))),
+    "ordinary_double_point": (germ(QuotientType(1, (0, 0, 0, 0)), "x1*x2 + x3*x4"),
+                              (1, 1, 1, 1)),
+}
+MODELS = [(r, seed) for r in (7, 23, 47, 95) for seed in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("r, seed", MODELS, ids=[f"r{r}-seed{s}" for r, s in MODELS])
+def test_family_models_match_reference(r, seed):
+    family, v = model_germ(generate_model(r, seed)), blowup_vector(r)
+    expected = reference_report(family, v)
+    assert chart_singularities(family, v) == expected.chart_findings
+    assert analyze_blowup(family, v) == expected
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixtures_match_reference(name):
+    fixture, v = FIXTURES[name]
+    expected = reference_report(fixture, v)
+    assert chart_singularities(fixture, v) == expected.chart_findings
+    assert analyze_blowup(fixture, v) == expected
+
+
+@pytest.mark.parametrize("exponents", [((1, 0), (3, 0)), ((1, 0), (5, 0)),
+                                       ((1, 0), (0, 1)), ((2, 0), (0, 1))])
+def test_chart_character_matches_fractions(exponents):
+    # chart coordinate x1 in t^(1/2) units under 1/2(1,1): t and t^3 have
+    # characters 1/2 and 3/2; doubled, 1 and 3 agree modulo 2 but not modulo 4
+    poly = SparsePoly(("x1", "x2"), {e: 1 for e in exponents})
+    factor = ChartGroupFactor(2, (1, 1))
+    semi_invariant = len(reference_characters(poly, factor, 0, 2)) == 1
+    assert (_chart_character(poly, factor, 0, 2) is not None) == semi_invariant
+
+
+def test_one_chart_report_per_r(monkeypatch):
+    calls = []
+
+    def counting(ambient, v):
+        calls.append((ambient, v))
+        return blowup_charts(ambient, v)
+
+    monkeypatch.setattr(blowup, "blowup_charts", counting)
+    blowup._cached_charts.cache_clear()
+    try:
+        reports = [verify_blowup_profile(generate_model(23, seed)) for seed in range(10)]
+    finally:
+        blowup._cached_charts.cache_clear()
+    assert all(report.passed for report in reports)
+    assert calls == [(QuotientType(2, (1, 1, 1, 0, 0)),
+                      tuple(Fraction(x) for x in blowup_vector(23)))]
+
+
+def test_lattice_error_is_raised_on_every_call():
+    smooth = germ(QuotientType(1, (0, 0, 0)), "")
+    for _ in range(2):
+        with pytest.raises(LatticeError):
+            chart_singularities(smooth, (2, 2, 2))

@@ -142,6 +142,34 @@ class TestModelPipeline:
                 code, out, err = run(capsys, command, "--model", str(path))
                 assert (code, out) == (2, "") and "JSON object" in err, (command, text)
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"r": 7, "p": {"vars": ["x2"], "terms": [5]}, "q": {"vars": [], "terms": []}}',
+         "each polynomial term must be an object"),
+        ('{"r": 7, "p": {"vars": 5, "terms": []}, "q": {"vars": [], "terms": []}}',
+         "'vars' must be a list of strings"),
+        ('{"r": [1], "p": {"vars": [], "terms": []}, "q": {"vars": [], "terms": []}}',
+         "r must be a JSON integer"),
+        ('{"r": 7, "p": {"vars": ["x2"], "terms": [{"e": [2], "c": "1/0"}]}, '
+         '"q": {"vars": [], "terms": []}}', "zero denominator"),
+    ], ids=["term_not_object", "vars_not_list", "r_not_integer", "zero_denominator"])
+    def test_malformed_nested_shape_exits_two(self, capsys, tmp_path, text, message):
+        path = tmp_path / "shape.json"
+        path.write_text(text)
+        for command in ("validate", "blowup"):
+            code, out, err = run(capsys, command, "--model", str(path))
+            assert (code, out) == (2, "") and message in err, (command, err)
+            assert "Traceback" not in err
+
+    def test_blowup_rejects_invalid_model(self, capsys, tmp_path):
+        # p = q = 0 at r=7 fails the q_weight check; no blow-up report is made
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"r": 7, "p": {"vars": ["x2", "x3", "x4"], "terms": []},
+                                    "q": {"vars": ["x1", "x3", "x4"], "terms": []}}))
+        code, data, err = run_json(capsys, "blowup", "--model", str(path))
+        assert code == 1 and data["passed"] is False and data["r"] == 7
+        assert [c["name"] for c in data["checks"] if not c["passed"]] == ["q_weight"]
+        assert "charts" not in data and "q_weight" in err
+
     def test_missing_file_exits_two(self, capsys, tmp_path):
         code, _, err = run(capsys, "blowup", "--model", str(tmp_path / "nope.json"))
         assert code == 2

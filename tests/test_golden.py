@@ -1,7 +1,7 @@
 """Byte-for-byte replay of the CLI's JSON output.
 
 Each file under tests/golden/ is the ``--format json`` stdout of one command
-below, and model_r7_seed42.json is the model file ``generate --r 7 --seed 42``
+below, and model_r<r>_seed42.json is the model file ``generate --r <r> --seed 42``
 writes.  A refactor that changes any byte of that output fails here.  The
 path ``generate`` reports is replaced by OUT before comparing, since the
 test writes to a temporary directory.
@@ -17,6 +17,8 @@ from threefold.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 MODEL = GOLDEN / "model_r7_seed42.json"
+MODEL_R23 = GOLDEN / "model_r23_seed42.json"
+MODEL_R95 = GOLDEN / "model_r95_seed42.json"
 OUT = "<out>"
 
 # (golden file, exit code, arguments after --format json)
@@ -31,6 +33,10 @@ CASES = (
                             "--weights", "48,47,2,1,95"]),
     ("validate_r7_seed42.json", 0, ["validate", "--model", str(MODEL), "--strict-remark"]),
     ("blowup_r7_seed42.json", 0, ["blowup", "--model", str(MODEL)]),
+    ("blowup_r23_seed42.json", 0, ["blowup", "--model", str(MODEL_R23)]),
+    ("blowup_r95_seed42.json", 0, ["blowup", "--model", str(MODEL_R95)]),
+    ("charts_1_5_2_3_1.json", 0, ["charts", "--ambient", "1/5(2,3,1)",
+                                  "--weights", "2/5,3/5,1/5"]),
 )
 
 
