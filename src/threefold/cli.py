@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .blowup import analyze_blowup, model_germ
+from .blowup import MANUAL, analyze_blowup, model_germ
 from .dimensions import (DimensionTable, InconsistencyError, check_decomposition,
                          correction_profile, degree_points, solve_correction,
                          WellDefinednessError)
@@ -45,7 +45,10 @@ def emit(payload: dict, args, table: str) -> None:
 
 
 def _parse_weights(text: str) -> tuple[Fraction, ...]:
-    return tuple(Fraction(part.strip()) for part in text.split(","))
+    try:
+        return tuple(Fraction(part.strip()) for part in text.split(","))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in weights {text!r}") from None
 
 
 def _emit_checks(report: ValidationReport, args, **extra) -> None:
@@ -175,6 +178,10 @@ def cmd_blowup(args) -> int:
         label = finding.kind if not finding.quotient else f"{finding.kind} {finding.quotient}"
         rows.append([f"chart {finding.variable}", label])
     emit(payload, args, render_table(["quantity", "value"], rows))
+    manual = [f.variable for f in report.chart_findings if f.kind == MANUAL]
+    if manual:
+        print(f"blowup: manual analysis needed for charts {', '.join(manual)}", file=sys.stderr)
+        return FAIL
     return PASS
 
 

@@ -132,14 +132,45 @@ def invert_rational(matrix: Sequence[Sequence]) -> list[list[Fraction]]:
 
 
 def invert_unimodular(matrix: Sequence[Sequence[int]]) -> IntMatrix:
-    """Inverse of a unimodular integer matrix, returned over the integers."""
-    inv = invert_rational(matrix)
-    out = []
-    for row in inv:
-        if any(x.denominator != 1 for x in row):
+    """Inverse of a unimodular integer matrix, returned over the integers.
+
+    Integer row reduction of [matrix | identity]: Euclid steps leave one
+    nonzero entry in each column, which must be +1 or -1.
+    """
+    n = len(matrix)
+    a = [[int(x) for x in row] for row in matrix]
+    if any(len(row) != n for row in a):
+        raise ValueError("not square")
+    if any(x != y for row, src in zip(a, matrix) for x, y in zip(row, src)):
+        raise ValueError("matrix is not integral")
+    inv = identity_matrix(n)
+    for col in range(n):
+        while True:
+            live = [i for i in range(col, n) if a[i][col]]
+            if not live:
+                raise ValueError("singular matrix")
+            pivot = min(live, key=lambda i: abs(a[i][col]))
+            a[col], a[pivot] = a[pivot], a[col]
+            inv[col], inv[pivot] = inv[pivot], inv[col]
+            if len(live) == 1:
+                break
+            p = a[col][col]
+            for i in range(col + 1, n):
+                if a[i][col]:
+                    c = a[i][col] // p
+                    a[i] = [x - c * y for x, y in zip(a[i], a[col])]
+                    inv[i] = [x - c * y for x, y in zip(inv[i], inv[col])]
+        if a[col][col] not in (1, -1):
             raise ValueError("matrix is not unimodular")
-        out.append([int(x) for x in row])
-    return out
+        if a[col][col] == -1:
+            a[col] = [-x for x in a[col]]
+            inv[col] = [-x for x in inv[col]]
+        for i in range(n):
+            if i != col and a[i][col]:
+                c = a[i][col]
+                a[i] = [x - c * y for x, y in zip(a[i], a[col])]
+                inv[i] = [x - c * y for x, y in zip(inv[i], inv[col])]
+    return inv
 
 
 def rational_determinant(matrix: Sequence[Sequence]) -> Fraction:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import invert_rational, invert_unimodular, smith_normal_form
+from .linalg import IntMatrix, invert_unimodular, smith_normal_form
 from .polynomials import GroupAction
 
 
@@ -70,17 +70,29 @@ class QuotientType:
 
     def normalized(self) -> "QuotientType":
         """Lexicographically least weight tuple over all coordinate
-        permutations and all multiplications by units mod n."""
-        if self.n == 1:
-            return QuotientType(1, (0,) * self.arity)
+        permutations and all multiplications by units mod n.
+
+        Zero weights stay zero, and a unit keeps gcd(a_i, n), so the least
+        tuple continues after its zeros with g = min gcd(a_i, n).  Only the
+        units sending some a_i with gcd(a_i, n) = g to g can win: those
+        u = (a_i/g)^-1 mod n/g, lifted mod n and kept when coprime to n.
+        """
+        n = self.n
+        nonzero = [w for w in self.weights if w]
+        zeros = (0,) * (self.arity - len(nonzero))
+        if not nonzero:
+            return QuotientType(n, zeros)
+        g = min(math.gcd(w, n) for w in nonzero)
+        step = n // g
         best = None
-        for u in range(1, self.n):
-            if math.gcd(u, self.n) != 1:
-                continue
-            candidate = tuple(sorted((u * w) % self.n for w in self.weights))
-            if best is None or candidate < best:
-                best = candidate
-        return QuotientType(self.n, best)
+        for w in {w for w in nonzero if math.gcd(w, n) == g}:
+            for u in range(pow(w // g, -1, step), n, step):
+                if math.gcd(u, n) != 1:
+                    continue
+                candidate = tuple(sorted(u * x % n for x in nonzero))
+                if best is None or candidate < best:
+                    best = candidate
+        return QuotientType(n, zeros + best)
 
     # -- the lattice N = Z^m + Z*(weights/n) --------------------------------
 
@@ -139,38 +151,44 @@ def reid_tai_is_canonical(q: QuotientType) -> bool:
 # -- finite quotients of one lattice by another ------------------------------
 
 
-def _lattice_basis(rows: list[list[int]], arity: int) -> list[list[int]]:
-    # basis of the full-rank integer lattice spanned by the given rows
+def _lattice_basis(rows: IntMatrix, arity: int) -> tuple[IntMatrix, list[int], IntMatrix]:
+    # basis D*V^-1 of the full-rank integer lattice spanned by the given
+    # rows, returned with the SNF diagonal D and transform V
     u, d, v = smith_normal_form(rows)
-    if any(d[i][i] == 0 for i in range(arity)):
+    diagonal = [d[i][i] for i in range(arity)]
+    if 0 in diagonal:
         raise ValueError("generators do not span a full-rank lattice")
     v_inv = invert_unimodular(v)
-    return [[d[i][i] * v_inv[i][j] for j in range(arity)] for i in range(arity)]
+    basis = [[d_i * x for x in row] for d_i, row in zip(diagonal, v_inv)]
+    return basis, diagonal, v
 
 
-def _integer_coordinates(rows: list[list[int]], basis: list[list[int]]) -> list[list[int]]:
-    basis_inv = invert_rational(basis)
+def _integer_coordinates(rows: IntMatrix, diagonal: list[int], v: IntMatrix) -> IntMatrix:
+    # coordinates c with c*D*V^-1 == row, that is c_j = (row*V)_j / d_j
     coords = []
     for row in rows:
-        entries = [sum(Fraction(row[k]) * basis_inv[k][j] for k in range(len(basis)))
-                   for j in range(len(basis))]
-        if any(x.denominator != 1 for x in entries):
-            raise ValueError("vector lies outside the reference lattice")
-        coords.append([int(x) for x in entries])
+        entries = []
+        for j, d_j in enumerate(diagonal):
+            c, rest = divmod(sum(x * v[k][j] for k, x in enumerate(row)), d_j)
+            if rest:
+                raise ValueError("vector lies outside the reference lattice")
+            entries.append(c)
+        coords.append(entries)
     return coords
 
 
 def quotient_presentation(sup_rows: list[list[int]], sub_rows: list[list[int]],
-                          scale: int, arity: int) -> list[tuple[int, list[Fraction]]]:
+                          scale: int, arity: int) -> list[tuple[int, list[int]]]:
     """Invariant factors of (lattice spanned by sup_rows)/(by sub_rows).
 
     Rows are integer vectors representing ambient vectors divided by
     `scale`.  Returns one (order, generator) pair per nontrivial cyclic
-    factor, orders forming a divisibility chain, with each generator as an
-    exact ambient vector.
+    factor, orders forming a divisibility chain, with each generator an
+    integer vector that likewise stands for the ambient vector
+    generator/scale.
     """
-    basis = _lattice_basis(sup_rows, arity)
-    coords = _integer_coordinates(sub_rows, basis)
+    basis, diagonal, v_sup = _lattice_basis(sup_rows, arity)
+    coords = _integer_coordinates(sub_rows, diagonal, v_sup)
     u, d, v = smith_normal_form(coords)
     if len(sub_rows) < arity or any(d[i][i] == 0 for i in range(arity)):
         raise ValueError("quotient is not finite")
@@ -179,9 +197,8 @@ def quotient_presentation(sup_rows: list[list[int]], sub_rows: list[list[int]],
     for j in range(arity):
         order = d[j][j]
         if order > 1:
-            ambient = [Fraction(sum(v_inv[j][k] * basis[k][l] for k in range(arity)), scale)
-                       for l in range(arity)]
-            factors.append((order, ambient))
+            factors.append((order, [sum(v_inv[j][k] * basis[k][l] for k in range(arity))
+                                    for l in range(arity)]))
     return factors
 
 
@@ -254,20 +271,21 @@ def blowup_charts(ambient: QuotientType, v: Sequence) -> ChartReport:
     for i in range(m):
         sub = [[scale if l == j else 0 for l in range(m)] for j in range(m) if j != i]
         sub.append(scaled_v)
-        presentation = quotient_presentation(sup, sub, scale, m)
-        # cone generators: standard basis with slot i replaced by v
-        cone = [[Fraction(1 if l == j else 0) for l in range(m)] for j in range(m)]
-        cone[i] = list(vv)
-        cone_inv = invert_rational(cone)
+        # coefficients c of a generator X/scale in the cone basis
+        # {e_l (l != i), v}: c_i = X_i/V_i and
+        # c_l = (X_l*V_i - V_l*X_i)/(scale*V_i), with V = scale*v
+        v_i = scaled_v[i]
         factors = []
-        for order, generator in presentation:
-            coeffs = [sum(generator[k] * cone_inv[k][j] for k in range(m)) for j in range(m)]
+        for order, x in quotient_presentation(sup, sub, scale, m):
             weights = []
-            for c in coeffs:
-                w = c * order
-                if w.denominator != 1:
+            for l in range(m):
+                if l == i:
+                    w, rest = divmod(order * x[i], v_i)
+                else:
+                    w, rest = divmod(order * (x[l] * v_i - scaled_v[l] * x[i]), scale * v_i)
+                if rest:
                     raise ArithmeticError("chart action weight is not integral")
-                weights.append(int(w) % order)
+                weights.append(w % order)
             factors.append(ChartGroupFactor(order, tuple(weights)))
         charts.append(ChartGroup(tuple(factors)))
     return ChartReport(ambient, vv, tuple(charts))
@@ -293,9 +311,9 @@ def effective_factors(group: ChartGroup, arity: int) -> list[ChartGroupFactor]:
     for order, generator in quotient_presentation(sup, sub, scale, arity):
         weights = []
         for x in generator:
-            w = x * order
-            if w.denominator != 1:
+            w, rest = divmod(x * order, scale)
+            if rest:
                 raise ArithmeticError("effective action weight is not integral")
-            weights.append(int(w) % order)
+            weights.append(w % order)
         out.append(ChartGroupFactor(order, tuple(weights)))
     return out

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from threefold.cli import main
+from threefold.models import generate_model
 
 
 def run(capsys, *argv):
@@ -97,6 +98,11 @@ class TestCharts:
                            "--weights", "2,2,2")
         assert code == 2 and "primitive" in err
 
+    def test_zero_denominator_is_input_error(self, capsys):
+        code, out, err = run(capsys, "charts", "--ambient", "1/2(1,1,1,0,0)",
+                             "--weights", "1/0,1,1,1,1")
+        assert (code, out) == (2, "") and "error: zero denominator" in err
+
 
 class TestModelPipeline:
     def test_generate_validate_blowup(self, capsys, tmp_path):
@@ -169,6 +175,19 @@ class TestModelPipeline:
         assert code == 1 and data["passed"] is False and data["r"] == 7
         assert [c["name"] for c in data["checks"] if not c["passed"]] == ["q_weight"]
         assert "charts" not in data and "q_weight" in err
+
+    def test_blowup_manual_chart_exits_one(self, capsys, tmp_path):
+        # p = 0 passes default validation, but the x3 chart needs manual analysis
+        data = generate_model(7, 3).to_json_dict()
+        data["p"]["terms"] = []
+        path = tmp_path / "manual.json"
+        path.write_text(json.dumps(data))
+        code, _, _ = run(capsys, "validate", "--model", str(path))
+        assert code == 0
+        code, report, err = run_json(capsys, "blowup", "--model", str(path))
+        manual = [c["variable"] for c in report["charts"] if c["finding"] == "manual"]
+        assert code == 1 and manual == ["x3"]
+        assert "manual analysis needed for charts x3" in err
 
     def test_missing_file_exits_two(self, capsys, tmp_path):
         code, _, err = run(capsys, "blowup", "--model", str(tmp_path / "nope.json"))
