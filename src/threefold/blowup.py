@@ -16,6 +16,7 @@ settle are reported as manual findings, never guessed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -133,6 +134,8 @@ def e_cubed(germ: CIGerm, v: Sequence) -> Fraction:
 # -- strict transforms and chart analysis -------------------------------------
 
 
+_ZERO = Fraction(0)
+
 SMOOTH = "smooth"
 QUOTIENT = "quotient"
 MANUAL = "manual"
@@ -151,38 +154,48 @@ class ChartFinding:
                 "detail": self.detail}
 
 
-def _strict_transform(eq: SparsePoly, variables, v: Sequence[Fraction],
-                      chart: int, denominator: int) -> SparsePoly:
-    """Substitute x_l -> y_l * t^(v_l) with t the chart coordinate and divide
-    by t^(order).  The chart coordinate's exponents are recorded in units of
-    t^(1/denominator) so that everything stays integral: the order is the
-    least such power over the terms."""
-    scaled = [x * denominator for x in v]
-    if any(x.denominator != 1 for x in scaled):
-        raise ArithmeticError(f"denominator {denominator} does not clear the weights {v}")
-    scaled = [int(x) for x in scaled]
-    powers = {exps: sum(s * e for s, e in zip(scaled, exps)) for exps in eq.terms}
-    shift = min(powers.values())
-    terms = {}
-    for exps, c in eq.terms.items():
-        t_power = powers[exps] - shift
-        if t_power < 0:
-            raise ArithmeticError("strict transform has a negative power of the chart coordinate")
-        new = list(exps)
-        new[chart] = t_power
-        terms[tuple(new)] = c
-    return SparsePoly(variables, terms)
+def _term_powers(eq: SparsePoly, v: Sequence[Fraction],
+                 denominator: int) -> list[tuple[tuple[int, ...], Fraction, int]]:
+    """Each term of eq with the power of t^(1/denominator) it keeps after
+    x_l -> y_l * t^(v_l) and division by t^(order).
+
+    The power is the term's weight times denominator, less the least such
+    power over the terms (the order times denominator).  It does not depend
+    on the chart, so it is computed once and each chart's strict transform
+    only writes it in as the exponent of its own coordinate t.
+    """
+    scaled = []
+    for x in v:
+        if denominator % x.denominator:
+            raise ArithmeticError(f"denominator {denominator} does not clear the weights {v}")
+        scaled.append(x.numerator * (denominator // x.denominator))
+    powers = [sum(map(operator.mul, scaled, exps)) for exps in eq.terms]
+    shift = min(powers)
+    terms = [(exps, c, power - shift) for (exps, c), power in zip(eq.terms.items(), powers)]
+    if any(power < 0 for _, _, power in terms):
+        raise ArithmeticError("strict transform has a negative power of the chart coordinate")
+    return terms
 
 
-def _chart_character(poly: SparsePoly, factor, chart: int, denominator: int) -> int | None:
-    # denominator times the character of a strict transform under one chart
-    # group factor, modulo denominator * order: each recorded unit of the
-    # chart coordinate carries 1/denominator of its weight
+def _strict_transform(terms, chart: int) -> dict[tuple[int, ...], Fraction]:
+    """The strict transform on the chart of the coordinate with index chart,
+    as a term map {exponents: coefficient}; terms come from _term_powers.
+
+    Positive weights keep the keys distinct: two terms that differ only in
+    the chart coordinate's exponent differ in their power too."""
+    return {exps[:chart] + (power,) + exps[chart + 1:]: c for exps, c, power in terms}
+
+
+def _chart_character(terms, factor, chart: int, denominator: int) -> int | None:
+    # denominator times the character of a strict transform (the exponent
+    # vectors of its term map) under one chart group factor, modulo
+    # denominator * order: each recorded unit of the chart coordinate
+    # carries 1/denominator of its weight
     modulus = factor.order * denominator
     scaled = [w if l == chart else w * denominator for l, w in enumerate(factor.weights)]
     found = None
-    for exps in poly.terms:
-        chi = sum(w * e for w, e in zip(scaled, exps)) % modulus
+    for exps in terms:
+        chi = sum(map(operator.mul, scaled, exps)) % modulus
         if found is None:
             found = chi
         elif chi != found:
@@ -223,31 +236,27 @@ def chart_singularities(germ: CIGerm, v: Sequence) -> tuple[ChartFinding, ...]:
     for x in vv:
         denominator = denominator * x.denominator // math.gcd(denominator, x.denominator)
 
+    powers = [_term_powers(eq, vv, denominator) for eq in germ.equations]
+    origin = (0,) * m
     findings = []
     for i, var in enumerate(germ.variables):
-        transforms = [_strict_transform(eq, germ.variables, vv, i, denominator)
-                      for eq in germ.equations]
+        transforms = [_strict_transform(terms, i) for terms in powers]
         for factor in report.charts[i].factors:
-            for poly in transforms:
-                if _chart_character(poly, factor, i, denominator) is None:
+            for transform in transforms:
+                if _chart_character(transform, factor, i, denominator) is None:
                     raise ArithmeticError("strict transform lost semi-invariance")
 
-        constant = next((k for k, poly in enumerate(transforms)
-                         if poly.constant_term() != 0), None)
+        constant = next((k for k, transform in enumerate(transforms)
+                         if transform.get(origin, 0) != 0), None)
         if constant is not None:
             findings.append(ChartFinding(var, SMOOTH,
                                          detail=f"equation {constant} has a nonzero "
                                                 f"constant term; origin is off the germ"))
             continue
 
-        linear = []
-        for poly in transforms:
-            row = []
-            for l in range(m):
-                probe = [0] * m
-                probe[l] = denominator if l == i else 1
-                row.append(poly.coefficient(probe))
-            linear.append(row)
+        probes = [origin[:l] + (denominator if l == i else 1,) + origin[l + 1:]
+                  for l in range(m)]
+        linear = [[transform.get(probe, _ZERO) for probe in probes] for transform in transforms]
         chosen = pivot_columns(linear)
         data = f"linear terms {_matrix_str(linear)}, rank {len(chosen)}"
         if len(chosen) < len(transforms):

@@ -15,14 +15,18 @@ from fractions import Fraction
 
 from .blowup import MANUAL, analyze_blowup, model_germ
 from .dimensions import (DimensionTable, InconsistencyError, check_decomposition,
-                         correction_profile, degree_points, solve_correction,
-                         WellDefinednessError)
+                         correction_profile, degree_point_count, degree_points,
+                         solve_correction, WellDefinednessError)
 from .models import (CD2Model, ValidationReport, blowup_vector, generate_model,
                      validate_model)
 from .quotients import (QuotientType, blowup_charts, reid_tai_is_canonical,
                         reid_tai_is_terminal)
 
 PASS, FAIL, BAD_INPUT = 0, 1, 2
+
+# ni lists at most this many lattice points; each listed point costs about
+# 2 KiB of memory in the JSON rendering
+NI_POINT_LIMIT = 100_000
 
 
 def render_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -66,6 +70,10 @@ def _load_model(path: str) -> CD2Model:
 
 
 def cmd_ni(args) -> int:
+    count = degree_point_count(args.r, args.i)
+    if count > NI_POINT_LIMIT:
+        raise ValueError(f"degree {args.i} has {count} lattice points at r={args.r}; "
+                         f"ni lists at most NI_POINT_LIMIT = {NI_POINT_LIMIT}")
     points = sorted(degree_points(args.r, args.i))
     if args.parity is not None:
         points = [p for p in points if p.parity == args.parity]
@@ -221,7 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
                        default=argparse.SUPPRESS, help=argparse.SUPPRESS)
         return p
 
-    p = add_command("ni", help="lattice points of one weighted degree")
+    ni_help = (f"lattice points of one weighted degree, at most "
+               f"NI_POINT_LIMIT = {NI_POINT_LIMIT} of them")
+    p = add_command("ni", help=ni_help, description=ni_help)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--parity", type=int, choices=(0, 1), default=None)

@@ -75,6 +75,32 @@ def degree_points(r: int, degree: int) -> frozenset[LatticePoint]:
     return frozenset(points)
 
 
+def degree_point_count(r: int, degree: int) -> int:
+    """len(degree_points(r, degree)), counted without building the points.
+
+    For each (l1, l2, l5) the pair (l3, l4) takes rest // 2 + 1 values,
+    rest = base - r*l5.  Summed over l5 = 0..base//r in closed form (r is
+    odd, so rest alternates in parity), the count costs the same for every
+    degree.
+    """
+    _check_r(r)
+    if degree < 0:
+        return 0
+    w1 = (r + 1) // 2
+    w2 = (r - 1) // 2
+    total = 0
+    for l1 in (0, 1):
+        for l2 in (0, 1):
+            base = degree - w1 * l1 - w2 * l2
+            if base < 0:
+                continue
+            top = base // r
+            rests = (top + 1) * base - r * top * (top + 1) // 2
+            odd_rests = (top + 1) // 2 if base % 2 == 0 else top // 2 + 1
+            total += (rests - odd_rests) // 2 + top + 1
+    return total
+
+
 def graded_dimension(r: int, degree: int, parity: int) -> int:
     """Number of lattice points of the given degree and parity class."""
     _check_parity(parity)

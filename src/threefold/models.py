@@ -19,7 +19,7 @@ from typing import Mapping
 
 from .polynomials import (SparsePoly, detect_square_form, is_json_int,
                           is_semi_invariant, poly_from_dict, poly_to_dict,
-                          substitute, term_weight, weighted_order)
+                          scaled_term_weights, substitute, weighted_order)
 from .quotients import QuotientType
 
 GERM_VARIABLES = ("x1", "x2", "x3", "x4", "x5")
@@ -140,10 +140,11 @@ def validate_model(model: CD2Model, strict: bool = False) -> ValidationReport:
     checks.append(CheckResult("p_order", p_order > r,
                               f"weighted order of p is {p_order}, needs > {r}"))
 
-    q_weights = [term_weight(model.q.variables, e, weights) for e in model.q.terms]
-    q_homogeneous = bool(q_weights) and all(w == r - 1 for w in q_weights)
+    q_powers, scale = scaled_term_weights(model.q, weights)
+    q_homogeneous = bool(q_powers) and all(w == (r - 1) * scale for w in q_powers)
+    q_weights = sorted(Fraction(w, scale) for w in set(q_powers))
     checks.append(CheckResult("q_weight", q_homogeneous,
-                              f"q term weights {sorted(set(q_weights))}, needs exactly {{{r - 1}}}"))
+                              f"q term weights {q_weights}, needs exactly {{{r - 1}}}"))
 
     p_action = AMBIENT.group_action(GERM_VARIABLES).restricted(P_VARIABLES)
     q_action = AMBIENT.group_action(GERM_VARIABLES).restricted(Q_VARIABLES)
@@ -243,11 +244,15 @@ def generate_model(r: int, seed: int, extra_degree: int = 4) -> CD2Model:
 # -- the five-variable germ and the x5 elimination ----------------------------
 
 
+_X1_SQUARED_PLUS_X4_X5 = SparsePoly.from_string("x1^2 + x4*x5", GERM_VARIABLES)
+_X2_SQUARED = SparsePoly.from_string("x2^2", GERM_VARIABLES)
+_X5 = SparsePoly.from_string("x5", GERM_VARIABLES)
+
+
 def model_equations(model: CD2Model) -> tuple[SparsePoly, SparsePoly]:
     """The two defining equations over (x1,...,x5)."""
-    x = {v: SparsePoly.variable(v, GERM_VARIABLES) for v in GERM_VARIABLES}
-    first = x["x1"] ** 2 + x["x4"] * x["x5"] + model.p.with_variables(GERM_VARIABLES)
-    second = x["x2"] ** 2 + model.q.with_variables(GERM_VARIABLES) + x["x5"]
+    first = _X1_SQUARED_PLUS_X4_X5 + model.p.with_variables(GERM_VARIABLES)
+    second = _X2_SQUARED + model.q.with_variables(GERM_VARIABLES) + _X5
     return first, second
 
 

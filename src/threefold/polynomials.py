@@ -14,12 +14,15 @@ semi-invariance, exact polynomial square roots, and the detector for
 squares of the special shape (x3*s(x3^2, x4))^2.
 
 No floating point appears anywhere; every coefficient is a Fraction and
-orders are Fraction or the distinguished INFINITE_ORDER value.
+orders are Fraction or the distinguished INFINITE_ORDER value.  Orders and
+term weights are integer dot products over one common denominator of the
+weights, turned into a Fraction once per result.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -71,20 +74,26 @@ class SparsePoly:
 
     def __init__(self, variables: Iterable[str], terms: Mapping[tuple, object] | None = None):
         variables = tuple(variables)
-        if len(set(variables)) != len(variables):
+        arity = len(variables)
+        if len(set(variables)) != arity:
             raise ValueError("duplicate variable names")
         clean: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != len(variables):
+            exps = tuple(map(int, exps))
+            if len(exps) != arity:
                 raise ValueError("exponent vector arity mismatch")
-            if any(e < 0 for e in exps):
+            if exps and min(exps) < 0:
                 raise ValueError("negative exponent")
-            c = Fraction(coeff)
-            if c != 0:
-                clean[exps] = clean.get(exps, Fraction(0)) + c
-                if clean[exps] == 0:
+            c = coeff if type(coeff) is Fraction else Fraction(coeff)
+            if not c:
+                continue
+            if exps in clean:
+                # distinct keys that coincide after int(): add, dropping a zero sum
+                c += clean[exps]
+                if not c:
                     del clean[exps]
+                    continue
+            clean[exps] = c
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", clean)
 
@@ -175,16 +184,13 @@ class SparsePoly:
         return self.terms.get(tuple(exponents), Fraction(0))
 
     def used_variables(self) -> set[str]:
-        used = set()
-        for exps in self.terms:
-            for v, e in zip(self.variables, exps):
-                if e:
-                    used.add(v)
-        return used
+        return {v for v, column in zip(self.variables, zip(*self.terms)) if any(column)}
 
     def with_variables(self, variables: Iterable[str]) -> "SparsePoly":
         """Re-express over another variable tuple; every used variable must survive."""
         variables = tuple(variables)
+        if variables == self.variables:
+            return self
         index = {v: i for i, v in enumerate(variables)}
         terms = {}
         for exps, c in self.terms.items():
@@ -222,7 +228,7 @@ class SparsePoly:
         a, b = self._aligned(other)
         terms = dict(a.terms)
         for e, c in b.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
+            terms[e] = terms[e] + c if e in terms else c
         return SparsePoly(a.variables, terms)
 
     __radd__ = __add__
@@ -243,8 +249,9 @@ class SparsePoly:
         terms: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
+                key = tuple(map(operator.add, e1, e2))
+                c = c1 * c2
+                terms[key] = terms[key] + c if key in terms else c
         return SparsePoly(a.variables, terms)
 
     __rmul__ = __mul__
@@ -318,42 +325,52 @@ class GroupAction:
 # -- weighted orders -------------------------------------------------------
 
 
-def term_weight(variables, exponents, weights: Mapping) -> Fraction:
-    total = Fraction(0)
-    for v, e in zip(variables, exponents):
-        if e:
-            if v not in weights:
-                raise KeyError(f"no weight for variable {v!r}")
-            total += Fraction(weights[v]) * e
-    return total
+def scaled_term_weights(p: SparsePoly, weights: Mapping) -> tuple[list[int], int]:
+    """The weight of each term of p, in p.terms order, times one common
+    denominator of the weights of the variables p uses; and that denominator.
+
+    Integer dot products only.  A used variable without a weight raises
+    KeyError, naming the first one met in term order; unused variables need
+    no weight.
+    """
+    used = [any(column) for column in zip(*p.terms)]
+    missing = [k for k, (v, u) in enumerate(zip(p.variables, used)) if u and v not in weights]
+    if missing:
+        first = next(e for e in p.terms if any(e[k] for k in missing))
+        name = next(p.variables[k] for k in missing if first[k])
+        raise KeyError(f"no weight for variable {name!r}")
+    values = [Fraction(weights[v]) if u else None for v, u in zip(p.variables, used)]
+    denominator = math.lcm(*(w.denominator for w in values if w is not None))
+    scaled = [0 if w is None else w.numerator * (denominator // w.denominator) for w in values]
+    return [sum(map(operator.mul, scaled, e)) for e in p.terms], denominator
 
 
 def weighted_order(p: SparsePoly, weights: Mapping):
     """Minimum weight over the monomials of p; INFINITE_ORDER for the zero polynomial."""
     if p.is_zero:
         return INFINITE_ORDER
-    return min(term_weight(p.variables, e, weights) for e in p.terms)
+    powers, denominator = scaled_term_weights(p, weights)
+    return Fraction(min(powers), denominator)
+
+
+def _terms_by_weight(p: SparsePoly, weights: Mapping, degree, keep) -> SparsePoly:
+    d = Fraction(degree)
+    powers, denominator = scaled_term_weights(p, weights)
+    target = d * denominator
+    return SparsePoly(p.variables, {e: c for (e, c), w in zip(p.terms.items(), powers)
+                                    if keep(w, target)})
 
 
 def homogeneous_part(p: SparsePoly, weights: Mapping, degree) -> SparsePoly:
-    d = Fraction(degree)
-    return SparsePoly(p.variables,
-                      {e: c for e, c in p.terms.items()
-                       if term_weight(p.variables, e, weights) == d})
+    return _terms_by_weight(p, weights, degree, operator.eq)
 
 
 def truncate_le(p: SparsePoly, weights: Mapping, degree) -> SparsePoly:
-    d = Fraction(degree)
-    return SparsePoly(p.variables,
-                      {e: c for e, c in p.terms.items()
-                       if term_weight(p.variables, e, weights) <= d})
+    return _terms_by_weight(p, weights, degree, operator.le)
 
 
 def truncate_gt(p: SparsePoly, weights: Mapping, degree) -> SparsePoly:
-    d = Fraction(degree)
-    return SparsePoly(p.variables,
-                      {e: c for e, c in p.terms.items()
-                       if term_weight(p.variables, e, weights) > d})
+    return _terms_by_weight(p, weights, degree, operator.gt)
 
 
 def is_semi_invariant(p: SparsePoly, action: GroupAction) -> int | None:

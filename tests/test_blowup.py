@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from threefold.blowup import (CIGerm, DimensionError, MANUAL, QUOTIENT, SMOOTH,
-                              _strict_transform, analyze_blowup,
+                              _strict_transform, _term_powers, analyze_blowup,
                               chart_singularities, discrepancy, e_cubed,
                               equation_orders, model_germ, verify_blowup_profile)
 from threefold.models import (CD2Model, P_VARIABLES, Q_VARIABLES, blowup_vector,
@@ -185,7 +185,11 @@ class TestStrictTransform:
         names = ("x1", "x2", "x3")
         eq = SparsePoly.from_string("x1*x2 + x3^2", names)
         with pytest.raises(ArithmeticError):
-            _strict_transform(eq, names, (HALF, HALF, Fraction(1)), 0, 1)
+            _term_powers(eq, (HALF, HALF, Fraction(1)), 1)
+        # with denominator 2 the order is 1 (2 units): x1*x2 keeps t^0 and
+        # x3^2 keeps t^1 (2 units), written in as the chart coordinate's exponent
+        terms = _term_powers(eq, (HALF, HALF, Fraction(1)), 2)
+        assert _strict_transform(terms, 0) == {(0, 1, 0): 1, (2, 0, 2): 1}
 
 
 class TestProfile:

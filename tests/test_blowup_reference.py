@@ -149,7 +149,7 @@ def test_chart_character_matches_fractions(exponents):
     poly = SparsePoly(("x1", "x2"), {e: 1 for e in exponents})
     factor = ChartGroupFactor(2, (1, 1))
     semi_invariant = len(reference_characters(poly, factor, 0, 2)) == 1
-    assert (_chart_character(poly, factor, 0, 2) is not None) == semi_invariant
+    assert (_chart_character(poly.terms, factor, 0, 2) is not None) == semi_invariant
 
 
 def test_one_chart_report_per_r(monkeypatch):
@@ -168,6 +168,34 @@ def test_one_chart_report_per_r(monkeypatch):
     assert all(report.passed for report in reports)
     assert calls == [(QuotientType(2, (1, 1, 1, 0, 0)),
                       tuple(Fraction(x) for x in blowup_vector(23)))]
+
+
+def test_chart_analysis_builds_no_polynomial(monkeypatch):
+    # strict transforms are term maps: the five charts of a model build no
+    # SparsePoly, with the chart groups computed afresh or from the cache
+    model = generate_model(23, 5)
+    v = blowup_vector(23)
+    expected = reference_findings(model_germ(model), v)
+    built = []
+    construct = SparsePoly.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(SparsePoly, "__init__", counting)
+    family = model_germ(model)
+    assert built, "the counter sees the constructions of model_germ"
+    built.clear()
+    blowup._cached_charts.cache_clear()
+    try:
+        findings = [chart_singularities(family, v) for _ in range(2)]
+    finally:
+        blowup._cached_charts.cache_clear()
+        monkeypatch.undo()
+    assert built == []
+    assert findings == [expected, expected]
+    assert SparsePoly.__init__ is construct
 
 
 def test_lattice_error_is_raised_on_every_call():

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from threefold import cli
 from threefold.cli import main
+from threefold.dimensions import degree_point_count
 from threefold.models import generate_model
 
 
@@ -31,6 +33,31 @@ class TestNi:
     def test_bad_r_is_input_error(self, capsys):
         code, _, err = run(capsys, "ni", "--r", "8", "--i", "4")
         assert code == 2 and "error" in err
+
+    def test_huge_degree_is_refused_before_enumerating(self, capsys, monkeypatch):
+        # about 1.4e9 points; the count alone decides, no point is built
+        def no_enumeration(r, degree):
+            raise AssertionError("degree_points called")
+
+        monkeypatch.setattr(cli, "degree_points", no_enumeration)
+        code, out, err = run(capsys, "ni", "--r", "7", "--i", "100000")
+        assert code == 2 and out == ""
+        assert err.startswith("error: degree 100000 has 1428614286 lattice points")
+        assert f"NI_POINT_LIMIT = {cli.NI_POINT_LIMIT}" in err
+
+    def test_limit_admits_exactly_its_count(self, capsys, monkeypatch):
+        count = degree_point_count(23, 69)
+        monkeypatch.setattr(cli, "NI_POINT_LIMIT", count)
+        code, data, _ = run_json(capsys, "ni", "--r", "23", "--i", "69")
+        assert code == 0 and len(data["points"]) == count
+        monkeypatch.setattr(cli, "NI_POINT_LIMIT", count - 1)
+        code, _, err = run(capsys, "ni", "--r", "23", "--i", "69")
+        assert code == 2 and err.startswith("error:")
+
+    def test_limit_is_named_in_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["ni", "--help"])
+        assert f"NI_POINT_LIMIT = {cli.NI_POINT_LIMIT}" in " ".join(capsys.readouterr().out.split())
 
 
 class TestDims:

@@ -5,7 +5,8 @@ import pytest
 from threefold.dimensions import (CorrectionProfile, DimensionTable,
                                   InconsistencyError, LatticePoint,
                                   check_decomposition, correction_profile,
-                                  degree_points, graded_dimension, orbit,
+                                  degree_point_count, degree_points,
+                                  graded_dimension, orbit,
                                   solve_correction)
 
 
@@ -55,6 +56,25 @@ class TestDegreePoints:
     def test_parity(self):
         assert LatticePoint((1, 1, 1, 0, 5)).parity == 1
         assert LatticePoint((1, 1, 0, 7, 2)).parity == 0
+
+
+class TestDegreePointCount:
+    def test_matches_enumeration(self):
+        for r in (7, 9, 15, 23):
+            for i in range(-3, 6 * r):
+                assert degree_point_count(r, i) == len(degree_points(r, i)), (r, i)
+
+    def test_matches_the_per_l5_sum_at_a_huge_degree(self):
+        # one (l3, l4) pair per value of l3 = 0..rest//2, for every (l1, l2, l5)
+        r, i = 7, 100_000
+        expected = sum((base - r * l5) // 2 + 1
+                       for base in (i, i - 4, i - 3, i - 7)
+                       for l5 in range(base // r + 1))
+        assert degree_point_count(r, i) == expected
+
+    def test_rejects_bad_r(self):
+        with pytest.raises(ValueError):
+            degree_point_count(8, 4)
 
 
 class TestGradedDimension:

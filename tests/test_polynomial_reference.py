@@ -1,0 +1,230 @@
+"""The polynomial layer against the slow reference it replaced.
+
+The reference is built here: the SparsePoly constructor that converted
+every coefficient and added every term to a Fraction zero, and term
+weights as sums of Fraction products with the weighted order and the
+weight filters on top of them.  On seeded random inputs the fast code must
+give the same values and raise the same errors, message included.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from threefold.polynomials import (INFINITE_ORDER, SparsePoly, homogeneous_part,
+                                   scaled_term_weights, truncate_gt, truncate_le,
+                                   weighted_order)
+
+NAMES = ("x1", "x2", "x3", "x4", "x5", "x6")
+
+
+def reference_terms(variables, terms):
+    variables = tuple(variables)
+    if len(set(variables)) != len(variables):
+        raise ValueError("duplicate variable names")
+    clean = {}
+    for exps, coeff in (terms or {}).items():
+        exps = tuple(int(e) for e in exps)
+        if len(exps) != len(variables):
+            raise ValueError("exponent vector arity mismatch")
+        if any(e < 0 for e in exps):
+            raise ValueError("negative exponent")
+        c = Fraction(coeff)
+        if c != 0:
+            clean[exps] = clean.get(exps, Fraction(0)) + c
+            if clean[exps] == 0:
+                del clean[exps]
+    return variables, clean
+
+
+def reference_term_weight(variables, exponents, weights):
+    total = Fraction(0)
+    for v, e in zip(variables, exponents):
+        if e:
+            if v not in weights:
+                raise KeyError(f"no weight for variable {v!r}")
+            total += Fraction(weights[v]) * e
+    return total
+
+
+def reference_weighted_order(p, weights):
+    if p.is_zero:
+        return INFINITE_ORDER
+    return min(reference_term_weight(p.variables, e, weights) for e in p.terms)
+
+
+def reference_filter(p, weights, degree, keep):
+    d = Fraction(degree)
+    return reference_terms(p.variables, {e: c for e, c in p.terms.items()
+                                         if keep(reference_term_weight(p.variables, e, weights), d)})
+
+
+def term_weights(p, weights):
+    powers, denominator = scaled_term_weights(p, weights)
+    return [Fraction(w, denominator) for w in powers]
+
+
+def outcome(f, *args):
+    """("value", result) or ("error", type, message), for comparing two paths."""
+    try:
+        return ("value", f(*args))
+    except Exception as exc:  # every error must match, whatever its type
+        return ("error", type(exc), str(exc))
+
+
+def as_items(poly):
+    # dict order included: the old constructor's insertion order is kept
+    assert all(type(c) is Fraction for c in poly.terms.values())
+    return poly.variables, list(poly.terms.items())
+
+
+def random_coefficient(rng):
+    n, d = rng.randint(-6, 6), rng.randint(1, 6)
+    return rng.choice((n, f"{n}/{d}", Fraction(n, d), Fraction(n, d)))
+
+
+def random_exponent(rng):
+    e = rng.randint(0, 4)
+    # the last three coincide with e after int()
+    return rng.choice((e, e, e, e, Fraction(2 * e + 1, 2), e + 0.75, str(e)))
+
+
+def random_terms(rng, variables):
+    arity = len(variables)
+    terms = {}
+    for _ in range(rng.randint(0, 8)):
+        exps = tuple(rng.randint(0, 4) for _ in range(arity))
+        c = random_coefficient(rng)
+        terms[exps] = c
+        kind = rng.random()
+        if kind < 0.3:
+            # a distinct key that coincides after int(); half of them cancel
+            twin = tuple(random_exponent(rng) if rng.random() < 0.5 else e for e in exps)
+            if arity:
+                twin = (Fraction(2 * exps[0] + 1, 2),) + twin[1:]
+            terms[twin] = -Fraction(c) if rng.random() < 0.5 else random_coefficient(rng)
+        elif kind < 0.35:
+            terms[exps + (1,)] = 1
+        elif kind < 0.4 and arity:
+            terms[exps[:-1] + (-1,)] = 1
+    return terms
+
+
+def random_variables(rng):
+    variables = rng.sample(NAMES, rng.randint(0, 5))
+    if variables and rng.random() < 0.05:
+        variables.append(variables[0])
+    return tuple(variables)
+
+
+def random_poly(rng, variables=None):
+    variables = variables or tuple(rng.sample(NAMES, rng.randint(1, 5)))
+    terms = {tuple(rng.randint(0, 5) for _ in variables): random_coefficient(rng)
+             for _ in range(rng.choice((0, 1, 2, 4, 8)))}
+    return SparsePoly(variables, terms)
+
+
+def random_weights(rng, variables):
+    weights = {}
+    for v in variables:
+        if rng.random() < 0.15:
+            continue  # a missing weight: fine if v is unused, KeyError if used
+        n, d = rng.randint(-2, 12), rng.choice((1, 1, 2, 3, 4, 5, 6, 7))
+        weights[v] = rng.choice((Fraction(n, d), Fraction(n, d), n, f"{n}/{d}"))
+    return weights
+
+
+CASES = range(1500)
+
+
+def test_constructor_matches_reference():
+    rng = random.Random(20111)
+    seen = set()
+    for _ in CASES:
+        variables = random_variables(rng)
+        terms = random_terms(rng, variables)
+        expected = outcome(reference_terms, variables, terms)
+        got = outcome(lambda: as_items(SparsePoly(variables, terms)))
+        if expected[0] == "value":
+            expected = ("value", (expected[1][0], list(expected[1][1].items())))
+        assert got == expected, (variables, terms)
+        seen.add(expected[2] if expected[0] == "error" else "value")
+    # every check was reached
+    assert seen == {"value", "duplicate variable names", "exponent vector arity mismatch",
+                    "negative exponent"}
+
+
+def test_constructor_collisions_that_cancel():
+    rng = random.Random(20112)
+    cancelled = 0
+    for _ in CASES:
+        variables = tuple(rng.sample(NAMES, rng.randint(1, 4)))
+        exps = tuple(rng.randint(0, 3) for _ in variables)
+        c = random_coefficient(rng)
+        twin = (Fraction(2 * exps[0] + 1, 2),) + exps[1:]
+        terms = {exps: c, (9,) * len(variables): 1, twin: -Fraction(c)}
+        if rng.random() < 0.5:
+            terms[(exps[0] + 0.5,) + exps[1:]] = c
+        _, clean = reference_terms(variables, terms)
+        assert as_items(SparsePoly(variables, terms)) == (variables, list(clean.items()))
+        cancelled += exps not in clean
+    assert cancelled > 0
+
+
+def test_arithmetic_matches_reference():
+    rng = random.Random(20113)
+    for _ in CASES:
+        a = random_poly(rng)
+        b = (random_poly(rng, a.variables) if rng.random() < 0.5 else
+             SparsePoly(a.variables, {e: -c for e, c in a.terms.items() if rng.random() < 0.7}))
+        total = dict(a.terms)
+        for e, c in b.terms.items():
+            total[e] = total.get(e, Fraction(0)) + c
+        product = {}
+        for e1, c1 in a.terms.items():
+            for e2, c2 in b.terms.items():
+                key = tuple(x + y for x, y in zip(e1, e2))
+                product[key] = product.get(key, Fraction(0)) + c1 * c2
+        for got, terms in ((a + b, total), (a * b, product)):
+            _, clean = reference_terms(a.variables, terms)
+            assert as_items(got) == (a.variables, list(clean.items()))
+        used = {v for exps in a.terms for v, e in zip(a.variables, exps) if e}
+        assert a.used_variables() == used
+        assert a.with_variables(a.variables) is a
+
+
+def test_weights_match_reference():
+    rng = random.Random(20114)
+    errors = zeros = 0
+    for _ in CASES:
+        p = random_poly(rng)
+        weights = random_weights(rng, p.variables)
+        expected = outcome(reference_weighted_order, p, weights)
+        assert outcome(weighted_order, p, weights) == expected, (p, weights)
+        errors += expected[0] == "error"
+        zeros += p.is_zero
+        assert outcome(term_weights, p, weights) == outcome(
+            lambda: [reference_term_weight(p.variables, e, weights) for e in p.terms])
+    assert errors > 0 and zeros > 0
+
+
+@pytest.mark.parametrize("name, fast, keep", [
+    ("homogeneous_part", homogeneous_part, lambda w, d: w == d),
+    ("truncate_le", truncate_le, lambda w, d: w <= d),
+    ("truncate_gt", truncate_gt, lambda w, d: w > d),
+])
+def test_weight_filters_match_reference(name, fast, keep):
+    rng = random.Random(20115)
+    for _ in CASES:
+        p = random_poly(rng)
+        weights = random_weights(rng, p.variables)
+        degrees = [Fraction(rng.randint(-2, 40), rng.randint(1, 4))]
+        order = outcome(reference_weighted_order, p, weights)
+        if order[0] == "value" and not p.is_zero:
+            degrees.append(order[1])
+        for degree in degrees:
+            expected = outcome(reference_filter, p, weights, degree, keep)
+            if expected[0] == "value":
+                expected = ("value", (expected[1][0], list(expected[1][1].items())))
+            assert outcome(lambda: as_items(fast(p, weights, degree))) == expected
