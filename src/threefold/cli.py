@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .blowup import MANUAL, analyze_blowup, model_germ
 from .dimensions import (DimensionTable, InconsistencyError, check_decomposition,
-                         correction_profile, degree_point_count, degree_points,
-                         solve_correction, WellDefinednessError)
+                         closed_form_profile, correction_profile, degree_point_count,
+                         degree_points, solve_correction, WellDefinednessError)
 from .models import (CD2Model, ValidationReport, blowup_vector, generate_model,
                      validate_model)
 from .quotients import (QuotientType, blowup_charts, reid_tai_is_canonical,
@@ -27,6 +27,11 @@ PASS, FAIL, BAD_INPUT = 0, 1, 2
 # ni lists at most this many lattice points; each listed point costs about
 # 2 KiB of memory in the JSON rendering
 NI_POINT_LIMIT = 100_000
+
+# dims and verify-dim count every degree up to at most this bound; their
+# output grows with it, and dims --format json at the bound peaks at about
+# 145 MiB of RSS under CPython 3.11
+DEGREE_LIMIT = 50_000
 
 
 def render_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -91,8 +96,15 @@ def _degree_bound(imax: int) -> int:
     return imax
 
 
+def _check_degree_limit(command: str, top: int) -> None:
+    if top > DEGREE_LIMIT:
+        raise ValueError(f"{command} would count degrees up to {top}; "
+                         f"at most DEGREE_LIMIT = {DEGREE_LIMIT}")
+
+
 def cmd_dims(args) -> int:
     imax = _degree_bound(args.imax)
+    _check_degree_limit("dims", imax)
     table = DimensionTable.compute(args.r, imax)
     rows = [[str(i), str(table.dimension(i, 0)), str(table.dimension(i, 1))]
             for i in range(imax + 1)]
@@ -103,6 +115,7 @@ def cmd_dims(args) -> int:
 def cmd_verify_dim(args) -> int:
     r = args.r
     imax = 6 * r if args.imax is None else _degree_bound(args.imax)
+    _check_degree_limit("verify-dim", max(imax, 2 * r))
     checks = []
 
     results = [check_decomposition(r, i, j) for i in range(imax + 1) for j in (0, 1)]
@@ -110,7 +123,7 @@ def cmd_verify_dim(args) -> int:
     checks.append({"name": "decomposition", "passed": failures == 0,
                    "detail": f"{len(results) - failures}/{len(results)} degree/parity pairs"})
 
-    profile = None
+    profile = solution = None
     try:
         profile = correction_profile(r, max(imax, 2 * r))
         checks.append({"name": "well_defined", "passed": True,
@@ -128,9 +141,22 @@ def cmd_verify_dim(args) -> int:
         except InconsistencyError as exc:
             checks.append({"name": "orbit_sums", "passed": False, "detail": str(exc)})
 
-    passed = all(c["passed"] for c in checks)
-    payload = {"r": r, "imax": imax, "checks": checks, "passed": passed}
+    # B from the closed-form increments, beside the B reconstructed from counts
+    closed = solve_correction(closed_form_profile(r))
+    agrees = solution == closed
+    correction = {
+        "agrees": agrees,
+        "closed_form": [str(closed[k]) for k in range(2 * r)],
+        "reconstructed": None if solution is None else [str(solution[k])
+                                                        for k in range(2 * r)],
+    }
+    passed = all(c["passed"] for c in checks) and agrees
+    payload = {"r": r, "imax": imax, "checks": checks, "correction": correction,
+               "passed": passed}
     rows = [[c["name"], "pass" if c["passed"] else "FAIL", c["detail"]] for c in checks]
+    rows.append(["correction", "pass" if agrees else "FAIL",
+                 f"reconstructed B {'equals' if agrees else 'differs from'} "
+                 f"the closed form on {len(closed)} residues"])
     emit(payload, args, render_table(["check", "status", "detail"], rows))
     return PASS if passed else FAIL
 
@@ -237,13 +263,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parity", type=int, choices=(0, 1), default=None)
     p.set_defaults(handler=cmd_ni)
 
-    p = add_command("dims", help="dimension table up to a degree bound")
+    limit = f"DEGREE_LIMIT = {DEGREE_LIMIT}"
+    dims_help = f"dimension table up to a degree bound of at most {limit}"
+    p = add_command("dims", help=dims_help, description=dims_help)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--imax", type=int, required=True)
     p.set_defaults(handler=cmd_dims)
 
-    p = add_command("verify-dim", help="decomposition, well-definedness and "
-                                       "orbit-sum consistency suite")
+    verify_help = (f"decomposition, well-definedness, orbit-sum and closed-form "
+                   f"correction suite over degrees up to max(imax, 2r), at most {limit}")
+    p = add_command("verify-dim", help=verify_help, description=verify_help)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--imax", type=int, default=None,
                    help="degree bound (default 6r)")

@@ -7,12 +7,15 @@ dimension equals the number of exponent vectors (l1,...,l5) with l1,l2 in
 
     (r+1)/2*l1 + (r-1)/2*l2 + 2*l3 + l4 + r*l5 = i,   l1+l2+l3 = j mod 2.
 
-Counting these points exposes a two-term recursion whose inhomogeneous
-part is (2i+1)/r plus the difference of a periodic correction term of
-period 2r.  The correction term itself is reconstructed from the counts:
-the increment profile must be well defined on residues of 2i+rj mod 2r,
-and it telescopes to zero around each parity orbit, which is exactly what
-solve_correction checks before integrating the profile.
+The points are counted in closed form (floor sums over l5), never listed;
+degree_points lists them for `ni` and as the reference of the counts.
+The counts obey a two-term recursion whose inhomogeneous part is (2i+1)/r
+plus the difference of a periodic correction term of period 2r.  The
+correction term is reconstructed from the counts: the increment profile
+must be well defined on residues of 2i+rj mod 2r, and it telescopes to
+zero around each parity orbit, which is exactly what solve_correction
+checks before integrating the profile.  The increments also have a closed
+form (closed_form_profile), which the counted profile must match.
 """
 
 from __future__ import annotations
@@ -75,36 +78,49 @@ def degree_points(r: int, degree: int) -> frozenset[LatticePoint]:
     return frozenset(points)
 
 
-def degree_point_count(r: int, degree: int) -> int:
-    """len(degree_points(r, degree)), counted without building the points.
+def parity_counts(r: int, degree: int) -> tuple[int, int]:
+    """(points of parity 0, points of parity 1) in the degree, counted
+    without building the points.
 
-    For each (l1, l2, l5) the pair (l3, l4) takes rest // 2 + 1 values,
-    rest = base - r*l5.  Summed over l5 = 0..base//r in closed form (r is
-    odd, so rest alternates in parity), the count costs the same for every
-    degree.
+    For each (l1, l2, l5), l3 runs over 0..half, half = rest // 2 with
+    rest = base - r*l5: half // 2 + 1 = rest // 4 + 1 of them even and
+    (half + 1) // 2 odd, and l1 + l2 decides which parity each set lands
+    in.  Over l5 = 0..base//r the rests are base % r + r*k, k = 0..base//r;
+    their sum has a closed form and, r being odd, they alternate mod 2 and
+    run through every residue mod 4 once in four terms, so the sums of
+    rest // 2 and rest // 4 cost the same for every degree.
     """
     _check_r(r)
     if degree < 0:
-        return 0
+        return 0, 0
+    counts = [0, 0]
     w1 = (r + 1) // 2
     w2 = (r - 1) // 2
-    total = 0
-    for l1 in (0, 1):
-        for l2 in (0, 1):
-            base = degree - w1 * l1 - w2 * l2
-            if base < 0:
-                continue
-            top = base // r
-            rests = (top + 1) * base - r * top * (top + 1) // 2
-            odd_rests = (top + 1) // 2 if base % 2 == 0 else top // 2 + 1
-            total += (rests - odd_rests) // 2 + top + 1
-    return total
+    # (l1, l2) = (0,0), (0,1), (1,0), (1,1): shift w1*l1 + w2*l2, ascending
+    for shift, parity in ((0, 0), (w2, 1), (w1, 1), (r, 0)):
+        base = degree - shift
+        if base < 0:
+            break
+        top, low = divmod(base, r)
+        n = top + 1
+        total = n * low + r * n * top // 2
+        halves = (total - (n + low % 2) // 2) // 2
+        quarters = (total - 6 * (n // 4)
+                    - sum((low + r * k) % 4 for k in range(n % 4))) // 4
+        counts[parity] += quarters + n
+        counts[1 - parity] += halves - quarters
+    return counts[0], counts[1]
+
+
+def degree_point_count(r: int, degree: int) -> int:
+    """len(degree_points(r, degree)), counted without building the points."""
+    return sum(parity_counts(r, degree))
 
 
 def graded_dimension(r: int, degree: int, parity: int) -> int:
     """Number of lattice points of the given degree and parity class."""
     _check_parity(parity)
-    return sum(1 for p in degree_points(r, degree) if p.parity == parity)
+    return parity_counts(r, degree)[parity]
 
 
 @dataclass(frozen=True)
@@ -119,11 +135,7 @@ class DimensionTable:
         _check_r(r)
         rows = {}
         for i in range(max_degree + 1):
-            counts = [0, 0]
-            for p in degree_points(r, i):
-                counts[p.parity] += 1
-            rows[(i, 0)] = counts[0]
-            rows[(i, 1)] = counts[1]
+            rows[(i, 0)], rows[(i, 1)] = parity_counts(r, i)
         return cls(r, rows)
 
     def dimension(self, degree: int, parity: int) -> int:
@@ -143,17 +155,19 @@ def check_decomposition(r: int, degree: int, parity: int) -> bool:
     Shifting l3 by one raises the degree by 2 and flips the parity, so the
     count difference across that shift must equal the number of points with
     l3 = 0; those split by (l1, l2) into (0,0)/(1,1) for parity 0 and
-    (0,1)/(1,0) for parity 1.
+    (0,1)/(1,0) for parity 1.  That boundary is counted on its own: with
+    l3 = 0, each l5 = 0..base//r fixes l4, so a pattern adds base//r + 1.
     """
     _check_parity(parity)
     if degree < 0:
         raise ValueError("degree must be non-negative")
-    current = degree_points(r, degree)
-    lhs = (sum(1 for p in current if p.parity == parity)
-           - graded_dimension(r, degree - 2, 1 - parity))
+    lhs = parity_counts(r, degree)[parity] - parity_counts(r, degree - 2)[1 - parity]
     patterns = ((0, 0), (1, 1)) if parity == 0 else ((0, 1), (1, 0))
-    boundary = sum(1 for p in current
-                   if p.exponents[2] == 0 and p.exponents[:2] in patterns)
+    boundary = 0
+    for l1, l2 in patterns:
+        base = degree - (r + 1) // 2 * l1 - (r - 1) // 2 * l2
+        if base >= 0:
+            boundary += base // r + 1
     return lhs == boundary
 
 
@@ -197,6 +211,29 @@ def correction_profile(r: int, max_degree: int | None = None) -> CorrectionProfi
             else:
                 delta[key] = value
                 witnesses[key] = (i, j)
+    return CorrectionProfile(r, delta, witnesses)
+
+
+def closed_form_profile(r: int) -> CorrectionProfile:
+    """The correction increments from the closed forms of the differences
+    D(i, j) = dim(i, j) - dim(i-2, 1-j), which hold at every degree i >= 0:
+
+        D(i, 0) = 2*floor(i/r) + 1,
+        D(i, 1) = floor((i-a)/r) + floor((i-b)/r) + 2,   a, b = (r+1)/2, (r-1)/2.
+
+    No point is counted.  Residue k mod 2r is witnessed by its one pair
+    (i, j) with 0 <= i < r.
+    """
+    _check_r(r)
+    a, b = (r + 1) // 2, (r - 1) // 2
+    delta: dict[int, Fraction] = {}
+    witnesses: dict[int, tuple[int, int]] = {}
+    for k in range(2 * r):
+        j = k % 2
+        i = (k - r * j) // 2 % r
+        d = 2 * (i // r) + 1 if j == 0 else (i - a) // r + (i - b) // r + 2
+        delta[k] = d - Fraction(2 * i + 1, r)
+        witnesses[k] = (i, j)
     return CorrectionProfile(r, delta, witnesses)
 
 

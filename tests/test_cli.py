@@ -1,10 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from threefold import cli
 from threefold.cli import main
-from threefold.dimensions import degree_point_count
+from threefold.dimensions import CorrectionProfile, degree_point_count
 from threefold.models import generate_model
 
 
@@ -73,6 +74,21 @@ class TestDims:
         second = run_json(capsys, "dims", "--r", "9", "--imax", "10")
         assert first == second
 
+    def test_limit_admits_exactly_its_bound(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "DEGREE_LIMIT", 42)
+        code, data, _ = run_json(capsys, "dims", "--r", "7", "--imax", "42")
+        assert code == 0 and len(data["dims"]) == 86
+        code, out, err = run(capsys, "dims", "--r", "7", "--imax", "43")
+        assert (code, out) == (2, "")
+        assert err == "error: dims would count degrees up to 43; at most DEGREE_LIMIT = 42\n"
+
+    def test_limit_is_named_in_help(self, capsys):
+        for argv in (["--help"], ["dims", "--help"], ["verify-dim", "--help"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+            text = " ".join(capsys.readouterr().out.split())
+            assert f"DEGREE_LIMIT = {cli.DEGREE_LIMIT}" in text, argv
+
 
 class TestVerifyDim:
     def test_passes(self, capsys):
@@ -85,6 +101,38 @@ class TestVerifyDim:
     def test_default_imax_is_six_r(self, capsys):
         code, data, _ = run_json(capsys, "verify-dim", "--r", "7")
         assert code == 0 and data["imax"] == 42
+
+    def test_correction_is_reported(self, capsys):
+        code, data, _ = run_json(capsys, "verify-dim", "--r", "7")
+        correction = data["correction"]
+        assert code == 0 and correction["agrees"] is True
+        # B(2m) = m(7-m)/7 on even residues
+        assert correction["closed_form"][0:14:2] == ["0", "6/7", "10/7", "12/7",
+                                                    "12/7", "10/7", "6/7"]
+        assert correction["reconstructed"] == correction["closed_form"]
+
+    def test_wrong_correction_fails(self, capsys, monkeypatch):
+        # a zero profile passes all four checks but is not the closed form
+        def zero_profile(r, max_degree):
+            return CorrectionProfile(r, {k: Fraction(0) for k in range(2 * r)})
+
+        monkeypatch.setattr(cli, "correction_profile", zero_profile)
+        code, data, _ = run_json(capsys, "verify-dim", "--r", "7")
+        assert all(c["passed"] for c in data["checks"])
+        assert data["correction"]["agrees"] is False
+        assert data["correction"]["reconstructed"] == ["0"] * 14
+        assert (code, data["passed"]) == (1, False)
+
+    def test_limit_covers_the_effective_bound(self, capsys, monkeypatch):
+        # the profile counts up to max(imax, 2r), the default imax is 6r
+        monkeypatch.setattr(cli, "DEGREE_LIMIT", 46)
+        code, data, _ = run_json(capsys, "verify-dim", "--r", "23", "--imax", "5")
+        assert code == 0 and data["passed"] is True
+        for args in (["--r", "23", "--imax", "47"], ["--r", "25", "--imax", "5"],
+                     ["--r", "9"]):
+            code, out, err = run(capsys, "verify-dim", *args)
+            assert (code, out) == (2, "") and err.count("\n") == 1, args
+            assert err.startswith("error: verify-dim would count degrees up to ")
 
     def test_negative_imax_is_input_error(self, capsys):
         for command in ("verify-dim", "dims"):

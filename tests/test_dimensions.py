@@ -154,10 +154,14 @@ class TestCorrectionProfile:
     def test_matches_graded_dimension(self):
         # the table-backed increments against one enumeration per count
         r = 9
+
+        def enumerated(i, j):
+            return sum(1 for p in degree_points(r, i) if p.parity == j)
+
         profile = correction_profile(r, 6 * r)
         for i in range(2, 6 * r + 1):
             for j in (0, 1):
-                expected = (graded_dimension(r, i, j) - graded_dimension(r, i - 2, 1 - j)
+                expected = (enumerated(i, j) - enumerated(i - 2, 1 - j)
                             - Fraction(2 * i + 1, r))
                 assert profile.delta[(2 * i + r * j) % (2 * r)] == expected, (i, j)
 
