@@ -25,9 +25,9 @@ from typing import Sequence
 from .linalg import pivot_columns
 from .models import (CD2Model, CheckResult, GERM_VARIABLES, ValidationReport,
                      blowup_vector, model_equations, validate_model, AMBIENT)
-from .polynomials import (SparsePoly, is_semi_invariant, poly_from_dict,
-                          poly_to_dict, weighted_order)
-from .quotients import ChartReport, QuotientType, blowup_charts, effective_factors
+from .polynomials import (SparsePoly, is_semi_invariant, parse_rational,
+                          poly_from_dict, poly_to_dict, weighted_order)
+from .quotients import ChartReport, QuotientType, blowup_charts
 
 
 class DimensionError(ValueError):
@@ -81,7 +81,10 @@ class CIGerm:
     def from_json_dict(cls, data) -> tuple["CIGerm", tuple[Fraction, ...]]:
         germ = cls(QuotientType.parse(data["ambient"]), tuple(data["vars"]),
                    tuple(poly_from_dict(e) for e in data["equations"]))
-        v = tuple(Fraction(str(w)) for w in data["weights"])
+        try:
+            v = tuple(parse_rational(w, "weight") for w in data["weights"])
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in weights {data['weights']!r}") from None
         return germ, v
 
 
@@ -212,9 +215,11 @@ def _toric_charts(ambient: QuotientType, v: tuple[Fraction, ...]) -> ChartReport
     """The chart groups of (ambient, v), computed once and then shared.
 
     They depend on r alone for the model family, so every model of one r
-    reuses one report.  The cache is keyed on the chart function as well,
-    so rebinding the module name blowup_charts (as a test or a tracer may)
-    computes afresh rather than serving another function's reports.
+    reuses one report, and with it the residual groups the report keeps for
+    each (chart, kept coordinates) pair it has been asked.  The cache is
+    keyed on the chart function as well, so rebinding the module name
+    blowup_charts (as a test or a tracer may) computes afresh rather than
+    serving another function's reports.
     LatticeError is not cached and is raised on every call.
     """
     return _cached_charts(blowup_charts, ambient, v)
@@ -266,13 +271,11 @@ def chart_singularities(germ: CIGerm, v: Sequence) -> tuple[ChartFinding, ...]:
                                                 f"analytic units at the chart origin; {data}"))
             continue
 
-        keep = [l for l in range(m) if l not in chosen]
-        residual = effective_factors(report.charts[i].restricted(keep), len(keep))
+        residual, qtype = report.residual(i, tuple(l for l in range(m) if l not in chosen))
         if not residual:
             findings.append(ChartFinding(var, SMOOTH,
                                          detail="residual group is trivial"))
-        elif len(residual) == 1:
-            qtype = residual[0].as_type().normalized()
+        elif qtype is not None:
             findings.append(ChartFinding(var, QUOTIENT, qtype,
                                          detail=f"quotient point of type {qtype}"))
         else:

@@ -9,6 +9,7 @@ verification failure, 2 malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -19,6 +20,7 @@ from .dimensions import (DimensionTable, InconsistencyError, check_decomposition
                          degree_points, solve_correction, WellDefinednessError)
 from .models import (CD2Model, ValidationReport, blowup_vector, generate_model,
                      validate_model)
+from .polynomials import parse_rational
 from .quotients import (QuotientType, blowup_charts, reid_tai_is_canonical,
                         reid_tai_is_terminal)
 
@@ -55,7 +57,7 @@ def emit(payload: dict, args, table: str) -> None:
 
 def _parse_weights(text: str) -> tuple[Fraction, ...]:
     try:
-        return tuple(Fraction(part.strip()) for part in text.split(","))
+        return tuple(parse_rational(part.strip(), "weight") for part in text.split(","))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in weights {text!r}") from None
 
@@ -307,9 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # one parser per process: parsing leaves it unchanged, and building it
+    # costs more than most commands
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

@@ -244,16 +244,24 @@ def generate_model(r: int, seed: int, extra_degree: int = 4) -> CD2Model:
 # -- the five-variable germ and the x5 elimination ----------------------------
 
 
-_X1_SQUARED_PLUS_X4_X5 = SparsePoly.from_string("x1^2 + x4*x5", GERM_VARIABLES)
-_X2_SQUARED = SparsePoly.from_string("x2^2", GERM_VARIABLES)
-_X5 = SparsePoly.from_string("x5", GERM_VARIABLES)
+# exponents over GERM_VARIABLES of the monomials every model's equations share
+_X1_SQUARED, _X4_X5 = (2, 0, 0, 0, 0), (0, 0, 0, 1, 1)
+_X2_SQUARED, _X5 = (0, 2, 0, 0, 0), (0, 0, 0, 0, 1)
+_ONE = Fraction(1)
 
 
 def model_equations(model: CD2Model) -> tuple[SparsePoly, SparsePoly]:
-    """The two defining equations over (x1,...,x5)."""
-    first = _X1_SQUARED_PLUS_X4_X5 + model.p.with_variables(GERM_VARIABLES)
-    second = _X2_SQUARED + model.q.with_variables(GERM_VARIABLES) + _X5
-    return first, second
+    """The two defining equations over (x1,...,x5).
+
+    p uses only x2, x3, x4 and q only x1, x3, x4, so no term of p or q
+    falls on x1^2, x4*x5, x2^2 or x5 and the term maps merge without sums.
+    """
+    first = {_X1_SQUARED: _ONE, _X4_X5: _ONE}
+    first.update(((0, a, b, c, 0), coeff) for (a, b, c), coeff in model.p.terms.items())
+    second = {_X2_SQUARED: _ONE}
+    second.update(((a, 0, b, c, 0), coeff) for (a, b, c), coeff in model.q.terms.items())
+    second[_X5] = _ONE
+    return SparsePoly(GERM_VARIABLES, first), SparsePoly(GERM_VARIABLES, second)
 
 
 def eliminate_x5(model: CD2Model) -> SparsePoly:

@@ -21,6 +21,7 @@ weights, turned into a Fraction once per result.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -376,16 +377,27 @@ def truncate_gt(p: SparsePoly, weights: Mapping, degree) -> SparsePoly:
 def is_semi_invariant(p: SparsePoly, action: GroupAction) -> int | None:
     """The common character of all terms of p under the action, or None.
 
-    The zero polynomial is reported with character 0.
+    The zero polynomial is reported with character 0.  Terms are read in
+    p.terms order: a used variable without a character raises KeyError,
+    naming the first one met, unless two terms before it already differ.
+    Unused variables need no character.
     """
-    found: int | None = None
-    for exps in p.terms:
-        chi = sum(action.character(v) * e for v, e in zip(p.variables, exps) if e) % action.order
-        if found is None:
-            found = chi
-        elif chi != found:
-            return None
-    return 0 if found is None else found
+    characters = action.characters
+    used = [any(column) for column in zip(*p.terms)]
+    missing = [k for k, (v, u) in enumerate(zip(p.variables, used)) if u and v not in characters]
+    stop = first = None
+    if missing:
+        stop, first = next((n, e) for n, e in enumerate(p.terms)
+                           if any(e[k] for k in missing))
+    chars = [characters.get(v, 0) for v in p.variables]
+    found = {sum(map(operator.mul, chars, e)) % action.order
+             for e in itertools.islice(p.terms, stop)}
+    if len(found) > 1:
+        return None
+    if first is not None:
+        name = next(p.variables[k] for k in missing if first[k])
+        raise KeyError(f"no character for variable {name!r}")
+    return found.pop() if found else 0
 
 
 # -- substitution ----------------------------------------------------------
@@ -515,6 +527,24 @@ def is_json_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def parse_rational(x, what: str) -> Fraction:
+    """A JSON integer, or a string "n" or "p/q" of ASCII digits with an
+    optional leading minus, as a Fraction.
+
+    Any other value (exponent or decimal notation, underscores, spaces, a
+    plus sign) raises ValueError naming it as `what`; a zero denominator
+    raises ZeroDivisionError.
+    """
+    if is_json_int(x):
+        return Fraction(x)
+    if not isinstance(x, str) or not _RATIONAL.fullmatch(x):
+        raise ValueError(f"{what} {x!r} is not an integer or a 'p/q' string")
+    return Fraction(x)
+
+
 def poly_from_dict(data: Mapping) -> SparsePoly:
     """Inverse of poly_to_dict; raises ValueError on data of any other shape."""
     if not isinstance(data, Mapping):
@@ -532,7 +562,7 @@ def poly_from_dict(data: Mapping) -> SparsePoly:
             raise ValueError("each polynomial term must be an object with an integer "
                              f"list 'e' and an integer or 'p/q' string 'c', got {t!r}")
         try:
-            clean[tuple(t["e"])] = Fraction(t["c"])
+            clean[tuple(t["e"])] = parse_rational(t["c"], "coefficient")
         except ZeroDivisionError:
             raise ValueError(f"coefficient {t['c']!r} has a zero denominator") from None
     return SparsePoly(variables, clean)

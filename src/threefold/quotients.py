@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -232,9 +232,32 @@ class ChartGroup:
 
 @dataclass(frozen=True)
 class ChartReport:
+    """The chart groups of one weighted blow-up, and the residual groups
+    asked of them so far.
+
+    The residuals are filled in as residual() is called; they are derived
+    data, so they take no part in equality, hashing or repr.
+    """
+
     ambient: QuotientType
     v: tuple[Fraction, ...]
     charts: tuple[ChartGroup, ...]
+    _residuals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def residual(self, chart: int, keep: tuple[int, ...]
+                 ) -> tuple[tuple[ChartGroupFactor, ...], QuotientType | None]:
+        """The effective factors of chart's group restricted to the coordinates
+        in keep, with their normalized type when there is exactly one factor.
+
+        Computed by effective_factors on the first call for a (chart, keep)
+        pair and then read from this report.
+        """
+        found = self._residuals.get((chart, keep))
+        if found is None:
+            factors = tuple(effective_factors(self.charts[chart].restricted(keep), len(keep)))
+            qtype = factors[0].as_type().normalized() if len(factors) == 1 else None
+            found = self._residuals[chart, keep] = (factors, qtype)
+        return found
 
 
 def _ambient_rows(ambient: QuotientType, scale: int) -> list[list[int]]:

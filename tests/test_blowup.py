@@ -49,6 +49,25 @@ class TestCIGerm:
         back, v_back = CIGerm.from_json_dict(data)
         assert back == germ and v_back == v
 
+    @pytest.mark.parametrize("weight", ["1e5", "1.5", "1_0", " 3 ", 1.5, True])
+    def test_json_weights_outside_the_grammar(self, weight):
+        data = family_germ().to_json_dict(blowup_vector(7))
+        data["weights"][1] = weight
+        with pytest.raises(ValueError, match="is not an integer or a 'p/q' string"):
+            CIGerm.from_json_dict(data)
+
+    def test_json_weights_zero_denominator(self):
+        data = family_germ().to_json_dict(blowup_vector(7))
+        data["weights"][0] = "1/0"
+        with pytest.raises(ValueError, match="^zero denominator in weights"):
+            CIGerm.from_json_dict(data)
+
+    def test_json_weights_integers_and_fractions(self):
+        data = family_germ().to_json_dict(blowup_vector(7))
+        data["weights"] = [4, "3", "-2", "1/2", "14/2"]
+        _, v = CIGerm.from_json_dict(data)
+        assert v == (4, 3, -2, HALF, 7)
+
 
 class TestOrders:
     def test_family_orders(self):

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import pytest
 
-from threefold import blowup
+from threefold import blowup, quotients
 from threefold.blowup import (BlowupReport, CIGerm, ChartFinding, MANUAL, QUOTIENT, SMOOTH,
                               _chart_character, analyze_blowup, chart_singularities,
                               model_germ, verify_blowup_profile)
@@ -168,6 +168,35 @@ def test_one_chart_report_per_r(monkeypatch):
     assert all(report.passed for report in reports)
     assert calls == [(QuotientType(2, (1, 1, 1, 0, 0)),
                       tuple(Fraction(x) for x in blowup_vector(23)))]
+
+
+def test_residual_groups_are_computed_once_per_r(monkeypatch):
+    # after one model of an r, further models of that r make no lattice
+    # computation: the chart report and its residual groups are shared
+    calls = []
+
+    def counting(name, compute):
+        def counted(*args):
+            calls.append(name)
+            return compute(*args)
+        return counted
+
+    blowup._cached_charts.cache_clear()
+    try:
+        assert verify_blowup_profile(generate_model(47, 0)).passed
+        for name in ("effective_factors", "smith_normal_form"):
+            monkeypatch.setattr(quotients, name, counting(name, getattr(quotients, name)))
+        reports = [verify_blowup_profile(generate_model(47, seed)) for seed in range(1, 31)]
+    finally:
+        blowup._cached_charts.cache_clear()
+    assert all(report.passed for report in reports)
+    assert calls == []
+    # the counters see the calls a fresh report makes: five charts of two
+    # SNFs each, then one residual of two
+    report = blowup_charts(QuotientType(2, (1, 1, 1, 0, 0)), blowup_vector(47))
+    for _ in range(2):
+        report.residual(0, (1, 2, 3))
+    assert calls.count("smith_normal_form") == 12 and calls.count("effective_factors") == 1
 
 
 def test_chart_analysis_builds_no_polynomial(monkeypatch):

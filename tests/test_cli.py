@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from threefold import cli
-from threefold.cli import main
+from threefold.cli import build_parser, main
 from threefold.dimensions import CorrectionProfile, degree_point_count
 from threefold.models import generate_model
 
@@ -178,6 +178,18 @@ class TestCharts:
                              "--weights", "1/0,1,1,1,1")
         assert (code, out) == (2, "") and "error: zero denominator" in err
 
+    @pytest.mark.parametrize("weight", ["1e5", "1.5", "1_0", "+4", "1e200000"])
+    def test_weights_outside_the_grammar_are_input_errors(self, capsys, weight):
+        code, out, err = run(capsys, "charts", "--ambient", "1/2(1,1,1,0,0)",
+                             "--weights", f"{weight},3,2,1,7")
+        assert (code, out) == (2, "")
+        assert err == f"error: weight {weight!r} is not an integer or a 'p/q' string\n"
+
+    def test_weight_entries_are_stripped(self, capsys):
+        code, data, _ = run_json(capsys, "charts", "--ambient", "1/2(1,1,1,0,0)",
+                                 "--weights", " 4, 3 ,2,1, 7 ")
+        assert code == 0 and data["weights"] == ["4", "3", "2", "1", "7"]
+
 
 class TestModelPipeline:
     def test_generate_validate_blowup(self, capsys, tmp_path):
@@ -241,6 +253,19 @@ class TestModelPipeline:
             assert (code, out) == (2, "") and message in err, (command, err)
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("coefficient", ["1e5", "1.5", "1_0", " 3 ", "+3", "1e200000"])
+    def test_coefficients_outside_the_grammar_exit_two(self, capsys, tmp_path, coefficient):
+        # exponent notation would build a 665-kbit integer from 8 bytes
+        data = generate_model(7, 1).to_json_dict()
+        data["q"]["terms"][0]["c"] = coefficient
+        path = tmp_path / "grammar.json"
+        path.write_text(json.dumps(data))
+        for command in ("validate", "blowup"):
+            code, out, err = run(capsys, command, "--model", str(path))
+            assert (code, out) == (2, ""), command
+            assert err == (f"error: coefficient {coefficient!r} is not an integer "
+                           f"or a 'p/q' string\n"), command
+
     def test_blowup_rejects_invalid_model(self, capsys, tmp_path):
         # p = q = 0 at r=7 fails the q_weight check; no blow-up report is made
         path = tmp_path / "zero.json"
@@ -281,6 +306,33 @@ class TestModelPipeline:
 
 
 class TestParser:
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        built = []
+
+        def counting():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            outputs = [run(capsys, "--format", "json", "dims", "--r", "7", "--imax", "4")
+                       for _ in range(5)]
+            with pytest.raises(SystemExit):
+                main(["verify-dim", "--help"])
+            shared_help = capsys.readouterr().out
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        assert outputs == outputs[:1] * 5 and outputs[0][0] == 0
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["verify-dim", "--help"])
+        assert capsys.readouterr().out == shared_help
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+        assert build_parser().format_help() == cli._parser().format_help()
+
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

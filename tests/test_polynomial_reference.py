@@ -1,10 +1,12 @@
 """The polynomial layer against the slow reference it replaced.
 
 The reference is built here: the SparsePoly constructor that converted
-every coefficient and added every term to a Fraction zero, and term
-weights as sums of Fraction products with the weighted order and the
-weight filters on top of them.  On seeded random inputs the fast code must
-give the same values and raise the same errors, message included.
+every coefficient and added every term to a Fraction zero, term weights as
+sums of Fraction products with the weighted order and the weight filters
+on top of them, the per-variable character loop of is_semi_invariant, and
+the model equations as sums of SparsePoly values.  On seeded random inputs
+the fast code must give the same values and raise the same errors, message
+included.
 """
 
 import random
@@ -12,7 +14,10 @@ from fractions import Fraction
 
 import pytest
 
-from threefold.polynomials import (INFINITE_ORDER, SparsePoly, homogeneous_part,
+from threefold.models import (CD2Model, GERM_VARIABLES, P_VARIABLES, generate_model,
+                              model_equations, valid_r)
+from threefold.polynomials import (INFINITE_ORDER, GroupAction, SparsePoly,
+                                   homogeneous_part, is_semi_invariant,
                                    scaled_term_weights, truncate_gt, truncate_le,
                                    weighted_order)
 
@@ -228,3 +233,92 @@ def test_weight_filters_match_reference(name, fast, keep):
             if expected[0] == "value":
                 expected = ("value", (expected[1][0], list(expected[1][1].items())))
             assert outcome(lambda: as_items(fast(p, weights, degree))) == expected
+
+
+def reference_is_semi_invariant(p, action):
+    found = None
+    for exps in p.terms:
+        chi = sum(action.character(v) * e for v, e in zip(p.variables, exps) if e) % action.order
+        if found is None:
+            found = chi
+        elif chi != found:
+            return None
+    return 0 if found is None else found
+
+
+def random_action(rng, variables):
+    order = rng.choice((1, 2, 3, 4, 6, 12))
+    # a missing character: fine if the variable is unused, KeyError if used
+    return GroupAction(order, {v: rng.randint(-order, 2 * order) for v in variables
+                               if rng.random() >= 0.1})
+
+
+def semi_invariant_poly(rng, action, variables):
+    # terms of one character, found by rejection, so the value path is common
+    target = rng.randrange(action.order)
+    terms = {}
+    for _ in range(40):
+        exps = tuple(rng.randint(0, 5) for _ in variables)
+        chi = sum(action.characters.get(v, 0) * e for v, e in zip(variables, exps))
+        if chi % action.order == target:
+            terms[exps] = random_coefficient(rng) or 1
+        if len(terms) == 4:
+            break
+    return SparsePoly(variables, terms)
+
+
+def test_semi_invariance_matches_reference():
+    rng = random.Random(20116)
+    seen = {"value": 0, "none": 0, "error": 0, "zero": 0}
+    for _ in CASES:
+        variables = tuple(rng.sample(NAMES, rng.randint(1, 5)))
+        action = random_action(rng, variables)
+        p = (semi_invariant_poly(rng, action, variables) if rng.random() < 0.5
+             else random_poly(rng, variables))
+        expected = outcome(reference_is_semi_invariant, p, action)
+        assert outcome(is_semi_invariant, p, action) == expected, (p, action)
+        seen["zero"] += p.is_zero
+        seen["error" if expected[0] == "error" else
+             "none" if expected[1] is None else "value"] += 1
+    assert min(seen.values()) > 20, seen
+
+
+def test_semi_invariance_error_names_the_first_missing_variable():
+    # the term order decides which missing character is named, and a
+    # mismatch met before the first missing character returns None
+    action = GroupAction(2, {"x1": 1, "x2": 1})
+    cases = [
+        SparsePoly(("x1", "x2", "x3", "x4"), {(1, 0, 0, 1): 1, (0, 0, 1, 0): 1}),
+        SparsePoly(("x1", "x2", "x3", "x4"), {(0, 0, 1, 1): 1, (1, 0, 0, 1): 1}),
+        SparsePoly(("x1", "x2", "x3"), {(1, 0, 0): 1, (2, 0, 0): 1, (0, 0, 1): 1}),
+        SparsePoly(("x1", "x2", "x3"), {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}),
+        SparsePoly(("x3", "x1"), {(0, 1): 1, (0, 3): 1}),
+        SparsePoly(("x3",), {}),
+    ]
+    outcomes = [outcome(is_semi_invariant, p, action) for p in cases]
+    assert outcomes == [outcome(reference_is_semi_invariant, p, action) for p in cases]
+    assert outcomes == [("error", KeyError, "\"no character for variable 'x4'\""),
+                        ("error", KeyError, "\"no character for variable 'x3'\""),
+                        ("value", None),
+                        ("error", KeyError, "\"no character for variable 'x3'\""),
+                        ("value", 1),
+                        ("value", 0)]
+
+
+def reference_model_equations(model):
+    first = (SparsePoly.from_string("x1^2 + x4*x5", GERM_VARIABLES)
+             + model.p.with_variables(GERM_VARIABLES))
+    second = (SparsePoly.from_string("x2^2", GERM_VARIABLES)
+              + model.q.with_variables(GERM_VARIABLES)
+              + SparsePoly.from_string("x5", GERM_VARIABLES))
+    return first, second
+
+
+def test_model_equations_match_reference():
+    for r in filter(valid_r, range(101)):
+        for seed in (0, 1):
+            model = generate_model(r, seed)
+            if seed:
+                model = CD2Model(r, SparsePoly.zero(P_VARIABLES), model.q)
+            got, expected = model_equations(model), reference_model_equations(model)
+            assert [as_items(eq) for eq in got] == [as_items(eq) for eq in expected], r

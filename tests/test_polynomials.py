@@ -6,7 +6,7 @@ import pytest
 from threefold.polynomials import (GroupAction, INFINITE_ORDER, SparsePoly,
                                    detect_square_form, homogeneous_part,
                                    is_semi_invariant, low_part_ratio,
-                                   poly_from_dict, poly_to_dict,
+                                   parse_rational, poly_from_dict, poly_to_dict,
                                    polynomial_sqrt, substitute, truncate_gt,
                                    truncate_le, weighted_order)
 
@@ -277,6 +277,20 @@ class TestJson:
     def test_term_order_stable(self):
         p = P("x2 + x1")
         assert poly_to_dict(p) == poly_to_dict(P("x1 + x2"))
+
+    def test_coefficient_grammar(self):
+        for c, value in ((3, 3), (-3, -3), ("7", 7), ("-1/2", Fraction(-1, 2)),
+                         ("6/4", Fraction(3, 2)), ("0", 0)):
+            assert parse_rational(c, "coefficient") == value, c
+        message = r"^coefficient .* is not an integer or a 'p/q' string$"
+        for c in ("1e5", "1.5", "1_0", " 3 ", "3\n", "+3", "1/-2", "", "\u0663", 1.5, True):
+            with pytest.raises(ValueError, match=message):
+                parse_rational(c, "coefficient")
+            if isinstance(c, str):
+                with pytest.raises(ValueError, match=message):
+                    poly_from_dict({"vars": ["x1"], "terms": [{"c": c, "e": [1]}]})
+        with pytest.raises(ZeroDivisionError):
+            parse_rational("1/0", "weight")
 
 
 def _random_poly(rng, variables, max_terms=5, max_exp=4):

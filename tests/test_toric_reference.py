@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from threefold.linalg import invert_rational, invert_unimodular, smith_normal_form
+from threefold.models import AMBIENT, blowup_vector, valid_r
 from threefold.quotients import (ChartGroup, ChartGroupFactor, LatticeError,
                                  QuotientType, blowup_charts, effective_factors)
 
@@ -193,6 +194,25 @@ def test_effective_factors_random_groups():
             for order in (rng.randint(1, 30) for _ in range(rng.randint(0, 3)))))
         assert outcome(effective_factors, group, arity) == \
             outcome(ref_effective_factors, group, arity), group
+
+
+def test_chart_report_residuals_match_effective_factors():
+    # every (chart, keep) pair of the cD/2 chart reports for valid r <= 400,
+    # asked twice of one report: computed on the first call, stored after
+    pairs = 0
+    for r in filter(valid_r, range(401)):
+        report = blowup_charts(AMBIENT, blowup_vector(r))
+        expected = {}
+        for i, chart in enumerate(report.charts):
+            for keep in itertools.combinations(range(5), 3):
+                factors = effective_factors(chart.restricted(keep), 3)
+                qtype = factors[0].as_type().normalized() if len(factors) == 1 else None
+                expected[i, keep] = (tuple(factors), qtype)
+        for _ in range(2):
+            assert {pair: report.residual(*pair) for pair in expected} == expected, r
+        assert report == blowup_charts(AMBIENT, blowup_vector(r))
+        pairs += len(expected)
+    assert pairs == 4950
 
 
 # -- unimodular inverses ---------------------------------------------------------
