@@ -314,6 +314,12 @@ def model_germ(model: CD2Model) -> CIGerm:
     return CIGerm(AMBIENT, GERM_VARIABLES, model_equations(model))
 
 
+@lru_cache(maxsize=64)
+def _expected_point(r: int) -> QuotientType:
+    # the normal form of the singular point 1/2r(1, 2r-1, r+4), once per r
+    return QuotientType(2 * r, (1, 2 * r - 1, r + 4)).normalized()
+
+
 def verify_blowup_profile(model: CD2Model) -> ValidationReport:
     """Check the numeric profile of a model's weighted blow-up.
 
@@ -343,7 +349,7 @@ def verify_blowup_profile(model: CD2Model) -> ValidationReport:
                               f"{len(nonsmooth)} non-smooth chart findings"))
     checks.append(CheckResult("no_manual_charts", not manual,
                               f"{len(manual)} charts need manual analysis"))
-    expected = QuotientType(2 * r, (1, 2 * r - 1, r + 4)).normalized()
+    expected = _expected_point(r)
     found = (len(nonsmooth) == 1 and nonsmooth[0].kind == QUOTIENT
              and nonsmooth[0].quotient == expected)
     detail = (nonsmooth[0].to_json_dict() if nonsmooth else {"finding": "none"})

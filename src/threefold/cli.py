@@ -21,8 +21,8 @@ from .dimensions import (DimensionTable, InconsistencyError, check_decomposition
 from .models import (CD2Model, ValidationReport, blowup_vector, generate_model,
                      validate_model)
 from .polynomials import parse_rational
-from .quotients import (QuotientType, blowup_charts, reid_tai_is_canonical,
-                        reid_tai_is_terminal)
+from .quotients import (QUOTIENT_ORDER_LIMIT, QuotientType, blowup_charts,
+                        reid_tai_is_canonical, reid_tai_is_terminal)
 
 PASS, FAIL, BAD_INPUT = 0, 1, 2
 
@@ -280,7 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="degree bound (default 6r)")
     p.set_defaults(handler=cmd_verify_dim)
 
-    p = add_command("terminal", help="Reid-Tai terminality of a quotient type")
+    terminal_help = (f"Reid-Tai terminality of a quotient type; a verdict or normal form "
+                     f"that would take more than QUOTIENT_ORDER_LIMIT = "
+                     f"{QUOTIENT_ORDER_LIMIT} steps is refused")
+    p = add_command("terminal", help=terminal_help, description=terminal_help)
     p.add_argument("--type", required=True, metavar='"1/n(a,b,c)"')
     p.set_defaults(handler=cmd_terminal)
 

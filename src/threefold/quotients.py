@@ -2,12 +2,13 @@
 
 A quotient type 1/n(a_1,...,a_m) is the germ of C^m divided by the cyclic
 group of order n acting diagonally with the given weights.  The module
-canonicalizes such types, tests Reid-Tai terminality, and computes the
-chart groups of the weighted blow-up obtained by inserting a primitive
-weight vector v into the lattice N = Z^m + Z*(1/n)(a_1,...,a_m): chart i
-is C^m divided by the finite abelian group N / <e_1,...,v,...,e_m>,
-presented through Smith normal form as cyclic factors together with their
-action weights on the chart coordinates.
+canonicalizes such types, tests Reid-Tai terminality (by the terminal
+lemma in dimension 3), and computes the chart groups of the weighted
+blow-up obtained by inserting a primitive weight vector v into the lattice
+N = Z^m + Z*(1/n)(a_1,...,a_m): chart i is C^m divided by the finite
+abelian group N / <e_1,...,v,...,e_m>, presented through Smith normal form
+as cyclic factors together with their action weights on the chart
+coordinates.  One Smith normal form of N serves every chart.
 """
 
 from __future__ import annotations
@@ -75,7 +76,8 @@ class QuotientType:
         Zero weights stay zero, and a unit keeps gcd(a_i, n), so the least
         tuple continues after its zeros with g = min gcd(a_i, n).  Only the
         units sending some a_i with gcd(a_i, n) = g to g can win: those
-        u = (a_i/g)^-1 mod n/g, lifted mod n and kept when coprime to n.
+        u = (a_i/g)^-1 mod n/g, lifted mod n and kept when coprime to n:
+        g candidates per weight, at most QUOTIENT_ORDER_LIMIT.
         """
         n = self.n
         nonzero = [w for w in self.weights if w]
@@ -83,6 +85,7 @@ class QuotientType:
         if not nonzero:
             return QuotientType(n, zeros)
         g = min(math.gcd(w, n) for w in nonzero)
+        _check_order(self, g, "normal form")
         step = n // g
         best = None
         for w in {w for w in nonzero if math.gcd(w, n) == g}:
@@ -97,32 +100,26 @@ class QuotientType:
     # -- the lattice N = Z^m + Z*(weights/n) --------------------------------
 
     def lattice_contains(self, vector: Sequence) -> bool:
-        v = [Fraction(x) for x in vector]
-        if len(v) != self.arity:
-            raise ValueError("vector arity mismatch")
-        scaled = [x * self.n for x in v]
-        if any(x.denominator != 1 for x in scaled):
-            return False
-        scaled = [int(x) for x in scaled]
-        return any(all((x - k * a) % self.n == 0 for x, a in zip(scaled, self.weights))
-                   for k in range(self.n))
+        return _lattice_coordinates(self, _ambient_lattice(self), vector) is not None
 
     def is_primitive(self, vector: Sequence) -> bool:
-        v = [Fraction(x) for x in vector]
-        if all(x == 0 for x in v):
-            return False
-        if not self.lattice_contains(v):
-            return False
-        g = 0
-        for x in v:
-            g = math.gcd(g, int(x * self.n))
-        for k in range(2, abs(g) + 1):
-            if g % k == 0 and self.lattice_contains([x / k for x in v]):
-                return False
-        return True
+        coords = _lattice_coordinates(self, _ambient_lattice(self), vector)
+        return coords is not None and math.gcd(*coords) == 1
 
 
 # -- Reid-Tai terminality ----------------------------------------------------
+
+
+# The age loop over the group elements, and the loop of normalized over
+# candidate units, take at most this many steps; above it the verdict or
+# form is refused with a ValueError, which the CLI reports as malformed input
+QUOTIENT_ORDER_LIMIT = 1_000_000
+
+
+def _check_order(q: QuotientType, steps: int, what: str) -> None:
+    if steps > QUOTIENT_ORDER_LIMIT:
+        raise ValueError(f"the {what} of {q} takes {steps} steps; "
+                         f"at most QUOTIENT_ORDER_LIMIT = {QUOTIENT_ORDER_LIMIT}")
 
 
 def _ages_above(q: QuotientType, bound: int) -> bool:
@@ -134,18 +131,44 @@ def _ages_above(q: QuotientType, bound: int) -> bool:
     return True
 
 
+def _terminal_lemma(q: QuotientType) -> bool:
+    # 1/n(a,b,c) is terminal exactly when all three weights are units mod n
+    # and two of them sum to 0 mod n (Morrison-Stevens; Reid's terminal lemma)
+    n = q.n
+    a, b, c = q.weights
+    return (all(math.gcd(w, n) == 1 for w in q.weights)
+            and 0 in ((a + b) % n, (a + c) % n, (b + c) % n))
+
+
 def reid_tai_is_terminal(q: QuotientType) -> bool:
     """Strict Reid-Tai criterion: every nontrivial group element has age > 1.
 
     Non-isolated and non-faithful actions fail the criterion; no
-    codimension-one freeness is assumed.
+    codimension-one freeness is assumed.  Arity 3 is decided by the
+    terminal lemma; other arities visit the group elements, at most
+    QUOTIENT_ORDER_LIMIT of them.
     """
+    if q.arity == 3:
+        return _terminal_lemma(q)
+    _check_order(q, q.n, "terminal verdict")
     return _ages_above(q, q.n)
 
 
 def reid_tai_is_canonical(q: QuotientType) -> bool:
-    """Companion non-strict form: every nontrivial element has age >= 1."""
-    return _ages_above(q, q.n - 1)
+    """Companion non-strict form: every nontrivial element has age >= 1.
+
+    Terminal types of arity 3 and Gorenstein faithful types (weights
+    summing to 0 mod n, gcd(n, weights) = 1, so every age is a positive
+    integer) are canonical without visiting the group; any other type
+    visits it, at most QUOTIENT_ORDER_LIMIT elements.
+    """
+    n = q.n
+    if q.arity == 3 and _terminal_lemma(q):
+        return True
+    if sum(q.weights) % n == 0 and math.gcd(n, *q.weights) == 1:
+        return True
+    _check_order(q, n, "canonical verdict")
+    return _ages_above(q, n - 1)
 
 
 # -- finite quotients of one lattice by another ------------------------------
@@ -163,32 +186,51 @@ def _lattice_basis(rows: IntMatrix, arity: int) -> tuple[IntMatrix, list[int], I
     return basis, diagonal, v
 
 
-def _integer_coordinates(rows: IntMatrix, diagonal: list[int], v: IntMatrix) -> IntMatrix:
-    # coordinates c with c*D*V^-1 == row, that is c_j = (row*V)_j / d_j
-    coords = []
-    for row in rows:
-        entries = []
-        for j, d_j in enumerate(diagonal):
-            c, rest = divmod(sum(x * v[k][j] for k, x in enumerate(row)), d_j)
-            if rest:
-                raise ValueError("vector lies outside the reference lattice")
-            entries.append(c)
-        coords.append(entries)
-    return coords
+def _integer_coordinates(row: list[int], diagonal: list[int], v: IntMatrix) -> list[int] | None:
+    # coordinates c with c*D*V^-1 == row, that is c_j = (row*V)_j / d_j,
+    # or None when row lies outside the lattice
+    entries = []
+    for j, d_j in enumerate(diagonal):
+        c, rest = divmod(sum(x * v[k][j] for k, x in enumerate(row)), d_j)
+        if rest:
+            return None
+        entries.append(c)
+    return entries
 
 
-def quotient_presentation(sup_rows: list[list[int]], sub_rows: list[list[int]],
-                          scale: int, arity: int) -> list[tuple[int, list[int]]]:
-    """Invariant factors of (lattice spanned by sup_rows)/(by sub_rows).
+def _ambient_lattice(ambient: QuotientType) -> tuple[IntMatrix, list[int], IntMatrix]:
+    # basis of n*N, N = Z^m + Z*(weights/n), as _lattice_basis returns it
+    m = ambient.arity
+    rows = [[ambient.n if i == j else 0 for j in range(m)] for i in range(m)]
+    rows.append(list(ambient.weights))
+    return _lattice_basis(rows, m)
 
-    Rows are integer vectors representing ambient vectors divided by
-    `scale`.  Returns one (order, generator) pair per nontrivial cyclic
-    factor, orders forming a divisibility chain, with each generator an
-    integer vector that likewise stands for the ambient vector
-    generator/scale.
+
+def _lattice_coordinates(ambient: QuotientType, lattice, vector: Sequence) -> list[int] | None:
+    # coordinates of vector in the basis of N given by lattice, or None when
+    # vector lies outside N; every vector of N has n*vector integral
+    scaled = [Fraction(x) * ambient.n for x in vector]
+    if len(scaled) != ambient.arity:
+        raise ValueError("vector arity mismatch")
+    if any(x.denominator != 1 for x in scaled):
+        return None
+    _, diagonal, v = lattice
+    return _integer_coordinates([int(x) for x in scaled], diagonal, v)
+
+
+def quotient_presentation(lattice: tuple[IntMatrix, list[int], IntMatrix],
+                          sub_rows: list[list[int]], arity: int) -> list[tuple[int, list[int]]]:
+    """Invariant factors of L / (lattice spanned by sub_rows).
+
+    L is given as the (basis, diagonal, transform) triple _lattice_basis
+    returns, and sub_rows must lie in it.  Returns one (order, generator)
+    pair per nontrivial cyclic factor, orders forming a divisibility chain,
+    with each generator an integer vector of L.
     """
-    basis, diagonal, v_sup = _lattice_basis(sup_rows, arity)
-    coords = _integer_coordinates(sub_rows, diagonal, v_sup)
+    basis, diagonal, v_sup = lattice
+    coords = [_integer_coordinates(row, diagonal, v_sup) for row in sub_rows]
+    if None in coords:
+        raise ValueError("vector lies outside the reference lattice")
     u, d, v = smith_normal_form(coords)
     if len(sub_rows) < arity or any(d[i][i] == 0 for i in range(arity)):
         raise ValueError("quotient is not finite")
@@ -260,18 +302,12 @@ class ChartReport:
         return found
 
 
-def _ambient_rows(ambient: QuotientType, scale: int) -> list[list[int]]:
-    m = ambient.arity
-    rows = [[scale if i == j else 0 for j in range(m)] for i in range(m)]
-    rows.append([scale * a // ambient.n for a in ambient.weights])
-    return rows
-
-
 def blowup_charts(ambient: QuotientType, v: Sequence) -> ChartReport:
     """Chart groups of the weighted blow-up of C^m/(ambient) at weight vector v.
 
     Raises LatticeError unless v is a positive, primitive vector of the
-    lattice Z^m + Z*(weights/n).
+    lattice Z^m + Z*(weights/n).  One basis of that lattice serves the
+    membership and primitivity tests and every chart.
     """
     m = ambient.arity
     vv = tuple(Fraction(x) for x in v)
@@ -279,17 +315,16 @@ def blowup_charts(ambient: QuotientType, v: Sequence) -> ChartReport:
         raise LatticeError("weight vector arity does not match the ambient")
     if any(x <= 0 for x in vv):
         raise LatticeError("weight vector entries must be positive")
-    if not ambient.lattice_contains(vv):
+    lattice = _ambient_lattice(ambient)
+    coords = _lattice_coordinates(ambient, lattice, vv)
+    if coords is None:
         raise LatticeError(f"{vv} is not in the lattice of {ambient}")
-    if not ambient.is_primitive(vv):
+    if math.gcd(*coords) != 1:
         raise LatticeError(f"{vv} is not primitive in the lattice of {ambient}")
 
+    # the lattice is n*N: its vectors stand for ambient vectors divided by n
     scale = ambient.n
-    for x in vv:
-        scale = scale * x.denominator // math.gcd(scale, x.denominator)
-    sup = _ambient_rows(ambient, scale)
     scaled_v = [int(x * scale) for x in vv]
-
     charts = []
     for i in range(m):
         sub = [[scale if l == j else 0 for l in range(m)] for j in range(m) if j != i]
@@ -299,7 +334,7 @@ def blowup_charts(ambient: QuotientType, v: Sequence) -> ChartReport:
         # c_l = (X_l*V_i - V_l*X_i)/(scale*V_i), with V = scale*v
         v_i = scaled_v[i]
         factors = []
-        for order, x in quotient_presentation(sup, sub, scale, m):
+        for order, x in quotient_presentation(lattice, sub, m):
             weights = []
             for l in range(m):
                 if l == i:
@@ -331,7 +366,7 @@ def effective_factors(group: ChartGroup, arity: int) -> list[ChartGroupFactor]:
         sup.append([scale // f.order * w for w in f.weights])
     sub = [[scale if i == j else 0 for j in range(arity)] for i in range(arity)]
     out = []
-    for order, generator in quotient_presentation(sup, sub, scale, arity):
+    for order, generator in quotient_presentation(_lattice_basis(sup, arity), sub, arity):
         weights = []
         for x in generator:
             w, rest = divmod(x * order, scale)

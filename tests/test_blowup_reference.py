@@ -191,12 +191,28 @@ def test_residual_groups_are_computed_once_per_r(monkeypatch):
         blowup._cached_charts.cache_clear()
     assert all(report.passed for report in reports)
     assert calls == []
-    # the counters see the calls a fresh report makes: five charts of two
-    # SNFs each, then one residual of two
+    # the counters see the calls a fresh report makes: one for the basis of
+    # the ambient lattice, one for each of the five charts, then one
+    # residual of two
     report = blowup_charts(QuotientType(2, (1, 1, 1, 0, 0)), blowup_vector(47))
     for _ in range(2):
         report.residual(0, (1, 2, 3))
-    assert calls.count("smith_normal_form") == 12 and calls.count("effective_factors") == 1
+    assert calls.count("smith_normal_form") == 8 and calls.count("effective_factors") == 1
+
+
+def test_expected_point_is_normalized_once_per_r(monkeypatch):
+    # the quotient type a model must show depends on r alone
+    normalized = []
+    normalize = QuotientType.normalized
+
+    def counted(self):
+        normalized.append(self)
+        return normalize(self)
+
+    assert verify_blowup_profile(generate_model(23, 0)).passed
+    monkeypatch.setattr(QuotientType, "normalized", counted)
+    assert all(verify_blowup_profile(generate_model(23, seed)).passed for seed in range(1, 21))
+    assert normalized == []
 
 
 def test_chart_analysis_builds_no_polynomial(monkeypatch):

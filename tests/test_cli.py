@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from threefold import cli
+from threefold import cli, quotients
 from threefold.cli import build_parser, main
 from threefold.dimensions import CorrectionProfile, degree_point_count
 from threefold.models import generate_model
@@ -154,6 +154,40 @@ class TestTerminal:
         code, _, err = run(capsys, "terminal", "--type", "nonsense")
         assert code == 2 and "error" in err
 
+    def test_huge_orders_visit_no_group_element(self, capsys, age_loops):
+        # the terminal lemma and the canonical shortcuts decide at n ~ 1e7
+        code, data, _ = run_json(capsys, "terminal", "--type", "1/10000019(1,10000018,2)")
+        assert code == 0 and data["terminal"] is True and data["canonical"] is True
+        assert data["normalized"] == "1/10000019(1,2,10000018)"
+        code, data, _ = run_json(capsys, "terminal", "--type", "1/10000000(1,2,9999997)")
+        assert code == 1 and data["terminal"] is False and data["canonical"] is True
+        assert age_loops == []
+
+    @pytest.mark.parametrize("text, what", [
+        ("1/10000000(1,2,3)", "canonical verdict"),
+        ("1/10000000(1,9999999,2,3)", "terminal verdict"),
+        ("1/20000000(10000000,10000000,10000000)", "canonical verdict"),
+    ])
+    def test_age_loop_above_the_limit_is_input_error(self, capsys, age_loops, text, what):
+        code, out, err = run(capsys, "terminal", "--type", text)
+        assert (code, out) == (2, "") and age_loops == []
+        n = text[2:text.index("(")]
+        assert err == (f"error: the {what} of {text} takes {n} steps; "
+                       f"at most QUOTIENT_ORDER_LIMIT = {quotients.QUOTIENT_ORDER_LIMIT}\n")
+
+    def test_limit_admits_exactly_its_order(self, capsys, monkeypatch, age_loops):
+        monkeypatch.setattr(quotients, "QUOTIENT_ORDER_LIMIT", 30)
+        code, data, _ = run_json(capsys, "terminal", "--type", "1/30(1,2,3)")
+        assert (code, data["canonical"]) == (1, False) and len(age_loops) == 1
+        code, _, err = run(capsys, "terminal", "--type", "1/31(1,2,3)")
+        assert code == 2 and "QUOTIENT_ORDER_LIMIT = 30" in err and len(age_loops) == 1
+
+    def test_limit_is_named_in_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["terminal", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"QUOTIENT_ORDER_LIMIT = {quotients.QUOTIENT_ORDER_LIMIT}" in text
+
 
 class TestCharts:
     def test_family_orders(self, capsys):
@@ -172,6 +206,22 @@ class TestCharts:
         code, _, err = run(capsys, "charts", "--ambient", "1/1(0,0,0)",
                            "--weights", "2,2,2")
         assert code == 2 and "primitive" in err
+
+    def test_huge_order_takes_one_basis(self, capsys, snf_calls):
+        # membership and primitivity read the one basis of the ambient
+        # lattice: one SNF for it, then one per chart, whatever n is
+        code, out, err = run(capsys, "charts", "--ambient", "1/1000000(1,2,3)",
+                             "--weights", "1,1,1/1000000")
+        assert (code, out) == (2, "") and len(snf_calls) == 1
+        assert err == ("error: (Fraction(1, 1), Fraction(1, 1), Fraction(1, 1000000)) "
+                       "is not in the lattice of 1/1000000(1,2,3)\n")
+        code, out, err = run(capsys, "charts", "--ambient", "1/1000000(1,2,3)",
+                             "--weights", "2/1000000,4/1000000,6/1000000")
+        assert (code, out) == (2, "") and len(snf_calls) == 2 and "not primitive" in err
+        code, data, _ = run_json(capsys, "charts", "--ambient", "1/1000000(1,2,3)",
+                                 "--weights", "1/1000000,2/1000000,3/1000000")
+        assert code == 0 and [c["order"] for c in data["charts"]] == [1, 2, 3]
+        assert len(snf_calls) == 2 + 4
 
     def test_zero_denominator_is_input_error(self, capsys):
         code, out, err = run(capsys, "charts", "--ambient", "1/2(1,1,1,0,0)",

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from threefold import quotients
 from threefold.linalg import (identity_matrix, invert_unimodular,
                               rational_determinant, smith_normal_form)
 from threefold.quotients import (ChartGroup, ChartGroupFactor, LatticeError,
@@ -72,6 +73,27 @@ class TestNormalization:
 
     def test_trivial_group(self):
         assert QuotientType(1, (0, 0, 0)).normalized() == QuotientType(1, (0, 0, 0))
+
+    def test_unit_loop_above_the_limit_is_refused(self, monkeypatch):
+        # g = min gcd(a_i, n) candidate units per weight, each tested with
+        # one gcd: refused before the first
+        calls = []
+        gcd = math.gcd
+        monkeypatch.setattr(quotients.math, "gcd", lambda *a: calls.append(a) or gcd(*a))
+        q = QuotientType(2 * 10 ** 7, (10 ** 7,) * 3)
+        with pytest.raises(ValueError) as info:
+            q.normalized()
+        assert str(info.value) == (f"the normal form of {q} takes 10000000 steps; at most "
+                                   f"QUOTIENT_ORDER_LIMIT = {quotients.QUOTIENT_ORDER_LIMIT}")
+        assert len(calls) == 3
+        # g = 1 takes one candidate per weight at any n
+        assert QuotientType(10 ** 7 + 19, (2, 1, -1)).normalized().weights == (1, 2, 10 ** 7 + 18)
+
+    def test_limit_admits_exactly_its_steps(self, monkeypatch):
+        monkeypatch.setattr(quotients, "QUOTIENT_ORDER_LIMIT", 5)
+        assert QuotientType(10, (5, 5, 5)).normalized() == QuotientType(10, (5, 5, 5))
+        with pytest.raises(ValueError):
+            QuotientType(12, (6, 6, 6)).normalized()
 
 
 class TestReidTai:
@@ -161,6 +183,15 @@ class TestLattice:
         amb = QuotientType(2, (1, 1, 1))
         assert not amb.lattice_contains((Fraction(1, 2), 0, 0))
         assert not amb.lattice_contains((Fraction(1, 3),) * 3)
+
+    def test_huge_order_costs_one_snf(self, snf_calls):
+        n = 10 ** 7
+        amb = QuotientType(n, (1, 2, 3))
+        assert not amb.lattice_contains((1, 1, Fraction(1, n)))
+        assert amb.is_primitive((Fraction(1, n), Fraction(2, n), Fraction(3, n)))
+        assert not amb.is_primitive((Fraction(5, n), Fraction(10, n), Fraction(15, n)))
+        assert not amb.is_primitive((0, 0, 0))
+        assert len(snf_calls) == 4
 
 
 class TestCharts:

@@ -3,9 +3,11 @@
 The reference is rebuilt here: the lattice basis inverted over the
 rationals, sub-lattice coordinates from that inverse, the cone basis
 {e_l (l != i), v} inverted over the rationals for the chart weights, unimodular
-inverses read off the Fraction inverse, and the normal form as the least
-sorted tuple over all phi(n) units.  The library must agree with it value
-for value, errors included.
+inverses read off the Fraction inverse, the normal form as the least
+sorted tuple over all phi(n) units, lattice membership and primitivity as
+loops over k < n, and the Reid-Tai verdicts as the age loop over every
+group element.  The library must agree with it value for value, errors
+included.
 """
 
 import itertools
@@ -18,7 +20,9 @@ import pytest
 from threefold.linalg import invert_rational, invert_unimodular, smith_normal_form
 from threefold.models import AMBIENT, blowup_vector, valid_r
 from threefold.quotients import (ChartGroup, ChartGroupFactor, LatticeError,
-                                 QuotientType, blowup_charts, effective_factors)
+                                 QuotientType, blowup_charts, effective_factors,
+                                 reid_tai_is_canonical, reid_tai_is_terminal)
+from threefold.quotients import _ages_above as ages_above
 
 
 def ref_unimodular_inverse(matrix):
@@ -56,6 +60,25 @@ def ref_presentation(sup_basis, sub_rows, scale, arity):
             for j in range(arity) if d[j][j] > 1]
 
 
+def ref_lattice_contains(ambient, vector):
+    scaled = [Fraction(x) * ambient.n for x in vector]
+    if any(x.denominator != 1 for x in scaled):
+        return False
+    return any(all((int(x) - k * a) % ambient.n == 0 for x, a in zip(scaled, ambient.weights))
+               for k in range(ambient.n))
+
+
+def ref_is_primitive(ambient, vector):
+    v = [Fraction(x) for x in vector]
+    if all(x == 0 for x in v) or not ref_lattice_contains(ambient, v):
+        return False
+    g = 0
+    for x in v:
+        g = math.gcd(g, int(x * ambient.n))
+    return not any(g % k == 0 and ref_lattice_contains(ambient, [x / k for x in v])
+                   for k in range(2, abs(g) + 1))
+
+
 def ref_blowup_charts(ambient, v):
     m = ambient.arity
     vv = tuple(Fraction(x) for x in v)
@@ -63,9 +86,9 @@ def ref_blowup_charts(ambient, v):
         raise LatticeError("weight vector arity does not match the ambient")
     if any(x <= 0 for x in vv):
         raise LatticeError("weight vector entries must be positive")
-    if not ambient.lattice_contains(vv):
+    if not ref_lattice_contains(ambient, vv):
         raise LatticeError(f"{vv} is not in the lattice of {ambient}")
-    if not ambient.is_primitive(vv):
+    if not ref_is_primitive(ambient, vv):
         raise LatticeError(f"{vv} is not primitive in the lattice of {ambient}")
     scale = math.lcm(ambient.n, *(x.denominator for x in vv))
     sup = [[scale if i == j else 0 for j in range(m)] for i in range(m)]
@@ -244,3 +267,90 @@ def test_invert_unimodular_rejects_what_the_fraction_inverse_rejects():
     assert rejected > 300
     with pytest.raises(ValueError):
         invert_unimodular([[Fraction(1, 2)]])
+
+
+# -- Reid-Tai verdicts against the age loop ---------------------------------------
+
+
+def check_verdicts(q, visited):
+    # the public verdicts equal the age loop's; returns whether the
+    # canonical verdict was reached without visiting the group
+    terminal, canonical = ages_above(q, q.n), ages_above(q, q.n - 1)
+    before = len(visited)
+    assert reid_tai_is_terminal(q) is terminal, q
+    if q.arity == 3:
+        assert len(visited) == before, q
+    before = len(visited)
+    assert reid_tai_is_canonical(q) is canonical, q
+    return len(visited) == before
+
+
+def test_verdicts_every_three_weight_type(age_loops):
+    shortcuts = {True: 0, False: 0}
+    for n in range(1, 21):
+        for weights in itertools.product(range(n), repeat=3):
+            q = QuotientType(n, weights)
+            if check_verdicts(q, age_loops):
+                shortcuts[ages_above(q, n)] += 1
+    # canonical verdicts without the age loop: terminal types (the lemma)
+    # and Gorenstein ones that are not terminal
+    assert shortcuts[True] > 1000 and shortcuts[False] > 1000
+
+
+def test_verdicts_random_three_weight_types(age_loops):
+    rng = random.Random(13)
+    kinds = set()
+    for _ in range(150):
+        n = rng.randint(2, 10 ** 4)
+        a, b = rng.randrange(n), rng.randrange(n)
+        shape = rng.randrange(3)
+        if shape == 0:
+            weights = (a, -a, b)  # terminal when a and b are units
+        elif shape == 1:
+            weights = (a, b, -a - b)  # Gorenstein
+        else:
+            weights = (a, b, rng.randrange(n))
+        q = QuotientType(n, tuple(rng.sample(weights, 3)))
+        kinds.add((ages_above(q, n), check_verdicts(q, age_loops)))
+    assert kinds == {(True, True), (False, True), (False, False)}
+
+
+def test_gorenstein_shortcut_in_higher_arity(age_loops):
+    rng = random.Random(17)
+    shortcut = 0
+    for arity, top in ((4, 9), (5, 6)):
+        for n in range(1, top + 1):
+            for weights in itertools.product(range(n), repeat=arity):
+                shortcut += check_verdicts(QuotientType(n, weights), age_loops)
+        for _ in range(100):
+            n = rng.randint(2, 500)
+            weights = [rng.randrange(n) for _ in range(arity - 1)]
+            weights.append(-sum(weights))
+            shortcut += check_verdicts(QuotientType(n, tuple(weights)), age_loops)
+    assert shortcut > 1000
+
+
+# -- lattice membership and primitivity against the k < n loops -------------------
+
+
+def test_lattice_tests_match_the_k_loops():
+    rng = random.Random(19)
+    kinds = set()
+    for _ in range(500):
+        m, n = rng.randint(1, 5), rng.randint(1, 60)
+        step = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+        ambient = QuotientType(n, tuple(step * rng.randrange(n) for _ in range(m)))
+        k = rng.randrange(n)
+        v = [Fraction(k * a % n, n) + rng.randint(-2, 2) for a in ambient.weights]
+        shape = rng.randrange(4)
+        if shape == 1:
+            v = [x * rng.randint(2, 4) for x in v]  # a multiple
+        elif shape == 2:
+            v[rng.randrange(m)] += Fraction(rng.randint(1, n), n)  # usually outside
+        elif shape == 3:
+            v[rng.randrange(m)] += Fraction(1, rng.randint(2, 3 * n))
+        expected = (ref_lattice_contains(ambient, v), ref_is_primitive(ambient, v))
+        assert (ambient.lattice_contains(v), ambient.is_primitive(v)) == expected, \
+            (ambient, v)
+        kinds.add(expected)
+    assert kinds == {(True, True), (True, False), (False, False)}
