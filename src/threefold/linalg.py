@@ -1,7 +1,8 @@
-"""Exact matrix utilities: Smith normal form with transforms, rational
-inverses, determinants and pivot columns, and unimodular inverses.
-Everything runs on Python integers or Fraction, so there is no overflow and
-no rounding anywhere.
+"""Exact matrix utilities: Smith normal form with its transforms and the
+inverse of the column transform, rational inverses, determinants and pivot
+columns, and unimodular inverses (the reference the Smith normal form's
+inverse is tested against).  Everything runs on Python integers or
+Fraction, so there is no overflow and no rounding anywhere.
 """
 
 from __future__ import annotations
@@ -13,14 +14,21 @@ IntMatrix = list[list[int]]
 
 
 def identity_matrix(n: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
-def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+def smith_normal_form(matrix: Sequence[Sequence[int]]
+                      ) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
     """Diagonalize an integer matrix by unimodular row and column operations.
 
-    Returns (u, d, v) with u*matrix*v == d, u and v unimodular, d diagonal
-    with non-negative entries satisfying d[0][0] | d[1][1] | ...
+    Returns (u, d, v, v_inv) with u*matrix*v == d, u and v unimodular, d
+    diagonal with non-negative entries satisfying d[0][0] | d[1][1] | ...,
+    and v_inv the inverse of v, kept by applying the inverse row operation
+    for each column operation, so no second elimination is needed
+    (invert_unimodular(v) computes the same matrix).
     """
     d = [[int(x) for x in row] for row in matrix]
     m = len(d)
@@ -29,6 +37,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMa
         raise ValueError("ragged matrix")
     u = identity_matrix(m)
     v = identity_matrix(n)
+    v_inv = identity_matrix(n)
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
@@ -39,6 +48,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMa
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def add_row(i, j, c):
         # row i += c * row j
@@ -46,11 +56,12 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMa
         u[i] = [x + c * y for x, y in zip(u[i], u[j])]
 
     def add_col(i, j, c):
-        # col i += c * col j
+        # col i += c * col j, and on the inverse row j -= c * row i
         for row in d:
             row[i] += c * row[j]
         for row in v:
             row[i] += c * row[j]
+        v_inv[j] = [x - c * y for x, y in zip(v_inv[j], v_inv[i])]
 
     def pivot_position(t):
         best = None
@@ -65,8 +76,10 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMa
         pos = pivot_position(t)
         if pos is None:
             break
-        swap_rows(t, pos[0])
-        swap_cols(t, pos[1])
+        if pos[0] != t:
+            swap_rows(t, pos[0])
+        if pos[1] != t:
+            swap_cols(t, pos[1])
         while True:
             restart = False
             for i in range(t + 1, m):
@@ -104,7 +117,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMa
         if d[i][i] < 0:
             d[i] = [-x for x in d[i]]
             u[i] = [-x for x in u[i]]
-    return u, d, v
+    return u, d, v, v_inv
 
 
 def invert_rational(matrix: Sequence[Sequence]) -> list[list[Fraction]]:

@@ -17,9 +17,9 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import IntMatrix, invert_unimodular, smith_normal_form
+from .linalg import IntMatrix, smith_normal_form
 from .polynomials import GroupAction
 
 
@@ -77,41 +77,45 @@ class QuotientType:
         tuple continues after its zeros with g = min gcd(a_i, n).  Only the
         units sending some a_i with gcd(a_i, n) = g to g can win: those
         u = (a_i/g)^-1 mod n/g, lifted mod n and kept when coprime to n:
-        g candidates per weight, at most QUOTIENT_ORDER_LIMIT.
+        g candidates per distinct such weight, each costing one pass over
+        the weights, at most QUOTIENT_ORDER_LIMIT steps in all.
         """
         n = self.n
         nonzero = [w for w in self.weights if w]
         zeros = (0,) * (self.arity - len(nonzero))
         if not nonzero:
             return QuotientType(n, zeros)
-        g = min(math.gcd(w, n) for w in nonzero)
-        _check_order(self, g, "normal form")
+        gcds = [math.gcd(w, n) for w in nonzero]
+        g = min(gcds)
+        leading = {w for w, d in zip(nonzero, gcds) if d == g}
+        _check_order(self, g * len(leading) * self.arity, "normal form")
         step = n // g
         best = None
-        for w in {w for w in nonzero if math.gcd(w, n) == g}:
+        for w in leading:
             for u in range(pow(w // g, -1, step), n, step):
                 if math.gcd(u, n) != 1:
                     continue
-                candidate = tuple(sorted(u * x % n for x in nonzero))
+                candidate = sorted([u * x % n for x in nonzero])
                 if best is None or candidate < best:
                     best = candidate
-        return QuotientType(n, zeros + best)
+        return QuotientType(n, zeros + tuple(best))
 
     # -- the lattice N = Z^m + Z*(weights/n) --------------------------------
 
     def lattice_contains(self, vector: Sequence) -> bool:
-        return _lattice_coordinates(self, _ambient_lattice(self), vector) is not None
+        return _lattice_coordinates(self, vector) is not None
 
     def is_primitive(self, vector: Sequence) -> bool:
-        coords = _lattice_coordinates(self, _ambient_lattice(self), vector)
+        coords = _lattice_coordinates(self, vector)
         return coords is not None and math.gcd(*coords) == 1
 
 
 # -- Reid-Tai terminality ----------------------------------------------------
 
 
-# The age loop over the group elements, and the loop of normalized over
-# candidate units, take at most this many steps; above it the verdict or
+# The age loop (n group elements, one step per weight each) and the loop of
+# normalized over candidate units (g per distinct weight of gcd g, one step
+# per weight each) take at most this many steps; above it the verdict or
 # form is refused with a ValueError, which the CLI reports as malformed input
 QUOTIENT_ORDER_LIMIT = 1_000_000
 
@@ -123,21 +127,23 @@ def _check_order(q: QuotientType, steps: int, what: str) -> None:
 
 
 def _ages_above(q: QuotientType, bound: int) -> bool:
-    # n times the age of the k-th group element exceeds bound for every k
+    # n times the age of the k-th group element exceeds bound for every k:
+    # one column of k*a mod n (k = 1..n-1) per nonzero weight a, summed
+    # row by row, stopping at the first row sum <= bound
     n = q.n
-    for k in range(1, n):
-        if sum((k * a) % n for a in q.weights) <= bound:
-            return False
-    return True
+    columns = [map(n.__rmod__, range(a, a * n, a)) for a in q.weights if a]
+    if not columns:
+        return n == 1
+    return not any(map(bound.__ge__, map(sum, zip(*columns))))
 
 
 def _terminal_lemma(q: QuotientType) -> bool:
-    # 1/n(a,b,c) is terminal exactly when all three weights are units mod n
-    # and two of them sum to 0 mod n (Morrison-Stevens; Reid's terminal lemma)
+    # 1/n(a,b,c) is terminal exactly when all three weights are units mod n,
+    # that is when their product is, and two of them sum to 0 mod n
+    # (Morrison-Stevens; Reid's terminal lemma)
     n = q.n
     a, b, c = q.weights
-    return (all(math.gcd(w, n) == 1 for w in q.weights)
-            and 0 in ((a + b) % n, (a + c) % n, (b + c) % n))
+    return math.gcd(a * b * c, n) == 1 and 0 in ((a + b) % n, (a + c) % n, (b + c) % n)
 
 
 def reid_tai_is_terminal(q: QuotientType) -> bool:
@@ -145,12 +151,12 @@ def reid_tai_is_terminal(q: QuotientType) -> bool:
 
     Non-isolated and non-faithful actions fail the criterion; no
     codimension-one freeness is assumed.  Arity 3 is decided by the
-    terminal lemma; other arities visit the group elements, at most
-    QUOTIENT_ORDER_LIMIT of them.
+    terminal lemma; other arities visit the n group elements, one step per
+    weight each, at most QUOTIENT_ORDER_LIMIT steps.
     """
     if q.arity == 3:
         return _terminal_lemma(q)
-    _check_order(q, q.n, "terminal verdict")
+    _check_order(q, q.n * q.arity, "terminal verdict")
     return _ages_above(q, q.n)
 
 
@@ -160,37 +166,52 @@ def reid_tai_is_canonical(q: QuotientType) -> bool:
     Terminal types of arity 3 and Gorenstein faithful types (weights
     summing to 0 mod n, gcd(n, weights) = 1, so every age is a positive
     integer) are canonical without visiting the group; any other type
-    visits it, at most QUOTIENT_ORDER_LIMIT elements.
+    visits it, n elements of one step per weight, at most
+    QUOTIENT_ORDER_LIMIT steps.
     """
     n = q.n
     if q.arity == 3 and _terminal_lemma(q):
         return True
     if sum(q.weights) % n == 0 and math.gcd(n, *q.weights) == 1:
         return True
-    _check_order(q, n, "canonical verdict")
+    _check_order(q, n * q.arity, "canonical verdict")
     return _ages_above(q, n - 1)
 
 
 # -- finite quotients of one lattice by another ------------------------------
 
 
-def _lattice_basis(rows: IntMatrix, arity: int) -> tuple[IntMatrix, list[int], IntMatrix]:
-    # basis D*V^-1 of the full-rank integer lattice spanned by the given
-    # rows, returned with the SNF diagonal D and transform V
-    u, d, v = smith_normal_form(rows)
+class _Lattice(NamedTuple):
+    # a full-rank integer lattice through the Smith normal form of its
+    # generators: basis rows D*V^-1, the diagonal D and the column transform V
+    basis: IntMatrix
+    diagonal: list[int]
+    v: IntMatrix
+
+
+def _lattice_basis(scale: int, generators: IntMatrix, arity: int) -> _Lattice:
+    # the lattice spanned by scale*e_1, ..., scale*e_m and the integer rows
+    # in generators
+    rows = [[scale if i == j else 0 for j in range(arity)] for i in range(arity)]
+    rows.extend(generators)
+    _, d, v, v_inv = smith_normal_form(rows)
     diagonal = [d[i][i] for i in range(arity)]
-    if 0 in diagonal:
-        raise ValueError("generators do not span a full-rank lattice")
-    v_inv = invert_unimodular(v)
-    basis = [[d_i * x for x in row] for d_i, row in zip(diagonal, v_inv)]
-    return basis, diagonal, v
+    return _Lattice([[d_i * x for x in row] for d_i, row in zip(diagonal, v_inv)], diagonal, v)
 
 
-def _integer_coordinates(row: list[int], diagonal: list[int], v: IntMatrix) -> list[int] | None:
+def _unit_coordinates(lattice: _Lattice, scale: int) -> IntMatrix:
+    # coordinates of scale*e_1, ..., scale*e_m in the basis of a lattice
+    # _lattice_basis built with this scale: row l of scale*V*D^-1, exact
+    # because the lattice contains scale*Z^m, so every d_j divides scale
+    return [[scale // d_j * x for x, d_j in zip(row, lattice.diagonal)] for row in lattice.v]
+
+
+def _integer_coordinates(row: list[int], lattice: _Lattice) -> list[int] | None:
     # coordinates c with c*D*V^-1 == row, that is c_j = (row*V)_j / d_j,
     # or None when row lies outside the lattice
+    v = lattice.v
     entries = []
-    for j, d_j in enumerate(diagonal):
+    for j, d_j in enumerate(lattice.diagonal):
         c, rest = divmod(sum(x * v[k][j] for k, x in enumerate(row)), d_j)
         if rest:
             return None
@@ -198,43 +219,46 @@ def _integer_coordinates(row: list[int], diagonal: list[int], v: IntMatrix) -> l
     return entries
 
 
-def _ambient_lattice(ambient: QuotientType) -> tuple[IntMatrix, list[int], IntMatrix]:
-    # basis of n*N, N = Z^m + Z*(weights/n), as _lattice_basis returns it
-    m = ambient.arity
-    rows = [[ambient.n if i == j else 0 for j in range(m)] for i in range(m)]
-    rows.append(list(ambient.weights))
-    return _lattice_basis(rows, m)
-
-
-def _lattice_coordinates(ambient: QuotientType, lattice, vector: Sequence) -> list[int] | None:
-    # coordinates of vector in the basis of N given by lattice, or None when
-    # vector lies outside N; every vector of N has n*vector integral
-    scaled = [Fraction(x) * ambient.n for x in vector]
-    if len(scaled) != ambient.arity:
+def _scaled(ambient: QuotientType, vector: Sequence[Fraction]) -> list[int] | None:
+    # n*vector as integers, or None when it is not integral; every vector
+    # of N = Z^m + Z*(weights/n) has n*vector integral
+    if len(vector) != ambient.arity:
         raise ValueError("vector arity mismatch")
-    if any(x.denominator != 1 for x in scaled):
-        return None
-    _, diagonal, v = lattice
-    return _integer_coordinates([int(x) for x in scaled], diagonal, v)
+    n = ambient.n
+    out = []
+    for x in vector:
+        y, rest = divmod(x.numerator * n, x.denominator)
+        if rest:
+            return None
+        out.append(y)
+    return out
 
 
-def quotient_presentation(lattice: tuple[IntMatrix, list[int], IntMatrix],
-                          sub_rows: list[list[int]], arity: int) -> list[tuple[int, list[int]]]:
-    """Invariant factors of L / (lattice spanned by sub_rows).
+def _ambient_lattice(ambient: QuotientType) -> _Lattice:
+    # the lattice n*N, N = Z^m + Z*(weights/n)
+    return _lattice_basis(ambient.n, [list(ambient.weights)], ambient.arity)
 
-    L is given as the (basis, diagonal, transform) triple _lattice_basis
-    returns, and sub_rows must lie in it.  Returns one (order, generator)
-    pair per nontrivial cyclic factor, orders forming a divisibility chain,
-    with each generator an integer vector of L.
+
+def _lattice_coordinates(ambient: QuotientType, vector: Sequence) -> list[int] | None:
+    # coordinates of n*vector in the basis of n*N, or None when vector lies
+    # outside N
+    scaled = _scaled(ambient, [Fraction(x) for x in vector])
+    return None if scaled is None else _integer_coordinates(scaled, _ambient_lattice(ambient))
+
+
+def quotient_presentation(basis: IntMatrix, coords: IntMatrix,
+                          arity: int) -> list[tuple[int, list[int]]]:
+    """Invariant factors of L / M.
+
+    L is the lattice with the given basis rows, and M is spanned by the
+    rows whose coordinates in that basis are the rows of coords.  Returns
+    one (order, generator) pair per nontrivial cyclic factor, orders
+    forming a divisibility chain, with each generator an integer vector of
+    L.
     """
-    basis, diagonal, v_sup = lattice
-    coords = [_integer_coordinates(row, diagonal, v_sup) for row in sub_rows]
-    if None in coords:
-        raise ValueError("vector lies outside the reference lattice")
-    u, d, v = smith_normal_form(coords)
-    if len(sub_rows) < arity or any(d[i][i] == 0 for i in range(arity)):
+    _, d, _, v_inv = smith_normal_form(coords)
+    if len(coords) < arity or any(d[i][i] == 0 for i in range(arity)):
         raise ValueError("quotient is not finite")
-    v_inv = invert_unimodular(v)
     factors = []
     for j in range(arity):
         order = d[j][j]
@@ -307,7 +331,8 @@ def blowup_charts(ambient: QuotientType, v: Sequence) -> ChartReport:
 
     Raises LatticeError unless v is a positive, primitive vector of the
     lattice Z^m + Z*(weights/n).  One basis of that lattice serves the
-    membership and primitivity tests and every chart.
+    membership and primitivity tests and every chart, and each chart group
+    is one Smith normal form of coordinate rows computed once.
     """
     m = ambient.arity
     vv = tuple(Fraction(x) for x in v)
@@ -315,26 +340,28 @@ def blowup_charts(ambient: QuotientType, v: Sequence) -> ChartReport:
         raise LatticeError("weight vector arity does not match the ambient")
     if any(x <= 0 for x in vv):
         raise LatticeError("weight vector entries must be positive")
+    # the lattice is n*N: its vectors stand for ambient vectors divided by n
+    scale = ambient.n
+    scaled_v = _scaled(ambient, vv)
     lattice = _ambient_lattice(ambient)
-    coords = _lattice_coordinates(ambient, lattice, vv)
+    coords = None if scaled_v is None else _integer_coordinates(scaled_v, lattice)
     if coords is None:
         raise LatticeError(f"{vv} is not in the lattice of {ambient}")
     if math.gcd(*coords) != 1:
         raise LatticeError(f"{vv} is not primitive in the lattice of {ambient}")
 
-    # the lattice is n*N: its vectors stand for ambient vectors divided by n
-    scale = ambient.n
-    scaled_v = [int(x * scale) for x in vv]
+    # chart i divides by scale*e_l (l != i) and scale*v; the coordinates of
+    # the rows scale*e_l are computed once for all charts
+    units = _unit_coordinates(lattice, scale)
     charts = []
     for i in range(m):
-        sub = [[scale if l == j else 0 for l in range(m)] for j in range(m) if j != i]
-        sub.append(scaled_v)
         # coefficients c of a generator X/scale in the cone basis
         # {e_l (l != i), v}: c_i = X_i/V_i and
         # c_l = (X_l*V_i - V_l*X_i)/(scale*V_i), with V = scale*v
         v_i = scaled_v[i]
         factors = []
-        for order, x in quotient_presentation(lattice, sub, m):
+        sub = units[:i] + units[i + 1:] + [coords]
+        for order, x in quotient_presentation(lattice.basis, sub, m):
             weights = []
             for l in range(m):
                 if l == i:
@@ -361,12 +388,11 @@ def effective_factors(group: ChartGroup, arity: int) -> list[ChartGroupFactor]:
     scale = 1
     for f in live:
         scale = scale * f.order // math.gcd(scale, f.order)
-    sup = [[scale if i == j else 0 for j in range(arity)] for i in range(arity)]
-    for f in live:
-        sup.append([scale // f.order * w for w in f.weights])
-    sub = [[scale if i == j else 0 for j in range(arity)] for i in range(arity)]
+    lattice = _lattice_basis(scale, [[scale // f.order * w for w in f.weights] for f in live],
+                             arity)
     out = []
-    for order, generator in quotient_presentation(_lattice_basis(sup, arity), sub, arity):
+    for order, generator in quotient_presentation(lattice.basis,
+                                                  _unit_coordinates(lattice, scale), arity):
         weights = []
         for x in generator:
             w, rest = divmod(x * order, scale)

@@ -1,29 +1,42 @@
+import sys
+
 import pytest
 
-from threefold import quotients
+from threefold import linalg, quotients
 
 
-def _counted(monkeypatch, name):
-    # replace quotients.<name> with a wrapper that records its first
-    # argument; returns the list of recorded arguments
+def _counted(monkeypatch, module, name):
+    # replace module.<name>, wherever a threefold module has bound it, with
+    # a wrapper that records its first argument; returns the list of
+    # recorded arguments
     seen = []
-    compute = getattr(quotients, name)
+    compute = getattr(module, name)
 
     def counted(first, *rest):
         seen.append(first)
         return compute(first, *rest)
 
-    monkeypatch.setattr(quotients, name, counted)
+    for loaded_name, loaded in list(sys.modules.items()):
+        if loaded_name.partition(".")[0] == "threefold":
+            for attr, value in list(vars(loaded).items()):
+                if value is compute:
+                    monkeypatch.setattr(loaded, attr, counted)
     return seen
 
 
 @pytest.fixture
 def age_loops(monkeypatch):
     """The types the Reid-Tai verdicts send through the age loop."""
-    return _counted(monkeypatch, "_ages_above")
+    return _counted(monkeypatch, quotients, "_ages_above")
 
 
 @pytest.fixture
 def snf_calls(monkeypatch):
     """The matrices the toric layer puts into Smith normal form."""
-    return _counted(monkeypatch, "smith_normal_form")
+    return _counted(monkeypatch, linalg, "smith_normal_form")
+
+
+@pytest.fixture
+def unimodular_inverses(monkeypatch):
+    """The matrices given to invert_unimodular."""
+    return _counted(monkeypatch, linalg, "invert_unimodular")

@@ -165,7 +165,7 @@ def test_criterion_6_property_suites():
     for _ in range(200):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        u, d, v = smith_normal_form(a)
+        u, d, v, _ = smith_normal_form(a)
         assert matrix_product(matrix_product(u, a), v) == d
         assert abs(rational_determinant(u)) == 1 and abs(rational_determinant(v)) == 1
         diag = [d[i][i] for i in range(min(m, n))]

@@ -171,16 +171,36 @@ class TestTerminal:
     def test_age_loop_above_the_limit_is_input_error(self, capsys, age_loops, text, what):
         code, out, err = run(capsys, "terminal", "--type", text)
         assert (code, out) == (2, "") and age_loops == []
-        n = text[2:text.index("(")]
-        assert err == (f"error: the {what} of {text} takes {n} steps; "
+        # n group elements, one step per weight each
+        steps = {"1/10000000(1,2,3)": 30000000, "1/10000000(1,9999999,2,3)": 40000000,
+                 "1/20000000(10000000,10000000,10000000)": 60000000}[text]
+        assert err == (f"error: the {what} of {text} takes {steps} steps; "
                        f"at most QUOTIENT_ORDER_LIMIT = {quotients.QUOTIENT_ORDER_LIMIT}\n")
 
     def test_limit_admits_exactly_its_order(self, capsys, monkeypatch, age_loops):
-        monkeypatch.setattr(quotients, "QUOTIENT_ORDER_LIMIT", 30)
+        monkeypatch.setattr(quotients, "QUOTIENT_ORDER_LIMIT", 90)
         code, data, _ = run_json(capsys, "terminal", "--type", "1/30(1,2,3)")
         assert (code, data["canonical"]) == (1, False) and len(age_loops) == 1
         code, _, err = run(capsys, "terminal", "--type", "1/31(1,2,3)")
-        assert code == 2 and "QUOTIENT_ORDER_LIMIT = 30" in err and len(age_loops) == 1
+        assert code == 2 and "QUOTIENT_ORDER_LIMIT = 90" in err and len(age_loops) == 1
+
+    def test_limit_counts_every_weight(self, capsys, monkeypatch, age_loops):
+        # the same n passes at arity 3 (90 steps) and is refused at arity 4
+        monkeypatch.setattr(quotients, "QUOTIENT_ORDER_LIMIT", 90)
+        code, data, _ = run_json(capsys, "terminal", "--type", "1/30(1,2,3)")
+        assert (code, data["canonical"]) == (1, False) and len(age_loops) == 1
+        code, out, err = run(capsys, "terminal", "--type", "1/30(1,2,3,4)")
+        assert (code, out) == (2, "") and len(age_loops) == 1
+        assert err == ("error: the terminal verdict of 1/30(1,2,3,4) takes 120 steps; "
+                       "at most QUOTIENT_ORDER_LIMIT = 90\n")
+
+    def test_many_weights_are_refused_below_the_order_limit(self, capsys, age_loops):
+        # n = 100000 is below the limit, but 200 weights make 2*10^7 steps
+        text = f"1/100000({','.join(['1', '99999'] * 100)})"
+        code, out, err = run(capsys, "terminal", "--type", text)
+        assert (code, out) == (2, "") and age_loops == []
+        assert err == (f"error: the terminal verdict of {text} takes 20000000 steps; "
+                       f"at most QUOTIENT_ORDER_LIMIT = {quotients.QUOTIENT_ORDER_LIMIT}\n")
 
     def test_limit_is_named_in_help(self, capsys):
         with pytest.raises(SystemExit):

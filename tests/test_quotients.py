@@ -75,25 +75,33 @@ class TestNormalization:
         assert QuotientType(1, (0, 0, 0)).normalized() == QuotientType(1, (0, 0, 0))
 
     def test_unit_loop_above_the_limit_is_refused(self, monkeypatch):
-        # g = min gcd(a_i, n) candidate units per weight, each tested with
-        # one gcd: refused before the first
+        # g = min gcd(a_i, n) candidate units per distinct weight of gcd g,
+        # each tested with one gcd and sorting the 3 weights: refused before
+        # the first
         calls = []
         gcd = math.gcd
         monkeypatch.setattr(quotients.math, "gcd", lambda *a: calls.append(a) or gcd(*a))
         q = QuotientType(2 * 10 ** 7, (10 ** 7,) * 3)
         with pytest.raises(ValueError) as info:
             q.normalized()
-        assert str(info.value) == (f"the normal form of {q} takes 10000000 steps; at most "
+        assert str(info.value) == (f"the normal form of {q} takes 30000000 steps; at most "
                                    f"QUOTIENT_ORDER_LIMIT = {quotients.QUOTIENT_ORDER_LIMIT}")
         assert len(calls) == 3
         # g = 1 takes one candidate per weight at any n
         assert QuotientType(10 ** 7 + 19, (2, 1, -1)).normalized().weights == (1, 2, 10 ** 7 + 18)
 
     def test_limit_admits_exactly_its_steps(self, monkeypatch):
-        monkeypatch.setattr(quotients, "QUOTIENT_ORDER_LIMIT", 5)
+        # g = 5 units for the one distinct weight, 3 weights each
+        monkeypatch.setattr(quotients, "QUOTIENT_ORDER_LIMIT", 15)
         assert QuotientType(10, (5, 5, 5)).normalized() == QuotientType(10, (5, 5, 5))
         with pytest.raises(ValueError):
             QuotientType(12, (6, 6, 6)).normalized()
+        # two distinct weights of gcd g = 5 take 5 units each: 30 steps
+        monkeypatch.setattr(quotients, "QUOTIENT_ORDER_LIMIT", 30)
+        assert QuotientType(20, (5, 15, 10)).normalized() == QuotientType(20, (5, 10, 15))
+        monkeypatch.setattr(quotients, "QUOTIENT_ORDER_LIMIT", 29)
+        with pytest.raises(ValueError):
+            QuotientType(20, (5, 15, 10)).normalized()
 
 
 class TestReidTai:
@@ -117,34 +125,47 @@ class TestReidTai:
 
 class TestSmithNormalForm:
     def test_identity(self):
-        u, d, v = smith_normal_form(identity_matrix(3))
+        u, d, v, _ = smith_normal_form(identity_matrix(3))
         assert d == identity_matrix(3)
         assert matrix_product(matrix_product(u, identity_matrix(3)), v) == d
 
     def test_already_diagonal(self):
-        u, d, v = smith_normal_form([[2, 0], [0, 4]])
+        u, d, v, _ = smith_normal_form([[2, 0], [0, 4]])
         assert d == [[2, 0], [0, 4]]
 
     def test_divisibility_enforced(self):
-        u, d, v = smith_normal_form([[2, 0], [0, 3]])
+        u, d, v, _ = smith_normal_form([[2, 0], [0, 3]])
         assert d == [[1, 0], [0, 6]]
 
     def test_rectangular(self):
         a = [[2, 4, 4], [-6, 6, 12]]
-        u, d, v = smith_normal_form(a)
+        u, d, v, _ = smith_normal_form(a)
         assert matrix_product(matrix_product(u, a), v) == d
         assert d[0][0] == 2 and d[1][1] % d[0][0] == 0
 
     def test_random_property_suite(self):
         rng = random.Random(31)
+        matrices = []
         for _ in range(60):
             m = rng.randint(1, 4)
             n = rng.randint(1, 4)
+            matrices.append([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
+        # rank-deficient ones: a row that is a combination of two others
+        for _ in range(40):
+            m, n = rng.randint(2, 4), rng.randint(1, 5)
             a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-            u, d, v = smith_normal_form(a)
+            s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+            a.append([s * x + t * y for x, y in zip(a[0], a[1])])
+            rng.shuffle(a)
+            matrices.append(a)
+        for a in matrices:
+            m, n = len(a), len(a[0])
+            u, d, v, v_inv = smith_normal_form(a)
             assert matrix_product(matrix_product(u, a), v) == d
             assert abs(rational_determinant(u)) == 1
             assert abs(rational_determinant(v)) == 1
+            assert v_inv == invert_unimodular(v)
+            assert matrix_product(v, v_inv) == identity_matrix(n)
             diag = [d[i][i] for i in range(min(m, n))]
             for i in range(m):
                 for j in range(n):
@@ -195,6 +216,17 @@ class TestLattice:
 
 
 class TestCharts:
+    @pytest.mark.parametrize("ambient, v", [
+        (QuotientType(7, (2, 5, 1)), (Fraction(2, 7), Fraction(5, 7), Fraction(1, 7))),
+        (QuotientType(2, (1, 1, 1, 0, 0)), (4, 3, 2, 1, 7)),
+    ])
+    def test_one_elimination_per_chart(self, snf_calls, unimodular_inverses, ambient, v):
+        # one SNF for the basis of N and one per chart, each returning the
+        # inverse of its transform, so no unimodular inverse is computed
+        report = blowup_charts(ambient, v)
+        assert len(report.charts) == ambient.arity
+        assert len(snf_calls) == ambient.arity + 1 and unimodular_inverses == []
+
     def test_family_chart_orders(self):
         report = blowup_charts(QuotientType(2, (1, 1, 1, 0, 0)), (4, 3, 2, 1, 7))
         assert [c.order for c in report.charts] == [8, 6, 4, 2, 14]

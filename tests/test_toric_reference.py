@@ -6,8 +6,8 @@ rationals, sub-lattice coordinates from that inverse, the cone basis
 inverses read off the Fraction inverse, the normal form as the least
 sorted tuple over all phi(n) units, lattice membership and primitivity as
 loops over k < n, and the Reid-Tai verdicts as the age loop over every
-group element.  The library must agree with it value for value, errors
-included.
+group element, one generator of ages per k.  The library must agree with it
+value for value, errors included.
 """
 
 import itertools
@@ -22,7 +22,7 @@ from threefold.models import AMBIENT, blowup_vector, valid_r
 from threefold.quotients import (ChartGroup, ChartGroupFactor, LatticeError,
                                  QuotientType, blowup_charts, effective_factors,
                                  reid_tai_is_canonical, reid_tai_is_terminal)
-from threefold.quotients import _ages_above as ages_above
+from threefold.quotients import _ages_above
 
 
 def ref_unimodular_inverse(matrix):
@@ -33,8 +33,9 @@ def ref_unimodular_inverse(matrix):
 
 
 def ref_lattice_basis(sup_rows, arity):
-    # basis of the lattice spanned by sup_rows, with its rational inverse
-    _, d, v = smith_normal_form(sup_rows)
+    # basis of the lattice spanned by sup_rows, with its rational inverse;
+    # the inverse transform the library's SNF returns is not used
+    _, d, v, _ = smith_normal_form(sup_rows)
     if any(d[i][i] == 0 for i in range(arity)):
         raise ValueError("generators do not span a full-rank lattice")
     v_inv = ref_unimodular_inverse(v)
@@ -51,7 +52,7 @@ def ref_presentation(sup_basis, sub_rows, scale, arity):
         if any(x.denominator != 1 for x in entries):
             raise ValueError("vector lies outside the reference lattice")
         coords.append([int(x) for x in entries])
-    _, d, v = smith_normal_form(coords)
+    _, d, v, _ = smith_normal_form(coords)
     if len(sub_rows) < arity or any(d[i][i] == 0 for i in range(arity)):
         raise ValueError("quotient is not finite")
     v_inv = ref_unimodular_inverse(v)
@@ -127,6 +128,15 @@ def ref_effective_factors(group, arity):
             raise ArithmeticError("effective action weight is not integral")
         out.append(ChartGroupFactor(order, tuple(int(x * order) % order for x in generator)))
     return out
+
+
+def ref_ages_above(q, bound):
+    # n times the age of the k-th group element exceeds bound for every k
+    n = q.n
+    for k in range(1, n):
+        if sum((k * a) % n for a in q.weights) <= bound:
+            return False
+    return True
 
 
 def units(n):
@@ -242,13 +252,28 @@ def test_chart_report_residuals_match_effective_factors():
 
 
 def test_invert_unimodular_on_snf_transforms():
+    # rectangular matrices, and rank-deficient ones (a zero column, or a
+    # row repeated up to sign), whose SNF has zeros on its diagonal
     rng = random.Random(5)
+    deficient = 0
     for _ in range(300):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-        u, _, v = smith_normal_form([[rng.randint(-12, 12) for _ in range(cols)]
-                                     for _ in range(rows)])
+        matrix = [[rng.randint(-12, 12) for _ in range(cols)] for _ in range(rows)]
+        shape = rng.randrange(3)
+        if shape == 1:
+            j = rng.randrange(cols)
+            for row in matrix:
+                row[j] = 0
+        elif shape == 2:
+            matrix.append([rng.choice((1, -1)) * x for x in rng.choice(matrix)])
+        u, d, v, v_inv = smith_normal_form(matrix)
+        deficient += any(d[i][i] == 0 for i in range(min(len(matrix), cols)))
         for transform in (u, v):
             assert invert_unimodular(transform) == ref_unimodular_inverse(transform)
+        assert v_inv == invert_unimodular(v)
+        assert [[sum(x * y for x, y in zip(row, col)) for col in zip(*v_inv)] for row in v] == \
+            [[int(i == j) for j in range(cols)] for i in range(cols)]
+    assert deficient > 50
 
 
 def test_invert_unimodular_rejects_what_the_fraction_inverse_rejects():
@@ -275,7 +300,7 @@ def test_invert_unimodular_rejects_what_the_fraction_inverse_rejects():
 def check_verdicts(q, visited):
     # the public verdicts equal the age loop's; returns whether the
     # canonical verdict was reached without visiting the group
-    terminal, canonical = ages_above(q, q.n), ages_above(q, q.n - 1)
+    terminal, canonical = ref_ages_above(q, q.n), ref_ages_above(q, q.n - 1)
     before = len(visited)
     assert reid_tai_is_terminal(q) is terminal, q
     if q.arity == 3:
@@ -285,13 +310,32 @@ def check_verdicts(q, visited):
     return len(visited) == before
 
 
+def test_age_loop_matches_the_reference():
+    # every type of arity 1 and 2 with n <= 12, and random ones of arity up
+    # to 6 with zero weights mixed in, at both bounds the verdicts use
+    rng = random.Random(23)
+    types = [QuotientType(n, weights) for arity in (1, 2) for n in range(1, 13)
+             for weights in itertools.product(range(n), repeat=arity)]
+    for _ in range(600):
+        n = rng.randint(1, 60)
+        types.append(QuotientType(n, tuple(rng.choice((0, rng.randrange(n), 1, n - 1))
+                                           for _ in range(rng.randint(1, 6)))))
+    seen = set()
+    for q in types:
+        for bound in (q.n - 1, q.n):
+            expected = ref_ages_above(q, bound)
+            assert _ages_above(q, bound) is expected, (q, bound)
+            seen.add(expected)
+    assert seen == {True, False}
+
+
 def test_verdicts_every_three_weight_type(age_loops):
     shortcuts = {True: 0, False: 0}
     for n in range(1, 21):
         for weights in itertools.product(range(n), repeat=3):
             q = QuotientType(n, weights)
             if check_verdicts(q, age_loops):
-                shortcuts[ages_above(q, n)] += 1
+                shortcuts[ref_ages_above(q, n)] += 1
     # canonical verdicts without the age loop: terminal types (the lemma)
     # and Gorenstein ones that are not terminal
     assert shortcuts[True] > 1000 and shortcuts[False] > 1000
@@ -311,7 +355,7 @@ def test_verdicts_random_three_weight_types(age_loops):
         else:
             weights = (a, b, rng.randrange(n))
         q = QuotientType(n, tuple(rng.sample(weights, 3)))
-        kinds.add((ages_above(q, n), check_verdicts(q, age_loops)))
+        kinds.add((ref_ages_above(q, n), check_verdicts(q, age_loops)))
     assert kinds == {(True, True), (False, True), (False, False)}
 
 
