@@ -7,7 +7,7 @@ from .blowup import (BlowupReport, ChartFinding, CIGerm, DimensionError,
                      e_cubed, equation_orders, model_germ,
                      verify_blowup_profile)
 from .dimensions import (CorrectionProfile, DimensionTable, InconsistencyError,
-                         LatticePoint, WellDefinednessError,
+                         WellDefinednessError,
                          check_decomposition, correction_profile,
                          degree_points, graded_dimension, solve_correction)
 from .linalg import smith_normal_form

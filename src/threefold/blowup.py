@@ -25,8 +25,7 @@ from typing import Sequence
 from .linalg import pivot_columns
 from .models import (CD2Model, CheckResult, GERM_VARIABLES, ValidationReport,
                      blowup_vector, model_equations, validate_model, AMBIENT)
-from .polynomials import (SparsePoly, is_semi_invariant, parse_rational,
-                          poly_from_dict, poly_to_dict, weighted_order)
+from .polynomials import SparsePoly, is_semi_invariant
 from .quotients import ChartReport, QuotientType, blowup_charts
 
 
@@ -69,42 +68,30 @@ class CIGerm:
     def fiber_dimension(self) -> int:
         return len(self.variables) - len(self.equations)
 
-    def to_json_dict(self, v: Sequence) -> dict:
-        return {
-            "ambient": str(self.ambient),
-            "vars": list(self.variables),
-            "weights": [str(Fraction(x)) for x in v],
-            "equations": [poly_to_dict(eq) for eq in self.equations],
-        }
 
-    @classmethod
-    def from_json_dict(cls, data) -> tuple["CIGerm", tuple[Fraction, ...]]:
-        germ = cls(QuotientType.parse(data["ambient"]), tuple(data["vars"]),
-                   tuple(poly_from_dict(e) for e in data["equations"]))
-        try:
-            v = tuple(parse_rational(w, "weight") for w in data["weights"])
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in weights {data['weights']!r}") from None
-        return germ, v
-
-
-def _weight_map(germ: CIGerm, v: Sequence) -> dict[str, Fraction]:
-    vv = [Fraction(x) for x in v]
+def _weights(germ: CIGerm, v: Sequence) -> tuple[tuple[Fraction, ...], int]:
+    """v as Fractions, checked against the germ, and their least common
+    denominator."""
+    vv = tuple(Fraction(x) for x in v)
     if len(vv) != len(germ.variables):
         raise ValueError("weight vector arity mismatch")
     if any(x <= 0 for x in vv):
         raise ValueError("weights must be positive")
-    return dict(zip(germ.variables, vv))
+    return vv, math.lcm(*(x.denominator for x in vv))
+
+
+def _orders(germ: CIGerm, vv: tuple[Fraction, ...], denominator: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(_term_powers(eq, vv, denominator)[1], denominator)
+                 for eq in germ.equations)
 
 
 def equation_orders(germ: CIGerm, v: Sequence) -> tuple[Fraction, ...]:
     """Vanishing order of each equation along the exceptional divisor."""
-    weights = _weight_map(germ, v)
-    return tuple(weighted_order(eq, weights) for eq in germ.equations)
+    return _orders(germ, *_weights(germ, v))
 
 
-def _discrepancy(v: Sequence, orders: Sequence[Fraction]) -> Fraction:
-    return sum(Fraction(x) for x in v) - sum(orders, Fraction(0)) - 1
+def _discrepancy(vv: Sequence[Fraction], orders: Sequence[Fraction]) -> Fraction:
+    return sum(vv, Fraction(0)) - sum(orders, Fraction(0)) - 1
 
 
 def _check_threefold(germ: CIGerm) -> None:
@@ -114,24 +101,20 @@ def _check_threefold(germ: CIGerm) -> None:
             f"and {len(germ.equations)} equations")
 
 
-def _e_cubed(germ: CIGerm, v: Sequence, orders: Sequence[Fraction]) -> Fraction:
-    numerator = Fraction(1)
-    for order in orders:
-        numerator *= order
-    denominator = Fraction(germ.ambient.n)
-    for x in v:
-        denominator *= Fraction(x)
-    return numerator / denominator
+def _e_cubed(germ: CIGerm, vv: Sequence[Fraction], orders: Sequence[Fraction]) -> Fraction:
+    return Fraction(math.prod(orders), germ.ambient.n * math.prod(vv))
 
 
 def discrepancy(germ: CIGerm, v: Sequence) -> Fraction:
-    return _discrepancy(v, equation_orders(germ, v))
+    vv, denominator = _weights(germ, v)
+    return _discrepancy(vv, _orders(germ, vv, denominator))
 
 
 def e_cubed(germ: CIGerm, v: Sequence) -> Fraction:
     """Toric degree of the exceptional divisor of the weighted blow-up."""
     _check_threefold(germ)
-    return _e_cubed(germ, v, equation_orders(germ, v))
+    vv, denominator = _weights(germ, v)
+    return _e_cubed(germ, vv, _orders(germ, vv, denominator))
 
 
 # -- strict transforms and chart analysis -------------------------------------
@@ -157,15 +140,16 @@ class ChartFinding:
                 "detail": self.detail}
 
 
-def _term_powers(eq: SparsePoly, v: Sequence[Fraction],
-                 denominator: int) -> list[tuple[tuple[int, ...], Fraction, int]]:
+def _term_powers(eq: SparsePoly, v: Sequence[Fraction], denominator: int
+                 ) -> tuple[list[tuple[tuple[int, ...], Fraction, int]], int]:
     """Each term of eq with the power of t^(1/denominator) it keeps after
-    x_l -> y_l * t^(v_l) and division by t^(order).
+    x_l -> y_l * t^(v_l) and division by t^(order), and the shift: the order
+    times denominator.
 
-    The power is the term's weight times denominator, less the least such
-    power over the terms (the order times denominator).  It does not depend
-    on the chart, so it is computed once and each chart's strict transform
-    only writes it in as the exponent of its own coordinate t.
+    The power is the term's weight times denominator, less the shift, the
+    least such product over the terms.  It does not depend on the chart, so
+    it is computed once and each chart's strict transform only writes it in
+    as the exponent of its own coordinate t.
     """
     scaled = []
     for x in v:
@@ -177,7 +161,7 @@ def _term_powers(eq: SparsePoly, v: Sequence[Fraction],
     terms = [(exps, c, power - shift) for (exps, c), power in zip(eq.terms.items(), powers)]
     if any(power < 0 for _, _, power in terms):
         raise ArithmeticError("strict transform has a negative power of the chart coordinate")
-    return terms
+    return terms, shift
 
 
 def _strict_transform(terms, chart: int) -> dict[tuple[int, ...], Fraction]:
@@ -233,15 +217,10 @@ def chart_singularities(germ: CIGerm, v: Sequence) -> tuple[ChartFinding, ...]:
     """Per-chart analysis of the strict transform at the chart origins."""
     if germ.fiber_dimension != 3:
         raise DimensionError("chart analysis needs a three-fold germ")
-    vv = tuple(Fraction(x) for x in v)
-    _weight_map(germ, vv)
+    vv, denominator = _weights(germ, v)
     m = len(germ.variables)
     report = _toric_charts(germ.ambient, vv)
-    denominator = 1
-    for x in vv:
-        denominator = denominator * x.denominator // math.gcd(denominator, x.denominator)
-
-    powers = [_term_powers(eq, vv, denominator) for eq in germ.equations]
+    powers = [_term_powers(eq, vv, denominator)[0] for eq in germ.equations]
     origin = (0,) * m
     findings = []
     for i, var in enumerate(germ.variables):
@@ -301,10 +280,11 @@ class BlowupReport:
 
 
 def analyze_blowup(germ: CIGerm, v: Sequence) -> BlowupReport:
-    orders = equation_orders(germ, v)
+    vv, denominator = _weights(germ, v)
+    orders = _orders(germ, vv, denominator)
     _check_threefold(germ)
-    return BlowupReport(orders, _discrepancy(v, orders), _e_cubed(germ, v, orders),
-                        chart_singularities(germ, v))
+    return BlowupReport(orders, _discrepancy(vv, orders), _e_cubed(germ, vv, orders),
+                        chart_singularities(germ, vv))
 
 
 # -- the full model pipeline ---------------------------------------------------

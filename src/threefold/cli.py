@@ -81,13 +81,12 @@ def cmd_ni(args) -> int:
     if count > NI_POINT_LIMIT:
         raise ValueError(f"degree {args.i} has {count} lattice points at r={args.r}; "
                          f"ni lists at most NI_POINT_LIMIT = {NI_POINT_LIMIT}")
-    points = sorted(degree_points(args.r, args.i))
+    points = [(p, sum(p[:3]) % 2) for p in sorted(degree_points(args.r, args.i))]
     if args.parity is not None:
-        points = [p for p in points if p.parity == args.parity]
+        points = [(p, j) for p, j in points if j == args.parity]
     payload = {"r": args.r, "i": args.i, "parity": args.parity,
-               "points": [{"exponents": list(p.exponents), "parity": p.parity}
-                          for p in points]}
-    rows = [[*map(str, p.exponents), str(p.parity)] for p in points]
+               "points": [{"exponents": list(p), "parity": j} for p, j in points]}
+    rows = [[*map(str, p), str(j)] for p, j in points]
     emit(payload, args, render_table(["l1", "l2", "l3", "l4", "l5", "parity"], rows))
     return PASS
 

@@ -32,17 +32,6 @@ class InconsistencyError(Exception):
     """A correction profile does not telescope to zero around an orbit."""
 
 
-@dataclass(frozen=True, order=True)
-class LatticePoint:
-    """Exponent vector (l1,...,l5); l1+l2+l3 mod 2 is its parity."""
-
-    exponents: tuple[int, int, int, int, int]
-
-    @property
-    def parity(self) -> int:
-        return sum(self.exponents[:3]) % 2
-
-
 def _check_r(r: int) -> None:
     if r % 2 == 0 or r < 7:
         raise ValueError(f"r must be an odd integer >= 7, got {r}")
@@ -53,8 +42,8 @@ def _check_parity(j: int) -> None:
         raise ValueError(f"parity must be 0 or 1, got {j}")
 
 
-def degree_points(r: int, degree: int) -> frozenset[LatticePoint]:
-    """All solutions of the weighted equation in the given degree.
+def degree_points(r: int, degree: int) -> frozenset[tuple[int, int, int, int, int]]:
+    """All solutions (l1,...,l5) of the weighted equation in the given degree.
 
     Empty for negative degrees.  Bounded nested loops: l1, l2 in {0,1},
     then l5 and l3 are bounded by the degree and l4 is determined.
@@ -74,7 +63,7 @@ def degree_points(r: int, degree: int) -> frozenset[LatticePoint]:
                 rest = base - r * l5
                 for l3 in range(rest // 2 + 1):
                     l4 = rest - 2 * l3
-                    points.append(LatticePoint((l1, l2, l3, l4, l5)))
+                    points.append((l1, l2, l3, l4, l5))
     return frozenset(points)
 
 
@@ -149,26 +138,30 @@ class DimensionTable:
         }
 
 
+def _l3_boundary(r: int, degree: int, parity: int) -> int:
+    """The points of a degree >= 0 and a parity with l3 = 0.
+
+    The (l1, l2) patterns of parity 0 are (0,0) and (1,1), of shift 0 and r;
+    those of parity 1 are (0,1) and (1,0), of shift (r-1)/2 and (r+1)/2.
+    With l3 = 0, each l5 = 0..base//r, base = degree - shift, fixes l4, so
+    a pattern adds base//r + 1: nothing when base < 0, as then base >= -r.
+    """
+    shifts = (0, r) if parity == 0 else ((r - 1) // 2, (r + 1) // 2)
+    return sum((degree - shift) // r + 1 for shift in shifts)
+
+
 def check_decomposition(r: int, degree: int, parity: int) -> bool:
     """Verify the two-term recursion for one (degree, parity) pair.
 
     Shifting l3 by one raises the degree by 2 and flips the parity, so the
     count difference across that shift must equal the number of points with
-    l3 = 0; those split by (l1, l2) into (0,0)/(1,1) for parity 0 and
-    (0,1)/(1,0) for parity 1.  That boundary is counted on its own: with
-    l3 = 0, each l5 = 0..base//r fixes l4, so a pattern adds base//r + 1.
+    l3 = 0, which _l3_boundary counts on its own.
     """
     _check_parity(parity)
     if degree < 0:
         raise ValueError("degree must be non-negative")
     lhs = parity_counts(r, degree)[parity] - parity_counts(r, degree - 2)[1 - parity]
-    patterns = ((0, 0), (1, 1)) if parity == 0 else ((0, 1), (1, 0))
-    boundary = 0
-    for l1, l2 in patterns:
-        base = degree - (r + 1) // 2 * l1 - (r - 1) // 2 * l2
-        if base >= 0:
-            boundary += base // r + 1
-    return lhs == boundary
+    return lhs == _l3_boundary(r, degree, parity)
 
 
 @dataclass(frozen=True)
@@ -219,20 +212,18 @@ def closed_form_profile(r: int) -> CorrectionProfile:
     D(i, j) = dim(i, j) - dim(i-2, 1-j), which hold at every degree i >= 0:
 
         D(i, 0) = 2*floor(i/r) + 1,
-        D(i, 1) = floor((i-a)/r) + floor((i-b)/r) + 2,   a, b = (r+1)/2, (r-1)/2.
+        D(i, 1) = floor((i-a)/r) + floor((i-b)/r) + 2,   a, b = (r+1)/2, (r-1)/2,
 
-    No point is counted.  Residue k mod 2r is witnessed by its one pair
-    (i, j) with 0 <= i < r.
+    the counts of the l3 = 0 boundary (_l3_boundary).  No point is counted.
+    Residue k mod 2r is witnessed by its one pair (i, j) with 0 <= i < r.
     """
     _check_r(r)
-    a, b = (r + 1) // 2, (r - 1) // 2
     delta: dict[int, Fraction] = {}
     witnesses: dict[int, tuple[int, int]] = {}
     for k in range(2 * r):
         j = k % 2
         i = (k - r * j) // 2 % r
-        d = 2 * (i // r) + 1 if j == 0 else (i - a) // r + (i - b) // r + 2
-        delta[k] = d - Fraction(2 * i + 1, r)
+        delta[k] = _l3_boundary(r, i, j) - Fraction(2 * i + 1, r)
         witnesses[k] = (i, j)
     return CorrectionProfile(r, delta, witnesses)
 

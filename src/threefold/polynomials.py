@@ -467,27 +467,25 @@ def polynomial_sqrt(p: SparsePoly) -> SparsePoly | None:
         root_terms[exps] = remainder.terms[top] / (2 * lead_coeff)
 
 
-def detect_square_form(q: SparsePoly, odd_variable: str = "x3",
-                       free_variable: str = "x4") -> SparsePoly | None:
+def detect_square_form(q: SparsePoly) -> SparsePoly | None:
     """Recognize q == (x3 * s(x3^2, x4))^2 and return s, otherwise None.
 
-    s comes back as a polynomial in (odd_variable, free_variable) whose
-    odd_variable exponents are all even.  The factorization is verified by
-    re-expansion before returning.
+    s comes back as a polynomial in (x3, x4) whose x3 exponents are all
+    even.  The factorization is verified by re-expansion before returning.
     """
+    names = ("x3", "x4")
     if q.is_zero:
         return None
-    if not q.used_variables() <= {odd_variable, free_variable}:
+    if not q.used_variables() <= set(names):
         return None
-    flat = q.with_variables((odd_variable, free_variable))
+    flat = q.with_variables(names)
     root = polynomial_sqrt(flat)
     if root is None:
         return None
     if any(e[0] % 2 == 0 for e in root.terms):
         return None
-    s = SparsePoly((odd_variable, free_variable),
-                   {(e[0] - 1, e[1]): c for e, c in root.terms.items()})
-    x3 = SparsePoly.variable(odd_variable, (odd_variable, free_variable))
+    s = SparsePoly(names, {(e[0] - 1, e[1]): c for e, c in root.terms.items()})
+    x3 = SparsePoly.variable("x3", names)
     if (x3 * s) ** 2 != flat:
         return None
     return s

@@ -60,9 +60,6 @@ class QuotientType:
     def arity(self) -> int:
         return len(self.weights)
 
-    def is_trivial(self) -> bool:
-        return self.n == 1
-
     def group_action(self, variables: Iterable[str]) -> GroupAction:
         variables = tuple(variables)
         if len(variables) != self.arity:
@@ -288,9 +285,6 @@ class ChartGroup:
             out *= f.order
         return out
 
-    def is_trivial(self) -> bool:
-        return not self.factors
-
     def restricted(self, keep: Sequence[int]) -> "ChartGroup":
         return ChartGroup(tuple(ChartGroupFactor(f.order, tuple(f.weights[i] for i in keep))
                                 for f in self.factors))
@@ -385,9 +379,7 @@ def effective_factors(group: ChartGroup, arity: int) -> list[ChartGroupFactor]:
     live = [f for f in group.factors if any(w % f.order for w in f.weights)]
     if not live:
         return []
-    scale = 1
-    for f in live:
-        scale = scale * f.order // math.gcd(scale, f.order)
+    scale = math.lcm(*(f.order for f in live))
     lattice = _lattice_basis(scale, [[scale // f.order * w for w in f.weights] for f in live],
                              arity)
     out = []

@@ -40,34 +40,6 @@ class TestCIGerm:
             CIGerm(QuotientType(1, (0, 0, 0)), ("x1", "x2", "x3"),
                    (SparsePoly.zero(("x1",)),))
 
-    def test_json_round_trip(self):
-        germ = family_germ()
-        v = blowup_vector(7)
-        data = germ.to_json_dict(v)
-        assert data["ambient"] == "1/2(1,1,1,0,0)"
-        assert data["weights"] == ["4", "3", "2", "1", "7"]
-        back, v_back = CIGerm.from_json_dict(data)
-        assert back == germ and v_back == v
-
-    @pytest.mark.parametrize("weight", ["1e5", "1.5", "1_0", " 3 ", 1.5, True])
-    def test_json_weights_outside_the_grammar(self, weight):
-        data = family_germ().to_json_dict(blowup_vector(7))
-        data["weights"][1] = weight
-        with pytest.raises(ValueError, match="is not an integer or a 'p/q' string"):
-            CIGerm.from_json_dict(data)
-
-    def test_json_weights_zero_denominator(self):
-        data = family_germ().to_json_dict(blowup_vector(7))
-        data["weights"][0] = "1/0"
-        with pytest.raises(ValueError, match="^zero denominator in weights"):
-            CIGerm.from_json_dict(data)
-
-    def test_json_weights_integers_and_fractions(self):
-        data = family_germ().to_json_dict(blowup_vector(7))
-        data["weights"] = [4, "3", "-2", "1/2", "14/2"]
-        _, v = CIGerm.from_json_dict(data)
-        assert v == (4, 3, -2, HALF, 7)
-
 
 class TestOrders:
     def test_family_orders(self):
@@ -81,6 +53,15 @@ class TestOrders:
 
     def test_empty(self):
         assert equation_orders(smooth_space(), (1, 1, 1)) == ()
+
+    @pytest.mark.parametrize("analysis", [equation_orders, chart_singularities, analyze_blowup])
+    @pytest.mark.parametrize("v, message", [((1, 1), "weight vector arity mismatch"),
+                                            ((1, -1), "weight vector arity mismatch"),
+                                            ((1, -HALF, 1), "weights must be positive")])
+    def test_weights_checked_against_the_germ(self, analysis, v, message):
+        # the arity is checked before the signs
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            analysis(smooth_space(), v)
 
 
 class TestDiscrepancy:
@@ -207,7 +188,8 @@ class TestStrictTransform:
             _term_powers(eq, (HALF, HALF, Fraction(1)), 1)
         # with denominator 2 the order is 1 (2 units): x1*x2 keeps t^0 and
         # x3^2 keeps t^1 (2 units), written in as the chart coordinate's exponent
-        terms = _term_powers(eq, (HALF, HALF, Fraction(1)), 2)
+        terms, shift = _term_powers(eq, (HALF, HALF, Fraction(1)), 2)
+        assert shift == 2
         assert _strict_transform(terms, 0) == {(0, 1, 0): 1, (2, 0, 2): 1}
 
 

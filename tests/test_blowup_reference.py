@@ -8,6 +8,7 @@ terms with rational_determinant.
 """
 
 import math
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -139,6 +140,25 @@ def test_fixtures_match_reference(name):
     expected = reference_report(fixture, v)
     assert chart_singularities(fixture, v) == expected.chart_findings
     assert analyze_blowup(fixture, v) == expected
+
+
+def test_orders_come_from_the_term_powers(monkeypatch):
+    # the orders are the shifts of the strict transforms: no threefold module
+    # asks weighted_order for them
+    cases = [*FIXTURES.values(),
+             *((model_germ(generate_model(r, 1)), blowup_vector(r)) for r in (7, 23, 47, 95))]
+    expected = [reference_report(*case) for case in cases]
+
+    def no_weighted_order(p, weights):
+        raise AssertionError("weighted_order called")
+
+    bound = [name for name, module in list(sys.modules.items())
+             if name.partition(".")[0] == "threefold"
+             and getattr(module, "weighted_order", None) is weighted_order]
+    assert "threefold.polynomials" in bound
+    for name in bound:
+        monkeypatch.setattr(sys.modules[name], "weighted_order", no_weighted_order)
+    assert [analyze_blowup(*case) for case in cases] == expected
 
 
 @pytest.mark.parametrize("exponents", [((1, 0), (3, 0)), ((1, 0), (5, 0)),

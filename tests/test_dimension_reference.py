@@ -31,7 +31,7 @@ def enumerated():
         for i in range(-2, 8 * r + 1):
             split = [0, 0]
             for point in degree_points(r, i):
-                split[point.parity] += 1
+                split[sum(point[:3]) % 2] += 1
             counts[i] = split
         out[r] = counts
     return out
