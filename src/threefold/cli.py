@@ -165,7 +165,9 @@ def cmd_verify_dim(args) -> int:
 def cmd_terminal(args) -> int:
     qtype = QuotientType.parse(args.type)
     terminal = reid_tai_is_terminal(qtype)
-    canonical = reid_tai_is_canonical(qtype)
+    # terminal implies canonical, so the canonical verdict is asked only of
+    # types that are not terminal
+    canonical = terminal or reid_tai_is_canonical(qtype)
     payload = {"type": str(qtype), "normalized": str(qtype.normalized()),
                "terminal": terminal, "canonical": canonical}
     verdict = "terminal" if terminal else ("canonical, not terminal" if canonical

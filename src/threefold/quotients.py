@@ -27,7 +27,8 @@ class LatticeError(ValueError):
     """Weight vector outside the ambient lattice, or not primitive in it."""
 
 
-_TYPE_GRAMMAR = re.compile(r"^\s*1\s*/\s*(\d+)\s*\(([^()]*)\)\s*$")
+_TYPE_GRAMMAR = re.compile(r"\s*1\s*/\s*([0-9]+)\s*\(([^()]*)\)\s*", re.ASCII)
+_WEIGHT_GRAMMAR = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
 
 
 @dataclass(frozen=True)
@@ -40,18 +41,35 @@ class QuotientType:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("group order must be a positive integer")
-        object.__setattr__(self, "weights", tuple(int(w) % self.n for w in self.weights))
+        n = self.n
+        object.__setattr__(self, "weights", tuple([int(w) % n for w in self.weights]))
+
+    @classmethod
+    def _reduced(cls, n: int, weights: tuple[int, ...]) -> "QuotientType":
+        # a type whose order is valid and whose weights are already reduced
+        # mod n, built without reducing them again in __post_init__
+        q = object.__new__(cls)
+        object.__setattr__(q, "n", n)
+        object.__setattr__(q, "weights", weights)
+        return q
 
     @classmethod
     def parse(cls, text: str) -> "QuotientType":
-        m = _TYPE_GRAMMAR.match(text)
+        """Read "1/n(a_1,...,a_m)": n ASCII digits, each weight ASCII digits
+        with an optional sign, whitespace around any token."""
+        m = _TYPE_GRAMMAR.fullmatch(text)
         if not m:
             raise ValueError(f"cannot parse quotient type {text!r}")
         n = int(m.group(1))
-        body = m.group(2).strip()
-        if not body:
+        body = m.group(2)
+        if not body.strip():
             raise ValueError(f"empty weight list in {text!r}")
-        return cls(n, tuple(int(w) for w in body.split(",")))
+        weights = []
+        for part in body.split(","):
+            if not _WEIGHT_GRAMMAR.fullmatch(part):
+                raise ValueError(f"weight {part!r} of {text!r} is not an integer")
+            weights.append(int(part))
+        return cls(n, tuple(weights))
 
     def __str__(self) -> str:
         return f"1/{self.n}({','.join(str(w) for w in self.weights)})"
@@ -73,29 +91,37 @@ class QuotientType:
         Zero weights stay zero, and a unit keeps gcd(a_i, n), so the least
         tuple continues after its zeros with g = min gcd(a_i, n).  Only the
         units sending some a_i with gcd(a_i, n) = g to g can win: those
-        u = (a_i/g)^-1 mod n/g, lifted mod n and kept when coprime to n:
-        g candidates per distinct such weight, each costing one pass over
-        the weights, at most QUOTIENT_ORDER_LIMIT steps in all.
+        u = (a_i/g)^-1 mod n/g, lifted mod n and kept when coprime to n
+        (when g = 1 the one lift is a unit).  One pass over the sorted
+        nonzero weights finds g and the distinct weights of gcd g.  Each
+        such weight gives g candidate units, and each candidate costs one
+        pass over the weights, at most QUOTIENT_ORDER_LIMIT steps in all.
+        The weights of the result are already reduced, so it is built
+        without reducing them again.
         """
         n = self.n
-        nonzero = [w for w in self.weights if w]
-        zeros = (0,) * (self.arity - len(nonzero))
-        if not nonzero:
-            return QuotientType(n, zeros)
-        gcds = [math.gcd(w, n) for w in nonzero]
-        g = min(gcds)
-        leading = {w for w, d in zip(nonzero, gcds) if d == g}
-        _check_order(self, g * len(leading) * self.arity, "normal form")
+        weights = self.weights
+        nonzero = sorted([w for w in weights if w])
+        zeros = (0,) * (len(weights) - len(nonzero))
+        g = n
+        leading = []
+        for w in nonzero:
+            d = math.gcd(w, n)
+            if d < g:
+                g, leading = d, [w]
+            elif d == g and w != leading[-1]:
+                leading.append(w)
+        _check_order(self, g * len(leading) * len(weights), "normal form")
         step = n // g
-        best = None
+        best = nonzero
         for w in leading:
             for u in range(pow(w // g, -1, step), n, step):
-                if math.gcd(u, n) != 1:
+                if g > 1 and math.gcd(u, n) != 1:
                     continue
                 candidate = sorted([u * x % n for x in nonzero])
-                if best is None or candidate < best:
+                if candidate < best:
                     best = candidate
-        return QuotientType(n, zeros + tuple(best))
+        return QuotientType._reduced(n, zeros + tuple(best))
 
     # -- the lattice N = Z^m + Z*(weights/n) --------------------------------
 
@@ -124,14 +150,18 @@ def _check_order(q: QuotientType, steps: int, what: str) -> None:
 
 
 def _ages_above(q: QuotientType, bound: int) -> bool:
-    # n times the age of the k-th group element exceeds bound for every k:
-    # one column of k*a mod n (k = 1..n-1) per nonzero weight a, summed
-    # row by row, stopping at the first row sum <= bound
+    # n times the age of the k-th group element, the sum of k*a mod n over
+    # the nonzero weights a, exceeds bound for every k = 1..n-1; the scan
+    # stops at the first k whose sum does not
     n = q.n
-    columns = [map(n.__rmod__, range(a, a * n, a)) for a in q.weights if a]
-    if not columns:
-        return n == 1
-    return not any(map(bound.__ge__, map(sum, zip(*columns))))
+    weights = [a for a in q.weights if a]
+    for k in range(1, n):
+        total = 0
+        for a in weights:
+            total += k * a % n
+        if total <= bound:
+            return False
+    return True
 
 
 def _terminal_lemma(q: QuotientType) -> bool:
@@ -151,9 +181,10 @@ def reid_tai_is_terminal(q: QuotientType) -> bool:
     terminal lemma; other arities visit the n group elements, one step per
     weight each, at most QUOTIENT_ORDER_LIMIT steps.
     """
-    if q.arity == 3:
+    m = len(q.weights)
+    if m == 3:
         return _terminal_lemma(q)
-    _check_order(q, q.n * q.arity, "terminal verdict")
+    _check_order(q, q.n * m, "terminal verdict")
     return _ages_above(q, q.n)
 
 
@@ -166,12 +197,12 @@ def reid_tai_is_canonical(q: QuotientType) -> bool:
     visits it, n elements of one step per weight, at most
     QUOTIENT_ORDER_LIMIT steps.
     """
-    n = q.n
-    if q.arity == 3 and _terminal_lemma(q):
+    n, m = q.n, len(q.weights)
+    if m == 3 and _terminal_lemma(q):
         return True
     if sum(q.weights) % n == 0 and math.gcd(n, *q.weights) == 1:
         return True
-    _check_order(q, n * q.arity, "canonical verdict")
+    _check_order(q, n * m, "canonical verdict")
     return _ages_above(q, n - 1)
 
 

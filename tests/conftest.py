@@ -31,6 +31,12 @@ def age_loops(monkeypatch):
 
 
 @pytest.fixture
+def terminal_lemmas(monkeypatch):
+    """The types the Reid-Tai verdicts decide by the terminal lemma."""
+    return _counted(monkeypatch, quotients, "_terminal_lemma")
+
+
+@pytest.fixture
 def snf_calls(monkeypatch):
     """The matrices the toric layer puts into Smith normal form."""
     return _counted(monkeypatch, linalg, "smith_normal_form")

@@ -154,6 +154,15 @@ class TestTerminal:
         code, _, err = run(capsys, "terminal", "--type", "nonsense")
         assert code == 2 and "error" in err
 
+    def test_terminal_type_asks_the_lemma_once(self, capsys, terminal_lemmas):
+        # terminal implies canonical, so the canonical verdict is not asked
+        code, data, _ = run_json(capsys, "terminal", "--type", "1/14(1,13,11)")
+        assert (code, data["terminal"], data["canonical"]) == (0, True, True)
+        assert terminal_lemmas == [quotients.QuotientType(14, (1, 13, 11))]
+        code, data, _ = run_json(capsys, "terminal", "--type", "1/14(1,13,12)")
+        assert (code, data["terminal"], data["canonical"]) == (1, False, True)
+        assert len(terminal_lemmas) == 3
+
     def test_huge_orders_visit_no_group_element(self, capsys, age_loops):
         # the terminal lemma and the canonical shortcuts decide at n ~ 1e7
         code, data, _ = run_json(capsys, "terminal", "--type", "1/10000019(1,10000018,2)")
@@ -207,6 +216,23 @@ class TestTerminal:
             main(["terminal", "--help"])
         text = " ".join(capsys.readouterr().out.split())
         assert f"QUOTIENT_ORDER_LIMIT = {quotients.QUOTIENT_ORDER_LIMIT}" in text
+
+
+# quotient types outside the grammar, with the one error line each gives
+BAD_TYPES = [
+    ("1/5(1_0,2,3)", "weight '1_0' of '1/5(1_0,2,3)' is not an integer"),
+    ("1/5(1,,2)", "weight '' of '1/5(1,,2)' is not an integer"),
+    ("1/5(\u0663,1,2)", "weight '\u0663' of '1/5(\u0663,1,2)' is not an integer"),
+    ("1/\u0663(1,2,3)", "cannot parse quotient type '1/\u0663(1,2,3)'"),
+]
+
+
+@pytest.mark.parametrize("command", [["terminal", "--type"],
+                                     ["charts", "--weights", "1,1,1", "--ambient"]])
+@pytest.mark.parametrize("text, message", BAD_TYPES)
+def test_types_outside_the_grammar_are_input_errors(capsys, command, text, message):
+    code, out, err = run(capsys, *command, text)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestCharts:

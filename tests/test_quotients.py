@@ -32,6 +32,31 @@ class TestQuotientType:
             with pytest.raises(ValueError):
                 QuotientType.parse(bad)
 
+    @pytest.mark.parametrize("text, weight", [
+        ("1/5(1_0,2,3)", "1_0"),
+        ("1/5(1,,2)", ""),
+        ("1/5(\u0663,1,2)", "\u0663"),  # an Arabic-Indic 3
+        ("1/5(1,\u20032,3)", "\u20032"),  # an em space before the 2
+        ("1/5(1, 2 3)", " 2 3"),
+        ("1/5(1,--2)", "--2"),
+        ("1/5(0x1,2)", "0x1"),
+    ])
+    def test_weights_outside_the_grammar(self, text, weight):
+        with pytest.raises(ValueError) as info:
+            QuotientType.parse(text)
+        assert str(info.value) == f"weight {weight!r} of {text!r} is not an integer"
+
+    @pytest.mark.parametrize("text", ["1/\u0663(1,2,3)", "1/1_0(1,2,3)", "1/+5(1,2)",
+                                      "\u20031/5(1,2)", "1/5(1,2)x"])
+    def test_orders_outside_the_grammar(self, text):
+        with pytest.raises(ValueError) as info:
+            QuotientType.parse(text)
+        assert str(info.value) == f"cannot parse quotient type {text!r}"
+
+    def test_parse_signs_and_ascii_whitespace(self):
+        q = QuotientType.parse("\t1/5( +1 ,-2,\t3 )\n")
+        assert (q.n, q.weights) == (5, (1, 3, 3))
+
     def test_weights_reduced(self):
         assert QuotientType(14, (143, -1, 25)).weights == (3, 13, 11)
 
@@ -73,6 +98,7 @@ class TestNormalization:
 
     def test_trivial_group(self):
         assert QuotientType(1, (0, 0, 0)).normalized() == QuotientType(1, (0, 0, 0))
+        assert QuotientType(6, (0, 0)).normalized() == QuotientType(6, (0, 0))
 
     def test_unit_loop_above_the_limit_is_refused(self, monkeypatch):
         # g = min gcd(a_i, n) candidate units per distinct weight of gcd g,

@@ -180,6 +180,27 @@ def test_normalized_random_types():
             ref_normalized(n, [w % n for w in weights]), (n, weights)
 
 
+def test_normalized_every_four_and_five_weight_type(monkeypatch):
+    # exhaustive, so repeated weights of the least gcd and g > 1 with several
+    # lifts of the candidate unit all occur; the normal form is built without
+    # running __post_init__, and equals and hashes as the type built from
+    # the reference weights
+    types = [QuotientType(n, weights) for arity, top in ((4, 9), (5, 6))
+             for n in range(1, top + 1)
+             for weights in itertools.product(range(n), repeat=arity)]
+    post_inits = []
+    post_init = QuotientType.__post_init__
+    monkeypatch.setattr(QuotientType, "__post_init__",
+                        lambda q: post_inits.append(q) or post_init(q))
+    forms = [q.normalized() for q in types]
+    assert post_inits == []
+    monkeypatch.undo()
+    for q, form in zip(types, forms):
+        expected = QuotientType(q.n, ref_normalized(q.n, q.weights))
+        assert form == expected and hash(form) == hash(expected), q
+        assert type(form.weights) is tuple, q
+
+
 # -- chart groups ----------------------------------------------------------------
 
 
@@ -320,6 +341,14 @@ def test_age_loop_matches_the_reference():
         n = rng.randint(1, 60)
         types.append(QuotientType(n, tuple(rng.choice((0, rng.randrange(n), 1, n - 1))
                                            for _ in range(rng.randint(1, 6)))))
+    # orders near 10^4: types that pass after a scan of every group element
+    # (one with a zero weight), a Gorenstein one of age exactly 1 at k = 1,
+    # a non-isolated one that fails half way, and random ones
+    types += [QuotientType(10007, (1, -1, 5)), QuotientType(10000, (1, -1, 3)),
+              QuotientType(10000, (2, -2, 1)), QuotientType(10007, (1, -1, 3, -3)),
+              QuotientType(10000, (1, 2, 3, -6)), QuotientType(9973, (5, -5, 0, 7))]
+    types += [QuotientType(n, tuple(rng.randrange(n) for _ in range(arity)))
+              for arity in (3, 4) for n in rng.sample(range(9000, 11000), 2)]
     seen = set()
     for q in types:
         for bound in (q.n - 1, q.n):
