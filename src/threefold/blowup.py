@@ -69,52 +69,50 @@ class CIGerm:
         return len(self.variables) - len(self.equations)
 
 
-def _weights(germ: CIGerm, v: Sequence) -> tuple[tuple[Fraction, ...], int]:
-    """v as Fractions, checked against the germ, and their least common
-    denominator."""
+def _weights(germ: CIGerm, v: Sequence) -> tuple[tuple[int, ...], int]:
+    """v, checked against the germ, as integer numerators over its least
+    common denominator, and that denominator."""
     vv = tuple(Fraction(x) for x in v)
     if len(vv) != len(germ.variables):
         raise ValueError("weight vector arity mismatch")
     if any(x <= 0 for x in vv):
         raise ValueError("weights must be positive")
-    return vv, math.lcm(*(x.denominator for x in vv))
+    denominator = math.lcm(*(x.denominator for x in vv))
+    return tuple(x.numerator * (denominator // x.denominator) for x in vv), denominator
 
 
-def _orders(germ: CIGerm, vv: tuple[Fraction, ...], denominator: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(_term_powers(eq, vv, denominator)[1], denominator)
-                 for eq in germ.equations)
-
-
-def equation_orders(germ: CIGerm, v: Sequence) -> tuple[Fraction, ...]:
-    """Vanishing order of each equation along the exceptional divisor."""
-    return _orders(germ, *_weights(germ, v))
-
-
-def _discrepancy(vv: Sequence[Fraction], orders: Sequence[Fraction]) -> Fraction:
-    return sum(vv, Fraction(0)) - sum(orders, Fraction(0)) - 1
+def _numbers(germ: CIGerm, v: Sequence) -> tuple[tuple[Fraction, ...], Fraction, Fraction]:
+    """The vanishing orders, the discrepancy and E^3 of the blow-up by v;
+    E^3 means something only for a three-fold."""
+    scaled, denominator = _weights(germ, v)
+    orders = tuple(Fraction(_term_powers(eq, scaled)[1], denominator) for eq in germ.equations)
+    disc = Fraction(sum(scaled), denominator) - sum(orders, Fraction(0)) - 1
+    # prod(v) = prod(scaled) / denominator^m
+    e3 = Fraction(math.prod(orders) * denominator ** len(scaled),
+                  germ.ambient.n * math.prod(scaled))
+    return orders, disc, e3
 
 
 def _check_threefold(germ: CIGerm) -> None:
     if germ.fiber_dimension != 3:
         raise DimensionError(
-            f"E^3 needs a three-fold; got {len(germ.variables)} variables "
+            f"the blow-up needs a three-fold; got {len(germ.variables)} variables "
             f"and {len(germ.equations)} equations")
 
 
-def _e_cubed(germ: CIGerm, vv: Sequence[Fraction], orders: Sequence[Fraction]) -> Fraction:
-    return Fraction(math.prod(orders), germ.ambient.n * math.prod(vv))
+def equation_orders(germ: CIGerm, v: Sequence) -> tuple[Fraction, ...]:
+    """Vanishing order of each equation along the exceptional divisor."""
+    return _numbers(germ, v)[0]
 
 
 def discrepancy(germ: CIGerm, v: Sequence) -> Fraction:
-    vv, denominator = _weights(germ, v)
-    return _discrepancy(vv, _orders(germ, vv, denominator))
+    return _numbers(germ, v)[1]
 
 
 def e_cubed(germ: CIGerm, v: Sequence) -> Fraction:
     """Toric degree of the exceptional divisor of the weighted blow-up."""
     _check_threefold(germ)
-    vv, denominator = _weights(germ, v)
-    return _e_cubed(germ, vv, _orders(germ, vv, denominator))
+    return _numbers(germ, v)[2]
 
 
 # -- strict transforms and chart analysis -------------------------------------
@@ -140,22 +138,17 @@ class ChartFinding:
                 "detail": self.detail}
 
 
-def _term_powers(eq: SparsePoly, v: Sequence[Fraction], denominator: int
+def _term_powers(eq: SparsePoly, scaled: tuple[int, ...]
                  ) -> tuple[list[tuple[tuple[int, ...], Fraction, int]], int]:
     """Each term of eq with the power of t^(1/denominator) it keeps after
     x_l -> y_l * t^(v_l) and division by t^(order), and the shift: the order
-    times denominator.
+    times denominator; scaled is v times denominator, from _weights.
 
     The power is the term's weight times denominator, less the shift, the
     least such product over the terms.  It does not depend on the chart, so
     it is computed once and each chart's strict transform only writes it in
     as the exponent of its own coordinate t.
     """
-    scaled = []
-    for x in v:
-        if denominator % x.denominator:
-            raise ArithmeticError(f"denominator {denominator} does not clear the weights {v}")
-        scaled.append(x.numerator * (denominator // x.denominator))
     powers = [sum(map(operator.mul, scaled, exps)) for exps in eq.terms]
     shift = min(powers)
     terms = [(exps, c, power - shift) for (exps, c), power in zip(eq.terms.items(), powers)]
@@ -191,12 +184,13 @@ def _chart_character(terms, factor, chart: int, denominator: int) -> int | None:
 
 
 @lru_cache(maxsize=64)
-def _cached_charts(compute, ambient: QuotientType, v: tuple[Fraction, ...]) -> ChartReport:
-    return compute(ambient, v)
+def _cached_charts(compute, ambient: QuotientType, scaled: tuple[int, ...],
+                   denominator: int) -> ChartReport:
+    return compute(ambient, tuple(Fraction(x, denominator) for x in scaled))
 
 
-def _toric_charts(ambient: QuotientType, v: tuple[Fraction, ...]) -> ChartReport:
-    """The chart groups of (ambient, v), computed once and then shared.
+def _toric_charts(ambient: QuotientType, scaled: tuple[int, ...], denominator: int) -> ChartReport:
+    """The chart groups of (ambient, scaled/denominator), computed once and then shared.
 
     They depend on r alone for the model family, so every model of one r
     reuses one report, and with it the residual groups the report keeps for
@@ -206,7 +200,7 @@ def _toric_charts(ambient: QuotientType, v: tuple[Fraction, ...]) -> ChartReport
     serving another function's reports.
     LatticeError is not cached and is raised on every call.
     """
-    return _cached_charts(blowup_charts, ambient, v)
+    return _cached_charts(blowup_charts, ambient, scaled, denominator)
 
 
 def _matrix_str(rows) -> str:
@@ -215,12 +209,11 @@ def _matrix_str(rows) -> str:
 
 def chart_singularities(germ: CIGerm, v: Sequence) -> tuple[ChartFinding, ...]:
     """Per-chart analysis of the strict transform at the chart origins."""
-    if germ.fiber_dimension != 3:
-        raise DimensionError("chart analysis needs a three-fold germ")
-    vv, denominator = _weights(germ, v)
+    _check_threefold(germ)
+    scaled, denominator = _weights(germ, v)
     m = len(germ.variables)
-    report = _toric_charts(germ.ambient, vv)
-    powers = [_term_powers(eq, vv, denominator)[0] for eq in germ.equations]
+    report = _toric_charts(germ.ambient, scaled, denominator)
+    powers = [_term_powers(eq, scaled)[0] for eq in germ.equations]
     origin = (0,) * m
     findings = []
     for i, var in enumerate(germ.variables):
@@ -280,11 +273,9 @@ class BlowupReport:
 
 
 def analyze_blowup(germ: CIGerm, v: Sequence) -> BlowupReport:
-    vv, denominator = _weights(germ, v)
-    orders = _orders(germ, vv, denominator)
+    orders, disc, e3 = _numbers(germ, v)
     _check_threefold(germ)
-    return BlowupReport(orders, _discrepancy(vv, orders), _e_cubed(germ, vv, orders),
-                        chart_singularities(germ, vv))
+    return BlowupReport(orders, disc, e3, chart_singularities(germ, v))
 
 
 # -- the full model pipeline ---------------------------------------------------

@@ -18,9 +18,9 @@ from .blowup import MANUAL, analyze_blowup, model_germ
 from .dimensions import (DimensionTable, InconsistencyError, check_decomposition,
                          closed_form_profile, correction_profile, degree_point_count,
                          degree_points, solve_correction, WellDefinednessError)
-from .models import (CD2Model, ValidationReport, blowup_vector, generate_model,
-                     validate_model)
-from .polynomials import parse_rational
+from .models import (GENERATE_STEP_LIMIT, CD2Model, CheckResult, ValidationReport,
+                     blowup_vector, generate_model, validate_model)
+from .polynomials import check_digits, parse_rational
 from .quotients import (QUOTIENT_ORDER_LIMIT, QuotientType, blowup_charts,
                         reid_tai_is_canonical, reid_tai_is_terminal)
 
@@ -62,15 +62,22 @@ def _parse_weights(text: str) -> tuple[Fraction, ...]:
         raise ValueError(f"zero denominator in weights {text!r}") from None
 
 
+def _check_rows(report: ValidationReport) -> list[list[str]]:
+    return [[c.name, "pass" if c.passed else "FAIL", c.detail] for c in report.checks]
+
+
 def _emit_checks(report: ValidationReport, args, **extra) -> None:
-    rows = [[c.name, "pass" if c.passed else "FAIL", c.detail] for c in report.checks]
     emit({**report.to_json_dict(), **extra}, args,
-         render_table(["check", "status", "detail"], rows))
+         render_table(["check", "status", "detail"], _check_rows(report)))
 
 
 def _load_model(path: str) -> CD2Model:
+    def json_int(text: str) -> int:
+        check_digits(text, f"an integer in {path}")
+        return int(text)
+
     with open(path, "r", encoding="utf-8") as handle:
-        return CD2Model.from_json_dict(json.load(handle))
+        return CD2Model.from_json_dict(json.load(handle, parse_int=json_int))
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -117,30 +124,26 @@ def cmd_verify_dim(args) -> int:
     r = args.r
     imax = 6 * r if args.imax is None else _degree_bound(args.imax)
     _check_degree_limit("verify-dim", max(imax, 2 * r))
-    checks = []
 
     results = [check_decomposition(r, i, j) for i in range(imax + 1) for j in (0, 1)]
     failures = results.count(False)
-    checks.append({"name": "decomposition", "passed": failures == 0,
-                   "detail": f"{len(results) - failures}/{len(results)} degree/parity pairs"})
+    checks = [CheckResult("decomposition", failures == 0,
+                          f"{len(results) - failures}/{len(results)} degree/parity pairs")]
 
-    profile = solution = None
+    solution = None
     try:
         profile = correction_profile(r, max(imax, 2 * r))
-        checks.append({"name": "well_defined", "passed": True,
-                       "detail": f"{len(profile.delta)} residue classes mod {2 * r}"})
+        checks.append(CheckResult("well_defined", True,
+                                  f"{len(profile.delta)} residue classes mod {2 * r}"))
+        solution = solve_correction(profile)
+        checks.append(CheckResult("orbit_sums", True, "both telescoping sums vanish"))
+        checks.append(CheckResult("correction_solved", True,
+                                  f"B reconstructed on {len(solution)} residues, B(0)=B(1)=0"))
     except WellDefinednessError as exc:
-        checks.append({"name": "well_defined", "passed": False, "detail": str(exc)})
-
-    if profile is not None:
-        try:
-            solution = solve_correction(profile)
-            checks.append({"name": "orbit_sums", "passed": True,
-                           "detail": "both telescoping sums vanish"})
-            checks.append({"name": "correction_solved", "passed": True,
-                           "detail": f"B reconstructed on {len(solution)} residues, B(0)=B(1)=0"})
-        except InconsistencyError as exc:
-            checks.append({"name": "orbit_sums", "passed": False, "detail": str(exc)})
+        checks.append(CheckResult("well_defined", False, str(exc)))
+    except InconsistencyError as exc:
+        checks.append(CheckResult("orbit_sums", False, str(exc)))
+    report = ValidationReport(tuple(checks))
 
     # B from the closed-form increments, beside the B reconstructed from counts
     closed = solve_correction(closed_form_profile(r))
@@ -151,10 +154,10 @@ def cmd_verify_dim(args) -> int:
         "reconstructed": None if solution is None else [str(solution[k])
                                                         for k in range(2 * r)],
     }
-    passed = all(c["passed"] for c in checks) and agrees
-    payload = {"r": r, "imax": imax, "checks": checks, "correction": correction,
+    passed = report.passed and agrees
+    payload = {**report.to_json_dict(), "r": r, "imax": imax, "correction": correction,
                "passed": passed}
-    rows = [[c["name"], "pass" if c["passed"] else "FAIL", c["detail"]] for c in checks]
+    rows = _check_rows(report)
     rows.append(["correction", "pass" if agrees else "FAIL",
                  f"reconstructed B {'equals' if agrees else 'differs from'} "
                  f"the closed form on {len(closed)} residues"])
@@ -303,7 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also require the congruence-forced monomials")
     p.set_defaults(handler=cmd_validate)
 
-    p = add_command("generate", help="write a deterministic random model file")
+    generate_help = (f"write a deterministic random model file; at most "
+                     f"GENERATE_STEP_LIMIT = {GENERATE_STEP_LIMIT} enumeration steps")
+    p = add_command("generate", help=generate_help, description=generate_help)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--extra", type=int, default=4,

@@ -20,7 +20,7 @@ form (closed_form_profile), which the counted profile must match.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -171,7 +171,6 @@ class CorrectionProfile:
 
     r: int
     delta: dict[int, Fraction]
-    witnesses: dict[int, tuple[int, int]] = field(default_factory=dict)
 
 
 def correction_profile(r: int, max_degree: int | None = None) -> CorrectionProfile:
@@ -190,7 +189,7 @@ def correction_profile(r: int, max_degree: int | None = None) -> CorrectionProfi
     period = 2 * r
     table = DimensionTable.compute(r, max_degree)
     delta: dict[int, Fraction] = {}
-    witnesses: dict[int, tuple[int, int]] = {}
+    first_pair: dict[int, tuple[int, int]] = {}
     for i in range(2, max_degree + 1):
         for j in (0, 1):
             value = (Fraction(table.dimension(i, j) - table.dimension(i - 2, 1 - j))
@@ -199,12 +198,12 @@ def correction_profile(r: int, max_degree: int | None = None) -> CorrectionProfi
             if key in delta:
                 if delta[key] != value:
                     raise WellDefinednessError(
-                        f"residue {key} mod {period}: (i,j)={witnesses[key]} gave "
+                        f"residue {key} mod {period}: (i,j)={first_pair[key]} gave "
                         f"{delta[key]} but (i,j)=({i},{j}) gave {value}")
             else:
                 delta[key] = value
-                witnesses[key] = (i, j)
-    return CorrectionProfile(r, delta, witnesses)
+                first_pair[key] = (i, j)
+    return CorrectionProfile(r, delta)
 
 
 def closed_form_profile(r: int) -> CorrectionProfile:
@@ -219,13 +218,11 @@ def closed_form_profile(r: int) -> CorrectionProfile:
     """
     _check_r(r)
     delta: dict[int, Fraction] = {}
-    witnesses: dict[int, tuple[int, int]] = {}
     for k in range(2 * r):
         j = k % 2
         i = (k - r * j) // 2 % r
         delta[k] = _l3_boundary(r, i, j) - Fraction(2 * i + 1, r)
-        witnesses[k] = (i, j)
-    return CorrectionProfile(r, delta, witnesses)
+    return CorrectionProfile(r, delta)
 
 
 def orbit(start: int, period: int) -> list[int]:

@@ -199,6 +199,11 @@ def _even_p_monomials(r: int, extra_degree: int) -> list[tuple[int, ...]]:
     return out
 
 
+# the most candidate p-monomials (a, b, c) generate_model may visit: its (a, b)
+# pairs times extra_degree + 1 values of c; the r/2 q-candidates are fewer
+GENERATE_STEP_LIMIT = 1_000_000
+
+
 def generate_model(r: int, seed: int, extra_degree: int = 4) -> CD2Model:
     """Deterministically sample a valid model for the given r.
 
@@ -215,6 +220,11 @@ def generate_model(r: int, seed: int, extra_degree: int = 4) -> CD2Model:
         raise ValueError(f"r must be >= 7 and = +-1 mod 8, got {r}")
     if extra_degree < 0:
         raise ValueError("extra_degree must be non-negative")
+    top = r + extra_degree
+    steps = (top // ((r - 1) // 2) + 1) * (top // 2 + 1) * (extra_degree + 1)
+    if steps > GENERATE_STEP_LIMIT:
+        raise ValueError(f"a model of r={r} with extra degree {extra_degree} takes {steps} "
+                         f"steps; at most GENERATE_STEP_LIMIT = {GENERATE_STEP_LIMIT}")
     rng = random.Random((seed * 1_000_003 + r) * 1_009 + extra_degree)
 
     def coefficient() -> Fraction:

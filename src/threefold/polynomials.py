@@ -9,7 +9,7 @@ variable universes first.
 On top of the arithmetic this module provides the weighted-order toolkit
 used everywhere else: weighted order of a polynomial under a positive
 weight assignment (the vanishing order along the exceptional divisor of a
-weighted blow-up), weighted-homogeneous parts and truncations, cyclic
+weighted blow-up), truncations by weight, cyclic
 semi-invariance, exact polynomial square roots, and the detector for
 squares of the special shape (x3*s(x3^2, x4))^2.
 
@@ -63,9 +63,6 @@ class _InfiniteOrder:
 
 
 INFINITE_ORDER = _InfiniteOrder()
-
-_TOKEN = re.compile(r"^(?P<num>-?\d+(?:/\d+)?)$")
-_POWER = re.compile(r"^(?P<name>[A-Za-z_]\w*)(?:\^(?P<exp>\d+))?$")
 
 
 class SparsePoly:
@@ -123,50 +120,6 @@ class SparsePoly:
         if sum(exps) != 1:
             raise ValueError(f"{name!r} is not among {variables}")
         return cls(variables, {exps: Fraction(1)})
-
-    @classmethod
-    def from_string(cls, text: str, variables: Iterable[str]) -> "SparsePoly":
-        """Parse a flat polynomial expression such as "x1^2 + x4*x5 - 1/2*x3^4".
-
-        No parentheses; terms are separated by + and -, factors inside a
-        term by *.  A factor is either a rational literal or name[^exp].
-        """
-        variables = tuple(variables)
-        index = {v: i for i, v in enumerate(variables)}
-        s = text.replace(" ", "")
-        if not s:
-            raise ValueError("empty polynomial text")
-        chunks: list[str] = []
-        current = ""
-        for ch in s:
-            if ch in "+-" and current:
-                chunks.append(current)
-                current = ch if ch == "-" else ""
-            else:
-                current += ch
-        chunks.append(current)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for chunk in chunks:
-            if chunk in ("", "-"):
-                raise ValueError(f"malformed term in {text!r}")
-            sign = Fraction(1)
-            if chunk.startswith("-"):
-                sign = Fraction(-1)
-                chunk = chunk[1:]
-            coeff = sign
-            exps = [0] * len(variables)
-            for factor in chunk.split("*"):
-                m = _TOKEN.match(factor)
-                if m:
-                    coeff *= Fraction(m.group("num"))
-                    continue
-                m = _POWER.match(factor)
-                if not m or m.group("name") not in index:
-                    raise ValueError(f"unknown factor {factor!r} in {text!r}")
-                exps[index[m.group("name")]] += int(m.group("exp") or 1)
-            key = tuple(exps)
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-        return cls(variables, terms)
 
     # -- queries -----------------------------------------------------------
 
@@ -362,10 +315,6 @@ def _terms_by_weight(p: SparsePoly, weights: Mapping, degree, keep) -> SparsePol
                                     if keep(w, target)})
 
 
-def homogeneous_part(p: SparsePoly, weights: Mapping, degree) -> SparsePoly:
-    return _terms_by_weight(p, weights, degree, operator.eq)
-
-
 def truncate_le(p: SparsePoly, weights: Mapping, degree) -> SparsePoly:
     return _terms_by_weight(p, weights, degree, operator.le)
 
@@ -527,19 +476,32 @@ def is_json_int(x) -> bool:
 
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
+# the most digits of a number in input (a rational, a JSON integer, a quotient
+# order or weight); below CPython's own bound on int() of a string
+DIGIT_LIMIT = 1000
+
+
+def check_digits(text: str, what: str) -> None:
+    """Refuse a numeral of more than DIGIT_LIMIT digits, naming `what` and
+    the digit count but not the numeral."""
+    digits = sum(map(str.isdigit, text)) if len(text) > DIGIT_LIMIT else 0
+    if digits > DIGIT_LIMIT:
+        raise ValueError(f"{what} has {digits} digits; at most DIGIT_LIMIT = {DIGIT_LIMIT}")
+
 
 def parse_rational(x, what: str) -> Fraction:
     """A JSON integer, or a string "n" or "p/q" of ASCII digits with an
     optional leading minus, as a Fraction.
 
     Any other value (exponent or decimal notation, underscores, spaces, a
-    plus sign) raises ValueError naming it as `what`; a zero denominator
-    raises ZeroDivisionError.
+    plus sign) or more than DIGIT_LIMIT digits raise ValueError naming it
+    as `what`; a zero denominator raises ZeroDivisionError.
     """
     if is_json_int(x):
         return Fraction(x)
     if not isinstance(x, str) or not _RATIONAL.fullmatch(x):
         raise ValueError(f"{what} {x!r} is not an integer or a 'p/q' string")
+    check_digits(x, what)
     return Fraction(x)
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import IntMatrix, smith_normal_form
-from .polynomials import GroupAction
+from .polynomials import GroupAction, check_digits
 
 
 class LatticeError(ValueError):
@@ -55,11 +55,12 @@ class QuotientType:
 
     @classmethod
     def parse(cls, text: str) -> "QuotientType":
-        """Read "1/n(a_1,...,a_m)": n ASCII digits, each weight ASCII digits
-        with an optional sign, whitespace around any token."""
+        """Read "1/n(a_1,...,a_m)": n and each weight at most DIGIT_LIMIT ASCII
+        digits, a weight with an optional sign, whitespace around any token."""
         m = _TYPE_GRAMMAR.fullmatch(text)
         if not m:
             raise ValueError(f"cannot parse quotient type {text!r}")
+        check_digits(m.group(1), "the order of the quotient type")
         n = int(m.group(1))
         body = m.group(2)
         if not body.strip():
@@ -68,6 +69,7 @@ class QuotientType:
         for part in body.split(","):
             if not _WEIGHT_GRAMMAR.fullmatch(part):
                 raise ValueError(f"weight {part!r} of {text!r} is not an integer")
+            check_digits(part, "a weight of the quotient type")
             weights.append(int(part))
         return cls(n, tuple(weights))
 

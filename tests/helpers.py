@@ -1,0 +1,64 @@
+"""Helpers shared by the test modules.
+
+The package reads polynomials only from model JSON (poly_from_dict); tests
+write them as text, which parse_poly reads.  pytest puts this directory on
+sys.path for every test module in it (the tests directory is no package),
+so ``from helpers import ...`` works under a whole-suite run, for one test
+file, and from inside the directory.
+"""
+
+import re
+from fractions import Fraction
+
+from threefold.polynomials import SparsePoly, parse_rational
+
+_POWER = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)(?:\^(?P<exp>[0-9]+))?")
+
+
+def parse_poly(text, variables):
+    """Parse a flat polynomial expression such as "x1^2 + x4*x5 - 1/2*x3^4".
+
+    No parentheses; terms are separated by + and -, factors inside a term
+    by *.  A factor is either a rational in the model-file grammar (an
+    integer or p/q of ASCII digits) or name[^exp] with ASCII digits.
+    """
+    variables = tuple(variables)
+    index = {v: i for i, v in enumerate(variables)}
+    s = text.replace(" ", "")
+    if not s:
+        raise ValueError("empty polynomial text")
+    chunks = []
+    current = ""
+    for ch in s:
+        if ch in "+-" and current:
+            chunks.append(current)
+            current = ch if ch == "-" else ""
+        else:
+            current += ch
+    chunks.append(current)
+    terms = {}
+    for chunk in chunks:
+        if chunk in ("", "-"):
+            raise ValueError(f"malformed term in {text!r}")
+        sign = Fraction(1)
+        if chunk.startswith("-"):
+            sign = Fraction(-1)
+            chunk = chunk[1:]
+        coeff = sign
+        exps = [0] * len(variables)
+        for factor in chunk.split("*"):
+            m = _POWER.fullmatch(factor)
+            if not m:
+                coeff *= parse_rational(factor, "factor")
+                continue
+            if m.group("name") not in index:
+                raise ValueError(f"unknown factor {factor!r} in {text!r}")
+            exps[index[m.group("name")]] += int(m.group("exp") or 1)
+        key = tuple(exps)
+        terms[key] = terms.get(key, Fraction(0)) + coeff
+    return SparsePoly(variables, terms)
+
+
+def matrix_product(a, b):
+    return [[sum(x * y for x, y in zip(row, col, strict=True)) for col in zip(*b)]
+            for row in a]

@@ -19,12 +19,9 @@ from threefold.polynomials import (SparsePoly, detect_square_form,
                                    GroupAction)
 from threefold.quotients import QuotientType, reid_tai_is_terminal
 
+from helpers import matrix_product, parse_poly
+
 R_VALUES = (7, 9, 15, 17, 23, 25)
-
-
-def matrix_product(a, b):
-    return [[sum(x * y for x, y in zip(row, col, strict=True)) for col in zip(*b)]
-            for row in a]
 
 
 def report(criterion, text):
@@ -158,7 +155,7 @@ def test_criterion_6_property_suites():
         got = detect_square_form((x3 * s) ** 2)
         assert got == s or got == -s
         spoiled = ((x3 * s) ** 2).with_variables(("x1", "x3", "x4")) \
-            + SparsePoly.from_string(f"x1*x3^{rng.randint(0, 6)}", ("x1", "x3", "x4"))
+            + parse_poly(f"x1*x3^{rng.randint(0, 6)}", ("x1", "x3", "x4"))
         assert detect_square_form(spoiled) is None
 
     # Smith normal form on 200 random matrices

@@ -3,13 +3,15 @@ from fractions import Fraction
 import pytest
 
 from threefold.blowup import (CIGerm, DimensionError, MANUAL, QUOTIENT, SMOOTH,
-                              _strict_transform, _term_powers, analyze_blowup,
+                              _strict_transform, _term_powers, _weights, analyze_blowup,
                               chart_singularities, discrepancy, e_cubed,
                               equation_orders, model_germ, verify_blowup_profile)
 from threefold.models import (CD2Model, P_VARIABLES, Q_VARIABLES, blowup_vector,
                               generate_model)
 from threefold.polynomials import SparsePoly
 from threefold.quotients import QuotientType
+
+from helpers import parse_poly
 
 V5 = ("x1", "x2", "x3", "x4", "x5")
 HALF = Fraction(1, 2)
@@ -28,12 +30,12 @@ class TestCIGerm:
     def test_rejects_constant_term(self):
         with pytest.raises(ValueError):
             CIGerm(QuotientType(1, (0, 0, 0)), ("x1", "x2", "x3"),
-                   (SparsePoly.from_string("x1 + 1", ("x1", "x2", "x3")),))
+                   (parse_poly("x1 + 1", ("x1", "x2", "x3")),))
 
     def test_rejects_mixed_characters(self):
         with pytest.raises(ValueError):
             CIGerm(QuotientType(2, (1, 0, 0)), ("x1", "x2", "x3"),
-                   (SparsePoly.from_string("x1 + x2", ("x1", "x2", "x3")),))
+                   (parse_poly("x1 + x2", ("x1", "x2", "x3")),))
 
     def test_rejects_zero_equation(self):
         with pytest.raises(ValueError):
@@ -104,7 +106,7 @@ class TestOrdinaryDoublePoint:
     # a quadric surface with normal class O(-1,-1), so discrepancy 1, cube 2
     def germ(self):
         names = ("x1", "x2", "x3", "x4")
-        eq = SparsePoly.from_string("x1*x2 + x3*x4", names)
+        eq = parse_poly("x1*x2 + x3*x4", names)
         return CIGerm(QuotientType(1, (0, 0, 0, 0)), names, (eq,))
 
     def test_profile(self):
@@ -121,7 +123,7 @@ class TestFractionalWeightsWithEquation:
         # generator: every equation order is 1, the blow-up is crepant, and
         # each chart misses the origin through a constant term
         names = ("x1", "x2", "x3", "x4")
-        eq = SparsePoly.from_string("x1^2 + x2^2 + x3^2 + x4^2", names)
+        eq = parse_poly("x1^2 + x2^2 + x3^2 + x4^2", names)
         germ = CIGerm(QuotientType(2, (1, 1, 1, 1)), names, (eq,))
         v = (HALF, HALF, HALF, HALF)
         assert equation_orders(germ, v) == (1,)
@@ -162,7 +164,7 @@ class TestChartSingularities:
         # on the x4 chart the strict transform y1^2+y2^2+y3^2+t^6 has neither
         # a constant nor a linear term, and the chart group has order 4
         names = ("x1", "x2", "x3", "x4")
-        eq = SparsePoly.from_string("x1^2 + x2^2 + x3^2 + x4^4", names)
+        eq = parse_poly("x1^2 + x2^2 + x3^2 + x4^4", names)
         germ = CIGerm(QuotientType(2, (1, 1, 1, 1)), names, (eq,))
         findings = chart_singularities(germ, (1, 1, 1, 2))
         assert [f.kind for f in findings] == [SMOOTH, SMOOTH, SMOOTH, MANUAL]
@@ -181,14 +183,15 @@ class TestChartSingularities:
 
 class TestStrictTransform:
     def test_denominator_must_clear_the_weights(self):
-        # v = (1/2, 1/2, 1) needs t^(1/2) units; denominator 1 cannot record them
+        # v = (1/2, 1/2, 1) needs t^(1/2) units: _weights scales v by the
+        # least denominator that clears it, 2
         names = ("x1", "x2", "x3")
-        eq = SparsePoly.from_string("x1*x2 + x3^2", names)
-        with pytest.raises(ArithmeticError):
-            _term_powers(eq, (HALF, HALF, Fraction(1)), 1)
-        # with denominator 2 the order is 1 (2 units): x1*x2 keeps t^0 and
-        # x3^2 keeps t^1 (2 units), written in as the chart coordinate's exponent
-        terms, shift = _term_powers(eq, (HALF, HALF, Fraction(1)), 2)
+        eq = parse_poly("x1*x2 + x3^2", names)
+        germ = CIGerm(QuotientType(2, (1, 1, 0)), names, (eq,))
+        assert _weights(germ, (HALF, HALF, 1)) == ((1, 1, 2), 2)
+        # the order is 1 (2 units): x1*x2 keeps t^0 and x3^2 keeps t^1
+        # (2 units), written in as the chart coordinate's exponent
+        terms, shift = _term_powers(eq, (1, 1, 2))
         assert shift == 2
         assert _strict_transform(terms, 0) == {(0, 1, 0): 1, (2, 0, 2): 1}
 
@@ -200,8 +203,8 @@ class TestProfile:
             assert report.passed, [c for c in report.checks if not c.passed]
 
     def test_invalid_r_rejected_before_blowup(self):
-        model = CD2Model(11, SparsePoly.from_string("x3^8", P_VARIABLES),
-                         SparsePoly.from_string("x1*x3^2", Q_VARIABLES))
+        model = CD2Model(11, parse_poly("x3^8", P_VARIABLES),
+                         parse_poly("x1*x3^2", Q_VARIABLES))
         report = verify_blowup_profile(model)
         assert not report.passed
         assert report.checks[0].name == "model_valid"

@@ -24,6 +24,8 @@ from threefold.polynomials import SparsePoly, weighted_order
 from threefold.quotients import (ChartGroupFactor, LatticeError, QuotientType, blowup_charts,
                                   effective_factors)
 
+from helpers import parse_poly
+
 HALF = Fraction(1, 2)
 
 
@@ -108,7 +110,7 @@ def reference_report(germ, v):
 
 def germ(ambient, text):
     names = tuple(f"x{i + 1}" for i in range(ambient.arity))
-    equations = tuple(SparsePoly.from_string(eq, names) for eq in text.split(";") if eq)
+    equations = tuple(parse_poly(eq, names) for eq in text.split(";") if eq)
     return CIGerm(ambient, names, equations)
 
 

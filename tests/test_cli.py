@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from threefold import cli, quotients
+from threefold import cli, dimensions, models, quotients
 from threefold.cli import build_parser, main
-from threefold.dimensions import CorrectionProfile, degree_point_count
+from threefold.dimensions import (CorrectionProfile, InconsistencyError,
+                                  WellDefinednessError, degree_point_count)
 from threefold.models import generate_model
+from threefold.polynomials import DIGIT_LIMIT
 
 
 def run(capsys, *argv):
@@ -122,6 +124,41 @@ class TestVerifyDim:
         assert data["correction"]["agrees"] is False
         assert data["correction"]["reconstructed"] == ["0"] * 14
         assert (code, data["passed"]) == (1, False)
+
+    @pytest.mark.parametrize("stage, names", [
+        ("correction_profile", ["decomposition", "well_defined"]),
+        ("solve_correction", ["decomposition", "well_defined", "orbit_sums"]),
+    ], ids=["not_well_defined", "inconsistent"])
+    def test_failure_paths(self, capsys, monkeypatch, stage, names):
+        # the counted profile fails at one stage; the closed form still solves
+        counted = []
+
+        def profile(r, max_degree):
+            if stage == "correction_profile":
+                raise WellDefinednessError("doctored residue")
+            counted.append(dimensions.correction_profile(r, max_degree))
+            return counted[-1]
+
+        def solve(p):
+            if counted and p is counted[-1]:
+                raise InconsistencyError("doctored orbit")
+            return dimensions.solve_correction(p)
+
+        monkeypatch.setattr(cli, "correction_profile", profile)
+        monkeypatch.setattr(cli, "solve_correction", solve)
+        code, data, _ = run_json(capsys, "verify-dim", "--r", "7")
+        assert (code, data["passed"]) == (1, False)
+        assert [c["name"] for c in data["checks"]] == names
+        assert [c["passed"] for c in data["checks"]] == [True] * (len(names) - 1) + [False]
+        assert data["checks"][-1]["detail"].startswith("doctored")
+        assert data["correction"]["reconstructed"] is None
+        assert data["correction"]["agrees"] is False
+
+        code, out, _ = run(capsys, "verify-dim", "--r", "7")
+        rows = [line.split()[:2] for line in out.splitlines()[2:]]
+        assert code == 1
+        assert rows == ([[name, "pass"] for name in names[:-1]]
+                        + [[names[-1], "FAIL"], ["correction", "FAIL"]])
 
     def test_limit_covers_the_effective_bound(self, capsys, monkeypatch):
         # the profile counts up to max(imax, 2r), the default imax is 6r
@@ -287,6 +324,54 @@ class TestCharts:
         assert code == 0 and data["weights"] == ["4", "3", "2", "1", "7"]
 
 
+# a numeral far above DIGIT_LIMIT, and the digit count the error line names
+HUGE = "7" * 5000
+LIMIT = f"at most DIGIT_LIMIT = {DIGIT_LIMIT}"
+
+
+class TestDigitLimit:
+    @pytest.mark.parametrize("text, what", [
+        (f"1/{HUGE}(1,2,3)", "the order of the quotient type"),
+        (f"1/7(1, -{HUGE} ,3)", "a weight of the quotient type"),
+    ], ids=["order", "weight"])
+    def test_terminal_type(self, capsys, text, what):
+        code, out, err = run(capsys, "terminal", "--type", text)
+        assert (code, out, err) == (2, "", f"error: {what} has 5000 digits; {LIMIT}\n")
+
+    def test_charts_weight(self, capsys):
+        code, out, err = run(capsys, "charts", "--ambient", "1/2(1,1,1,0,0)",
+                             "--weights", f"4,3,2,1,{HUGE}")
+        assert (code, out, err) == (2, "", f"error: weight has 5000 digits; {LIMIT}\n")
+
+    def test_model_coefficient_string(self, capsys, tmp_path):
+        data = generate_model(7, 1).to_json_dict()
+        data["q"]["terms"][0]["c"] = f"-{HUGE}"
+        path = tmp_path / "coefficient.json"
+        path.write_text(json.dumps(data))
+        for command in ("validate", "blowup"):
+            code, out, err = run(capsys, command, "--model", str(path))
+            assert (code, out, err) == (2, "", f"error: coefficient has 5000 digits; {LIMIT}\n")
+
+    @pytest.mark.parametrize("field", ["r", "exponent", "coefficient"])
+    def test_model_json_integer(self, capsys, tmp_path, field):
+        data = generate_model(7, 1).to_json_dict()
+        marker = 123456789
+        if field == "r":
+            data["r"] = marker
+        elif field == "exponent":
+            data["p"]["terms"][0]["e"][0] = marker
+        else:
+            data["p"]["terms"][0]["c"] = marker
+        # json writes no integer of more than 4300 digits, so splice one in
+        text = json.dumps(data).replace(str(marker), HUGE)
+        path = tmp_path / "integer.json"
+        path.write_text(text)
+        for command in ("validate", "blowup"):
+            code, out, err = run(capsys, command, "--model", str(path))
+            assert (code, out) == (2, "")
+            assert err == f"error: an integer in {path} has 5000 digits; {LIMIT}\n"
+
+
 class TestModelPipeline:
     def test_generate_validate_blowup(self, capsys, tmp_path):
         path = str(tmp_path / "model.json")
@@ -393,6 +478,33 @@ class TestModelPipeline:
         code, _, err = run(capsys, "generate", "--r", "12", "--seed", "0",
                            "--out", str(tmp_path / "x.json"))
         assert code == 2 and "error" in err
+
+    def test_generate_limit_admits_exactly_its_steps(self, capsys, tmp_path, monkeypatch):
+        # r=7, extra 4: (11 // 3 + 1) * (11 // 2 + 1) * 5 = 120 steps, the last
+        # factor the values of c; more steps are refused before anything is listed
+        monkeypatch.setattr(models, "GENERATE_STEP_LIMIT", 120)
+        path = tmp_path / "model.json"
+        code, _, _ = run(capsys, "generate", "--r", "7", "--seed", "1", "--out", str(path))
+        assert code == 0 and path.exists()
+
+        def no_listing(*args):
+            raise AssertionError("monomials listed")
+
+        monkeypatch.setattr(models, "_even_p_monomials", no_listing)
+        monkeypatch.setattr(models, "_even_q_monomials", no_listing)
+        for args, steps in ((["--r", "7", "--extra", "5"], 210), (["--r", "9"], 140)):
+            out_path = tmp_path / "refused.json"
+            code, out, err = run(capsys, "generate", *args, "--seed", "1",
+                                 "--out", str(out_path))
+            assert (code, out) == (2, "") and not out_path.exists(), args
+            assert err.endswith(f"takes {steps} steps; at most GENERATE_STEP_LIMIT = 120\n")
+            assert err.count("\n") == 1
+
+    def test_generate_limit_is_named_in_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["generate", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"GENERATE_STEP_LIMIT = {models.GENERATE_STEP_LIMIT}" in text
 
     def test_generated_file_stable(self, capsys, tmp_path):
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from threefold import dimensions
 from threefold.dimensions import (CorrectionProfile, DimensionTable,
-                                  InconsistencyError,
+                                  InconsistencyError, WellDefinednessError,
                                   check_decomposition, correction_profile,
                                   degree_point_count, degree_points,
                                   graded_dimension, orbit,
@@ -170,10 +171,20 @@ class TestCorrectionProfile:
         profile = correction_profile(7, 42)
         assert all(7 % v.denominator == 0 for v in profile.delta.values())
 
-    def test_well_definedness_error_message(self):
-        # a doctored delta cannot arise from the counts; simulate by direct check
-        profile = correction_profile(7, 42)
-        assert profile.witnesses  # every residue has a recorded first witness
+    def test_well_definedness_error_message(self, monkeypatch):
+        # one doctored count breaks its residue class; the message names the
+        # class, the first pair met in it and the pair that disagrees
+        counts = dimensions.parity_counts
+
+        def doctored(r, degree):
+            even, odd = counts(r, degree)
+            return (even + 1, odd) if degree == 20 else (even, odd)
+
+        monkeypatch.setattr(dimensions, "parity_counts", doctored)
+        with pytest.raises(WellDefinednessError) as caught:
+            correction_profile(7, 42)
+        assert str(caught.value) == ("residue 12 mod 14: (i,j)=(6, 0) gave -6/7 "
+                                     "but (i,j)=(20,0) gave 1/7")
 
 
 class TestSolveCorrection:

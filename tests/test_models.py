@@ -7,19 +7,21 @@ from threefold.models import (CD2Model, P_VARIABLES, Q_VARIABLES,
 from threefold.polynomials import (SparsePoly, low_part_ratio, truncate_le,
                                    weighted_order)
 
+from helpers import parse_poly
+
 V4 = ("x1", "x2", "x3", "x4")
 
 
 def PP(text):
-    return SparsePoly.from_string(text, P_VARIABLES)
+    return parse_poly(text, P_VARIABLES)
 
 
 def QQ(text):
-    return SparsePoly.from_string(text, Q_VARIABLES)
+    return parse_poly(text, Q_VARIABLES)
 
 
 def germ4(text):
-    return SparsePoly.from_string(text, V4)
+    return parse_poly(text, V4)
 
 
 class TestValidate:

@@ -17,9 +17,10 @@ import pytest
 from threefold.models import (CD2Model, GERM_VARIABLES, P_VARIABLES, generate_model,
                               model_equations, valid_r)
 from threefold.polynomials import (INFINITE_ORDER, GroupAction, SparsePoly,
-                                   homogeneous_part, is_semi_invariant,
-                                   scaled_term_weights, truncate_gt, truncate_le,
-                                   weighted_order)
+                                   is_semi_invariant, scaled_term_weights,
+                                   truncate_gt, truncate_le, weighted_order)
+
+from helpers import parse_poly
 
 NAMES = ("x1", "x2", "x3", "x4", "x5", "x6")
 
@@ -215,7 +216,6 @@ def test_weights_match_reference():
 
 
 @pytest.mark.parametrize("name, fast, keep", [
-    ("homogeneous_part", homogeneous_part, lambda w, d: w == d),
     ("truncate_le", truncate_le, lambda w, d: w <= d),
     ("truncate_gt", truncate_gt, lambda w, d: w > d),
 ])
@@ -306,11 +306,11 @@ def test_semi_invariance_error_names_the_first_missing_variable():
 
 
 def reference_model_equations(model):
-    first = (SparsePoly.from_string("x1^2 + x4*x5", GERM_VARIABLES)
+    first = (parse_poly("x1^2 + x4*x5", GERM_VARIABLES)
              + model.p.with_variables(GERM_VARIABLES))
-    second = (SparsePoly.from_string("x2^2", GERM_VARIABLES)
+    second = (parse_poly("x2^2", GERM_VARIABLES)
               + model.q.with_variables(GERM_VARIABLES)
-              + SparsePoly.from_string("x5", GERM_VARIABLES))
+              + parse_poly("x5", GERM_VARIABLES))
     return first, second
 
 

@@ -3,19 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from threefold.polynomials import (GroupAction, INFINITE_ORDER, SparsePoly,
-                                   detect_square_form, homogeneous_part,
-                                   is_semi_invariant, low_part_ratio,
-                                   parse_rational, poly_from_dict, poly_to_dict,
-                                   polynomial_sqrt, substitute, truncate_gt,
-                                   truncate_le, weighted_order)
+from threefold.polynomials import (DIGIT_LIMIT, GroupAction, INFINITE_ORDER, SparsePoly,
+                                   detect_square_form, is_semi_invariant,
+                                   low_part_ratio, parse_rational, poly_from_dict,
+                                   poly_to_dict, polynomial_sqrt, substitute,
+                                   truncate_gt, truncate_le, weighted_order)
+
+from helpers import parse_poly
 
 V4 = ("x1", "x2", "x3", "x4")
 V5 = ("x1", "x2", "x3", "x4", "x5")
 
 
 def P(text, variables=V5):
-    return SparsePoly.from_string(text, variables)
+    return parse_poly(text, variables)
 
 
 class TestConstruction:
@@ -25,7 +26,7 @@ class TestConstruction:
 
     def test_like_terms_combine(self):
         p = SparsePoly(("x",), {(1,): Fraction(1, 2)}) + SparsePoly(("x",), {(1,): Fraction(1, 2)})
-        assert p == SparsePoly.from_string("x", ("x",))
+        assert p == parse_poly("x", ("x",))
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
@@ -63,14 +64,14 @@ class TestParser:
 
 class TestArithmetic:
     def test_alignment_across_universes(self):
-        a = SparsePoly.from_string("x1^2", ("x1", "x2"))
-        b = SparsePoly.from_string("x3", ("x3",))
+        a = parse_poly("x1^2", ("x1", "x2"))
+        b = parse_poly("x3", ("x3",))
         total = a + b
         assert set(total.variables) == {"x1", "x2", "x3"}
-        assert total == SparsePoly.from_string("x1^2 + x3", ("x1", "x2", "x3"))
+        assert total == parse_poly("x1^2 + x3", ("x1", "x2", "x3"))
 
     def test_equality_across_universes(self):
-        assert SparsePoly.from_string("x1", ("x1", "x2")) == SparsePoly.from_string("x1", ("x1",))
+        assert parse_poly("x1", ("x1", "x2")) == parse_poly("x1", ("x1",))
 
     def test_power(self):
         assert P("x1 + x2") ** 2 == P("x1^2 + 2*x1*x2 + x2^2")
@@ -117,10 +118,6 @@ class TestWeightedOrder:
 
 
 class TestParts:
-    def test_homogeneous_part_anchor(self):
-        p = P("x1^2 + x4*x5 + x3^10")
-        assert homogeneous_part(p, WEIGHTS7, 8) == P("x1^2 + x4*x5")
-
     def test_truncate_gt_of_homogeneous(self):
         q = P("x2^2 + x1*x3")  # weight 6 under r=7 weights
         assert truncate_gt(q, WEIGHTS7, 6).is_zero
@@ -135,17 +132,6 @@ class TestParts:
             w = {v: Fraction(rng.randint(1, 7), rng.randint(1, 4)) for v in V5}
             d = Fraction(rng.randint(0, 20), rng.randint(1, 3))
             assert truncate_le(p, w, d) + truncate_gt(p, w, d) == p
-
-    def test_homogeneous_parts_sum_to_whole(self):
-        rng = random.Random(19)
-        for _ in range(20):
-            p = _random_poly(rng, V4)
-            w = {v: Fraction(rng.randint(1, 7), rng.randint(1, 4)) for v in V4}
-            degrees = {weighted_order(SparsePoly(V4, {e: c}), w) for e, c in p.terms.items()}
-            total = SparsePoly.zero(V4)
-            for d in degrees:
-                total = total + homogeneous_part(p, w, d)
-            assert total == p
 
 
 HALF_TWIST = GroupAction(2, {"x1": 1, "x2": 1, "x3": 1, "x4": 0, "x5": 0})
@@ -191,7 +177,7 @@ class TestSubstitute:
         assert got == P("x1^2 - x2^2*x4 - x1*x3*x4")
 
     def test_absent_variable_is_noop(self):
-        p = SparsePoly.from_string("x1^2", ("x1",))
+        p = parse_poly("x1^2", ("x1",))
         assert substitute(p, "x9", P("x2")) == p
 
     def test_elimination_idempotent(self):
@@ -215,23 +201,23 @@ class TestSquareRoot:
             assert root == s or root == -s
 
     def test_non_square(self):
-        assert polynomial_sqrt(SparsePoly.from_string("x3^2 + x4", ("x3", "x4"))) is None
-        assert polynomial_sqrt(SparsePoly.from_string("2*x3^2", ("x3", "x4"))) is None
-        assert polynomial_sqrt(SparsePoly.from_string("-x3^2", ("x3", "x4"))) is None
+        assert polynomial_sqrt(parse_poly("x3^2 + x4", ("x3", "x4"))) is None
+        assert polynomial_sqrt(parse_poly("2*x3^2", ("x3", "x4"))) is None
+        assert polynomial_sqrt(parse_poly("-x3^2", ("x3", "x4"))) is None
 
 
 class TestSquareFormDetector:
     def test_detects_plain_square(self):
-        q = SparsePoly.from_string("x3^2*x4^4", ("x1", "x3", "x4"))
+        q = parse_poly("x3^2*x4^4", ("x1", "x3", "x4"))
         s = detect_square_form(q)
-        assert s == SparsePoly.from_string("x4^2", ("x3", "x4"))
+        assert s == parse_poly("x4^2", ("x3", "x4"))
 
     def test_even_power_is_not_of_the_form(self):
         # x3^4 is a square, but of x3^2, whose x3-degree is even
-        assert detect_square_form(SparsePoly.from_string("x3^4", ("x3", "x4"))) is None
+        assert detect_square_form(parse_poly("x3^4", ("x3", "x4"))) is None
 
     def test_foreign_variable(self):
-        assert detect_square_form(SparsePoly.from_string("x1*x3", ("x1", "x3", "x4"))) is None
+        assert detect_square_form(parse_poly("x1*x3", ("x1", "x3", "x4"))) is None
 
     def test_round_trip_random(self):
         rng = random.Random(17)
@@ -246,7 +232,7 @@ class TestSquareFormDetector:
             assert got == s or got == -s
             # any x1-perturbation leaves the family
             k = rng.randint(0, 4)
-            spoiled = q.with_variables(("x1", "x3", "x4")) + SparsePoly.from_string(
+            spoiled = q.with_variables(("x1", "x3", "x4")) + parse_poly(
                 f"x1*x3^{k}" if k else "x1", ("x1", "x3", "x4"))
             assert detect_square_form(spoiled) is None
 
@@ -291,6 +277,18 @@ class TestJson:
                     poly_from_dict({"vars": ["x1"], "terms": [{"c": c, "e": [1]}]})
         with pytest.raises(ZeroDivisionError):
             parse_rational("1/0", "weight")
+
+    def test_digit_limit(self):
+        # the limit counts every digit of a numeral, sign and slash aside
+        top = "9" * DIGIT_LIMIT
+        assert parse_rational("-" + top, "coefficient") == -int(top)
+        half = "7" * (DIGIT_LIMIT // 2)
+        assert parse_rational(f"{half}/{half}", "coefficient") == 1
+        for c in ("-" + top + "9", f"{half}/{half}9"):
+            with pytest.raises(ValueError) as caught:
+                parse_rational(c, "coefficient")
+            assert str(caught.value) == (f"coefficient has {DIGIT_LIMIT + 1} digits; "
+                                         f"at most DIGIT_LIMIT = {DIGIT_LIMIT}")
 
 
 def _random_poly(rng, variables, max_terms=5, max_exp=4):

@@ -11,10 +11,7 @@ from threefold.quotients import (ChartGroup, ChartGroupFactor, LatticeError,
                                  QuotientType, blowup_charts, effective_factors,
                                  reid_tai_is_canonical, reid_tai_is_terminal)
 
-
-def matrix_product(a, b):
-    return [[sum(x * y for x, y in zip(row, col, strict=True)) for col in zip(*b)]
-            for row in a]
+from helpers import matrix_product
 
 
 class TestQuotientType:
