@@ -47,8 +47,6 @@ class CIGerm:
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
-        if len(self.variables) != self.ambient.arity:
-            raise ValueError("variable count does not match the ambient arity")
         action = self.ambient.group_action(self.variables)
         flattened = []
         for k, eq in enumerate(self.equations):
@@ -145,15 +143,13 @@ def _term_powers(eq: SparsePoly, scaled: tuple[int, ...]
     times denominator; scaled is v times denominator, from _weights.
 
     The power is the term's weight times denominator, less the shift, the
-    least such product over the terms.  It does not depend on the chart, so
-    it is computed once and each chart's strict transform only writes it in
-    as the exponent of its own coordinate t.
+    least such product over the terms, so no power is negative.  It does not
+    depend on the chart, so it is computed once and each chart's strict
+    transform only writes it in as the exponent of its own coordinate t.
     """
     powers = [sum(map(operator.mul, scaled, exps)) for exps in eq.terms]
     shift = min(powers)
     terms = [(exps, c, power - shift) for (exps, c), power in zip(eq.terms.items(), powers)]
-    if any(power < 0 for _, _, power in terms):
-        raise ArithmeticError("strict transform has a negative power of the chart coordinate")
     return terms, shift
 
 
@@ -186,21 +182,17 @@ def _chart_character(terms, factor, chart: int, denominator: int) -> int | None:
 @lru_cache(maxsize=64)
 def _cached_charts(compute, ambient: QuotientType, scaled: tuple[int, ...],
                    denominator: int) -> ChartReport:
-    return compute(ambient, tuple(Fraction(x, denominator) for x in scaled))
-
-
-def _toric_charts(ambient: QuotientType, scaled: tuple[int, ...], denominator: int) -> ChartReport:
     """The chart groups of (ambient, scaled/denominator), computed once and then shared.
 
     They depend on r alone for the model family, so every model of one r
     reuses one report, and with it the residual groups the report keeps for
     each (chart, kept coordinates) pair it has been asked.  The cache is
-    keyed on the chart function as well, so rebinding the module name
-    blowup_charts (as a test or a tracer may) computes afresh rather than
-    serving another function's reports.
+    keyed on the chart function as well, so a caller passing the module name
+    blowup_charts computes afresh when it is rebound (as a test or a tracer
+    may) rather than serving another function's reports.
     LatticeError is not cached and is raised on every call.
     """
-    return _cached_charts(blowup_charts, ambient, scaled, denominator)
+    return compute(ambient, tuple(Fraction(x, denominator) for x in scaled))
 
 
 def _matrix_str(rows) -> str:
@@ -212,7 +204,7 @@ def chart_singularities(germ: CIGerm, v: Sequence) -> tuple[ChartFinding, ...]:
     _check_threefold(germ)
     scaled, denominator = _weights(germ, v)
     m = len(germ.variables)
-    report = _toric_charts(germ.ambient, scaled, denominator)
+    report = _cached_charts(blowup_charts, germ.ambient, scaled, denominator)
     powers = [_term_powers(eq, scaled)[0] for eq in germ.equations]
     origin = (0,) * m
     findings = []
@@ -274,7 +266,6 @@ class BlowupReport:
 
 def analyze_blowup(germ: CIGerm, v: Sequence) -> BlowupReport:
     orders, disc, e3 = _numbers(germ, v)
-    _check_threefold(germ)
     return BlowupReport(orders, disc, e3, chart_singularities(germ, v))
 
 

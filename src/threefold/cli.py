@@ -20,7 +20,7 @@ from .dimensions import (DimensionTable, InconsistencyError, check_decomposition
                          degree_points, solve_correction, WellDefinednessError)
 from .models import (GENERATE_STEP_LIMIT, CD2Model, CheckResult, ValidationReport,
                      blowup_vector, generate_model, validate_model)
-from .polynomials import check_digits, parse_rational
+from .polynomials import DIGIT_LIMIT, check_digits, parse_rational
 from .quotients import (QUOTIENT_ORDER_LIMIT, QuotientType, blowup_charts,
                         reid_tai_is_canonical, reid_tai_is_terminal)
 
@@ -60,6 +60,15 @@ def _parse_weights(text: str) -> tuple[Fraction, ...]:
         return tuple(parse_rational(part.strip(), "weight") for part in text.split(","))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in weights {text!r}") from None
+
+
+def _integer(text: str) -> int:
+    """Type of the integer flags; argparse prints an ArgumentTypeError without the token."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()) or len(digits) > DIGIT_LIMIT:
+        raise argparse.ArgumentTypeError(f"expected at most DIGIT_LIMIT = {DIGIT_LIMIT} "
+                                         "ASCII digits with an optional leading minus")
+    return int(text)
 
 
 def _check_rows(report: ValidationReport) -> list[list[str]]:
@@ -264,23 +273,23 @@ def build_parser() -> argparse.ArgumentParser:
     ni_help = (f"lattice points of one weighted degree, at most "
                f"NI_POINT_LIMIT = {NI_POINT_LIMIT} of them")
     p = add_command("ni", help=ni_help, description=ni_help)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--parity", type=int, choices=(0, 1), default=None)
+    p.add_argument("--r", type=_integer, required=True)
+    p.add_argument("--i", type=_integer, required=True)
+    p.add_argument("--parity", type=_integer, choices=(0, 1), default=None)
     p.set_defaults(handler=cmd_ni)
 
     limit = f"DEGREE_LIMIT = {DEGREE_LIMIT}"
     dims_help = f"dimension table up to a degree bound of at most {limit}"
     p = add_command("dims", help=dims_help, description=dims_help)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--imax", type=int, required=True)
+    p.add_argument("--r", type=_integer, required=True)
+    p.add_argument("--imax", type=_integer, required=True)
     p.set_defaults(handler=cmd_dims)
 
     verify_help = (f"decomposition, well-definedness, orbit-sum and closed-form "
                    f"correction suite over degrees up to max(imax, 2r), at most {limit}")
     p = add_command("verify-dim", help=verify_help, description=verify_help)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--imax", type=int, default=None,
+    p.add_argument("--r", type=_integer, required=True)
+    p.add_argument("--imax", type=_integer, default=None,
                    help="degree bound (default 6r)")
     p.set_defaults(handler=cmd_verify_dim)
 
@@ -309,9 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     generate_help = (f"write a deterministic random model file; at most "
                      f"GENERATE_STEP_LIMIT = {GENERATE_STEP_LIMIT} enumeration steps")
     p = add_command("generate", help=generate_help, description=generate_help)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--extra", type=int, default=4,
+    p.add_argument("--r", type=_integer, required=True)
+    p.add_argument("--seed", type=_integer, required=True)
+    p.add_argument("--extra", type=_integer, default=4,
                    help="extra weight range for p beyond r (default 4)")
     p.add_argument("--out", required=True, metavar="FILE")
     p.set_defaults(handler=cmd_generate)
@@ -329,7 +338,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
 

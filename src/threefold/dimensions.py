@@ -49,8 +49,6 @@ def degree_points(r: int, degree: int) -> frozenset[tuple[int, int, int, int, in
     then l5 and l3 are bounded by the degree and l4 is determined.
     """
     _check_r(r)
-    if degree < 0:
-        return frozenset()
     w1 = (r + 1) // 2
     w2 = (r - 1) // 2
     points = []
@@ -80,8 +78,6 @@ def parity_counts(r: int, degree: int) -> tuple[int, int]:
     rest // 2 and rest // 4 cost the same for every degree.
     """
     _check_r(r)
-    if degree < 0:
-        return 0, 0
     counts = [0, 0]
     w1 = (r + 1) // 2
     w2 = (r - 1) // 2

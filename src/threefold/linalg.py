@@ -1,8 +1,8 @@
 """Exact matrix utilities: Smith normal form with its transforms and the
 inverse of the column transform, rational inverses, determinants and pivot
-columns, and unimodular inverses (the reference the Smith normal form's
-inverse is tested against).  Everything runs on Python integers or
-Fraction, so there is no overflow and no rounding anywhere.
+columns, and unimodular inverses read from the Smith normal form.
+Everything runs on Python integers or Fraction, so there is no overflow and
+no rounding anywhere.
 """
 
 from __future__ import annotations
@@ -147,50 +147,27 @@ def invert_rational(matrix: Sequence[Sequence]) -> list[list[Fraction]]:
 def invert_unimodular(matrix: Sequence[Sequence[int]]) -> IntMatrix:
     """Inverse of a unimodular integer matrix, returned over the integers.
 
-    Integer row reduction of [matrix | identity]: Euclid steps leave one
-    nonzero entry in each column, which must be +1 or -1.
+    Read from the Smith normal form u*matrix*v == d: the matrix is
+    unimodular exactly when d is the identity, and then its inverse is v*u.
     """
     n = len(matrix)
     a = [[int(x) for x in row] for row in matrix]
     if any(len(row) != n for row in a):
         raise ValueError("not square")
+    # before the Smith normal form, which truncates each entry with int()
     if any(x != y for row, src in zip(a, matrix) for x, y in zip(row, src)):
         raise ValueError("matrix is not integral")
-    inv = identity_matrix(n)
-    for col in range(n):
-        while True:
-            live = [i for i in range(col, n) if a[i][col]]
-            if not live:
-                raise ValueError("singular matrix")
-            pivot = min(live, key=lambda i: abs(a[i][col]))
-            a[col], a[pivot] = a[pivot], a[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
-            if len(live) == 1:
-                break
-            p = a[col][col]
-            for i in range(col + 1, n):
-                if a[i][col]:
-                    c = a[i][col] // p
-                    a[i] = [x - c * y for x, y in zip(a[i], a[col])]
-                    inv[i] = [x - c * y for x, y in zip(inv[i], inv[col])]
-        if a[col][col] not in (1, -1):
-            raise ValueError("matrix is not unimodular")
-        if a[col][col] == -1:
-            a[col] = [-x for x in a[col]]
-            inv[col] = [-x for x in inv[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                c = a[i][col]
-                a[i] = [x - c * y for x, y in zip(a[i], a[col])]
-                inv[i] = [x - c * y for x, y in zip(inv[i], inv[col])]
-    return inv
+    u, d, v, _ = smith_normal_form(a)
+    if any(d[i][i] == 0 for i in range(n)):
+        raise ValueError("singular matrix")
+    if d != identity_matrix(n):
+        raise ValueError("matrix is not unimodular")
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*u)] for row in v]
 
 
 def rational_determinant(matrix: Sequence[Sequence]) -> Fraction:
     """Determinant of a square matrix with rational entries."""
     n = len(matrix)
-    if n == 0:
-        return Fraction(1)
     a = [[Fraction(x) for x in row] for row in matrix]
     det = Fraction(1)
     for col in range(n):

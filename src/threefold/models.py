@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .polynomials import (SparsePoly, detect_square_form, is_json_int,
-                          is_semi_invariant, poly_from_dict, poly_to_dict,
+from .polynomials import (SparsePoly, detect_square_form, is_json_int, is_semi_invariant,
+                          json_fields, poly_from_dict, poly_to_dict,
                           scaled_term_weights, substitute, weighted_order)
 from .quotients import QuotientType
 
@@ -91,11 +91,10 @@ class CD2Model:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "CD2Model":
-        if not isinstance(data, Mapping):
-            raise ValueError(f"a model must be a JSON object, not {type(data).__name__}")
-        if not is_json_int(data["r"]):
-            raise ValueError(f"r must be a JSON integer, got {data['r']!r}")
-        return cls(data["r"], poly_from_dict(data["p"]), poly_from_dict(data["q"]))
+        r, p, q = json_fields(data, "a model", "r", "p", "q")
+        if not is_json_int(r):
+            raise ValueError(f"r must be a JSON integer, got {r!r}")
+        return cls(r, poly_from_dict(p), poly_from_dict(q))
 
 
 def required_monomials(r: int) -> dict[str, tuple[int, ...]]:
@@ -174,8 +173,6 @@ def _even_q_monomials(r: int) -> list[tuple[int, ...]]:
     out = []
     for a in (0, 1):
         rest = (r - 1) - a * (r + 1) // 2
-        if rest < 0:
-            continue
         for b in range(rest // 2 + 1):
             if (a + b) % 2 == 0:
                 out.append((a, b, rest - 2 * b))
@@ -193,9 +190,7 @@ def _even_p_monomials(r: int, extra_degree: int) -> list[tuple[int, ...]]:
                 continue
             low = max(0, r + 1 - a * w2 - 2 * b)
             for c in range(low, top - a * w2 - 2 * b + 1):
-                weight = a * w2 + 2 * b + c
-                if r < weight <= top:
-                    out.append((a, b, c))
+                out.append((a, b, c))
     return out
 
 
@@ -214,10 +209,10 @@ def generate_model(r: int, seed: int, extra_degree: int = 4) -> CD2Model:
     [1, 9].  The congruence-forced monomials are always included (they are
     necessary for the germ family), as is x4^(r-1) in q, which keeps the
     germ disjoint from the x4-axis away from the origin and hence the
-    blow-up chart of x4 smooth at its origin.
+    blow-up chart of x4 smooth at its origin.  x3^2 does not divide that
+    term, so q is never of the form (x3*s)^2 and no draw is rejected.
     """
-    if not valid_r(r):
-        raise ValueError(f"r must be >= 7 and = +-1 mod 8, got {r}")
+    need = required_monomials(r)  # raises ValueError for an invalid r
     if extra_degree < 0:
         raise ValueError("extra_degree must be non-negative")
     top = r + extra_degree
@@ -230,17 +225,11 @@ def generate_model(r: int, seed: int, extra_degree: int = 4) -> CD2Model:
     def coefficient() -> Fraction:
         return Fraction(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 9))
 
-    need = required_monomials(r)
-    for _ in range(100):
-        q_terms = {need["q"]: coefficient(), (0, 0, r - 1): coefficient()}
-        for mono in _even_q_monomials(r):
-            if mono not in q_terms and rng.random() < 0.2:
-                q_terms[mono] = coefficient()
-        q = SparsePoly(Q_VARIABLES, q_terms)
-        if not q.is_zero and detect_square_form(q) is None:
-            break
-    else:
-        raise RuntimeError("square-form rejection sampling did not converge")
+    q_terms = {need["q"]: coefficient(), (0, 0, r - 1): coefficient()}
+    for mono in _even_q_monomials(r):
+        if mono not in q_terms and rng.random() < 0.2:
+            q_terms[mono] = coefficient()
+    q = SparsePoly(Q_VARIABLES, q_terms)
 
     p_terms = {need["p"]: coefficient()}
     for mono in _even_p_monomials(r, extra_degree):

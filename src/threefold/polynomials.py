@@ -420,7 +420,7 @@ def detect_square_form(q: SparsePoly) -> SparsePoly | None:
     """Recognize q == (x3 * s(x3^2, x4))^2 and return s, otherwise None.
 
     s comes back as a polynomial in (x3, x4) whose x3 exponents are all
-    even.  The factorization is verified by re-expansion before returning.
+    even; x3*s is the root polynomial_sqrt verified by re-expansion.
     """
     names = ("x3", "x4")
     if q.is_zero:
@@ -433,11 +433,7 @@ def detect_square_form(q: SparsePoly) -> SparsePoly | None:
         return None
     if any(e[0] % 2 == 0 for e in root.terms):
         return None
-    s = SparsePoly(names, {(e[0] - 1, e[1]): c for e, c in root.terms.items()})
-    x3 = SparsePoly.variable("x3", names)
-    if (x3 * s) ** 2 != flat:
-        return None
-    return s
+    return SparsePoly(names, {(e[0] - 1, e[1]): c for e, c in root.terms.items()})
 
 
 def low_part_ratio(p: SparsePoly, reference: SparsePoly, weights: Mapping, cutoff) -> Fraction | None:
@@ -505,11 +501,20 @@ def parse_rational(x, what: str) -> Fraction:
     return Fraction(x)
 
 
-def poly_from_dict(data: Mapping) -> SparsePoly:
-    """Inverse of poly_to_dict; raises ValueError on data of any other shape."""
+def json_fields(data, what: str, *keys: str) -> list:
+    """The values of keys in data, a JSON object described as `what`;
+    ValueError if data is not an object or lacks a key, naming the first."""
     if not isinstance(data, Mapping):
-        raise ValueError(f"a polynomial must be a JSON object, not {type(data).__name__}")
-    variables, terms = data["vars"], data["terms"]
+        raise ValueError(f"{what} must be a JSON object, not {type(data).__name__}")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise ValueError(f"{what} has no key {missing[0]!r}")
+    return [data[key] for key in keys]
+
+
+def poly_from_dict(data: Mapping) -> SparsePoly:
+    """Inverse of poly_to_dict; raises ValueError on any other shape or a repeated exponent vector."""
+    variables, terms = json_fields(data, "a polynomial", "vars", "terms")
     if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
         raise ValueError(f"polynomial 'vars' must be a list of strings, got {variables!r}")
     if not isinstance(terms, list):
@@ -521,6 +526,8 @@ def poly_from_dict(data: Mapping) -> SparsePoly:
                 or not (is_json_int(t.get("c")) or isinstance(t.get("c"), str))):
             raise ValueError("each polynomial term must be an object with an integer "
                              f"list 'e' and an integer or 'p/q' string 'c', got {t!r}")
+        if tuple(t["e"]) in clean:
+            raise ValueError(f"exponent vector {t['e']} appears twice in a polynomial")
         try:
             clean[tuple(t["e"])] = parse_rational(t["c"], "coefficient")
         except ZeroDivisionError:

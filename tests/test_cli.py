@@ -372,6 +372,46 @@ class TestDigitLimit:
             assert err == f"error: an integer in {path} has 5000 digits; {LIMIT}\n"
 
 
+# each integer flag, in a command line whose other arguments are valid
+INTEGER_FLAGS = {
+    "--r": ["ni", "--r", "{}", "--i", "4"],
+    "--i": ["ni", "--r", "7", "--i", "{}"],
+    "--parity": ["ni", "--r", "7", "--i", "4", "--parity", "{}"],
+    "--imax": ["dims", "--r", "7", "--imax", "{}"],
+    "--seed": ["generate", "--r", "7", "--seed", "{}"],
+    "--extra": ["generate", "--r", "7", "--seed", "1", "--extra", "{}"],
+}
+
+
+class TestIntegerFlags:
+    @pytest.mark.parametrize("token", ["7" * 5000, "-" + "7" * 1001, "٢٣", "1_0",
+                                       "+7", " 7", "7.0", "0x7", ""],
+                             ids=["huge", "huge_negative", "arabic_indic", "underscore",
+                                  "plus", "space", "decimal", "hex", "empty"])
+    @pytest.mark.parametrize("flag", list(INTEGER_FLAGS))
+    def test_outside_the_grammar_exits_two(self, capsys, tmp_path, flag, token):
+        out_path = tmp_path / "model.json"
+        argv = [a.format(token) for a in INTEGER_FLAGS[flag]]
+        if argv[0] == "generate":
+            argv += ["--out", str(out_path)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == "" and not out_path.exists()
+        # a usage line and one error line that names the flag, not the token
+        assert err.endswith(f"error: argument {flag}: expected {LIMIT} "
+                            "ASCII digits with an optional leading minus\n")
+        assert len(err) < 400 and "7" * 20 not in err
+
+    def test_digits_at_the_limit_are_read(self, capsys):
+        # DIGIT_LIMIT digits and a minus pass the flag; the command judges the value
+        low = "-" + "7" * DIGIT_LIMIT
+        code, data, _ = run_json(capsys, "ni", "--r", "7", "--i", low)
+        assert code == 0 and data["i"] == int(low) and data["points"] == []
+        code, out, err = run(capsys, "dims", "--r", "7", "--imax", low)
+        assert (code, out) == (2, "") and err.startswith("error: --imax must be non-negative")
+
+
 class TestModelPipeline:
     def test_generate_validate_blowup(self, capsys, tmp_path):
         path = str(tmp_path / "model.json")
@@ -425,7 +465,15 @@ class TestModelPipeline:
          "r must be a JSON integer"),
         ('{"r": 7, "p": {"vars": ["x2"], "terms": [{"e": [2], "c": "1/0"}]}, '
          '"q": {"vars": [], "terms": []}}', "zero denominator"),
-    ], ids=["term_not_object", "vars_not_list", "r_not_integer", "zero_denominator"])
+        ('{"r": 7, "p": {"vars": ["x2", "x3", "x4"], "terms": [{"c": 1, "e": [0, 4, 0]}, '
+         '{"c": 2, "e": [0, 4, 0]}]}, "q": {"vars": [], "terms": []}}',
+         "exponent vector [0, 4, 0] appears twice"),
+        ('{"p": {"vars": [], "terms": []}, "q": {"vars": [], "terms": []}}',
+         "a model has no key 'r'"),
+        ('{"r": 7, "p": {"terms": []}, "q": {"vars": [], "terms": []}}',
+         "a polynomial has no key 'vars'"),
+    ], ids=["term_not_object", "vars_not_list", "r_not_integer", "zero_denominator",
+            "repeated_exponents", "missing_r", "missing_vars"])
     def test_malformed_nested_shape_exits_two(self, capsys, tmp_path, text, message):
         path = tmp_path / "shape.json"
         path.write_text(text)

@@ -3,7 +3,7 @@ import pytest
 from threefold.models import (CD2Model, P_VARIABLES, Q_VARIABLES,
                               check_required_monomials, classify_normal_form,
                               eliminate_x5, generate_model, model_equations,
-                              model_weights, required_monomials, validate_model)
+                              model_weights, required_monomials, valid_r, validate_model)
 from threefold.polynomials import (SparsePoly, low_part_ratio, truncate_le,
                                    weighted_order)
 
@@ -104,6 +104,10 @@ class TestGenerate:
     def test_required_monomial_baked_in(self):
         model = generate_model(9, 0, 2)
         assert model.q.coefficient((0, 4, 0)) != 0  # x3^4 at r = 9
+        # so is x4^(r-1), which x3^2 does not divide: no q is a square (x3*s)^2
+        for r in filter(valid_r, range(401)):
+            for seed in range(5):
+                assert generate_model(r, seed).q.coefficient((0, 0, r - 1)) != 0, (r, seed)
 
     def test_negative_fixture_flag(self):
         model = generate_model(7, 3, 4)
