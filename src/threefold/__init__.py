@@ -17,7 +17,7 @@ from .models import (CD2Model, CheckResult, NormalFormResult, ValidationReport,
                      model_weights, required_monomials, validate_model)
 from .polynomials import (GroupAction, INFINITE_ORDER, SparsePoly,
                           detect_square_form, is_semi_invariant, low_part_ratio,
-                          poly_from_dict, poly_to_dict, polynomial_sqrt, substitute,
+                          poly_from_dict, poly_to_dict, polynomial_sqrt,
                           truncate_gt, truncate_le, weighted_order)
 from .quotients import (ChartGroup, ChartGroupFactor, ChartReport, LatticeError,
                         QuotientType, blowup_charts, effective_factors,

@@ -28,13 +28,16 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]
     diagonal with non-negative entries satisfying d[0][0] | d[1][1] | ...,
     and v_inv the inverse of v, kept by applying the inverse row operation
     for each column operation, so no second elimination is needed
-    (invert_unimodular(v) computes the same matrix).
+    (invert_unimodular(v) computes the same matrix).  An entry unequal to
+    its int(), such as Fraction(3, 2), raises ValueError.
     """
     d = [[int(x) for x in row] for row in matrix]
     m = len(d)
     n = len(d[0]) if m else 0
     if any(len(row) != n for row in d):
         raise ValueError("ragged matrix")
+    if any(x != y for row, src in zip(d, matrix) for x, y in zip(row, src)):
+        raise ValueError("matrix is not integral")
     u = identity_matrix(m)
     v = identity_matrix(n)
     v_inv = identity_matrix(n)
@@ -151,13 +154,9 @@ def invert_unimodular(matrix: Sequence[Sequence[int]]) -> IntMatrix:
     unimodular exactly when d is the identity, and then its inverse is v*u.
     """
     n = len(matrix)
-    a = [[int(x) for x in row] for row in matrix]
-    if any(len(row) != n for row in a):
+    if any(len(row) != n for row in matrix):
         raise ValueError("not square")
-    # before the Smith normal form, which truncates each entry with int()
-    if any(x != y for row, src in zip(a, matrix) for x, y in zip(row, src)):
-        raise ValueError("matrix is not integral")
-    u, d, v, _ = smith_normal_form(a)
+    u, d, v, _ = smith_normal_form(matrix)
     if any(d[i][i] == 0 for i in range(n)):
         raise ValueError("singular matrix")
     if d != identity_matrix(n):

@@ -19,7 +19,7 @@ from typing import Mapping
 
 from .polynomials import (SparsePoly, detect_square_form, is_json_int, is_semi_invariant,
                           json_fields, poly_from_dict, poly_to_dict,
-                          scaled_term_weights, substitute, weighted_order)
+                          scaled_term_weights, weighted_order)
 from .quotients import QuotientType
 
 GERM_VARIABLES = ("x1", "x2", "x3", "x4", "x5")
@@ -143,7 +143,8 @@ def validate_model(model: CD2Model, strict: bool = False) -> ValidationReport:
     q_homogeneous = bool(q_powers) and all(w == (r - 1) * scale for w in q_powers)
     q_weights = sorted(Fraction(w, scale) for w in set(q_powers))
     checks.append(CheckResult("q_weight", q_homogeneous,
-                              f"q term weights {q_weights}, needs exactly {{{r - 1}}}"))
+                              f"q term weights [{', '.join(map(str, q_weights))}], "
+                              f"needs exactly {{{r - 1}}}"))
 
     p_action = AMBIENT.group_action(GERM_VARIABLES).restricted(P_VARIABLES)
     q_action = AMBIENT.group_action(GERM_VARIABLES).restricted(Q_VARIABLES)
@@ -247,6 +248,7 @@ def generate_model(r: int, seed: int, extra_degree: int = 4) -> CD2Model:
 _X1_SQUARED, _X4_X5 = (2, 0, 0, 0, 0), (0, 0, 0, 1, 1)
 _X2_SQUARED, _X5 = (0, 2, 0, 0, 0), (0, 0, 0, 0, 1)
 _ONE = Fraction(1)
+_FOUR = GERM_VARIABLES[:4]
 
 
 def model_equations(model: CD2Model) -> tuple[SparsePoly, SparsePoly]:
@@ -268,12 +270,16 @@ def eliminate_x5(model: CD2Model) -> SparsePoly:
 
     Returns the four-variable hypersurface germ
     x1^2 - x4*(x2^2 + q) + p over C^4/(1/2)(1,1,1,0); its weighted order is
-    exactly r and its weight <= r part is -x4*(x2^2 + q).
+    exactly r and its weight <= r part is -x4*(x2^2 + q).  The terms of
+    x4*q carry x4 and no x2, so they miss x1^2, x2^2*x4 and each other; a
+    term of p may fall on any of them and is added there.
     """
-    first, _ = model_equations(model)
-    x2 = SparsePoly.variable("x2", GERM_VARIABLES)
-    replacement = -(x2 ** 2 + model.q.with_variables(GERM_VARIABLES))
-    return substitute(first, "x5", replacement).with_variables(GERM_VARIABLES[:4])
+    terms = {(2, 0, 0, 0): _ONE, (0, 2, 0, 1): -_ONE}
+    terms.update(((a, 0, b, c + 1), -coeff) for (a, b, c), coeff in model.q.terms.items())
+    for (a, b, c), coeff in model.p.terms.items():
+        key = (0, a, b, c)
+        terms[key] = terms[key] + coeff if key in terms else coeff
+    return SparsePoly(_FOUR, terms)
 
 
 # -- normal-form recognition ---------------------------------------------------
@@ -290,9 +296,6 @@ class NormalFormResult:
         return {"form": self.form, "elephant_ok": self.elephant_ok,
                 "flipped_x4": self.flipped_x4,
                 "data": {k: str(v) for k, v in self.data.items()}}
-
-
-_FOUR = GERM_VARIABLES[:4]
 
 
 def _match_form_a(phi: SparsePoly, r: int) -> NormalFormResult | None:
@@ -374,9 +377,10 @@ def classify_normal_form(phi: SparsePoly, r: int) -> NormalFormResult:
     if lead == 0:
         return unrecognized
     scaled = flat * (1 / lead)
-    minus_x4 = -SparsePoly.variable("x4", _FOUR)
     for flipped in (False, True):
-        candidate = substitute(scaled, "x4", minus_x4) if flipped else scaled
+        # x4 -> -x4 negates the terms of odd x4 degree
+        candidate = (SparsePoly(_FOUR, {e: -c if e[3] % 2 else c for e, c in scaled.terms.items()})
+                     if flipped else scaled)
         for matcher in (_match_form_a, _match_form_b):
             result = matcher(candidate, r)
             if result is not None:

@@ -6,12 +6,12 @@ identified by name, not position, so germs written over four and five
 coordinates share the same operations: binary operations align the two
 variable universes first.
 
-On top of the arithmetic this module provides the weighted-order toolkit
-used everywhere else: weighted order of a polynomial under a positive
-weight assignment (the vanishing order along the exceptional divisor of a
-weighted blow-up), truncations by weight, cyclic
-semi-invariance, exact polynomial square roots, and the detector for
-squares of the special shape (x3*s(x3^2, x4))^2.
+On top of the ring operations (+, -, *, ==) this module provides the
+weighted-order toolkit used everywhere else: weighted order of a
+polynomial under a positive weight assignment (the vanishing order along
+the exceptional divisor of a weighted blow-up), truncations by weight,
+cyclic semi-invariance, exact polynomial square roots, and the detector
+for squares of the special shape (x3*s(x3^2, x4))^2.
 
 No floating point appears anywhere; every coefficient is a Fraction and
 orders are Fraction or the distinguished INFINITE_ORDER value.  Orders and
@@ -77,21 +77,17 @@ class SparsePoly:
             raise ValueError("duplicate variable names")
         clean: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(map(int, exps))
+            try:
+                exps = tuple(map(operator.index, exps))
+            except TypeError:
+                raise ValueError("exponents must be integers") from None
             if len(exps) != arity:
                 raise ValueError("exponent vector arity mismatch")
             if exps and min(exps) < 0:
                 raise ValueError("negative exponent")
             c = coeff if type(coeff) is Fraction else Fraction(coeff)
-            if not c:
-                continue
-            if exps in clean:
-                # distinct keys that coincide after int(): add, dropping a zero sum
-                c += clean[exps]
-                if not c:
-                    del clean[exps]
-                    continue
-            clean[exps] = c
+            if c:
+                clean[exps] = c
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", clean)
 
@@ -209,19 +205,6 @@ class SparsePoly:
         return SparsePoly(a.variables, terms)
 
     __rmul__ = __mul__
-
-    def __pow__(self, power: int) -> "SparsePoly":
-        if not isinstance(power, int) or power < 0:
-            raise ValueError("power must be a non-negative integer")
-        result = SparsePoly.constant(self.variables, 1)
-        base = self
-        n = power
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     # -- display -----------------------------------------------------------
 
@@ -349,28 +332,6 @@ def is_semi_invariant(p: SparsePoly, action: GroupAction) -> int | None:
     return found.pop() if found else 0
 
 
-# -- substitution ----------------------------------------------------------
-
-
-def substitute(p: SparsePoly, variable: str, replacement: SparsePoly) -> SparsePoly:
-    """Exact polynomial substitution of `replacement` for `variable` in p."""
-    if variable not in p.variables:
-        return p
-    merged = p.variables + tuple(v for v in replacement.variables if v not in p.variables)
-    idx = merged.index(variable)
-    repl = replacement.with_variables(merged)
-    result = SparsePoly.zero(merged)
-    powers: dict[int, SparsePoly] = {0: SparsePoly.constant(merged, 1)}
-    for exps, c in p.with_variables(merged).terms.items():
-        k = exps[idx]
-        if k not in powers:
-            powers[k] = repl ** k
-        rest = list(exps)
-        rest[idx] = 0
-        result = result + SparsePoly.monomial(merged, rest, c) * powers[k]
-    return result
-
-
 # -- exact square roots and the special square form -------------------------
 
 
@@ -388,7 +349,10 @@ def polynomial_sqrt(p: SparsePoly) -> SparsePoly | None:
     """Exact square root of p, or None if p is not a perfect square.
 
     Peels the root term by term from the lexicographically leading monomial
-    (variables compared in declared order) and verifies by re-expansion.
+    (variables compared in declared order).  One running remainder, p minus
+    the square of the root so far, gives each next term; a new term c*m
+    takes 2*c*m*(earlier terms) + c^2*m^2 off it.  The root is returned
+    only when the remainder reaches zero, so its square is exactly p.
     """
     if p.is_zero:
         return SparsePoly.zero(p.variables)
@@ -400,27 +364,35 @@ def polynomial_sqrt(p: SparsePoly) -> SparsePoly | None:
         return None
     half = tuple(e // 2 for e in lead)
     root_terms: dict[tuple[int, ...], Fraction] = {half: lead_coeff}
+    remainder = dict(p.terms)
+    del remainder[lead]
     previous = None
-    while True:
-        root = SparsePoly(p.variables, root_terms)
-        remainder = p - root * root
-        if remainder.is_zero:
-            return root
-        top = max(remainder.terms)
+    while remainder:
+        top = max(remainder)
         exps = tuple(a - b for a, b in zip(top, half))
         if any(e < 0 for e in exps):
             return None
         if previous is not None and exps >= previous:
             return None
         previous = exps
-        root_terms[exps] = remainder.terms[top] / (2 * lead_coeff)
+        c = remainder[top] / (2 * lead_coeff)
+        taken = [(tuple(map(operator.add, exps, e)), 2 * c * d) for e, d in root_terms.items()]
+        taken.append((tuple(2 * e for e in exps), c * c))
+        for key, d in taken:
+            rest = remainder.get(key, 0) - d
+            if rest:
+                remainder[key] = rest
+            else:
+                del remainder[key]
+        root_terms[exps] = c
+    return SparsePoly(p.variables, root_terms)
 
 
 def detect_square_form(q: SparsePoly) -> SparsePoly | None:
     """Recognize q == (x3 * s(x3^2, x4))^2 and return s, otherwise None.
 
     s comes back as a polynomial in (x3, x4) whose x3 exponents are all
-    even; x3*s is the root polynomial_sqrt verified by re-expansion.
+    even; x3*s is the root polynomial_sqrt returns, whose square is q.
     """
     names = ("x3", "x4")
     if q.is_zero:

@@ -373,9 +373,10 @@ def blowup_charts(ambient: QuotientType, v: Sequence) -> ChartReport:
     lattice = _ambient_lattice(ambient)
     coords = None if scaled_v is None else _integer_coordinates(scaled_v, lattice)
     if coords is None:
-        raise LatticeError(f"{vv} is not in the lattice of {ambient}")
+        raise LatticeError(f"({', '.join(map(str, vv))}) is not in the lattice of {ambient}")
     if math.gcd(*coords) != 1:
-        raise LatticeError(f"{vv} is not primitive in the lattice of {ambient}")
+        raise LatticeError(f"({', '.join(map(str, vv))}) is not primitive "
+                           f"in the lattice of {ambient}")
 
     # chart i divides by scale*e_l (l != i) and scale*v; the coordinates of
     # the rows scale*e_l are computed once for all charts

@@ -175,9 +175,9 @@ class TestChartSingularities:
         germ = model_germ(model)
         v = blowup_vector(9)
         baseline = chart_singularities(germ, v)
-        x3 = SparsePoly.variable("x3", V5)
+        x3_12 = SparsePoly.monomial(V5, (0, 0, 12, 0, 0))
         perturbed = CIGerm(germ.ambient, germ.variables,
-                           (germ.equations[0] + x3 ** 12, germ.equations[1]))
+                           (germ.equations[0] + x3_12, germ.equations[1]))
         assert chart_singularities(perturbed, v) == baseline
 
 

@@ -7,8 +7,8 @@ from threefold import cli, dimensions, models, quotients
 from threefold.cli import build_parser, main
 from threefold.dimensions import (CorrectionProfile, InconsistencyError,
                                   WellDefinednessError, degree_point_count)
-from threefold.models import generate_model
-from threefold.polynomials import DIGIT_LIMIT
+from threefold.models import CD2Model, Q_VARIABLES, generate_model
+from threefold.polynomials import DIGIT_LIMIT, SparsePoly
 
 
 def run(capsys, *argv):
@@ -296,8 +296,7 @@ class TestCharts:
         code, out, err = run(capsys, "charts", "--ambient", "1/1000000(1,2,3)",
                              "--weights", "1,1,1/1000000")
         assert (code, out) == (2, "") and len(snf_calls) == 1
-        assert err == ("error: (Fraction(1, 1), Fraction(1, 1), Fraction(1, 1000000)) "
-                       "is not in the lattice of 1/1000000(1,2,3)\n")
+        assert err == "error: (1, 1, 1/1000000) is not in the lattice of 1/1000000(1,2,3)\n"
         code, out, err = run(capsys, "charts", "--ambient", "1/1000000(1,2,3)",
                              "--weights", "2/1000000,4/1000000,6/1000000")
         assert (code, out) == (2, "") and len(snf_calls) == 2 and "not primitive" in err
@@ -441,6 +440,21 @@ class TestModelPipeline:
         open(path, "w").write(json.dumps(data))
         code, payload, _ = run_json(capsys, "validate", "--model", path)
         assert code == 1 and payload["passed"] is False
+
+    def test_long_square_exits_one_and_names_it(self, capsys, tmp_path):
+        # q = (x3*s)^2 with s of 200 terms in x3^2 and x4, 739 terms of q
+        s = SparsePoly(("x3", "x4"), {(2 * a, b): Fraction(a - 7, b + 1) or 1
+                                      for a in range(20) for b in range(10)})
+        root = SparsePoly(Q_VARIABLES, {(0, a + 1, b): c for (a, b), c in s.terms.items()})
+        model = CD2Model(7, generate_model(7, 42).p, root * root)
+        assert len(s.terms) == 200 and len(model.q.terms) == 739
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps(model.to_json_dict()))
+        for command in ("validate", "blowup"):
+            code, data, _ = run_json(capsys, command, "--model", str(path))
+            failed = {c["name"]: c["detail"] for c in data["checks"] if not c["passed"]}
+            assert code == 1 and list(failed) == ["q_weight", "q_square_free"], command
+            assert failed["q_square_free"] == f"q = (x3*({s}))^2"
 
     def test_malformed_file_exits_two(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

@@ -2,7 +2,10 @@
 
 Each file under tests/golden/ is the ``--format json`` stdout of one command
 below, and model_r<r>_seed42.json is the model file ``generate --r <r> --seed 42``
-writes.  A refactor that changes any byte of that output fails here.  The
+writes.  model_square_r23.json keeps the p of model_r23_seed42.json and takes
+q = (x3*s)^2 with s = x4^9 + 2*x3^2*x4^5 - 1/3*x3^4*x4, so validate and
+blowup fail on the square check alone.  A refactor that changes any byte of
+that output fails here.  The
 path ``generate`` reports is replaced by OUT before comparing, since the
 test writes to a temporary directory.
 """
@@ -19,6 +22,7 @@ GOLDEN = Path(__file__).parent / "golden"
 MODEL = GOLDEN / "model_r7_seed42.json"
 MODEL_R23 = GOLDEN / "model_r23_seed42.json"
 MODEL_R95 = GOLDEN / "model_r95_seed42.json"
+MODEL_SQUARE = GOLDEN / "model_square_r23.json"
 OUT = "<out>"
 
 # (golden file, exit code, arguments after --format json)
@@ -37,6 +41,8 @@ CASES = (
     ("blowup_r95_seed42.json", 0, ["blowup", "--model", str(MODEL_R95)]),
     ("charts_1_5_2_3_1.json", 0, ["charts", "--ambient", "1/5(2,3,1)",
                                   "--weights", "2/5,3/5,1/5"]),
+    ("validate_square_r23.json", 1, ["validate", "--model", str(MODEL_SQUARE)]),
+    ("blowup_square_r23.json", 1, ["blowup", "--model", str(MODEL_SQUARE)]),
 )
 
 

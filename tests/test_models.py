@@ -135,6 +135,18 @@ class TestEliminateX5:
         assert validate_model(model).passed
         assert eliminate_x5(model) == germ4("x1^2 - x2^2*x4 - x1*x3*x4")
 
+    def test_p_meets_x4_q(self):
+        # x3^2*x4^3 lies in p and in x4*q: the coefficients add, and the
+        # term goes when they cancel; x2^2*x4 in p cancels -x4*x2^2
+        q = QQ("x1*x3 + x3^2*x4^2")
+        cases = (("x3^4 + 2*x3^2*x4^3", "x1^2 - x2^2*x4 - x1*x3*x4 + x3^2*x4^3 + x3^4"),
+                 ("x3^4 + x3^2*x4^3", "x1^2 - x2^2*x4 - x1*x3*x4 + x3^4"),
+                 ("x2^2*x4", "x1^2 - x1*x3*x4 - x3^2*x4^3"))
+        for p, expected in cases:
+            phi = eliminate_x5(CD2Model(7, PP(p), q))
+            assert phi == germ4(expected), p
+            assert 0 not in phi.terms.values()
+
     def test_weighted_order_is_r(self):
         for r in (7, 9, 17):
             model = generate_model(r, 1, 4)
@@ -147,7 +159,7 @@ class TestEliminateX5:
         weights = model_weights(7)
         x2 = SparsePoly.variable("x2", V4)
         x4 = SparsePoly.variable("x4", V4)
-        psi = x2 ** 2 + model.q.with_variables(V4)
+        psi = x2 * x2 + model.q.with_variables(V4)
         assert truncate_le(phi, weights, 7) == -(x4 * psi)
         assert low_part_ratio(phi, x4 * psi, weights, 7) == -1
 

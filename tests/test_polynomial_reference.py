@@ -3,21 +3,23 @@
 The reference is built here: the SparsePoly constructor that converted
 every coefficient and added every term to a Fraction zero, term weights as
 sums of Fraction products with the weighted order and the weight filters
-on top of them, the per-variable character loop of is_semi_invariant, and
-the model equations as sums of SparsePoly values.  On seeded random inputs
-the fast code must give the same values and raise the same errors, message
-included.
+on top of them, the per-variable character loop of is_semi_invariant, the
+model equations and the x5 elimination as sums of SparsePoly values, and
+the square-root peel that squared the whole root again for every term.
+On seeded random inputs the fast code must give the same values and raise
+the same errors, message included.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from threefold.models import (CD2Model, GERM_VARIABLES, P_VARIABLES, generate_model,
-                              model_equations, valid_r)
+from threefold.models import (CD2Model, GERM_VARIABLES, P_VARIABLES, eliminate_x5,
+                              generate_model, model_equations, valid_r)
 from threefold.polynomials import (INFINITE_ORDER, GroupAction, SparsePoly,
-                                   is_semi_invariant, scaled_term_weights,
+                                   is_semi_invariant, polynomial_sqrt, scaled_term_weights,
                                    truncate_gt, truncate_le, weighted_order)
 
 from helpers import parse_poly
@@ -31,7 +33,9 @@ def reference_terms(variables, terms):
         raise ValueError("duplicate variable names")
     clean = {}
     for exps, coeff in (terms or {}).items():
-        exps = tuple(int(e) for e in exps)
+        if not all(isinstance(e, int) for e in exps):
+            raise ValueError("exponents must be integers")
+        exps = tuple(exps)
         if len(exps) != len(variables):
             raise ValueError("exponent vector arity mismatch")
         if any(e < 0 for e in exps):
@@ -90,10 +94,9 @@ def random_coefficient(rng):
     return rng.choice((n, f"{n}/{d}", Fraction(n, d), Fraction(n, d)))
 
 
-def random_exponent(rng):
-    e = rng.randint(0, 4)
-    # the last three coincide with e after int()
-    return rng.choice((e, e, e, e, Fraction(2 * e + 1, 2), e + 0.75, str(e)))
+def random_non_integer(rng, e):
+    # an exponent int() would have read as e
+    return rng.choice((Fraction(2 * e + 1, 2), e + 0.75, float(e), str(e), Fraction(e)))
 
 
 def random_terms(rng, variables):
@@ -101,18 +104,13 @@ def random_terms(rng, variables):
     terms = {}
     for _ in range(rng.randint(0, 8)):
         exps = tuple(rng.randint(0, 4) for _ in range(arity))
-        c = random_coefficient(rng)
-        terms[exps] = c
+        terms[exps] = random_coefficient(rng)
         kind = rng.random()
-        if kind < 0.3:
-            # a distinct key that coincides after int(); half of them cancel
-            twin = tuple(random_exponent(rng) if rng.random() < 0.5 else e for e in exps)
-            if arity:
-                twin = (Fraction(2 * exps[0] + 1, 2),) + twin[1:]
-            terms[twin] = -Fraction(c) if rng.random() < 0.5 else random_coefficient(rng)
-        elif kind < 0.35:
+        if kind < 0.03 and arity:
+            terms[(random_non_integer(rng, exps[0]),) + exps[1:]] = 1
+        elif kind < 0.08:
             terms[exps + (1,)] = 1
-        elif kind < 0.4 and arity:
+        elif kind < 0.13 and arity:
             terms[exps[:-1] + (-1,)] = 1
     return terms
 
@@ -158,24 +156,25 @@ def test_constructor_matches_reference():
         seen.add(expected[2] if expected[0] == "error" else "value")
     # every check was reached
     assert seen == {"value", "duplicate variable names", "exponent vector arity mismatch",
-                    "negative exponent"}
+                    "negative exponent", "exponents must be integers"}
 
 
-def test_constructor_collisions_that_cancel():
+def test_constructor_rejects_non_integer_exponents():
+    # an exponent int() would truncate is refused, alone or beside its
+    # integer twin, which it would otherwise have merged with or cancelled
     rng = random.Random(20112)
-    cancelled = 0
+    refused = ("error", ValueError, "exponents must be integers")
     for _ in CASES:
         variables = tuple(rng.sample(NAMES, rng.randint(1, 4)))
         exps = tuple(rng.randint(0, 3) for _ in variables)
         c = random_coefficient(rng)
-        twin = (Fraction(2 * exps[0] + 1, 2),) + exps[1:]
-        terms = {exps: c, (9,) * len(variables): 1, twin: -Fraction(c)}
-        if rng.random() < 0.5:
-            terms[(exps[0] + 0.5,) + exps[1:]] = c
-        _, clean = reference_terms(variables, terms)
-        assert as_items(SparsePoly(variables, terms)) == (variables, list(clean.items()))
-        cancelled += exps not in clean
-    assert cancelled > 0
+        k = rng.randrange(len(variables))
+        twin = exps[:k] + (random_non_integer(rng, exps[k]),) + exps[k + 1:]
+        # a twin equal to exps, such as (2.0,) beside (2,), is the same key
+        pair = [{exps: c, twin: -Fraction(c)}] if twin != exps else []
+        for terms in [{twin: c}, *pair]:
+            assert outcome(reference_terms, variables, terms) == refused
+            assert outcome(SparsePoly, variables, terms) == refused, terms
 
 
 def test_arithmetic_matches_reference():
@@ -322,3 +321,87 @@ def test_model_equations_match_reference():
                 model = CD2Model(r, SparsePoly.zero(P_VARIABLES), model.q)
             got, expected = model_equations(model), reference_model_equations(model)
             assert [as_items(eq) for eq in got] == [as_items(eq) for eq in expected], r
+
+
+def reference_eliminate_x5(model):
+    four = GERM_VARIABLES[:4]
+    x4 = SparsePoly.variable("x4", four)
+    return (parse_poly("x1^2", four) + model.p.with_variables(four)
+            - x4 * (parse_poly("x2^2", four) + model.q.with_variables(four)))
+
+
+def test_eliminate_x5_matches_reference():
+    for r in filter(valid_r, range(101)):
+        for seed in (0, 1, 2):
+            model = generate_model(r, seed)
+            if seed == 1:
+                model = CD2Model(r, SparsePoly.zero(P_VARIABLES), model.q)
+            got = eliminate_x5(model)
+            assert all(type(c) is Fraction for c in got.terms.values())
+            assert got.variables == GERM_VARIABLES[:4]
+            assert got == reference_eliminate_x5(model), (r, seed)
+
+
+def reference_fraction_sqrt(c):
+    if c < 0:
+        return None
+    n, d = math.isqrt(c.numerator), math.isqrt(c.denominator)
+    return Fraction(n, d) if n * n == c.numerator and d * d == c.denominator else None
+
+
+def reference_sqrt(p):
+    # the peel polynomial_sqrt replaced: after each new term it squares the
+    # whole root so far and subtracts it from p again
+    if p.is_zero:
+        return SparsePoly.zero(p.variables)
+    lead = max(p.terms)
+    if any(e % 2 for e in lead):
+        return None
+    lead_coeff = reference_fraction_sqrt(p.terms[lead])
+    if lead_coeff is None:
+        return None
+    half = tuple(e // 2 for e in lead)
+    root_terms = {half: lead_coeff}
+    previous = None
+    while True:
+        root = SparsePoly(p.variables, root_terms)
+        remainder = p - root * root
+        if remainder.is_zero:
+            return root
+        top = max(remainder.terms)
+        exps = tuple(a - b for a, b in zip(top, half))
+        if any(e < 0 for e in exps):
+            return None
+        if previous is not None and exps >= previous:
+            return None
+        previous = exps
+        root_terms[exps] = remainder.terms[top] / (2 * lead_coeff)
+
+
+def sqrt_items(p):
+    root = polynomial_sqrt(p)
+    return None if root is None else as_items(root)
+
+
+def test_sqrt_matches_reference():
+    # squares written as products s*s, squares perturbed below their
+    # leading term (so the peel runs before it fails), and random
+    # polynomials, over three variables
+    rng = random.Random(20117)
+    variables = ("x1", "x3", "x4")
+    kinds = {"square": 0, "none": 0}
+    for case in range(3000):
+        s = random_poly(rng, variables)
+        p = s * s
+        if case % 3 == 1 and not p.is_zero:
+            lead = max(p.terms)
+            below = [e for e in (tuple(rng.randint(0, 8) for _ in variables)
+                                 for _ in range(4)) if e < lead]
+            p = p + SparsePoly(variables, {e: random_coefficient(rng) for e in below})
+        elif case % 3 == 2:
+            p = random_poly(rng, variables)
+        expected = reference_sqrt(p)
+        expected = None if expected is None else as_items(expected)
+        assert sqrt_items(p) == expected, p
+        kinds["none" if expected is None else "square"] += 1
+    assert min(kinds.values()) > 1000, kinds

@@ -87,10 +87,11 @@ def ref_blowup_charts(ambient, v):
         raise LatticeError("weight vector arity does not match the ambient")
     if any(x <= 0 for x in vv):
         raise LatticeError("weight vector entries must be positive")
+    shown = "(" + ", ".join(str(x) for x in vv) + ")"
     if not ref_lattice_contains(ambient, vv):
-        raise LatticeError(f"{vv} is not in the lattice of {ambient}")
+        raise LatticeError(f"{shown} is not in the lattice of {ambient}")
     if not ref_is_primitive(ambient, vv):
-        raise LatticeError(f"{vv} is not primitive in the lattice of {ambient}")
+        raise LatticeError(f"{shown} is not primitive in the lattice of {ambient}")
     scale = math.lcm(ambient.n, *(x.denominator for x in vv))
     sup = [[scale if i == j else 0 for j in range(m)] for i in range(m)]
     sup.append([scale * a // ambient.n for a in ambient.weights])
@@ -313,6 +314,15 @@ def test_invert_unimodular_rejects_what_the_fraction_inverse_rejects():
     assert rejected > 300
     with pytest.raises(ValueError):
         invert_unimodular([[Fraction(1, 2)]])
+
+
+def test_smith_normal_form_refuses_non_integral_entries():
+    # int() would read the first as diag(1, 2)
+    for matrix in ([[Fraction(3, 2), 0], [0, 2.9]], [[1, 0], [0, 2.9]], [["2"]]):
+        with pytest.raises(ValueError, match="^matrix is not integral$"):
+            smith_normal_form(matrix)
+    _, d, _, _ = smith_normal_form([[Fraction(4, 2), 0], [0, 3]])
+    assert d == [[1, 0], [0, 6]]
 
 
 # -- Reid-Tai verdicts against the age loop ---------------------------------------
