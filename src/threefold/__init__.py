@@ -15,11 +15,11 @@ from .models import (CD2Model, CheckResult, NormalFormResult, ValidationReport,
                      blowup_vector, check_required_monomials, classify_normal_form,
                      eliminate_x5, generate_model, model_equations,
                      model_weights, required_monomials, validate_model)
-from .polynomials import (GroupAction, INFINITE_ORDER, SparsePoly,
+from .polynomials import (INFINITE_ORDER, SparsePoly,
                           detect_square_form, is_semi_invariant, low_part_ratio,
                           poly_from_dict, poly_to_dict, polynomial_sqrt,
                           truncate_gt, truncate_le, weighted_order)
-from .quotients import (ChartGroup, ChartGroupFactor, ChartReport, LatticeError,
+from .quotients import (ChartGroup, ChartReport, LatticeError,
                         QuotientType, blowup_charts, effective_factors,
                         reid_tai_is_canonical, reid_tai_is_terminal)
 

@@ -47,7 +47,8 @@ class CIGerm:
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
-        action = self.ambient.group_action(self.variables)
+        if len(self.variables) != self.ambient.arity:
+            raise ValueError("variable count does not match quotient arity")
         flattened = []
         for k, eq in enumerate(self.equations):
             if eq.is_zero:
@@ -57,7 +58,7 @@ class CIGerm:
             flat = eq.with_variables(self.variables)
             if flat.constant_term() != 0:
                 raise ValueError(f"equation {k} does not pass through the origin")
-            if is_semi_invariant(flat, action) is None:
+            if is_semi_invariant(flat.terms, self.ambient) is None:
                 raise ValueError(f"equation {k} is not semi-invariant under {self.ambient}")
             flattened.append(flat)
         object.__setattr__(self, "equations", tuple(flattened))
@@ -162,21 +163,13 @@ def _strict_transform(terms, chart: int) -> dict[tuple[int, ...], Fraction]:
     return {exps[:chart] + (power,) + exps[chart + 1:]: c for exps, c, power in terms}
 
 
-def _chart_character(terms, factor, chart: int, denominator: int) -> int | None:
-    # denominator times the character of a strict transform (the exponent
-    # vectors of its term map) under one chart group factor, modulo
-    # denominator * order: each recorded unit of the chart coordinate
-    # carries 1/denominator of its weight
-    modulus = factor.order * denominator
-    scaled = [w if l == chart else w * denominator for l, w in enumerate(factor.weights)]
-    found = None
-    for exps in terms:
-        chi = sum(map(operator.mul, scaled, exps)) % modulus
-        if found is None:
-            found = chi
-        elif chi != found:
-            return None
-    return found
+def _chart_action(factor: QuotientType, chart: int, denominator: int) -> QuotientType:
+    # one chart group factor acting on the exponents of a strict transform,
+    # with characters scaled by denominator: each recorded unit of the chart
+    # coordinate carries 1/denominator of its weight
+    return QuotientType(factor.n * denominator,
+                        tuple(w if l == chart else w * denominator
+                              for l, w in enumerate(factor.weights)))
 
 
 @lru_cache(maxsize=64)
@@ -211,8 +204,9 @@ def chart_singularities(germ: CIGerm, v: Sequence) -> tuple[ChartFinding, ...]:
     for i, var in enumerate(germ.variables):
         transforms = [_strict_transform(terms, i) for terms in powers]
         for factor in report.charts[i].factors:
+            action = _chart_action(factor, i, denominator)
             for transform in transforms:
-                if _chart_character(transform, factor, i, denominator) is None:
+                if is_semi_invariant(transform, action) is None:
                     raise ArithmeticError("strict transform lost semi-invariance")
 
         constant = next((k for k, transform in enumerate(transforms)

@@ -196,13 +196,13 @@ def cmd_charts(args) -> int:
         "ambient": str(ambient),
         "weights": [str(x) for x in v],
         "charts": [{"chart": i + 1, "order": chart.order,
-                    "factors": [{"order": f.order, "weights": list(f.weights)}
+                    "factors": [{"order": f.n, "weights": list(f.weights)}
                                 for f in chart.factors]}
                    for i, chart in enumerate(report.charts)],
     }
     rows = []
     for i, chart in enumerate(report.charts):
-        desc = " x ".join(str(f.as_type()) for f in chart.factors) or "trivial"
+        desc = " x ".join(map(str, chart.factors)) or "trivial"
         rows.append([str(i + 1), str(chart.order), desc])
     emit(payload, args, render_table(["chart", "order", "group"], rows))
     return PASS

@@ -26,6 +26,11 @@ GERM_VARIABLES = ("x1", "x2", "x3", "x4", "x5")
 P_VARIABLES = ("x2", "x3", "x4")
 Q_VARIABLES = ("x1", "x3", "x4")
 AMBIENT = QuotientType(2, (1, 1, 1, 0, 0))
+# the ambient action on the variables of p, of q and of the x5-eliminated
+# germ, one weight per variable in their order
+_P_ACTION, _Q_ACTION, _FOUR_ACTION = (
+    QuotientType(AMBIENT.n, tuple(AMBIENT.weights[GERM_VARIABLES.index(v)] for v in names))
+    for names in (P_VARIABLES, Q_VARIABLES, GERM_VARIABLES[:4]))
 
 
 def model_weights(r: int) -> dict[str, int]:
@@ -125,8 +130,8 @@ def check_required_monomials(model: CD2Model) -> tuple[CheckResult, CheckResult]
 
 def validate_model(model: CD2Model, strict: bool = False) -> ValidationReport:
     """Run every model invariant as a named check; failures are report
-    entries, never exceptions.  With strict=True the congruence-forced
-    monomials must be present as well."""
+    entries, and only a square-root peel past its limit raises ValueError.
+    With strict=True the congruence-forced monomials must be present too."""
     r = model.r
     weights = model_weights(r)
     checks: list[CheckResult] = []
@@ -146,11 +151,9 @@ def validate_model(model: CD2Model, strict: bool = False) -> ValidationReport:
                               f"q term weights [{', '.join(map(str, q_weights))}], "
                               f"needs exactly {{{r - 1}}}"))
 
-    p_action = AMBIENT.group_action(GERM_VARIABLES).restricted(P_VARIABLES)
-    q_action = AMBIENT.group_action(GERM_VARIABLES).restricted(Q_VARIABLES)
-    checks.append(CheckResult("p_parity", is_semi_invariant(model.p, p_action) == 0,
+    checks.append(CheckResult("p_parity", is_semi_invariant(model.p.terms, _P_ACTION) == 0,
                               "p must have even total degree in x2, x3 in every term"))
-    checks.append(CheckResult("q_parity", is_semi_invariant(model.q, q_action) == 0,
+    checks.append(CheckResult("q_parity", is_semi_invariant(model.q.terms, _Q_ACTION) == 0,
                               "q must have even total degree in x1, x3 in every term"))
 
     square = detect_square_form(model.q)
@@ -292,16 +295,11 @@ class NormalFormResult:
     flipped_x4: bool
     data: dict
 
-    def to_json_dict(self) -> dict:
-        return {"form": self.form, "elephant_ok": self.elephant_ok,
-                "flipped_x4": self.flipped_x4,
-                "data": {k: str(v) for k, v in self.data.items()}}
-
 
 def _match_form_a(phi: SparsePoly, r: int) -> NormalFormResult | None:
     # x1^2 + x2*x3*x4 + x2^(2a) + x3^(2b) + x4^g, a,b >= 2, g >= 3;
     # the displayed coefficients are units, so after scaling they must be 1
-    terms = dict(phi.with_variables(_FOUR).terms)
+    terms = dict(phi.terms)
     if len(terms) != 5 or terms.get((0, 1, 1, 1)) != 1:
         return None
     terms.pop((0, 1, 1, 1))
@@ -328,13 +326,12 @@ def _match_form_a(phi: SparsePoly, r: int) -> NormalFormResult | None:
 def _match_form_b(phi: SparsePoly, r: int) -> NormalFormResult | None:
     # x1^2 + x2^2*x4 + lambda*x2*x3^(2a-1) + g(x3^2, x4), a >= 2, lambda and
     # g free, g in the ideal (x3^4, x3^2*x4^2, x4^3); x2^2*x4 scaled to 1
-    flat = phi.with_variables(_FOUR)
-    if flat.coefficient((0, 2, 0, 1)) != 1:
+    if phi.coefficient((0, 2, 0, 1)) != 1:
         return None
     lam = Fraction(0)
     alpha = None
     g_terms: dict[tuple[int, int], Fraction] = {}
-    for (e1, e2, e3, e4), c in flat.terms.items():
+    for (e1, e2, e3, e4), c in phi.terms.items():
         if (e1, e2, e3, e4) in ((2, 0, 0, 0), (0, 2, 0, 1)):
             continue
         if e1 == 0 and e2 == 1 and e4 == 0 and e3 % 2 == 1 and e3 >= 3:
@@ -366,12 +363,11 @@ def classify_normal_form(phi: SparsePoly, r: int) -> NormalFormResult:
     reported.  Germs matching neither shape, or not semi-invariant under
     1/2(1,1,1,0), come back "unrecognized".
     """
-    action = QuotientType(2, (1, 1, 1, 0)).group_action(_FOUR)
     unrecognized = NormalFormResult("unrecognized", None, False, {})
     if phi.is_zero or not phi.used_variables() <= set(_FOUR):
         return unrecognized
     flat = phi.with_variables(_FOUR)
-    if is_semi_invariant(flat, action) is None:
+    if is_semi_invariant(flat.terms, _FOUR_ACTION) is None:
         return unrecognized
     lead = flat.coefficient((2, 0, 0, 0))
     if lead == 0:

@@ -21,13 +21,14 @@ weights, turned into a Fraction once per result.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
+
+if TYPE_CHECKING:
+    from .quotients import QuotientType
 
 
 class _InfiniteOrder:
@@ -101,11 +102,6 @@ class SparsePoly:
         return cls(variables, {})
 
     @classmethod
-    def constant(cls, variables: Iterable[str], value) -> "SparsePoly":
-        variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): Fraction(value)})
-
-    @classmethod
     def monomial(cls, variables: Iterable[str], exponents: Iterable[int], coefficient=1) -> "SparsePoly":
         return cls(variables, {tuple(exponents): Fraction(coefficient)})
 
@@ -171,8 +167,6 @@ class SparsePoly:
         return SparsePoly(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other) -> "SparsePoly":
-        if isinstance(other, (int, Fraction)):
-            other = SparsePoly.constant(self.variables, other)
         if not isinstance(other, SparsePoly):
             return NotImplemented
         a, b = self._aligned(other)
@@ -181,13 +175,10 @@ class SparsePoly:
             terms[e] = terms[e] + c if e in terms else c
         return SparsePoly(a.variables, terms)
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "SparsePoly":
-        return self + (-other if isinstance(other, SparsePoly) else SparsePoly.constant(self.variables, -Fraction(other)))
-
-    def __rsub__(self, other) -> "SparsePoly":
-        return -(self - other)
+        if not isinstance(other, SparsePoly):
+            return NotImplemented
+        return self + -other
 
     def __mul__(self, other) -> "SparsePoly":
         if isinstance(other, (int, Fraction)):
@@ -237,28 +228,6 @@ class SparsePoly:
         return f"SparsePoly({self.variables!r}, {self.terms!r})"
 
 
-@dataclass(frozen=True)
-class GroupAction:
-    """Diagonal action of a cyclic group of given order, one character per variable."""
-
-    order: int
-    characters: Mapping[str, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("group order must be positive")
-        object.__setattr__(self, "characters",
-                           {v: int(c) % self.order for v, c in dict(self.characters).items()})
-
-    def character(self, variable: str) -> int:
-        if variable not in self.characters:
-            raise KeyError(f"no character for variable {variable!r}")
-        return self.characters[variable]
-
-    def restricted(self, variables: Iterable[str]) -> "GroupAction":
-        return GroupAction(self.order, {v: self.character(v) for v in variables})
-
-
 # -- weighted orders -------------------------------------------------------
 
 
@@ -306,29 +275,22 @@ def truncate_gt(p: SparsePoly, weights: Mapping, degree) -> SparsePoly:
     return _terms_by_weight(p, weights, degree, operator.gt)
 
 
-def is_semi_invariant(p: SparsePoly, action: GroupAction) -> int | None:
-    """The common character of all terms of p under the action, or None.
+def is_semi_invariant(exponents: Iterable[tuple[int, ...]], action: QuotientType) -> int | None:
+    """The common character mod action.n of the monomials with these
+    exponent vectors (the keys of a term map), or None when they differ.
 
-    The zero polynomial is reported with character 0.  Terms are read in
-    p.terms order: a used variable without a character raises KeyError,
-    naming the first one met, unless two terms before it already differ.
-    Unused variables need no character.
+    Weight k of the action goes with entry k of every vector; a vector of
+    another length raises ValueError.  No monomials have character 0.
     """
-    characters = action.characters
-    used = [any(column) for column in zip(*p.terms)]
-    missing = [k for k, (v, u) in enumerate(zip(p.variables, used)) if u and v not in characters]
-    stop = first = None
-    if missing:
-        stop, first = next((n, e) for n, e in enumerate(p.terms)
-                           if any(e[k] for k in missing))
-    chars = [characters.get(v, 0) for v in p.variables]
-    found = {sum(map(operator.mul, chars, e)) % action.order
-             for e in itertools.islice(p.terms, stop)}
+    n, weights = action.n, action.weights
+    found = set()
+    for exps in exponents:
+        if len(exps) != len(weights):
+            raise ValueError(f"exponent vector {list(exps)} does not match "
+                             f"the {len(weights)} weights of {action}")
+        found.add(sum(map(operator.mul, weights, exps)) % n)
     if len(found) > 1:
         return None
-    if first is not None:
-        name = next(p.variables[k] for k in missing if first[k])
-        raise KeyError(f"no character for variable {name!r}")
     return found.pop() if found else 0
 
 
@@ -345,6 +307,11 @@ def _fraction_sqrt(c: Fraction) -> Fraction | None:
     return Fraction(sn, sd)
 
 
+# the most term products polynomial_sqrt may take; a root of T terms takes
+# T*(T+1)/2 - 1 of them, so roots of up to 223 terms fit
+SQRT_STEP_LIMIT = 25_000
+
+
 def polynomial_sqrt(p: SparsePoly) -> SparsePoly | None:
     """Exact square root of p, or None if p is not a perfect square.
 
@@ -353,6 +320,8 @@ def polynomial_sqrt(p: SparsePoly) -> SparsePoly | None:
     the square of the root so far, gives each next term; a new term c*m
     takes 2*c*m*(earlier terms) + c^2*m^2 off it.  The root is returned
     only when the remainder reaches zero, so its square is exactly p.
+    More than SQRT_STEP_LIMIT term products, or a root coefficient of more
+    than DIGIT_LIMIT digits, raise ValueError: a peel cut short has no verdict.
     """
     if p.is_zero:
         return SparsePoly.zero(p.variables)
@@ -367,6 +336,7 @@ def polynomial_sqrt(p: SparsePoly) -> SparsePoly | None:
     remainder = dict(p.terms)
     del remainder[lead]
     previous = None
+    steps = 0
     while remainder:
         top = max(remainder)
         exps = tuple(a - b for a, b in zip(top, half))
@@ -375,7 +345,12 @@ def polynomial_sqrt(p: SparsePoly) -> SparsePoly | None:
         if previous is not None and exps >= previous:
             return None
         previous = exps
+        steps += len(root_terms) + 1
+        if steps > SQRT_STEP_LIMIT:
+            raise ValueError(f"the square root of a polynomial of {len(p.terms)} terms takes "
+                             f"more than SQRT_STEP_LIMIT = {SQRT_STEP_LIMIT} steps")
         c = remainder[top] / (2 * lead_coeff)
+        check_digits(str(c), "a coefficient of the square root")
         taken = [(tuple(map(operator.add, exps, e)), 2 * c * d) for e, d in root_terms.items()]
         taken.append((tuple(2 * e for e in exps), c * c))
         for key, d in taken:

@@ -7,7 +7,7 @@ lemma in dimension 3), and computes the chart groups of the weighted
 blow-up obtained by inserting a primitive weight vector v into the lattice
 N = Z^m + Z*(1/n)(a_1,...,a_m): chart i is C^m divided by the finite
 abelian group N / <e_1,...,v,...,e_m>, presented through Smith normal form
-as cyclic factors together with their action weights on the chart
+as cyclic factors, each a QuotientType whose weights act on the chart
 coordinates.  One Smith normal form of N serves every chart.
 """
 
@@ -17,10 +17,10 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .linalg import IntMatrix, smith_normal_form
-from .polynomials import GroupAction, check_digits
+from .polynomials import check_digits
 
 
 class LatticeError(ValueError):
@@ -79,12 +79,6 @@ class QuotientType:
     @property
     def arity(self) -> int:
         return len(self.weights)
-
-    def group_action(self, variables: Iterable[str]) -> GroupAction:
-        variables = tuple(variables)
-        if len(variables) != self.arity:
-            raise ValueError("variable count does not match quotient arity")
-        return GroupAction(self.n, dict(zip(variables, self.weights)))
 
     def normalized(self) -> "QuotientType":
         """Lexicographically least weight tuple over all coordinate
@@ -299,27 +293,17 @@ def quotient_presentation(basis: IntMatrix, coords: IntMatrix,
 
 
 @dataclass(frozen=True)
-class ChartGroupFactor:
-    order: int
-    weights: tuple[int, ...]
-
-    def as_type(self) -> QuotientType:
-        return QuotientType(self.order, self.weights)
-
-
-@dataclass(frozen=True)
 class ChartGroup:
-    factors: tuple[ChartGroupFactor, ...]
+    """A diagonal action of a finite abelian group as cyclic factors, one QuotientType each."""
+
+    factors: tuple[QuotientType, ...]
 
     @property
     def order(self) -> int:
-        out = 1
-        for f in self.factors:
-            out *= f.order
-        return out
+        return math.prod(f.n for f in self.factors)
 
     def restricted(self, keep: Sequence[int]) -> "ChartGroup":
-        return ChartGroup(tuple(ChartGroupFactor(f.order, tuple(f.weights[i] for i in keep))
+        return ChartGroup(tuple(QuotientType._reduced(f.n, tuple(f.weights[i] for i in keep))
                                 for f in self.factors))
 
 
@@ -338,7 +322,7 @@ class ChartReport:
     _residuals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def residual(self, chart: int, keep: tuple[int, ...]
-                 ) -> tuple[tuple[ChartGroupFactor, ...], QuotientType | None]:
+                 ) -> tuple[tuple[QuotientType, ...], QuotientType | None]:
         """The effective factors of chart's group restricted to the coordinates
         in keep, with their normalized type when there is exactly one factor.
 
@@ -348,7 +332,7 @@ class ChartReport:
         found = self._residuals.get((chart, keep))
         if found is None:
             factors = tuple(effective_factors(self.charts[chart].restricted(keep), len(keep)))
-            qtype = factors[0].as_type().normalized() if len(factors) == 1 else None
+            qtype = factors[0].normalized() if len(factors) == 1 else None
             found = self._residuals[chart, keep] = (factors, qtype)
         return found
 
@@ -399,22 +383,22 @@ def blowup_charts(ambient: QuotientType, v: Sequence) -> ChartReport:
                 if rest:
                     raise ArithmeticError("chart action weight is not integral")
                 weights.append(w % order)
-            factors.append(ChartGroupFactor(order, tuple(weights)))
+            factors.append(QuotientType._reduced(order, tuple(weights)))
         charts.append(ChartGroup(tuple(factors)))
     return ChartReport(ambient, vv, tuple(charts))
 
 
-def effective_factors(group: ChartGroup, arity: int) -> list[ChartGroupFactor]:
+def effective_factors(group: ChartGroup, arity: int) -> list[QuotientType]:
     """Invariant-factor presentation of the effective image of a diagonal action.
 
     Kernel elements (acting trivially on all coordinates) are divided out,
     so the result is faithful; an empty list means the action is trivial.
     """
-    live = [f for f in group.factors if any(w % f.order for w in f.weights)]
+    live = [f for f in group.factors if any(f.weights)]
     if not live:
         return []
-    scale = math.lcm(*(f.order for f in live))
-    lattice = _lattice_basis(scale, [[scale // f.order * w for w in f.weights] for f in live],
+    scale = math.lcm(*(f.n for f in live))
+    lattice = _lattice_basis(scale, [[scale // f.n * w for w in f.weights] for f in live],
                              arity)
     out = []
     for order, generator in quotient_presentation(lattice.basis,
@@ -425,5 +409,5 @@ def effective_factors(group: ChartGroup, arity: int) -> list[ChartGroupFactor]:
             if rest:
                 raise ArithmeticError("effective action weight is not integral")
             weights.append(w % order)
-        out.append(ChartGroupFactor(order, tuple(weights)))
+        out.append(QuotientType._reduced(order, tuple(weights)))
     return out

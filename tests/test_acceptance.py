@@ -15,8 +15,7 @@ from threefold.models import (blowup_vector, classify_normal_form, eliminate_x5,
                               generate_model, model_weights, required_monomials)
 from threefold.polynomials import (SparsePoly, detect_square_form,
                                    is_semi_invariant, low_part_ratio,
-                                   truncate_gt, truncate_le, weighted_order,
-                                   GroupAction)
+                                   truncate_gt, truncate_le, weighted_order)
 from threefold.quotients import QuotientType, reid_tai_is_terminal
 
 from helpers import matrix_product, parse_poly
@@ -207,8 +206,8 @@ def test_criterion_7_structure_checks():
 
 
 def test_criterion_8_forced_monomials():
-    half_p = GroupAction(2, {"x2": 1, "x3": 1, "x4": 0})
-    half_q = GroupAction(2, {"x1": 1, "x3": 1, "x4": 0})
+    half_p = QuotientType(2, (1, 1, 0))
+    half_q = QuotientType(2, (1, 1, 0))
     checked = 0
     for r in range(7, 201):
         if r % 8 not in (1, 7):
@@ -228,8 +227,8 @@ def test_criterion_8_forced_monomials():
             assert need["q"] == (1, (r - 3) // 4, 0)
         assert p_weight == r + 1 and p_weight > r
         assert q_weight == r - 1
-        assert is_semi_invariant(p_mono, half_p) == 0
-        assert is_semi_invariant(q_mono, half_q) == 0
+        assert is_semi_invariant(p_mono.terms, half_p) == 0
+        assert is_semi_invariant(q_mono.terms, half_q) == 0
         checked += 1
     assert checked == len([r for r in range(7, 201) if r % 8 in (1, 7)])
 

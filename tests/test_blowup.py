@@ -42,6 +42,14 @@ class TestCIGerm:
             CIGerm(QuotientType(1, (0, 0, 0)), ("x1", "x2", "x3"),
                    (SparsePoly.zero(("x1",)),))
 
+    @pytest.mark.parametrize("names", [("x1", "x2"), ("x1", "x2", "x3", "x4")])
+    def test_rejects_variable_count(self, names):
+        # checked before any equation, so a germ without equations is refused too
+        for equations in ((), (parse_poly("x1^2", names),)):
+            with pytest.raises(ValueError) as caught:
+                CIGerm(QuotientType(2, (1, 1, 1)), names, equations)
+            assert str(caught.value) == "variable count does not match quotient arity"
+
 
 class TestOrders:
     def test_family_orders(self):

@@ -16,12 +16,12 @@ import pytest
 
 from threefold import blowup, quotients
 from threefold.blowup import (BlowupReport, CIGerm, ChartFinding, MANUAL, QUOTIENT, SMOOTH,
-                              _chart_character, analyze_blowup, chart_singularities,
+                              _chart_action, analyze_blowup, chart_singularities,
                               model_germ, verify_blowup_profile)
 from threefold.linalg import rational_determinant
 from threefold.models import blowup_vector, generate_model
-from threefold.polynomials import SparsePoly, weighted_order
-from threefold.quotients import (ChartGroupFactor, LatticeError, QuotientType, blowup_charts,
+from threefold.polynomials import SparsePoly, is_semi_invariant, weighted_order
+from threefold.quotients import (LatticeError, QuotientType, blowup_charts,
                                   effective_factors)
 
 from helpers import parse_poly
@@ -42,7 +42,7 @@ def reference_transform(eq, variables, v, chart, denominator):
 
 def reference_characters(poly, factor, chart, denominator):
     return {sum(Fraction(w, denominator if l == chart else 1) * e
-                for l, (w, e) in enumerate(zip(factor.weights, exps))) % factor.order
+                for l, (w, e) in enumerate(zip(factor.weights, exps))) % factor.n
             for exps in poly.terms}
 
 
@@ -91,7 +91,7 @@ def reference_findings(germ, v):
         if not residual:
             findings.append(ChartFinding(var, SMOOTH, detail="residual group is trivial"))
         elif len(residual) == 1:
-            qtype = residual[0].as_type().normalized()
+            qtype = residual[0].normalized()
             findings.append(ChartFinding(var, QUOTIENT, qtype,
                                          detail=f"quotient point of type {qtype}"))
         else:
@@ -169,9 +169,10 @@ def test_chart_character_matches_fractions(exponents):
     # chart coordinate x1 in t^(1/2) units under 1/2(1,1): t and t^3 have
     # characters 1/2 and 3/2; doubled, 1 and 3 agree modulo 2 but not modulo 4
     poly = SparsePoly(("x1", "x2"), {e: 1 for e in exponents})
-    factor = ChartGroupFactor(2, (1, 1))
+    factor = QuotientType(2, (1, 1))
     semi_invariant = len(reference_characters(poly, factor, 0, 2)) == 1
-    assert (_chart_character(poly.terms, factor, 0, 2) is not None) == semi_invariant
+    action = _chart_action(factor, 0, 2)
+    assert (is_semi_invariant(poly.terms, action) is not None) == semi_invariant
 
 
 def test_one_chart_report_per_r(monkeypatch):

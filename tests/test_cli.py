@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from threefold import cli, dimensions, models, quotients
+from threefold import cli, dimensions, models, polynomials, quotients
 from threefold.cli import build_parser, main
 from threefold.dimensions import (CorrectionProfile, InconsistencyError,
                                   WellDefinednessError, degree_point_count)
@@ -322,6 +322,12 @@ class TestCharts:
                                  "--weights", " 4, 3 ,2,1, 7 ")
         assert code == 0 and data["weights"] == ["4", "3", "2", "1", "7"]
 
+    def test_two_factor_chart_row(self, capsys):
+        # a chart group that is not cyclic prints as the product of its factors
+        code, out, _ = run(capsys, "charts", "--ambient", "1/2(0,0,1)", "--weights", "1,2,1")
+        assert code == 0
+        assert out.splitlines()[3].split() == ["2", "4", "1/2(0,0,1)", "x", "1/2(1,1,1)"]
+
 
 # a numeral far above DIGIT_LIMIT, and the digit count the error line names
 HUGE = "7" * 5000
@@ -567,6 +573,21 @@ class TestModelPipeline:
             main(["generate", "--help"])
         text = " ".join(capsys.readouterr().out.split())
         assert f"GENERATE_STEP_LIMIT = {models.GENERATE_STEP_LIMIT}" in text
+
+    def test_square_root_limit_is_input_error(self, capsys, tmp_path, monkeypatch):
+        # q = x3^2000000 + x3^1999999 is no square, and its peel would run
+        # a million terms before an exponent turned negative
+        data = generate_model(7, 1).to_json_dict()
+        data["q"] = {"vars": ["x3"], "terms": [{"c": "1", "e": [2_000_000]},
+                                               {"c": "1", "e": [1_999_999]}]}
+        path = tmp_path / "long_root.json"
+        path.write_text(json.dumps(data))
+        monkeypatch.setattr(polynomials, "SQRT_STEP_LIMIT", 100)
+        for command in ("validate", "blowup"):
+            code, out, err = run(capsys, command, "--model", str(path))
+            assert (code, out) == (2, "")
+            assert err == ("error: the square root of a polynomial of 2 terms takes "
+                           "more than SQRT_STEP_LIMIT = 100 steps\n")
 
     def test_generated_file_stable(self, capsys, tmp_path):
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")

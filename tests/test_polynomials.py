@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from threefold.polynomials import (DIGIT_LIMIT, GroupAction, INFINITE_ORDER, SparsePoly,
+from threefold import polynomials
+from threefold.polynomials import (DIGIT_LIMIT, INFINITE_ORDER, SparsePoly,
                                    detect_square_form, is_semi_invariant,
                                    low_part_ratio, parse_rational, poly_from_dict,
                                    poly_to_dict, polynomial_sqrt,
                                    truncate_gt, truncate_le, weighted_order)
+from threefold.quotients import QuotientType
 
 from helpers import parse_poly
 
@@ -137,19 +139,30 @@ class TestParts:
             assert truncate_le(p, w, d) + truncate_gt(p, w, d) == p
 
 
-HALF_TWIST = GroupAction(2, {"x1": 1, "x2": 1, "x3": 1, "x4": 0, "x5": 0})
+# the half-twist on V5, weight k on variable k
+HALF_TWIST = QuotientType(2, (1, 1, 1, 0, 0))
 
 
 class TestSemiInvariance:
     def test_invariant_pair(self):
-        assert is_semi_invariant(P("x1^2 + x4*x5"), HALF_TWIST) == 0
+        assert is_semi_invariant(P("x1^2 + x4*x5").terms, HALF_TWIST) == 0
 
     def test_even_monomial_r17(self):
         # x2 * x3^((r+3)/4) at r=17: exponent sum 1 + 5 is even
-        assert is_semi_invariant(P("x2*x3^5"), HALF_TWIST) == 0
+        assert is_semi_invariant(P("x2*x3^5").terms, HALF_TWIST) == 0
 
     def test_mixed_characters(self):
-        assert is_semi_invariant(P("x1 + x4"), HALF_TWIST) is None
+        assert is_semi_invariant(P("x1 + x4").terms, HALF_TWIST) is None
+
+    def test_length_mismatch(self):
+        # exponent vectors line up with the weights by position, so a
+        # vector of another length has no character
+        with pytest.raises(ValueError) as caught:
+            is_semi_invariant(P("x1^2 + x4*x5").terms, QuotientType(2, (1, 1, 1, 0)))
+        assert str(caught.value) == ("exponent vector [2, 0, 0, 0, 0] does not match "
+                                     "the 4 weights of 1/2(1,1,1,0)")
+        with pytest.raises(ValueError):
+            is_semi_invariant([(0, 1), (1,)], QuotientType(2, (1, 1)))
 
     def test_character_sums_on_products(self):
         rng = random.Random(3)
@@ -157,14 +170,11 @@ class TestSemiInvariance:
             a = _random_poly(rng, V4, max_terms=3)
             b = _random_poly(rng, V4, max_terms=3)
             n = rng.randint(2, 6)
-            action = GroupAction(n, {v: rng.randrange(n) for v in V4})
-            ca, cb = is_semi_invariant(a, action), is_semi_invariant(b, action)
+            action = QuotientType(n, tuple(rng.randrange(n) for _ in V4))
+            ca, cb = is_semi_invariant(a.terms, action), is_semi_invariant(b.terms, action)
             if ca is None or cb is None or (a * b).is_zero:
                 continue
-            assert is_semi_invariant(a * b, action) == (ca + cb) % n
-
-    def test_characters_reduced(self):
-        assert GroupAction(2, {"x": 5}).character("x") == 1
+            assert is_semi_invariant((a * b).terms, action) == (ca + cb) % n
 
 
 class TestSquareRoot:
@@ -198,6 +208,36 @@ class TestSquareRoot:
         root = polynomial_sqrt(square)
         monkeypatch.undo()
         assert len(built) == 1 and root == s
+
+    def test_step_limit(self, monkeypatch):
+        # a root of T terms takes 2 + 3 + ... + T term products
+        square = parse_poly("x3^2 + 2*x3*x4 + 2*x3 + x4^2 + 2*x4 + 1", ("x3", "x4"))
+        monkeypatch.setattr(polynomials, "SQRT_STEP_LIMIT", 5)
+        assert polynomial_sqrt(square) == parse_poly("x3 + x4 + 1", ("x3", "x4"))
+        monkeypatch.setattr(polynomials, "SQRT_STEP_LIMIT", 4)
+        with pytest.raises(ValueError) as caught:
+            polynomial_sqrt(square)
+        assert str(caught.value) == ("the square root of a polynomial of 6 terms takes "
+                                     "more than SQRT_STEP_LIMIT = 4 steps")
+
+    def test_limit_never_reads_as_square_free(self, monkeypatch):
+        # x3^20 + x3^19 is no square, but its peel runs 11 terms before an
+        # exponent turns negative; cut short, it raises instead of None
+        q = parse_poly("x3^20 + x3^19", ("x3", "x4"))
+        assert polynomial_sqrt(q) is None
+        assert detect_square_form(q) is None
+        monkeypatch.setattr(polynomials, "SQRT_STEP_LIMIT", 20)
+        for check in (polynomial_sqrt, detect_square_form):
+            with pytest.raises(ValueError, match="SQRT_STEP_LIMIT = 20"):
+                check(q)
+
+    def test_root_coefficient_digits(self):
+        # the first peeled coefficient of x^2 + b*x is b/2
+        b = 3 * 10 ** (DIGIT_LIMIT - 1) + 1
+        with pytest.raises(ValueError) as caught:
+            polynomial_sqrt(SparsePoly(("x",), {(2,): 1, (1,): b}))
+        assert str(caught.value) == (f"a coefficient of the square root has {DIGIT_LIMIT + 1} "
+                                     f"digits; at most DIGIT_LIMIT = {DIGIT_LIMIT}")
 
 
 class TestSquareFormDetector:

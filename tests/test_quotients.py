@@ -7,7 +7,7 @@ import pytest
 from threefold import quotients
 from threefold.linalg import (identity_matrix, invert_unimodular,
                               rational_determinant, smith_normal_form)
-from threefold.quotients import (ChartGroup, ChartGroupFactor, LatticeError,
+from threefold.quotients import (ChartGroup, LatticeError,
                                  QuotientType, blowup_charts, effective_factors,
                                  reid_tai_is_canonical, reid_tai_is_terminal)
 
@@ -56,10 +56,6 @@ class TestQuotientType:
 
     def test_weights_reduced(self):
         assert QuotientType(14, (143, -1, 25)).weights == (3, 13, 11)
-
-    def test_group_action_bridge(self):
-        action = QuotientType(2, (1, 1, 1, 0, 0)).group_action(("a", "b", "c", "d", "e"))
-        assert action.character("a") == 1 and action.character("d") == 0
 
 
 class TestNormalization:
@@ -258,7 +254,7 @@ class TestCharts:
         report = blowup_charts(QuotientType(2, (1, 1, 1, 0, 0)), (4, 3, 2, 1, 7))
         last = report.charts[4]
         assert len(last.factors) == 1
-        assert last.factors[0].order == 14
+        assert last.factors[0].n == 14
 
     def test_ordinary_blowup_smooth(self):
         report = blowup_charts(QuotientType(1, (0, 0, 0)), (1, 1, 1))
@@ -274,7 +270,7 @@ class TestCharts:
                                (Fraction(1, 3), Fraction(1, 3), Fraction(2, 3)))
         orders = [c.order for c in report.charts]
         assert orders == [1, 1, 2]
-        assert report.charts[2].factors[0].as_type().normalized() == \
+        assert report.charts[2].factors[0].normalized() == \
             QuotientType(2, (1, 1, 1)).normalized()
 
     def test_rejects_bad_vectors(self):
@@ -307,14 +303,14 @@ class TestCharts:
 
 class TestEffectiveFactors:
     def test_kernel_divided_out(self):
-        group = ChartGroup((ChartGroupFactor(4, (2,)),))
-        assert effective_factors(group, 1) == [ChartGroupFactor(2, (1,))]
+        group = ChartGroup((QuotientType(4, (2,)),))
+        assert effective_factors(group, 1) == [QuotientType(2, (1,))]
 
     def test_trivial_action(self):
-        group = ChartGroup((ChartGroupFactor(4, (0, 0)),))
+        group = ChartGroup((QuotientType(4, (0, 0)),))
         assert effective_factors(group, 2) == []
 
     def test_coprime_factors_merge(self):
-        group = ChartGroup((ChartGroupFactor(2, (1, 1, 1)), ChartGroupFactor(7, (1, 6, 3))))
+        group = ChartGroup((QuotientType(2, (1, 1, 1)), QuotientType(7, (1, 6, 3))))
         merged = effective_factors(group, 3)
-        assert len(merged) == 1 and merged[0].order == 14
+        assert len(merged) == 1 and merged[0].n == 14

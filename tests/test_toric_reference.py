@@ -19,7 +19,7 @@ import pytest
 
 from threefold.linalg import invert_rational, invert_unimodular, smith_normal_form
 from threefold.models import AMBIENT, blowup_vector, valid_r
-from threefold.quotients import (ChartGroup, ChartGroupFactor, LatticeError,
+from threefold.quotients import (ChartGroup, LatticeError,
                                  QuotientType, blowup_charts, effective_factors,
                                  reid_tai_is_canonical, reid_tai_is_terminal)
 from threefold.quotients import _ages_above
@@ -109,25 +109,25 @@ def ref_blowup_charts(ambient, v):
             coeffs = [sum(generator[k] * cone_inv[k][j] for k in range(m)) for j in range(m)]
             if any((c * order).denominator != 1 for c in coeffs):
                 raise ArithmeticError("chart action weight is not integral")
-            factors.append(ChartGroupFactor(order, tuple(int(c * order) % order for c in coeffs)))
+            factors.append(QuotientType(order, tuple(int(c * order) % order for c in coeffs)))
         charts.append(ChartGroup(tuple(factors)))
     return tuple(charts)
 
 
 def ref_effective_factors(group, arity):
-    live = [f for f in group.factors if any(w % f.order for w in f.weights)]
+    live = [f for f in group.factors if any(w % f.n for w in f.weights)]
     if not live:
         return []
-    scale = math.lcm(*(f.order for f in live))
+    scale = math.lcm(*(f.n for f in live))
     sup = [[scale if i == j else 0 for j in range(arity)] for i in range(arity)]
-    sup.extend([scale // f.order * w for w in f.weights] for f in live)
+    sup.extend([scale // f.n * w for w in f.weights] for f in live)
     sub = [[scale if i == j else 0 for j in range(arity)] for i in range(arity)]
     out = []
     for order, generator in ref_presentation(ref_lattice_basis(sup, arity), sub, scale,
                                               arity):
         if any((x * order).denominator != 1 for x in generator):
             raise ArithmeticError("effective action weight is not integral")
-        out.append(ChartGroupFactor(order, tuple(int(x * order) % order for x in generator)))
+        out.append(QuotientType(order, tuple(int(x * order) % order for x in generator)))
     return out
 
 
@@ -245,7 +245,7 @@ def test_effective_factors_random_groups():
     for _ in range(600):
         arity = rng.randint(1, 5)
         group = ChartGroup(tuple(
-            ChartGroupFactor(order, tuple(rng.randint(-order, 2 * order) for _ in range(arity)))
+            QuotientType(order, tuple(rng.randint(-order, 2 * order) for _ in range(arity)))
             for order in (rng.randint(1, 30) for _ in range(rng.randint(0, 3)))))
         assert outcome(effective_factors, group, arity) == \
             outcome(ref_effective_factors, group, arity), group
@@ -261,7 +261,7 @@ def test_chart_report_residuals_match_effective_factors():
         for i, chart in enumerate(report.charts):
             for keep in itertools.combinations(range(5), 3):
                 factors = effective_factors(chart.restricted(keep), 3)
-                qtype = factors[0].as_type().normalized() if len(factors) == 1 else None
+                qtype = factors[0].normalized() if len(factors) == 1 else None
                 expected[i, keep] = (tuple(factors), qtype)
         for _ in range(2):
             assert {pair: report.residual(*pair) for pair in expected} == expected, r
