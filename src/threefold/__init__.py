@@ -3,8 +3,7 @@ graded dimension counting, weighted-order analysis of polynomial germs,
 and toric verification of weighted blow-ups of cyclic quotient germs."""
 
 from .blowup import (BlowupReport, ChartFinding, CIGerm, DimensionError,
-                     analyze_blowup, chart_singularities, discrepancy,
-                     e_cubed, equation_orders, model_germ,
+                     analyze_blowup, chart_singularities, model_germ,
                      verify_blowup_profile)
 from .dimensions import (CorrectionProfile, DimensionTable, InconsistencyError,
                          WellDefinednessError,

@@ -1,16 +1,17 @@
 """Weighted blow-ups of complete-intersection germs in cyclic quotients.
 
-Given a germ {phi_1 = ... = phi_k = 0} in C^m/(1/n)(a_1,...,a_m) and a
-primitive weight vector v, this module computes the vanishing order of
-each equation along the exceptional divisor (its weighted order under v),
-the discrepancy  sum(v) - sum(orders) - 1,  the toric self-intersection
-E^3 = prod(orders) / (n * prod(v)),  and a per-chart singularity analysis
-of the strict transform: on each chart the equations are divided by the
-chart coordinate to their exact vanishing order, after which either a
-nonzero constant term shows the chart origin is off the germ, or linearly
-independent pure linear terms cut the germ out as an equivariant graph
-whose residual cyclic quotient type is reported.  Charts the rule cannot
-settle are reported as manual findings, never guessed.
+Given a three-fold germ {phi_1 = ... = phi_k = 0} in C^m/(1/n)(a_1,...,a_m)
+and a primitive weight vector v, analyze_blowup scales v to integers once
+and lists each equation's term powers once.  The least term weight of an
+equation is its vanishing order along the exceptional divisor (its weighted
+order under v); the discrepancy  sum(v) - sum(orders) - 1  and the toric
+self-intersection  E^3 = prod(orders) / (n * prod(v))  follow from the
+orders.  The same term powers give the strict transform on every chart,
+and chart_singularities analyses each chart origin: either a nonzero
+constant term shows the origin is off the germ, or linearly independent
+pure linear terms cut the germ out as an equivariant graph whose residual
+cyclic quotient type is reported.  Charts the rule cannot settle are
+reported as manual findings, never guessed.
 """
 
 from __future__ import annotations
@@ -63,10 +64,6 @@ class CIGerm:
             flattened.append(flat)
         object.__setattr__(self, "equations", tuple(flattened))
 
-    @property
-    def fiber_dimension(self) -> int:
-        return len(self.variables) - len(self.equations)
-
 
 def _weights(germ: CIGerm, v: Sequence) -> tuple[tuple[int, ...], int]:
     """v, checked against the germ, as integer numerators over its least
@@ -78,40 +75,6 @@ def _weights(germ: CIGerm, v: Sequence) -> tuple[tuple[int, ...], int]:
         raise ValueError("weights must be positive")
     denominator = math.lcm(*(x.denominator for x in vv))
     return tuple(x.numerator * (denominator // x.denominator) for x in vv), denominator
-
-
-def _numbers(germ: CIGerm, v: Sequence) -> tuple[tuple[Fraction, ...], Fraction, Fraction]:
-    """The vanishing orders, the discrepancy and E^3 of the blow-up by v;
-    E^3 means something only for a three-fold."""
-    scaled, denominator = _weights(germ, v)
-    orders = tuple(Fraction(_term_powers(eq, scaled)[1], denominator) for eq in germ.equations)
-    disc = Fraction(sum(scaled), denominator) - sum(orders, Fraction(0)) - 1
-    # prod(v) = prod(scaled) / denominator^m
-    e3 = Fraction(math.prod(orders) * denominator ** len(scaled),
-                  germ.ambient.n * math.prod(scaled))
-    return orders, disc, e3
-
-
-def _check_threefold(germ: CIGerm) -> None:
-    if germ.fiber_dimension != 3:
-        raise DimensionError(
-            f"the blow-up needs a three-fold; got {len(germ.variables)} variables "
-            f"and {len(germ.equations)} equations")
-
-
-def equation_orders(germ: CIGerm, v: Sequence) -> tuple[Fraction, ...]:
-    """Vanishing order of each equation along the exceptional divisor."""
-    return _numbers(germ, v)[0]
-
-
-def discrepancy(germ: CIGerm, v: Sequence) -> Fraction:
-    return _numbers(germ, v)[1]
-
-
-def e_cubed(germ: CIGerm, v: Sequence) -> Fraction:
-    """Toric degree of the exceptional divisor of the weighted blow-up."""
-    _check_threefold(germ)
-    return _numbers(germ, v)[2]
 
 
 # -- strict transforms and chart analysis -------------------------------------
@@ -192,13 +155,13 @@ def _matrix_str(rows) -> str:
     return "[" + ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in rows) + "]"
 
 
-def chart_singularities(germ: CIGerm, v: Sequence) -> tuple[ChartFinding, ...]:
-    """Per-chart analysis of the strict transform at the chart origins."""
-    _check_threefold(germ)
-    scaled, denominator = _weights(germ, v)
+def chart_singularities(germ: CIGerm, scaled: tuple[int, ...], denominator: int,
+                        powers: Sequence[list]) -> tuple[ChartFinding, ...]:
+    """Per-chart analysis of the strict transform at the chart origins;
+    scaled and denominator come from _weights, and powers holds the term
+    list _term_powers gives for each equation."""
     m = len(germ.variables)
     report = _cached_charts(blowup_charts, germ.ambient, scaled, denominator)
-    powers = [_term_powers(eq, scaled)[0] for eq in germ.equations]
     origin = (0,) * m
     findings = []
     for i, var in enumerate(germ.variables):
@@ -259,8 +222,22 @@ class BlowupReport:
 
 
 def analyze_blowup(germ: CIGerm, v: Sequence) -> BlowupReport:
-    orders, disc, e3 = _numbers(germ, v)
-    return BlowupReport(orders, disc, e3, chart_singularities(germ, v))
+    """The blow-up of a three-fold germ by v, from one pass over each
+    equation's term powers: an equation's shift is its order times the
+    denominator, and the discrepancy and E^3 are read off the shifts."""
+    scaled, denominator = _weights(germ, v)
+    if len(germ.variables) - len(germ.equations) != 3:
+        raise DimensionError(
+            f"the blow-up needs a three-fold; got {len(germ.variables)} variables "
+            f"and {len(germ.equations)} equations")
+    passes = [_term_powers(eq, scaled) for eq in germ.equations]
+    shifts = [shift for _, shift in passes]
+    orders = tuple(Fraction(shift, denominator) for shift in shifts)
+    disc = Fraction(sum(scaled) - sum(shifts), denominator) - 1
+    # E^3 = prod(orders) / (n * prod(v)), and m - k = 3 denominators are left over
+    e3 = Fraction(math.prod(shifts) * denominator ** 3, germ.ambient.n * math.prod(scaled))
+    findings = chart_singularities(germ, scaled, denominator, [terms for terms, _ in passes])
+    return BlowupReport(orders, disc, e3, findings)
 
 
 # -- the full model pipeline ---------------------------------------------------

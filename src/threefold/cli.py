@@ -3,7 +3,9 @@
 Every subcommand renders the same report values either as an aligned text
 table (for humans) or as JSON with sorted keys (the machine contract; all
 rationals are "p/q" strings, never floats).  Exit codes: 0 pass, 1
-verification failure, 2 malformed input.
+verification failure, 2 malformed input, 3 internal fault (an exact
+invariant of the computation broke, an ArithmeticError; one line, no
+traceback, and never read as a verification failure).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .polynomials import DIGIT_LIMIT, check_digits, parse_rational
 from .quotients import (QUOTIENT_ORDER_LIMIT, QuotientType, blowup_charts,
                         reid_tai_is_canonical, reid_tai_is_terminal)
 
-PASS, FAIL, BAD_INPUT = 0, 1, 2
+PASS, FAIL, BAD_INPUT, INTERNAL_FAULT = 0, 1, 2, 3
 
 # ni lists at most this many lattice points; each listed point costs about
 # 2 KiB of memory in the JSON rendering
@@ -341,6 +343,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL_FAULT
 
 
 if __name__ == "__main__":

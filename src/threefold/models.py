@@ -5,9 +5,10 @@
 
 with r >= 7, r = +-1 mod 8, p of weighted order > r, q weighted
 homogeneous of weight r-1, both invariant under the half-twist, and q not
-a square of the shape (x3*s(x3^2,x4))^2.  This module validates such
-models, generates deterministic random ones, eliminates x5 to produce the
-four-variable hypersurface germ, and recognizes the two cD/2 normal forms.
+a constant times a square of the shape (x3*s(x3^2,x4))^2.  This module
+validates such models, generates deterministic random ones, eliminates x5
+to produce the four-variable hypersurface germ, and recognizes the two
+cD/2 normal forms.
 """
 
 from __future__ import annotations
@@ -156,9 +157,11 @@ def validate_model(model: CD2Model, strict: bool = False) -> ValidationReport:
     checks.append(CheckResult("q_parity", is_semi_invariant(model.q.terms, _Q_ACTION) == 0,
                               "q must have even total degree in x1, x3 in every term"))
 
+    # q a constant times a square over C makes E reducible
     square = detect_square_form(model.q)
+    scale = "" if square is None or square[0] == 1 else f"{square[0]}*"
     checks.append(CheckResult("q_square_free", square is None,
-                              "" if square is None else f"q = (x3*({square}))^2"))
+                              "" if square is None else f"q = {scale}(x3*({square[1]}))^2"))
 
     if strict:
         if congruence:

@@ -363,11 +363,15 @@ def polynomial_sqrt(p: SparsePoly) -> SparsePoly | None:
     return SparsePoly(p.variables, root_terms)
 
 
-def detect_square_form(q: SparsePoly) -> SparsePoly | None:
-    """Recognize q == (x3 * s(x3^2, x4))^2 and return s, otherwise None.
+def detect_square_form(q: SparsePoly) -> tuple[Fraction, SparsePoly] | None:
+    """Recognize q == c * (x3 * s(x3^2, x4))^2, a constant times a square
+    over C, and return (c, s), otherwise None.
 
-    s comes back as a polynomial in (x3, x4) whose x3 exponents are all
-    even; x3*s is the root polynomial_sqrt returns, whose square is q.
+    If q is a constant times a square over C, the root of q / lc(q), lc the
+    leading coefficient, has rational coefficients, so the peel stays over Q.
+    When lc(q) is a positive rational square, c is 1 and x3*s is the root of
+    q itself; otherwise c is lc(q).  s comes back as a polynomial in (x3, x4)
+    whose x3 exponents are all even.
     """
     names = ("x3", "x4")
     if q.is_zero:
@@ -375,12 +379,14 @@ def detect_square_form(q: SparsePoly) -> SparsePoly | None:
     if not q.used_variables() <= set(names):
         return None
     flat = q.with_variables(names)
-    root = polynomial_sqrt(flat)
+    lead = flat.terms[max(flat.terms)]
+    c = Fraction(1) if _fraction_sqrt(lead) is not None else lead
+    root = polynomial_sqrt(flat if c == 1 else flat * (1 / c))
     if root is None:
         return None
     if any(e[0] % 2 == 0 for e in root.terms):
         return None
-    return SparsePoly(names, {(e[0] - 1, e[1]): c for e, c in root.terms.items()})
+    return c, SparsePoly(names, {(e[0] - 1, e[1]): d for e, d in root.terms.items()})
 
 
 def low_part_ratio(p: SparsePoly, reference: SparsePoly, weights: Mapping, cutoff) -> Fraction | None:

@@ -316,8 +316,6 @@ class ChartReport:
     data, so they take no part in equality, hashing or repr.
     """
 
-    ambient: QuotientType
-    v: tuple[Fraction, ...]
     charts: tuple[ChartGroup, ...]
     _residuals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -385,7 +383,7 @@ def blowup_charts(ambient: QuotientType, v: Sequence) -> ChartReport:
                 weights.append(w % order)
             factors.append(QuotientType._reduced(order, tuple(weights)))
         charts.append(ChartGroup(tuple(factors)))
-    return ChartReport(ambient, vv, tuple(charts))
+    return ChartReport(tuple(charts))
 
 
 def effective_factors(group: ChartGroup, arity: int) -> list[QuotientType]:

@@ -7,9 +7,12 @@ so ``from helpers import ...`` works under a whole-suite run, for one test
 file, and from inside the directory.
 """
 
+import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
+from threefold.models import CD2Model, P_VARIABLES, Q_VARIABLES
 from threefold.polynomials import SparsePoly, parse_rational
 
 _POWER = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)(?:\^(?P<exp>[0-9]+))?")
@@ -62,3 +65,27 @@ def parse_poly(text, variables):
 def matrix_product(a, b):
     return [[sum(x * y for x, y in zip(row, col, strict=True)) for col in zip(*b)]
             for row in a]
+
+
+def square_variants():
+    """Models whose q is a constant times a square: {name: (model, passes)}.
+
+    They start from tests/golden/model_square_r23.json, whose q = (x3*s)^2
+    with s = x4^9 + 2*x3^2*x4^5 - 1/3*x3^4*x4.  Model B negates q and adds
+    x4^24 to p, which takes the origin of the x4 chart off the germ;
+    twice_square doubles q.  On E, x2^2 + q then factors as
+    (x2 - a*x3*s)(x2 + a*x3*s) with a^2 = 1 or -2, and the half-twist keeps
+    each factor, so E has two components: both models fail.  Model C,
+    q = x4^22, is a square too, but its root x4^11 is invariant, so the
+    half-twist swaps x2 - i*x4^11 and x2 + i*x4^11 and E stays irreducible
+    in the quotient: C passes.
+    """
+    golden = Path(__file__).parent / "golden" / "model_square_r23.json"
+    square = CD2Model.from_json_dict(json.loads(golden.read_text(encoding="utf-8")))
+    return {
+        "model_B": (CD2Model(23, square.p + parse_poly("x4^24", P_VARIABLES), -square.q),
+                    False),
+        "twice_square": (CD2Model(23, square.p, square.q * 2), False),
+        "model_C": (CD2Model(23, parse_poly("x3^12", P_VARIABLES),
+                             parse_poly("x4^22", Q_VARIABLES)), True),
+    }

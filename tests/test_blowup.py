@@ -4,8 +4,7 @@ import pytest
 
 from threefold.blowup import (CIGerm, DimensionError, MANUAL, QUOTIENT, SMOOTH,
                               _strict_transform, _term_powers, _weights, analyze_blowup,
-                              chart_singularities, discrepancy, e_cubed,
-                              equation_orders, model_germ, verify_blowup_profile)
+                              model_germ, verify_blowup_profile)
 from threefold.models import (CD2Model, P_VARIABLES, Q_VARIABLES, blowup_vector,
                               generate_model)
 from threefold.polynomials import SparsePoly
@@ -54,17 +53,19 @@ class TestCIGerm:
 class TestOrders:
     def test_family_orders(self):
         germ = family_germ(7)
-        assert equation_orders(germ, blowup_vector(7)) == (8, 6)
+        assert analyze_blowup(germ, blowup_vector(7)).orders == (8, 6)
 
     def test_single_equation(self):
-        germ = CIGerm(QuotientType(2, (1, 1, 1, 0, 0)), V5,
-                      (SparsePoly.variable("x4", V5),))
-        assert equation_orders(germ, (9, 5, 3, 2, 1)) == (2,)
+        # a three-fold, as the blow-up needs: one equation in four variables
+        names = V5[:4]
+        germ = CIGerm(QuotientType(2, (1, 1, 0, 0)), names,
+                      (SparsePoly.variable("x4", names),))
+        assert analyze_blowup(germ, (9, 5, 3, 2)).orders == (2,)
 
     def test_empty(self):
-        assert equation_orders(smooth_space(), (1, 1, 1)) == ()
+        assert analyze_blowup(smooth_space(), (1, 1, 1)).orders == ()
 
-    @pytest.mark.parametrize("analysis", [equation_orders, chart_singularities, analyze_blowup])
+    @pytest.mark.parametrize("analysis", [analyze_blowup])
     @pytest.mark.parametrize("v, message", [((1, 1), "weight vector arity mismatch"),
                                             ((1, -1), "weight vector arity mismatch"),
                                             ((1, -HALF, 1), "weights must be positive")])
@@ -78,35 +79,36 @@ class TestDiscrepancy:
     def test_family_value(self):
         for r in (7, 9, 17):
             germ = family_germ(r)
-            assert discrepancy(germ, blowup_vector(r)) == 2
+            assert analyze_blowup(germ, blowup_vector(r)).discrepancy == 2
 
     def test_ordinary_blowup(self):
-        assert discrepancy(smooth_space(), (1, 1, 1)) == 2
+        assert analyze_blowup(smooth_space(), (1, 1, 1)).discrepancy == 2
 
     def test_quotient_point_blowup(self):
         germ = CIGerm(QuotientType(5, (2, 3, 1)), ("x1", "x2", "x3"), ())
-        assert discrepancy(germ, (Fraction(2, 5), Fraction(3, 5), Fraction(1, 5))) == Fraction(1, 5)
+        v = (Fraction(2, 5), Fraction(3, 5), Fraction(1, 5))
+        assert analyze_blowup(germ, v).discrepancy == Fraction(1, 5)
 
 
 class TestECubed:
     def test_family_value(self):
         for r in (7, 9, 17):
             germ = family_germ(r)
-            assert e_cubed(germ, blowup_vector(r)) == Fraction(1, r)
+            assert analyze_blowup(germ, blowup_vector(r)).e_cubed == Fraction(1, r)
 
     def test_cone_over_plane_conic(self):
         germ = CIGerm(QuotientType(2, (1, 1, 1)), ("x1", "x2", "x3"), ())
-        assert e_cubed(germ, (HALF, HALF, HALF)) == 4
+        assert analyze_blowup(germ, (HALF, HALF, HALF)).e_cubed == 4
 
     def test_smooth_space(self):
-        assert e_cubed(smooth_space(), (1, 1, 1)) == 1
+        assert analyze_blowup(smooth_space(), (1, 1, 1)).e_cubed == 1
 
     def test_weighted_smooth_space(self):
-        assert e_cubed(smooth_space(), (2, 3, 5)) == Fraction(1, 30)
+        assert analyze_blowup(smooth_space(), (2, 3, 5)).e_cubed == Fraction(1, 30)
 
     def test_dimension_guard(self):
         with pytest.raises(DimensionError):
-            e_cubed(smooth_space(4), (1, 1, 1, 1))
+            analyze_blowup(smooth_space(4), (1, 1, 1, 1))
 
 
 class TestOrdinaryDoublePoint:
@@ -118,11 +120,10 @@ class TestOrdinaryDoublePoint:
         return CIGerm(QuotientType(1, (0, 0, 0, 0)), names, (eq,))
 
     def test_profile(self):
-        germ = self.germ()
-        v = (1, 1, 1, 1)
-        assert discrepancy(germ, v) == 1
-        assert e_cubed(germ, v) == 2
-        assert all(f.kind == SMOOTH for f in chart_singularities(germ, v))
+        report = analyze_blowup(self.germ(), (1, 1, 1, 1))
+        assert report.discrepancy == 1
+        assert report.e_cubed == 2
+        assert all(f.kind == SMOOTH for f in report.chart_findings)
 
 
 class TestFractionalWeightsWithEquation:
@@ -133,11 +134,11 @@ class TestFractionalWeightsWithEquation:
         names = ("x1", "x2", "x3", "x4")
         eq = parse_poly("x1^2 + x2^2 + x3^2 + x4^2", names)
         germ = CIGerm(QuotientType(2, (1, 1, 1, 1)), names, (eq,))
-        v = (HALF, HALF, HALF, HALF)
-        assert equation_orders(germ, v) == (1,)
-        assert discrepancy(germ, v) == 0
-        assert e_cubed(germ, v) == 8
-        assert all(f.kind == SMOOTH for f in chart_singularities(germ, v))
+        report = analyze_blowup(germ, (HALF, HALF, HALF, HALF))
+        assert report.orders == (1,)
+        assert report.discrepancy == 0
+        assert report.e_cubed == 8
+        assert all(f.kind == SMOOTH for f in report.chart_findings)
 
 
 class TestPermutationInvariance:
@@ -151,20 +152,21 @@ class TestPermutationInvariance:
                           permuted_vars,
                           tuple(eq.with_variables(permuted_vars) for eq in germ.equations))
         pv = tuple(v[i] for i in order)
-        assert discrepancy(permuted, pv) == discrepancy(germ, v)
-        assert e_cubed(permuted, pv) == e_cubed(germ, v)
+        report, expected = analyze_blowup(permuted, pv), analyze_blowup(germ, v)
+        assert report.discrepancy == expected.discrepancy
+        assert report.e_cubed == expected.e_cubed
 
 
 class TestChartSingularities:
     def test_family_findings(self):
         germ = family_germ(7, seed=3)
-        findings = chart_singularities(germ, blowup_vector(7))
+        findings = analyze_blowup(germ, blowup_vector(7)).chart_findings
         kinds = [f.kind for f in findings]
         assert kinds == [SMOOTH, SMOOTH, SMOOTH, SMOOTH, QUOTIENT]
         assert findings[4].quotient == QuotientType(14, (1, 13, 11)).normalized()
 
     def test_ordinary_blowup_all_smooth(self):
-        findings = chart_singularities(smooth_space(), (1, 1, 1))
+        findings = analyze_blowup(smooth_space(), (1, 1, 1)).chart_findings
         assert all(f.kind == SMOOTH for f in findings)
 
     def test_manual_fixture(self):
@@ -174,7 +176,7 @@ class TestChartSingularities:
         names = ("x1", "x2", "x3", "x4")
         eq = parse_poly("x1^2 + x2^2 + x3^2 + x4^4", names)
         germ = CIGerm(QuotientType(2, (1, 1, 1, 1)), names, (eq,))
-        findings = chart_singularities(germ, (1, 1, 1, 2))
+        findings = analyze_blowup(germ, (1, 1, 1, 2)).chart_findings
         assert [f.kind for f in findings] == [SMOOTH, SMOOTH, SMOOTH, MANUAL]
         assert findings[3].detail.endswith("; linear terms [[0, 0, 0, 0]], rank 0")
 
@@ -182,11 +184,11 @@ class TestChartSingularities:
         model = generate_model(9, 5, 2)
         germ = model_germ(model)
         v = blowup_vector(9)
-        baseline = chart_singularities(germ, v)
+        baseline = analyze_blowup(germ, v).chart_findings
         x3_12 = SparsePoly.monomial(V5, (0, 0, 12, 0, 0))
         perturbed = CIGerm(germ.ambient, germ.variables,
                            (germ.equations[0] + x3_12, germ.equations[1]))
-        assert chart_singularities(perturbed, v) == baseline
+        assert analyze_blowup(perturbed, v).chart_findings == baseline
 
 
 class TestStrictTransform:

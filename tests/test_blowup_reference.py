@@ -16,8 +16,8 @@ import pytest
 
 from threefold import blowup, quotients
 from threefold.blowup import (BlowupReport, CIGerm, ChartFinding, MANUAL, QUOTIENT, SMOOTH,
-                              _chart_action, analyze_blowup, chart_singularities,
-                              model_germ, verify_blowup_profile)
+                              _chart_action, analyze_blowup, model_germ,
+                              verify_blowup_profile)
 from threefold.linalg import rational_determinant
 from threefold.models import blowup_vector, generate_model
 from threefold.polynomials import SparsePoly, is_semi_invariant, weighted_order
@@ -131,17 +131,17 @@ MODELS = [(r, seed) for r in (7, 23, 47, 95) for seed in (1, 2, 3)]
 @pytest.mark.parametrize("r, seed", MODELS, ids=[f"r{r}-seed{s}" for r, s in MODELS])
 def test_family_models_match_reference(r, seed):
     family, v = model_germ(generate_model(r, seed)), blowup_vector(r)
-    expected = reference_report(family, v)
-    assert chart_singularities(family, v) == expected.chart_findings
-    assert analyze_blowup(family, v) == expected
+    report, expected = analyze_blowup(family, v), reference_report(family, v)
+    assert report.chart_findings == expected.chart_findings
+    assert report == expected
 
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_fixtures_match_reference(name):
     fixture, v = FIXTURES[name]
-    expected = reference_report(fixture, v)
-    assert chart_singularities(fixture, v) == expected.chart_findings
-    assert analyze_blowup(fixture, v) == expected
+    report, expected = analyze_blowup(fixture, v), reference_report(fixture, v)
+    assert report.chart_findings == expected.chart_findings
+    assert report == expected
 
 
 def test_orders_come_from_the_term_powers(monkeypatch):
@@ -191,6 +191,48 @@ def test_one_chart_report_per_r(monkeypatch):
     assert all(report.passed for report in reports)
     assert calls == [(QuotientType(2, (1, 1, 1, 0, 0)),
                       tuple(Fraction(x) for x in blowup_vector(23)))]
+
+
+def test_one_pass_over_the_term_powers(monkeypatch):
+    # v is scaled once and each equation's term powers are listed once; the
+    # orders, the discrepancy, E^3 and every chart read that one pass
+    calls = []
+
+    def counting(name, compute):
+        def counted(*args):
+            calls.append(name)
+            return compute(*args)
+        return counted
+
+    family, v = model_germ(generate_model(23, 2)), blowup_vector(23)
+    expected = reference_report(family, v)
+    for name in ("_weights", "_term_powers"):
+        monkeypatch.setattr(blowup, name, counting(name, getattr(blowup, name)))
+    assert analyze_blowup(family, v) == expected
+    assert calls == ["_weights"] + ["_term_powers"] * len(family.equations)
+
+
+def test_chart_step_is_called_once_through_the_module(monkeypatch):
+    # a rebinding of blowup.chart_singularities, as a tracer makes, sees one
+    # call per analysis, and what it returns is what the report holds
+    returned = []
+    chart_step = blowup.chart_singularities
+
+    def counting(*args):
+        returned.append(chart_step(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(blowup, "chart_singularities", counting)
+    model = generate_model(23, 4)
+    assert verify_blowup_profile(model).passed
+    assert len(returned) == 1
+    report = analyze_blowup(model_germ(model), blowup_vector(23))
+    assert len(returned) == 2 and report.chart_findings is returned[1]
+    # the profile checks the findings it was handed: without the quotient
+    # point of the x5 chart it fails
+    monkeypatch.setattr(blowup, "chart_singularities", lambda *args: chart_step(*args)[:4])
+    failed = verify_blowup_profile(model)
+    assert [c.name for c in failed.failures()] == ["one_singular_point", "quotient_type"]
 
 
 def test_residual_groups_are_computed_once_per_r(monkeypatch):
@@ -257,7 +299,7 @@ def test_chart_analysis_builds_no_polynomial(monkeypatch):
     built.clear()
     blowup._cached_charts.cache_clear()
     try:
-        findings = [chart_singularities(family, v) for _ in range(2)]
+        findings = [analyze_blowup(family, v).chart_findings for _ in range(2)]
     finally:
         blowup._cached_charts.cache_clear()
         monkeypatch.undo()
@@ -270,4 +312,4 @@ def test_lattice_error_is_raised_on_every_call():
     smooth = germ(QuotientType(1, (0, 0, 0)), "")
     for _ in range(2):
         with pytest.raises(LatticeError):
-            chart_singularities(smooth, (2, 2, 2))
+            analyze_blowup(smooth, (2, 2, 2))

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from threefold import cli, dimensions, models, polynomials, quotients
+from threefold import blowup, cli, dimensions, models, polynomials, quotients
 from threefold.cli import build_parser, main
 from threefold.dimensions import (CorrectionProfile, InconsistencyError,
                                   WellDefinednessError, degree_point_count)
 from threefold.models import CD2Model, Q_VARIABLES, generate_model
 from threefold.polynomials import DIGIT_LIMIT, SparsePoly
+
+from helpers import square_variants
 
 
 def run(capsys, *argv):
@@ -462,6 +464,17 @@ class TestModelPipeline:
             assert code == 1 and list(failed) == ["q_weight", "q_square_free"], command
             assert failed["q_square_free"] == f"q = (x3*({s}))^2"
 
+    @pytest.mark.parametrize("name", ["model_B", "twice_square", "model_C"])
+    def test_square_over_c(self, capsys, tmp_path, name):
+        # a constant times a square fails validation, so blowup computes nothing
+        model, passes = square_variants()[name]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model.to_json_dict()))
+        for command in ("validate", "blowup"):
+            code, data, _ = run_json(capsys, command, "--model", str(path))
+            assert code == (0 if passes else 1), command
+            assert ("checks" not in data) == (passes and command == "blowup"), command
+
     def test_malformed_file_exits_two(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -537,6 +550,19 @@ class TestModelPipeline:
         manual = [c["variable"] for c in report["charts"] if c["finding"] == "manual"]
         assert code == 1 and manual == ["x3"]
         assert "manual analysis needed for charts x3" in err
+
+    def test_internal_fault_exits_three(self, capsys, tmp_path, monkeypatch):
+        # a broken invariant of the computation is neither bad input nor a
+        # failed verification
+        def broken(*args):
+            raise ArithmeticError("strict transform lost semi-invariance")
+
+        path = str(tmp_path / "model.json")
+        run(capsys, "generate", "--r", "7", "--seed", "1", "--out", path)
+        monkeypatch.setattr(blowup, "chart_singularities", broken)
+        code, out, err = run(capsys, "blowup", "--model", path)
+        assert (code, out) == (3, "")
+        assert err == "internal error: strict transform lost semi-invariance\n"
 
     def test_missing_file_exits_two(self, capsys, tmp_path):
         code, _, err = run(capsys, "blowup", "--model", str(tmp_path / "nope.json"))

@@ -1,5 +1,6 @@
 import pytest
 
+from threefold.blowup import verify_blowup_profile
 from threefold.models import (CD2Model, P_VARIABLES, Q_VARIABLES,
                               check_required_monomials, classify_normal_form,
                               eliminate_x5, generate_model, model_equations,
@@ -7,7 +8,7 @@ from threefold.models import (CD2Model, P_VARIABLES, Q_VARIABLES,
 from threefold.polynomials import (SparsePoly, low_part_ratio, truncate_le,
                                    weighted_order)
 
-from helpers import parse_poly
+from helpers import parse_poly, square_variants
 
 V4 = ("x1", "x2", "x3", "x4")
 
@@ -40,6 +41,18 @@ class TestValidate:
         # (x3*x4^2)^2 has weight 8 = r-1 at r = 9
         report = validate_model(CD2Model(9, PP("x3^6"), QQ("x3^2*x4^4")))
         assert [c.name for c in report.failures()] == ["q_square_free"]
+
+    @pytest.mark.parametrize("name", ["model_B", "twice_square", "model_C"])
+    def test_square_over_c(self, name):
+        # q_square_free is decided over C; the detail names the constant
+        root = "(x3*(x3^4*x4 - 6*x3^2*x4^5 - 3*x4^9))^2"
+        detail = {"model_B": f"q = -1/9*{root}", "twice_square": f"q = 2/9*{root}",
+                  "model_C": ""}[name]
+        model, passes = square_variants()[name]
+        report = validate_model(model)
+        assert [c.name for c in report.failures()] == ([] if passes else ["q_square_free"])
+        assert report.checks[-1].detail == detail
+        assert verify_blowup_profile(model).passed == passes
 
     def test_low_order_p_rejected(self):
         report = validate_model(CD2Model(7, PP("x3^2"), QQ("x1*x3")))

@@ -243,8 +243,16 @@ class TestSquareRoot:
 class TestSquareFormDetector:
     def test_detects_plain_square(self):
         q = parse_poly("x3^2*x4^4", ("x1", "x3", "x4"))
-        s = detect_square_form(q)
-        assert s == parse_poly("x4^2", ("x3", "x4"))
+        assert detect_square_form(q) == (1, parse_poly("x4^2", ("x3", "x4")))
+
+    @pytest.mark.parametrize("c", [-1, 2, Fraction(-3, 7), Fraction(2, 9)])
+    def test_constant_times_square(self, c):
+        # a square over C: the peel runs on q / lc(q), whose root is rational
+        names = ("x3", "x4")
+        root = parse_poly("x3^3 - 2*x3*x4^2", names)
+        q = root * root * c
+        assert detect_square_form(q) == (c, parse_poly("x3^2 - 2*x4^2", names))
+        assert detect_square_form(q + parse_poly("x4^8", names)) is None
 
     def test_even_power_is_not_of_the_form(self):
         # x3^4 is a square, but of x3^2, whose x3-degree is even
@@ -263,7 +271,7 @@ class TestSquareFormDetector:
             q = (x3 * s) * (x3 * s)
             got = detect_square_form(q)
             assert got is not None
-            assert got == s or got == -s
+            assert got == (1, s) or got == (1, -s)
             # any x1-perturbation leaves the family
             k = rng.randint(0, 4)
             spoiled = q.with_variables(("x1", "x3", "x4")) + parse_poly(
