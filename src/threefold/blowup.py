@@ -68,7 +68,7 @@ class CIGerm:
 def _weights(germ: CIGerm, v: Sequence) -> tuple[tuple[int, ...], int]:
     """v, checked against the germ, as integer numerators over its least
     common denominator, and that denominator."""
-    vv = tuple(Fraction(x) for x in v)
+    vv = tuple(x if type(x) is Fraction else Fraction(x) for x in v)
     if len(vv) != len(germ.variables):
         raise ValueError("weight vector arity mismatch")
     if any(x <= 0 for x in vv):
@@ -129,10 +129,12 @@ def _strict_transform(terms, chart: int) -> dict[tuple[int, ...], Fraction]:
 def _chart_action(factor: QuotientType, chart: int, denominator: int) -> QuotientType:
     # one chart group factor acting on the exponents of a strict transform,
     # with characters scaled by denominator: each recorded unit of the chart
-    # coordinate carries 1/denominator of its weight
-    return QuotientType(factor.n * denominator,
-                        tuple(w if l == chart else w * denominator
-                              for l, w in enumerate(factor.weights)))
+    # coordinate carries 1/denominator of its weight.  The factor's weights
+    # are reduced mod n, so w < n and w * denominator < n * denominator: the
+    # scaled weights are reduced already
+    return QuotientType._reduced(factor.n * denominator,
+                                 tuple(w if l == chart else w * denominator
+                                       for l, w in enumerate(factor.weights)))
 
 
 @lru_cache(maxsize=64)

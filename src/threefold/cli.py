@@ -2,10 +2,12 @@
 
 Every subcommand renders the same report values either as an aligned text
 table (for humans) or as JSON with sorted keys (the machine contract; all
-rationals are "p/q" strings, never floats).  Exit codes: 0 pass, 1
-verification failure, 2 malformed input, 3 internal fault (an exact
-invariant of the computation broke, an ArithmeticError; one line, no
-traceback, and never read as a verification failure).
+rationals are "p/q" strings, never floats).  Only the requested rendering is
+built: a command hands emit its table as a function, which JSON output never
+calls.  Exit codes: 0 pass, 1 verification failure, 2 malformed input, 3
+internal fault (an exact invariant of the computation broke, an
+ArithmeticError; one line, no traceback, and never read as a verification
+failure).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 
 from .blowup import MANUAL, analyze_blowup, model_germ
@@ -50,11 +53,12 @@ def render_table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(out)
 
 
-def emit(payload: dict, args, table: str) -> None:
+def emit(payload: dict, args, table: Callable[[], str]) -> None:
+    """Print payload as JSON, or the text that table() renders."""
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        print(table)
+        print(table())
 
 
 def _parse_weights(text: str) -> tuple[Fraction, ...]:
@@ -79,7 +83,7 @@ def _check_rows(report: ValidationReport) -> list[list[str]]:
 
 def _emit_checks(report: ValidationReport, args, **extra) -> None:
     emit({**report.to_json_dict(), **extra}, args,
-         render_table(["check", "status", "detail"], _check_rows(report)))
+         lambda: render_table(["check", "status", "detail"], _check_rows(report)))
 
 
 def _load_model(path: str) -> CD2Model:
@@ -104,8 +108,8 @@ def cmd_ni(args) -> int:
         points = [(p, j) for p, j in points if j == args.parity]
     payload = {"r": args.r, "i": args.i, "parity": args.parity,
                "points": [{"exponents": list(p), "parity": j} for p, j in points]}
-    rows = [[*map(str, p), str(j)] for p, j in points]
-    emit(payload, args, render_table(["l1", "l2", "l3", "l4", "l5", "parity"], rows))
+    emit(payload, args, lambda: render_table(["l1", "l2", "l3", "l4", "l5", "parity"],
+                                             [[*map(str, p), str(j)] for p, j in points]))
     return PASS
 
 
@@ -125,9 +129,10 @@ def cmd_dims(args) -> int:
     imax = _degree_bound(args.imax)
     _check_degree_limit("dims", imax)
     table = DimensionTable.compute(args.r, imax)
-    rows = [[str(i), str(table.dimension(i, 0)), str(table.dimension(i, 1))]
-            for i in range(imax + 1)]
-    emit(table.to_json_dict(), args, render_table(["i", "dim j=0", "dim j=1"], rows))
+    emit(table.to_json_dict(), args,
+         lambda: render_table(["i", "dim j=0", "dim j=1"],
+                              [[str(i), str(table.dimension(i, 0)), str(table.dimension(i, 1))]
+                               for i in range(imax + 1)]))
     return PASS
 
 
@@ -168,11 +173,14 @@ def cmd_verify_dim(args) -> int:
     passed = report.passed and agrees
     payload = {**report.to_json_dict(), "r": r, "imax": imax, "correction": correction,
                "passed": passed}
-    rows = _check_rows(report)
-    rows.append(["correction", "pass" if agrees else "FAIL",
-                 f"reconstructed B {'equals' if agrees else 'differs from'} "
-                 f"the closed form on {len(closed)} residues"])
-    emit(payload, args, render_table(["check", "status", "detail"], rows))
+    def table() -> str:
+        rows = _check_rows(report)
+        rows.append(["correction", "pass" if agrees else "FAIL",
+                     f"reconstructed B {'equals' if agrees else 'differs from'} "
+                     f"the closed form on {len(closed)} residues"])
+        return render_table(["check", "status", "detail"], rows)
+
+    emit(payload, args, table)
     return PASS if passed else FAIL
 
 
@@ -186,7 +194,7 @@ def cmd_terminal(args) -> int:
                "terminal": terminal, "canonical": canonical}
     verdict = "terminal" if terminal else ("canonical, not terminal" if canonical
                                            else "not canonical")
-    emit(payload, args, f"{qtype}: {verdict}")
+    emit(payload, args, lambda: f"{qtype}: {verdict}")
     return PASS if terminal else FAIL
 
 
@@ -202,11 +210,11 @@ def cmd_charts(args) -> int:
                                 for f in chart.factors]}
                    for i, chart in enumerate(report.charts)],
     }
-    rows = []
-    for i, chart in enumerate(report.charts):
-        desc = " x ".join(map(str, chart.factors)) or "trivial"
-        rows.append([str(i + 1), str(chart.order), desc])
-    emit(payload, args, render_table(["chart", "order", "group"], rows))
+    emit(payload, args,
+         lambda: render_table(["chart", "order", "group"],
+                              [[str(i + 1), str(chart.order),
+                                " x ".join(map(str, chart.factors)) or "trivial"]
+                               for i, chart in enumerate(report.charts)]))
     return PASS
 
 
@@ -222,13 +230,17 @@ def cmd_blowup(args) -> int:
     report = analyze_blowup(model_germ(model), blowup_vector(model.r))
     payload = report.to_json_dict()
     payload["r"] = model.r
-    rows = [["discrepancy", str(report.discrepancy)],
-            ["E^3", str(report.e_cubed)],
-            ["orders", ", ".join(str(x) for x in report.orders)]]
-    for finding in report.chart_findings:
-        label = finding.kind if not finding.quotient else f"{finding.kind} {finding.quotient}"
-        rows.append([f"chart {finding.variable}", label])
-    emit(payload, args, render_table(["quantity", "value"], rows))
+
+    def table() -> str:
+        rows = [["discrepancy", str(report.discrepancy)],
+                ["E^3", str(report.e_cubed)],
+                ["orders", ", ".join(str(x) for x in report.orders)]]
+        for finding in report.chart_findings:
+            label = finding.kind if not finding.quotient else f"{finding.kind} {finding.quotient}"
+            rows.append([f"chart {finding.variable}", label])
+        return render_table(["quantity", "value"], rows)
+
+    emit(payload, args, table)
     manual = [f.variable for f in report.chart_findings if f.kind == MANUAL]
     if manual:
         print(f"blowup: manual analysis needed for charts {', '.join(manual)}", file=sys.stderr)
@@ -251,7 +263,7 @@ def cmd_generate(args) -> int:
     payload = {"written": args.out, "r": args.r, "seed": args.seed,
                "extra": args.extra, "p_terms": len(model.p.terms),
                "q_terms": len(model.q.terms)}
-    emit(payload, args, f"wrote model r={args.r} seed={args.seed} to {args.out}")
+    emit(payload, args, lambda: f"wrote model r={args.r} seed={args.seed} to {args.out}")
     return PASS
 
 

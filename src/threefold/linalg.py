@@ -189,9 +189,10 @@ def pivot_columns(matrix: Sequence[Sequence]) -> tuple[int, ...]:
     """Pivot columns of the row echelon form of a rational matrix.
 
     Their number is the rank, and they are the lexicographically first set
-    of linearly independent columns spanning the column space.
+    of linearly independent columns spanning the column space.  Fraction
+    entries are taken as they are; any other entry is converted.
     """
-    a = [[Fraction(x) for x in row] for row in matrix]
+    a = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in matrix]
     pivots = []
     for col in range(len(a[0]) if a else 0):
         row = len(pivots)

@@ -14,9 +14,9 @@ cD/2 normal forms.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .polynomials import (SparsePoly, detect_square_form, is_json_int, is_semi_invariant,
                           json_fields, poly_from_dict, poly_to_dict,

@@ -24,8 +24,9 @@ from __future__ import annotations
 import math
 import operator
 import re
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .quotients import QuotientType
@@ -423,7 +424,7 @@ def is_json_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 # the most digits of a number in input (a rational, a JSON integer, a quotient
 # order or weight); below CPython's own bound on int() of a string
@@ -444,14 +445,18 @@ def parse_rational(x, what: str) -> Fraction:
 
     Any other value (exponent or decimal notation, underscores, spaces, a
     plus sign) or more than DIGIT_LIMIT digits raise ValueError naming it
-    as `what`; a zero denominator raises ZeroDivisionError.
+    as `what`; a zero denominator raises ZeroDivisionError.  The grammar
+    is read once: the Fraction is built from the integers it matched, and
+    the digit count is checked before either is converted.
     """
     if is_json_int(x):
         return Fraction(x)
-    if not isinstance(x, str) or not _RATIONAL.fullmatch(x):
+    match = _RATIONAL.fullmatch(x) if isinstance(x, str) else None
+    if match is None:
         raise ValueError(f"{what} {x!r} is not an integer or a 'p/q' string")
     check_digits(x, what)
-    return Fraction(x)
+    numerator, denominator = match.groups()
+    return Fraction(int(numerator), int(denominator or 1))
 
 
 def json_fields(data, what: str, *keys: str) -> list:
@@ -474,15 +479,16 @@ def poly_from_dict(data: Mapping) -> SparsePoly:
         raise ValueError(f"polynomial 'terms' must be a list, got {terms!r}")
     clean = {}
     for t in terms:
-        if (not isinstance(t, Mapping) or not isinstance(t.get("e"), list)
-                or not all(is_json_int(e) for e in t["e"])
-                or not (is_json_int(t.get("c")) or isinstance(t.get("c"), str))):
+        e, c = (t.get("e"), t.get("c")) if isinstance(t, Mapping) else (None, None)
+        if (not isinstance(e, list) or not all(is_json_int(x) for x in e)
+                or not (is_json_int(c) or isinstance(c, str))):
             raise ValueError("each polynomial term must be an object with an integer "
                              f"list 'e' and an integer or 'p/q' string 'c', got {t!r}")
-        if tuple(t["e"]) in clean:
-            raise ValueError(f"exponent vector {t['e']} appears twice in a polynomial")
+        exps = tuple(e)
+        if exps in clean:
+            raise ValueError(f"exponent vector {e} appears twice in a polynomial")
         try:
-            clean[tuple(t["e"])] = parse_rational(t["c"], "coefficient")
+            clean[exps] = parse_rational(c, "coefficient")
         except ZeroDivisionError:
-            raise ValueError(f"coefficient {t['c']!r} has a zero denominator") from None
+            raise ValueError(f"coefficient {c!r} has a zero denominator") from None
     return SparsePoly(variables, clean)

@@ -344,7 +344,7 @@ def blowup_charts(ambient: QuotientType, v: Sequence) -> ChartReport:
     is one Smith normal form of coordinate rows computed once.
     """
     m = ambient.arity
-    vv = tuple(Fraction(x) for x in v)
+    vv = tuple(x if type(x) is Fraction else Fraction(x) for x in v)
     if len(vv) != m:
         raise LatticeError("weight vector arity does not match the ambient")
     if any(x <= 0 for x in vv):

@@ -175,6 +175,24 @@ def test_chart_character_matches_fractions(exponents):
     assert (is_semi_invariant(poly.terms, action) is not None) == semi_invariant
 
 
+def test_chart_action_needs_no_reduction():
+    # _chart_action builds its type without reducing the weights again; the
+    # type built through QuotientType.__init__, which reduces them, is the same
+    cases = [*FIXTURES.values(),
+             *((model_germ(generate_model(r, 1)), blowup_vector(r)) for r in (7, 23, 47, 95))]
+    checked = 0
+    for germ, v in cases:
+        _, denominator = blowup._weights(germ, v)
+        for i, chart in enumerate(blowup_charts(germ.ambient, v).charts):
+            for factor in chart.factors:
+                reduced = QuotientType(factor.n * denominator,
+                                       tuple(w if l == i else w * denominator
+                                             for l, w in enumerate(factor.weights)))
+                assert _chart_action(factor, i, denominator) == reduced
+                checked += 1
+    assert checked >= len(cases)
+
+
 def test_one_chart_report_per_r(monkeypatch):
     calls = []
 

@@ -24,6 +24,53 @@ def run_json(capsys, *argv):
     return code, json.loads(out) if out else None, err
 
 
+class TestRendering:
+    # table commands render one table; terminal and generate print one line
+    TABLES = {"ni": 1, "dims": 1, "verify-dim": 1, "terminal": 0, "charts": 1,
+              "generate": 0, "validate": 1, "blowup": 1}
+
+    @staticmethod
+    def commands(path):
+        return [("ni", "--r", "7", "--i", "4"), ("dims", "--r", "7", "--imax", "10"),
+                ("verify-dim", "--r", "7"), ("terminal", "--type", "1/7(1,6,3)"),
+                ("charts", "--ambient", "1/2(1,1,1,0,0)", "--weights", "4,3,2,1,7"),
+                ("generate", "--r", "7", "--seed", "1", "--out", path),
+                ("validate", "--model", path), ("blowup", "--model", path)]
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_only_the_requested_format_is_rendered(self, capsys, tmp_path, monkeypatch, fmt):
+        calls = []
+        render = cli.render_table
+
+        def counting(headers, rows):
+            calls.append(headers)
+            return render(headers, rows)
+
+        monkeypatch.setattr(cli, "render_table", counting)
+        rendered = {}
+        for argv in self.commands(str(tmp_path / "model.json")):
+            before = len(calls)
+            code, out, _ = run(capsys, "--format", fmt, *argv)
+            assert code == 0 and out, argv
+            rendered[argv[0]] = len(calls) - before
+        expected = {name: 0 for name in self.TABLES} if fmt == "json" else self.TABLES
+        assert rendered == expected
+
+    def test_a_failed_validation_renders_its_checks_once(self, capsys, tmp_path, monkeypatch):
+        path = str(tmp_path / "model.json")
+        run(capsys, "generate", "--r", "7", "--seed", "1", "--out", path)
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
+        data["p"]["terms"] = []
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(data, handle)
+        calls = []
+        monkeypatch.setattr(cli, "render_table", lambda headers, rows: calls.append(rows) or "")
+        for fmt, count in (("json", 0), ("table", 1)):
+            code, _, _ = run(capsys, "--format", fmt, "blowup", "--model", path)
+            assert code == 1 and len(calls) == count
+
+
 class TestNi:
     def test_points_json(self, capsys):
         code, data, _ = run_json(capsys, "ni", "--r", "7", "--i", "4")

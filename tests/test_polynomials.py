@@ -332,6 +332,46 @@ class TestJson:
             assert str(caught.value) == (f"coefficient has {DIGIT_LIMIT + 1} digits; "
                                          f"at most DIGIT_LIMIT = {DIGIT_LIMIT}")
 
+    def test_fast_parse_matches_the_fraction_of_the_text(self):
+        # parse_rational builds the Fraction from the integers its grammar
+        # matched; Fraction(text), which reads the text with a grammar of its
+        # own, is the slow path it replaces
+        rng = random.Random(17)
+
+        def digits(count):
+            return "".join(rng.choice("0123456789") for _ in range(count))
+
+        texts = ["0", "-0", "00", "-007", "0/7", "-0/7", "6/4", "-6/4", "10/100",
+                 "007/0014", "1/1", "-1/1", "9" * DIGIT_LIMIT,
+                 "-" + "9" * DIGIT_LIMIT, "1" + "0" * (DIGIT_LIMIT - 1)]
+        # the limit counts the digits of both parts together
+        for split in (1, DIGIT_LIMIT // 2, DIGIT_LIMIT - 1):
+            denominator = rng.choice("123456789") + digits(DIGIT_LIMIT - split - 1)
+            texts.append(f"{digits(split)}/{denominator}")
+        for _ in range(300):
+            sign = rng.choice(("", "-"))
+            numerator = digits(rng.choice((1, 2, 5, 20, rng.randint(1, 60))))
+            if rng.random() < 0.5:
+                texts.append(sign + numerator)
+            else:
+                denominator = digits(rng.randint(0, 40)) + rng.choice("123456789")
+                texts.append(f"{sign}{numerator}/{denominator}")
+        for text in texts:
+            assert sum(map(str.isdigit, text)) <= DIGIT_LIMIT, text
+            value = parse_rational(text, "coefficient")
+            assert type(value) is Fraction and value == Fraction(text), text
+        for text in ("1/0", "-5/000", "0/0"):
+            with pytest.raises(ZeroDivisionError):
+                parse_rational(text, "coefficient")
+        # the digit count is checked before int() reads the numeral, so a
+        # numeral past int()'s own 4300-digit bound gets the same message
+        for count in (DIGIT_LIMIT + 1, 5000):
+            for text in ("1" * count, "-" + "1" * count, "1/" + "1" * (count - 1)):
+                with pytest.raises(ValueError) as caught:
+                    parse_rational(text, "coefficient")
+                assert str(caught.value) == (f"coefficient has {count} digits; "
+                                             f"at most DIGIT_LIMIT = {DIGIT_LIMIT}")
+
 
 def _random_poly(rng, variables, max_terms=5, max_exp=4):
     terms = {}

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from threefold import quotients
-from threefold.linalg import (identity_matrix, invert_unimodular,
+from threefold.linalg import (identity_matrix, invert_unimodular, pivot_columns,
                               rational_determinant, smith_normal_form)
 from threefold.quotients import (ChartGroup, LatticeError,
                                  QuotientType, blowup_charts, effective_factors,
@@ -200,6 +201,39 @@ class TestSmithNormalForm:
     def test_invert_unimodular_rejects(self):
         with pytest.raises(ValueError):
             invert_unimodular([[2, 0], [0, 1]])
+
+
+class TestPivotColumns:
+    def test_known_pivots(self):
+        assert pivot_columns([[0, 2, 4], [0, 1, 2]]) == (1,)
+        assert pivot_columns([[1, 2, 0], [2, 4, 1]]) == (0, 2)
+        assert pivot_columns([]) == ()
+        # the third row is the first less the second; int entries divided
+        # as floats would leave a rounding residue there and a third pivot
+        matrix = [[3, 4, -8], [-1, 7, 6], [4, -3, -14]]
+        assert pivot_columns(matrix) == (0, 1)
+        assert pivot_columns([[Fraction(x) for x in row] for row in matrix]) == (0, 1)
+
+    def test_entry_types_give_the_same_pivots(self):
+        # Fraction entries are taken as they are and int entries converted,
+        # so an int, a Fraction and a mixed matrix agree
+        rng = random.Random(5)
+        for _ in range(200):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+            matrix = [[rng.randint(-3, 3) if rng.random() < 0.7 else 0 for _ in range(cols)]
+                      for _ in range(rows)]
+            if rows > 1 and rng.random() < 0.5:
+                # a dependent row, so the rank falls short of the row count
+                c = rng.randint(-2, 2)
+                matrix[-1] = [x + c * y for x, y in zip(matrix[0], matrix[1 % rows])]
+            fractions = [[Fraction(x) for x in row] for row in matrix]
+            mixed = [[Fraction(x) if rng.random() < 0.5 else x for x in row] for row in matrix]
+            pivots = pivot_columns(matrix)
+            assert pivot_columns(fractions) == pivots
+            assert pivot_columns(mixed) == pivots
+            # the pivot columns are independent: some maximal minor is nonzero
+            assert any(rational_determinant([[matrix[a][c] for c in pivots] for a in chosen])
+                       for chosen in itertools.combinations(range(rows), len(pivots)))
 
 
 class TestLattice:
