@@ -1,7 +1,7 @@
 """Weighted blow-ups of complete-intersection germs in cyclic quotients.
 
 Given a three-fold germ {phi_1 = ... = phi_k = 0} in C^m/(1/n)(a_1,...,a_m)
-and a primitive weight vector v, analyze_blowup scales v to integers once
+and a primitive weight vector v, analyze_blowup reads v's cached chart data
 and lists each equation's term powers once.  The least term weight of an
 equation is its vanishing order along the exceptional divisor (its weighted
 order under v); the discrepancy  sum(v) - sum(orders) - 1  and the toric
@@ -21,13 +21,13 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .linalg import pivot_columns
 from .models import (CD2Model, CheckResult, GERM_VARIABLES, ValidationReport,
                      blowup_vector, model_equations, validate_model, AMBIENT)
 from .polynomials import SparsePoly, is_semi_invariant
-from .quotients import ChartReport, QuotientType, blowup_charts
+from .quotients import ChartGroup, QuotientType, blowup_charts, effective_factors
 
 
 class DimensionError(ValueError):
@@ -65,18 +65,6 @@ class CIGerm:
         object.__setattr__(self, "equations", tuple(flattened))
 
 
-def _weights(germ: CIGerm, v: Sequence) -> tuple[tuple[int, ...], int]:
-    """v, checked against the germ, as integer numerators over its least
-    common denominator, and that denominator."""
-    vv = tuple(x if type(x) is Fraction else Fraction(x) for x in v)
-    if len(vv) != len(germ.variables):
-        raise ValueError("weight vector arity mismatch")
-    if any(x <= 0 for x in vv):
-        raise ValueError("weights must be positive")
-    denominator = math.lcm(*(x.denominator for x in vv))
-    return tuple(x.numerator * (denominator // x.denominator) for x in vv), denominator
-
-
 # -- strict transforms and chart analysis -------------------------------------
 
 
@@ -104,7 +92,7 @@ def _term_powers(eq: SparsePoly, scaled: tuple[int, ...]
                  ) -> tuple[list[tuple[tuple[int, ...], Fraction, int]], int]:
     """Each term of eq with the power of t^(1/denominator) it keeps after
     x_l -> y_l * t^(v_l) and division by t^(order), and the shift: the order
-    times denominator; scaled is v times denominator, from _weights.
+    times denominator; scaled is v times denominator, from _chart_data.
 
     The power is the term's weight times denominator, less the shift, the
     least such product over the terms, so no power is negative.  It does not
@@ -137,39 +125,58 @@ def _chart_action(factor: QuotientType, chart: int, denominator: int) -> Quotien
                                        for l, w in enumerate(factor.weights)))
 
 
-@lru_cache(maxsize=64)
-def _cached_charts(compute, ambient: QuotientType, scaled: tuple[int, ...],
-                   denominator: int) -> ChartReport:
-    """The chart groups of (ambient, scaled/denominator), computed once and then shared.
+class _ChartData(NamedTuple):
+    # scaled is v times denominator, the least common denominator of v, and
+    # actions[i] holds the _chart_action of each factor of chart i
+    charts: tuple[ChartGroup, ...]
+    scaled: tuple[int, ...]
+    denominator: int
+    actions: tuple[tuple[QuotientType, ...], ...]
+    residuals: dict
 
-    They depend on r alone for the model family, so every model of one r
-    reuses one report, and with it the residual groups the report keeps for
-    each (chart, kept coordinates) pair it has been asked.  The cache is
-    keyed on the chart function as well, so a caller passing the module name
-    blowup_charts computes afresh when it is rebound (as a test or a tracer
-    may) rather than serving another function's reports.
-    LatticeError is not cached and is raised on every call.
-    """
-    return compute(ambient, tuple(Fraction(x, denominator) for x in scaled))
+    def residual(self, chart: int, keep: tuple[int, ...]):
+        """The effective factors of chart's group on the coordinates in keep, and
+        their normalized type when there is one factor; computed once per pair."""
+        found = self.residuals.get((chart, keep))
+        if found is None:
+            factors = tuple(effective_factors(self.charts[chart].restricted(keep), len(keep)))
+            qtype = factors[0].normalized() if len(factors) == 1 else None
+            found = self.residuals[chart, keep] = (factors, qtype)
+        return found
+
+
+@lru_cache(maxsize=64)
+def _chart_data(compute, ambient: QuotientType, v: tuple[Fraction, ...]) -> _ChartData:
+    """The chart record of (ambient, v), computed once and then shared.
+
+    compute(ambient, v) checks v and gives the chart groups; a LatticeError is
+    not cached.  The groups depend on r alone for the model family, so every
+    model of one r reuses one record.  The key holds the chart function too,
+    so a rebinding of blowup.blowup_charts (a test's or a tracer's) computes
+    afresh rather than reading another function's records."""
+    report = compute(ambient, v)
+    denominator = math.lcm(*(x.denominator for x in v))
+    actions = tuple(tuple(_chart_action(factor, i, denominator) for factor in chart.factors)
+                    for i, chart in enumerate(report.charts))
+    scaled = tuple(x.numerator * (denominator // x.denominator) for x in v)
+    return _ChartData(report.charts, scaled, denominator, actions, {})
 
 
 def _matrix_str(rows) -> str:
     return "[" + ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in rows) + "]"
 
 
-def chart_singularities(germ: CIGerm, scaled: tuple[int, ...], denominator: int,
+def chart_singularities(germ: CIGerm, data: _ChartData,
                         powers: Sequence[list]) -> tuple[ChartFinding, ...]:
     """Per-chart analysis of the strict transform at the chart origins;
-    scaled and denominator come from _weights, and powers holds the term
-    list _term_powers gives for each equation."""
+    data is the _chart_data record of the germ's ambient and v, and powers
+    holds the term list _term_powers gives for each equation."""
     m = len(germ.variables)
-    report = _cached_charts(blowup_charts, germ.ambient, scaled, denominator)
     origin = (0,) * m
     findings = []
     for i, var in enumerate(germ.variables):
         transforms = [_strict_transform(terms, i) for terms in powers]
-        for factor in report.charts[i].factors:
-            action = _chart_action(factor, i, denominator)
+        for action in data.actions[i]:
             for transform in transforms:
                 if is_semi_invariant(transform, action) is None:
                     raise ArithmeticError("strict transform lost semi-invariance")
@@ -182,19 +189,19 @@ def chart_singularities(germ: CIGerm, scaled: tuple[int, ...], denominator: int,
                                                 f"constant term; origin is off the germ"))
             continue
 
-        probes = [origin[:l] + (denominator if l == i else 1,) + origin[l + 1:]
+        probes = [origin[:l] + (data.denominator if l == i else 1,) + origin[l + 1:]
                   for l in range(m)]
         linear = [[transform.get(probe, _ZERO) for probe in probes] for transform in transforms]
         chosen = pivot_columns(linear)
-        data = f"linear terms {_matrix_str(linear)}, rank {len(chosen)}"
+        evidence = f"linear terms {_matrix_str(linear)}, rank {len(chosen)}"
         if len(chosen) < len(transforms):
             findings.append(ChartFinding(var, MANUAL,
                                          detail="no independent linear terms; "
                                                 "strict transform is singular or needs "
-                                                f"analytic units at the chart origin; {data}"))
+                                                f"analytic units at the chart origin; {evidence}"))
             continue
 
-        residual, qtype = report.residual(i, tuple(l for l in range(m) if l not in chosen))
+        residual, qtype = data.residual(i, tuple(l for l in range(m) if l not in chosen))
         if not residual:
             findings.append(ChartFinding(var, SMOOTH,
                                          detail="residual group is trivial"))
@@ -203,7 +210,7 @@ def chart_singularities(germ: CIGerm, scaled: tuple[int, ...], denominator: int,
                                          detail=f"quotient point of type {qtype}"))
         else:
             findings.append(ChartFinding(var, MANUAL,
-                                         detail=f"residual group is not cyclic; {data}"))
+                                         detail=f"residual group is not cyclic; {evidence}"))
     return tuple(findings)
 
 
@@ -226,19 +233,22 @@ class BlowupReport:
 def analyze_blowup(germ: CIGerm, v: Sequence) -> BlowupReport:
     """The blow-up of a three-fold germ by v, from one pass over each
     equation's term powers: an equation's shift is its order times the
-    denominator, and the discrepancy and E^3 are read off the shifts."""
-    scaled, denominator = _weights(germ, v)
+    denominator, and the discrepancy and E^3 are read off the shifts.  First
+    blowup_charts raises LatticeError unless v is primitive and positive."""
+    data = _chart_data(blowup_charts, germ.ambient,
+                       tuple(x if type(x) is Fraction else Fraction(x) for x in v))
     if len(germ.variables) - len(germ.equations) != 3:
         raise DimensionError(
             f"the blow-up needs a three-fold; got {len(germ.variables)} variables "
             f"and {len(germ.equations)} equations")
+    scaled, denominator = data.scaled, data.denominator
     passes = [_term_powers(eq, scaled) for eq in germ.equations]
     shifts = [shift for _, shift in passes]
     orders = tuple(Fraction(shift, denominator) for shift in shifts)
     disc = Fraction(sum(scaled) - sum(shifts), denominator) - 1
     # E^3 = prod(orders) / (n * prod(v)), and m - k = 3 denominators are left over
     e3 = Fraction(math.prod(shifts) * denominator ** 3, germ.ambient.n * math.prod(scaled))
-    findings = chart_singularities(germ, scaled, denominator, [terms for terms, _ in passes])
+    findings = chart_singularities(germ, data, [terms for terms, _ in passes])
     return BlowupReport(orders, disc, e3, findings)
 
 

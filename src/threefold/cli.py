@@ -92,7 +92,11 @@ def _load_model(path: str) -> CD2Model:
         return int(text)
 
     with open(path, "r", encoding="utf-8") as handle:
-        return CD2Model.from_json_dict(json.load(handle, parse_int=json_int))
+        try:
+            data = json.load(handle, parse_int=json_int)
+        except RecursionError:
+            raise ValueError(f"{path} nests JSON too deeply to be read") from None
+    return CD2Model.from_json_dict(data)
 
 
 # -- subcommands ---------------------------------------------------------------

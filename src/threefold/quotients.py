@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -132,10 +132,12 @@ class QuotientType:
 # -- Reid-Tai terminality ----------------------------------------------------
 
 
-# The age loop (n group elements, one step per weight each) and the loop of
+# The age loop (n group elements, one step per weight each), the loop of
 # normalized over candidate units (g per distinct weight of gcd g, one step
-# per weight each) take at most this many steps; above it the verdict or
-# form is refused with a ValueError, which the CLI reports as malformed input
+# per weight each) and blowup_charts (m + 1 Smith normal forms of about m
+# rows of m entries, counted as m^4 steps) take at most this many steps;
+# above it the verdict, form or chart groups are refused with a ValueError,
+# which the CLI reports as malformed input
 QUOTIENT_ORDER_LIMIT = 1_000_000
 
 
@@ -309,37 +311,17 @@ class ChartGroup:
 
 @dataclass(frozen=True)
 class ChartReport:
-    """The chart groups of one weighted blow-up, and the residual groups
-    asked of them so far.
-
-    The residuals are filled in as residual() is called; they are derived
-    data, so they take no part in equality, hashing or repr.
-    """
+    """The chart groups of one weighted blow-up, chart i at index i."""
 
     charts: tuple[ChartGroup, ...]
-    _residuals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def residual(self, chart: int, keep: tuple[int, ...]
-                 ) -> tuple[tuple[QuotientType, ...], QuotientType | None]:
-        """The effective factors of chart's group restricted to the coordinates
-        in keep, with their normalized type when there is exactly one factor.
-
-        Computed by effective_factors on the first call for a (chart, keep)
-        pair and then read from this report.
-        """
-        found = self._residuals.get((chart, keep))
-        if found is None:
-            factors = tuple(effective_factors(self.charts[chart].restricted(keep), len(keep)))
-            qtype = factors[0].normalized() if len(factors) == 1 else None
-            found = self._residuals[chart, keep] = (factors, qtype)
-        return found
 
 
 def blowup_charts(ambient: QuotientType, v: Sequence) -> ChartReport:
     """Chart groups of the weighted blow-up of C^m/(ambient) at weight vector v.
 
     Raises LatticeError unless v is a positive, primitive vector of the
-    lattice Z^m + Z*(weights/n).  One basis of that lattice serves the
+    lattice Z^m + Z*(weights/n), and ValueError when m^4 steps exceed
+    QUOTIENT_ORDER_LIMIT.  One basis of that lattice serves the
     membership and primitivity tests and every chart, and each chart group
     is one Smith normal form of coordinate rows computed once.
     """
@@ -349,6 +331,7 @@ def blowup_charts(ambient: QuotientType, v: Sequence) -> ChartReport:
         raise LatticeError("weight vector arity does not match the ambient")
     if any(x <= 0 for x in vv):
         raise LatticeError("weight vector entries must be positive")
+    _check_order(ambient, m ** 4, "chart computation")
     # the lattice is n*N: its vectors stand for ambient vectors divided by n
     scale = ambient.n
     scaled_v = _scaled(ambient, vv)

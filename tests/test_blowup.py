@@ -3,12 +3,12 @@ from fractions import Fraction
 import pytest
 
 from threefold.blowup import (CIGerm, DimensionError, MANUAL, QUOTIENT, SMOOTH,
-                              _strict_transform, _term_powers, _weights, analyze_blowup,
+                              _chart_data, _strict_transform, _term_powers, analyze_blowup,
                               model_germ, verify_blowup_profile)
 from threefold.models import (CD2Model, P_VARIABLES, Q_VARIABLES, blowup_vector,
                               generate_model)
 from threefold.polynomials import SparsePoly
-from threefold.quotients import QuotientType
+from threefold.quotients import LatticeError, QuotientType, blowup_charts
 
 from helpers import parse_poly
 
@@ -65,14 +65,19 @@ class TestOrders:
     def test_empty(self):
         assert analyze_blowup(smooth_space(), (1, 1, 1)).orders == ()
 
+    # blowup_charts checks v, the arity before the signs; each id names the
+    # defect of its case
     @pytest.mark.parametrize("analysis", [analyze_blowup])
-    @pytest.mark.parametrize("v, message", [((1, 1), "weight vector arity mismatch"),
-                                            ((1, -1), "weight vector arity mismatch"),
-                                            ((1, -HALF, 1), "weights must be positive")])
+    @pytest.mark.parametrize("v, message", [
+        ((1, 1), "weight vector arity does not match the ambient"),
+        ((1, -1), "weight vector arity does not match the ambient"),
+        ((1, -HALF, 1), "weight vector entries must be positive")],
+        ids=["v0-weight vector arity mismatch", "v1-weight vector arity mismatch",
+             "v2-weights must be positive"])
     def test_weights_checked_against_the_germ(self, analysis, v, message):
-        # the arity is checked before the signs
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(LatticeError, match=f"^{message}$") as caught:
             analysis(smooth_space(), v)
+        assert isinstance(caught.value, ValueError)
 
 
 class TestDiscrepancy:
@@ -193,12 +198,13 @@ class TestChartSingularities:
 
 class TestStrictTransform:
     def test_denominator_must_clear_the_weights(self):
-        # v = (1/2, 1/2, 1) needs t^(1/2) units: _weights scales v by the
-        # least denominator that clears it, 2
+        # v = (1/2, 1/2, 1) needs t^(1/2) units: the chart data scales v by
+        # the least denominator that clears it, 2
         names = ("x1", "x2", "x3")
         eq = parse_poly("x1*x2 + x3^2", names)
         germ = CIGerm(QuotientType(2, (1, 1, 0)), names, (eq,))
-        assert _weights(germ, (HALF, HALF, 1)) == ((1, 1, 2), 2)
+        data = _chart_data(blowup_charts, germ.ambient, (HALF, HALF, Fraction(1)))
+        assert (data.scaled, data.denominator) == ((1, 1, 2), 2)
         # the order is 1 (2 units): x1*x2 keeps t^0 and x3^2 keeps t^1
         # (2 units), written in as the chart coordinate's exponent
         terms, shift = _term_powers(eq, (1, 1, 2))

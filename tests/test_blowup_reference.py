@@ -177,18 +177,22 @@ def test_chart_character_matches_fractions(exponents):
 
 def test_chart_action_needs_no_reduction():
     # _chart_action builds its type without reducing the weights again; the
-    # type built through QuotientType.__init__, which reduces them, is the same
+    # type built through QuotientType.__init__, which reduces them, is the same,
+    # and the chart data holds it for each factor of each chart
     cases = [*FIXTURES.values(),
              *((model_germ(generate_model(r, 1)), blowup_vector(r)) for r in (7, 23, 47, 95))]
     checked = 0
     for germ, v in cases:
-        _, denominator = blowup._weights(germ, v)
+        data = blowup._chart_data(blowup_charts, germ.ambient, tuple(map(Fraction, v)))
+        denominator = math.lcm(*(Fraction(x).denominator for x in v))
+        assert data.denominator == denominator
         for i, chart in enumerate(blowup_charts(germ.ambient, v).charts):
-            for factor in chart.factors:
+            assert len(data.actions[i]) == len(chart.factors)
+            for factor, action in zip(chart.factors, data.actions[i]):
                 reduced = QuotientType(factor.n * denominator,
                                        tuple(w if l == i else w * denominator
                                              for l, w in enumerate(factor.weights)))
-                assert _chart_action(factor, i, denominator) == reduced
+                assert _chart_action(factor, i, denominator) == reduced == action
                 checked += 1
     assert checked >= len(cases)
 
@@ -201,19 +205,55 @@ def test_one_chart_report_per_r(monkeypatch):
         return blowup_charts(ambient, v)
 
     monkeypatch.setattr(blowup, "blowup_charts", counting)
-    blowup._cached_charts.cache_clear()
+    blowup._chart_data.cache_clear()
     try:
         reports = [verify_blowup_profile(generate_model(23, seed)) for seed in range(10)]
     finally:
-        blowup._cached_charts.cache_clear()
+        blowup._chart_data.cache_clear()
     assert all(report.passed for report in reports)
     assert calls == [(QuotientType(2, (1, 1, 1, 0, 0)),
                       tuple(Fraction(x) for x in blowup_vector(23)))]
 
 
+def test_chart_actions_are_built_once_per_r(monkeypatch):
+    # the five chart factors of an r get their actions once, not once per model
+    calls = []
+
+    def counting(factor, chart, denominator):
+        calls.append((factor, chart, denominator))
+        return _chart_action(factor, chart, denominator)
+
+    monkeypatch.setattr(blowup, "_chart_action", counting)
+    blowup._chart_data.cache_clear()
+    try:
+        reports = [verify_blowup_profile(generate_model(r, seed))
+                   for r in (7, 23) for seed in range(10)]
+    finally:
+        blowup._chart_data.cache_clear()
+    assert all(report.passed for report in reports)
+    # one call per chart and r, the first model of each r making them
+    assert [chart for _, chart, _ in calls] == [0, 1, 2, 3, 4] * 2
+
+
+def test_rebound_chart_function_computes_afresh(monkeypatch):
+    # the cache is keyed on the chart function: once it is warm, a rebinding
+    # of blowup.blowup_charts (as a tracer makes) is still called, once per r
+    model = generate_model(23, 1)
+    expected = verify_blowup_profile(model)
+    calls = []
+
+    def counting(ambient, v):
+        calls.append(v)
+        return blowup_charts(ambient, v)
+
+    monkeypatch.setattr(blowup, "blowup_charts", counting)
+    assert [verify_blowup_profile(model) for _ in range(3)] == [expected] * 3
+    assert calls == [tuple(Fraction(x) for x in blowup_vector(23))]
+
+
 def test_one_pass_over_the_term_powers(monkeypatch):
-    # v is scaled once and each equation's term powers are listed once; the
-    # orders, the discrepancy, E^3 and every chart read that one pass
+    # the chart data is read once and each equation's term powers are listed
+    # once; the orders, the discrepancy, E^3 and every chart read that one pass
     calls = []
 
     def counting(name, compute):
@@ -224,10 +264,10 @@ def test_one_pass_over_the_term_powers(monkeypatch):
 
     family, v = model_germ(generate_model(23, 2)), blowup_vector(23)
     expected = reference_report(family, v)
-    for name in ("_weights", "_term_powers"):
+    for name in ("_chart_data", "_term_powers"):
         monkeypatch.setattr(blowup, name, counting(name, getattr(blowup, name)))
     assert analyze_blowup(family, v) == expected
-    assert calls == ["_weights"] + ["_term_powers"] * len(family.equations)
+    assert calls == ["_chart_data"] + ["_term_powers"] * len(family.equations)
 
 
 def test_chart_step_is_called_once_through_the_module(monkeypatch):
@@ -255,7 +295,7 @@ def test_chart_step_is_called_once_through_the_module(monkeypatch):
 
 def test_residual_groups_are_computed_once_per_r(monkeypatch):
     # after one model of an r, further models of that r make no lattice
-    # computation: the chart report and its residual groups are shared
+    # computation: the chart data and its residual groups are shared
     calls = []
 
     def counting(name, compute):
@@ -264,22 +304,24 @@ def test_residual_groups_are_computed_once_per_r(monkeypatch):
             return compute(*args)
         return counted
 
-    blowup._cached_charts.cache_clear()
+    blowup._chart_data.cache_clear()
     try:
         assert verify_blowup_profile(generate_model(47, 0)).passed
-        for name in ("effective_factors", "smith_normal_form"):
-            monkeypatch.setattr(quotients, name, counting(name, getattr(quotients, name)))
+        for module, name in ((blowup, "effective_factors"), (quotients, "smith_normal_form")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         reports = [verify_blowup_profile(generate_model(47, seed)) for seed in range(1, 31)]
+        assert calls == []
+        # the counters see the calls fresh chart data makes: one for the basis
+        # of the ambient lattice, one for each of the five charts, then one
+        # residual of two
+        blowup._chart_data.cache_clear()
+        data = blowup._chart_data(blowup_charts, QuotientType(2, (1, 1, 1, 0, 0)),
+                                  blowup_vector(47))
+        for _ in range(2):
+            data.residual(0, (1, 2, 3))
     finally:
-        blowup._cached_charts.cache_clear()
+        blowup._chart_data.cache_clear()
     assert all(report.passed for report in reports)
-    assert calls == []
-    # the counters see the calls a fresh report makes: one for the basis of
-    # the ambient lattice, one for each of the five charts, then one
-    # residual of two
-    report = blowup_charts(QuotientType(2, (1, 1, 1, 0, 0)), blowup_vector(47))
-    for _ in range(2):
-        report.residual(0, (1, 2, 3))
     assert calls.count("smith_normal_form") == 8 and calls.count("effective_factors") == 1
 
 
@@ -315,11 +357,11 @@ def test_chart_analysis_builds_no_polynomial(monkeypatch):
     family = model_germ(model)
     assert built, "the counter sees the constructions of model_germ"
     built.clear()
-    blowup._cached_charts.cache_clear()
+    blowup._chart_data.cache_clear()
     try:
         findings = [analyze_blowup(family, v).chart_findings for _ in range(2)]
     finally:
-        blowup._cached_charts.cache_clear()
+        blowup._chart_data.cache_clear()
         monkeypatch.undo()
     assert built == []
     assert findings == [expected, expected]

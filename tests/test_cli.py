@@ -371,6 +371,24 @@ class TestCharts:
                                  "--weights", " 4, 3 ,2,1, 7 ")
         assert code == 0 and data["weights"] == ["4", "3", "2", "1", "7"]
 
+    def test_arity_bound_admits_exactly_31_coordinates(self, capsys, snf_calls):
+        # m^4 steps against QUOTIENT_ORDER_LIMIT, counted before any SNF:
+        # 31^4 = 923521 is admitted and 32^4 = 1048576 refused
+        for m, code in ((31, 0), (32, 2)):
+            ambient = f"1/2({','.join(['1'] * m)})"
+            snf_calls.clear()
+            out_code, out, err = run(capsys, "charts", "--ambient", ambient,
+                                     "--weights", ",".join(["1"] * (m - 1) + ["2"]))
+            assert out_code == code
+            if code == 0:
+                # one SNF for the ambient lattice and one per chart
+                assert len(out.splitlines()) == 2 + m and err == "" and len(snf_calls) == m + 1
+            else:
+                assert out == "" and snf_calls == []
+                assert err == (f"error: the chart computation of {ambient} takes "
+                               f"{m ** 4} steps; at most QUOTIENT_ORDER_LIMIT = "
+                               f"{quotients.QUOTIENT_ORDER_LIMIT}\n")
+
     def test_two_factor_chart_row(self, capsys):
         # a chart group that is not cyclic prints as the product of its factors
         code, out, _ = run(capsys, "charts", "--ambient", "1/2(0,0,1)", "--weights", "1,2,1")
@@ -480,6 +498,15 @@ class TestModelPipeline:
         assert data["discrepancy"] == "2" and data["e3"] == "1/7"
         kinds = [c["finding"] for c in data["charts"]]
         assert kinds.count("quotient") == 1 and kinds.count("manual") == 0
+
+    @pytest.mark.parametrize("command", ["validate", "blowup"])
+    def test_deeply_nested_json_is_input_error(self, capsys, tmp_path, command):
+        # the JSON decoder recurses once per level and gives up far above
+        # the interpreter's recursion limit; that is malformed input
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        assert run(capsys, command, "--model", str(path)) == (
+            2, "", f"error: {path} nests JSON too deeply to be read\n")
 
     def test_format_flag_after_subcommand(self, capsys, tmp_path):
         path = str(tmp_path / "model.json")

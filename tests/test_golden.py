@@ -1,13 +1,13 @@
-"""Byte-for-byte replay of the CLI's JSON output.
+"""Byte-for-byte replay of the CLI's output in both renderings.
 
-Each file under tests/golden/ is the ``--format json`` stdout of one command
-below, and model_r<r>_seed42.json is the model file ``generate --r <r> --seed 42``
+Each .json file under tests/golden/ is the ``--format json`` stdout of one
+command below, and the .txt file of the same stem is its ``--format table``
+stdout; model_r<r>_seed42.json is the model file ``generate --r <r> --seed 42``
 writes.  model_square_r23.json keeps the p of model_r23_seed42.json and takes
 q = (x3*s)^2 with s = x4^9 + 2*x3^2*x4^5 - 1/3*x3^4*x4, so validate and
 blowup fail on the square check alone.  A refactor that changes any byte of
-that output fails here.  The
-path ``generate`` reports is replaced by OUT before comparing, since the
-test writes to a temporary directory.
+that output fails here.  The path ``generate`` reports is replaced by OUT
+before comparing, since the test writes to a temporary directory.
 """
 
 import io
@@ -48,11 +48,15 @@ CASES = (
 )
 
 
-def replay(argv) -> tuple[int, str]:
+def replay(argv, rendering="json") -> tuple[int, str]:
     out = io.StringIO()
     with redirect_stdout(out):
-        code = main(["--format", "json", *argv])
+        code = main(["--format", rendering, *argv])
     return code, out.getvalue()
+
+
+def table_name(name: str) -> str:
+    return name.removesuffix(".json") + ".txt"
 
 
 @pytest.mark.parametrize("name, code, argv", CASES, ids=[case[0] for case in CASES])
@@ -60,10 +64,25 @@ def test_command_output(name, code, argv):
     assert replay(argv) == (code, (GOLDEN / name).read_text(encoding="utf-8"))
 
 
+@pytest.mark.parametrize("name, code, argv", CASES, ids=[table_name(case[0]) for case in CASES])
+def test_table_output(name, code, argv):
+    expected = (GOLDEN / table_name(name)).read_text(encoding="utf-8")
+    assert replay(argv, "table") == (code, expected)
+
+
 def test_generate_output_and_model_file(tmp_path):
     path = tmp_path / "model.json"
     code, out = replay(["generate", "--r", "7", "--seed", "42", "--out", str(path)])
     assert code == 0
     assert out.replace(str(path), OUT) == (GOLDEN / "generate_r7_seed42.json").read_text(
+        encoding="utf-8")
+    assert path.read_bytes() == MODEL.read_bytes()
+
+
+def test_generate_table_output(tmp_path):
+    path = tmp_path / "model.json"
+    code, out = replay(["generate", "--r", "7", "--seed", "42", "--out", str(path)], "table")
+    assert code == 0
+    assert out.replace(str(path), OUT) == (GOLDEN / "generate_r7_seed42.txt").read_text(
         encoding="utf-8")
     assert path.read_bytes() == MODEL.read_bytes()

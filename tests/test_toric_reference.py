@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 
+from threefold.blowup import _chart_data
 from threefold.linalg import invert_rational, invert_unimodular, smith_normal_form
 from threefold.models import AMBIENT, blowup_vector, valid_r
 from threefold.quotients import (ChartGroup, LatticeError,
@@ -252,20 +253,21 @@ def test_effective_factors_random_groups():
 
 
 def test_chart_report_residuals_match_effective_factors():
-    # every (chart, keep) pair of the cD/2 chart reports for valid r <= 400,
-    # asked twice of one report: computed on the first call, stored after
+    # every (chart, keep) pair of the cD/2 chart groups for valid r <= 400,
+    # asked twice of one blow-up chart record: computed on the first call,
+    # stored after
     pairs = 0
     for r in filter(valid_r, range(401)):
-        report = blowup_charts(AMBIENT, blowup_vector(r))
+        data = _chart_data(blowup_charts, AMBIENT, blowup_vector(r))
         expected = {}
-        for i, chart in enumerate(report.charts):
+        for i, chart in enumerate(data.charts):
             for keep in itertools.combinations(range(5), 3):
                 factors = effective_factors(chart.restricted(keep), 3)
                 qtype = factors[0].normalized() if len(factors) == 1 else None
                 expected[i, keep] = (tuple(factors), qtype)
         for _ in range(2):
-            assert {pair: report.residual(*pair) for pair in expected} == expected, r
-        assert report == blowup_charts(AMBIENT, blowup_vector(r))
+            assert {pair: data.residual(*pair) for pair in expected} == expected, r
+        assert data.charts == blowup_charts(AMBIENT, blowup_vector(r)).charts
         pairs += len(expected)
     assert pairs == 4950
 
