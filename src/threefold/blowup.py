@@ -139,7 +139,7 @@ class _ChartData(NamedTuple):
         their normalized type when there is one factor; computed once per pair."""
         found = self.residuals.get((chart, keep))
         if found is None:
-            factors = tuple(effective_factors(self.charts[chart].restricted(keep), len(keep)))
+            factors = tuple(effective_factors(self.charts[chart].restricted(keep)))
             qtype = factors[0].normalized() if len(factors) == 1 else None
             found = self.residuals[chart, keep] = (factors, qtype)
         return found

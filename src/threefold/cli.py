@@ -25,7 +25,7 @@ from .dimensions import (DimensionTable, InconsistencyError, check_decomposition
                          degree_points, solve_correction, WellDefinednessError)
 from .models import (GENERATE_STEP_LIMIT, CD2Model, CheckResult, ValidationReport,
                      blowup_vector, generate_model, validate_model)
-from .polynomials import DIGIT_LIMIT, check_digits, parse_rational
+from .polynomials import DIGIT_LIMIT, _excerpt, check_digits, parse_rational
 from .quotients import (QUOTIENT_ORDER_LIMIT, QuotientType, blowup_charts,
                         reid_tai_is_canonical, reid_tai_is_terminal)
 
@@ -65,7 +65,7 @@ def _parse_weights(text: str) -> tuple[Fraction, ...]:
     try:
         return tuple(parse_rational(part.strip(), "weight") for part in text.split(","))
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in weights {text!r}") from None
+        raise ValueError(f"zero denominator in weights {_excerpt(text)}") from None
 
 
 def _integer(text: str) -> int:

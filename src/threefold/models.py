@@ -18,8 +18,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomials import (SparsePoly, detect_square_form, is_json_int, is_semi_invariant,
-                          json_fields, poly_from_dict, poly_to_dict,
+from .polynomials import (SparsePoly, _excerpt, detect_square_form, is_json_int,
+                          is_semi_invariant, json_fields, poly_from_dict, poly_to_dict,
                           scaled_term_weights, weighted_order)
 from .quotients import QuotientType
 
@@ -99,7 +99,7 @@ class CD2Model:
     def from_json_dict(cls, data: Mapping) -> "CD2Model":
         r, p, q = json_fields(data, "a model", "r", "p", "q")
         if not is_json_int(r):
-            raise ValueError(f"r must be a JSON integer, got {r!r}")
+            raise ValueError(f"r must be a JSON integer, got {_excerpt(r)}")
         return cls(r, poly_from_dict(p), poly_from_dict(q))
 
 

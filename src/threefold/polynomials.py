@@ -99,20 +99,8 @@ class SparsePoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, variables: Iterable[str]) -> "SparsePoly":
-        return cls(variables, {})
-
-    @classmethod
     def monomial(cls, variables: Iterable[str], exponents: Iterable[int], coefficient=1) -> "SparsePoly":
         return cls(variables, {tuple(exponents): Fraction(coefficient)})
-
-    @classmethod
-    def variable(cls, name: str, variables: Iterable[str]) -> "SparsePoly":
-        variables = tuple(variables)
-        exps = tuple(1 if v == name else 0 for v in variables)
-        if sum(exps) != 1:
-            raise ValueError(f"{name!r} is not among {variables}")
-        return cls(variables, {exps: Fraction(1)})
 
     # -- queries -----------------------------------------------------------
 
@@ -325,7 +313,7 @@ def polynomial_sqrt(p: SparsePoly) -> SparsePoly | None:
     than DIGIT_LIMIT digits, raise ValueError: a peel cut short has no verdict.
     """
     if p.is_zero:
-        return SparsePoly.zero(p.variables)
+        return SparsePoly(p.variables)
     lead = max(p.terms)
     if any(e % 2 for e in lead):
         return None
@@ -439,6 +427,20 @@ def check_digits(text: str, what: str) -> None:
         raise ValueError(f"{what} has {digits} digits; at most DIGIT_LIMIT = {DIGIT_LIMIT}")
 
 
+# the most characters of input that an error message quotes in full
+_EXCERPT_LIMIT = 80
+
+
+def _excerpt(value, render=repr) -> str:
+    """render(value) in full up to _EXCERPT_LIMIT characters, else its first
+    _EXCERPT_LIMIT characters and its length, so that no error message
+    repeats arbitrarily large input."""
+    text = render(value)
+    if len(text) <= _EXCERPT_LIMIT:
+        return text
+    return f"{text[:_EXCERPT_LIMIT]}... ({len(text)} characters)"
+
+
 def parse_rational(x, what: str) -> Fraction:
     """A JSON integer, or a string "n" or "p/q" of ASCII digits with an
     optional leading minus, as a Fraction.
@@ -453,7 +455,7 @@ def parse_rational(x, what: str) -> Fraction:
         return Fraction(x)
     match = _RATIONAL.fullmatch(x) if isinstance(x, str) else None
     if match is None:
-        raise ValueError(f"{what} {x!r} is not an integer or a 'p/q' string")
+        raise ValueError(f"{what} {_excerpt(x)} is not an integer or a 'p/q' string")
     check_digits(x, what)
     numerator, denominator = match.groups()
     return Fraction(int(numerator), int(denominator or 1))
@@ -474,21 +476,22 @@ def poly_from_dict(data: Mapping) -> SparsePoly:
     """Inverse of poly_to_dict; raises ValueError on any other shape or a repeated exponent vector."""
     variables, terms = json_fields(data, "a polynomial", "vars", "terms")
     if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
-        raise ValueError(f"polynomial 'vars' must be a list of strings, got {variables!r}")
+        raise ValueError("polynomial 'vars' must be a list of strings, "
+                         f"got {_excerpt(variables)}")
     if not isinstance(terms, list):
-        raise ValueError(f"polynomial 'terms' must be a list, got {terms!r}")
+        raise ValueError(f"polynomial 'terms' must be a list, got {_excerpt(terms)}")
     clean = {}
     for t in terms:
         e, c = (t.get("e"), t.get("c")) if isinstance(t, Mapping) else (None, None)
         if (not isinstance(e, list) or not all(is_json_int(x) for x in e)
                 or not (is_json_int(c) or isinstance(c, str))):
             raise ValueError("each polynomial term must be an object with an integer "
-                             f"list 'e' and an integer or 'p/q' string 'c', got {t!r}")
+                             f"list 'e' and an integer or 'p/q' string 'c', got {_excerpt(t)}")
         exps = tuple(e)
         if exps in clean:
-            raise ValueError(f"exponent vector {e} appears twice in a polynomial")
+            raise ValueError(f"exponent vector {_excerpt(e, str)} appears twice in a polynomial")
         try:
             clean[exps] = parse_rational(c, "coefficient")
         except ZeroDivisionError:
-            raise ValueError(f"coefficient {c!r} has a zero denominator") from None
+            raise ValueError(f"coefficient {_excerpt(c)} has a zero denominator") from None
     return SparsePoly(variables, clean)

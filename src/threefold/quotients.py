@@ -8,7 +8,10 @@ blow-up obtained by inserting a primitive weight vector v into the lattice
 N = Z^m + Z*(1/n)(a_1,...,a_m): chart i is C^m divided by the finite
 abelian group N / <e_1,...,v,...,e_m>, presented through Smith normal form
 as cyclic factors, each a QuotientType whose weights act on the chart
-coordinates.  One Smith normal form of N serves every chart.
+coordinates.  One Smith normal form of N serves every chart: one
+lattice-point step reads a vector's coordinates in n*N for membership,
+primitivity and the charts, and one factor builder turns each finite
+quotient, a chart group or an effective image, into QuotientType factors.
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .linalg import IntMatrix, smith_normal_form
-from .polynomials import check_digits
+from .polynomials import _excerpt, check_digits
 
 
 class LatticeError(ValueError):
@@ -59,16 +62,16 @@ class QuotientType:
         digits, a weight with an optional sign, whitespace around any token."""
         m = _TYPE_GRAMMAR.fullmatch(text)
         if not m:
-            raise ValueError(f"cannot parse quotient type {text!r}")
+            raise ValueError(f"cannot parse quotient type {_excerpt(text)}")
         check_digits(m.group(1), "the order of the quotient type")
         n = int(m.group(1))
         body = m.group(2)
         if not body.strip():
-            raise ValueError(f"empty weight list in {text!r}")
+            raise ValueError(f"empty weight list in {_excerpt(text)}")
         weights = []
         for part in body.split(","):
             if not _WEIGHT_GRAMMAR.fullmatch(part):
-                raise ValueError(f"weight {part!r} of {text!r} is not an integer")
+                raise ValueError(f"weight {_excerpt(part)} of {_excerpt(text)} is not an integer")
             check_digits(part, "a weight of the quotient type")
             weights.append(int(part))
         return cls(n, tuple(weights))
@@ -122,11 +125,11 @@ class QuotientType:
     # -- the lattice N = Z^m + Z*(weights/n) --------------------------------
 
     def lattice_contains(self, vector: Sequence) -> bool:
-        return _lattice_coordinates(self, vector) is not None
+        return _lattice_point(self, vector) is not None
 
     def is_primitive(self, vector: Sequence) -> bool:
-        coords = _lattice_coordinates(self, vector)
-        return coords is not None and math.gcd(*coords) == 1
+        point = _lattice_point(self, vector)
+        return point is not None and math.gcd(*point[2]) == 1
 
 
 # -- Reid-Tai terminality ----------------------------------------------------
@@ -143,7 +146,7 @@ QUOTIENT_ORDER_LIMIT = 1_000_000
 
 def _check_order(q: QuotientType, steps: int, what: str) -> None:
     if steps > QUOTIENT_ORDER_LIMIT:
-        raise ValueError(f"the {what} of {q} takes {steps} steps; "
+        raise ValueError(f"the {what} of {_excerpt(q, str)} takes {steps} steps; "
                          f"at most QUOTIENT_ORDER_LIMIT = {QUOTIENT_ORDER_LIMIT}")
 
 
@@ -208,11 +211,14 @@ def reid_tai_is_canonical(q: QuotientType) -> bool:
 
 
 class _Lattice(NamedTuple):
-    # a full-rank integer lattice through the Smith normal form of its
-    # generators: basis rows D*V^-1, the diagonal D and the column transform V
+    # a full-rank integer lattice containing scale*Z^m, through the Smith
+    # normal form of its generators: basis rows D*V^-1, the diagonal D, the
+    # column transform V, and units, the coordinates of scale*e_1, ...,
+    # scale*e_m in that basis
     basis: IntMatrix
     diagonal: list[int]
     v: IntMatrix
+    units: IntMatrix
 
 
 def _lattice_basis(scale: int, generators: IntMatrix, arity: int) -> _Lattice:
@@ -222,58 +228,39 @@ def _lattice_basis(scale: int, generators: IntMatrix, arity: int) -> _Lattice:
     rows.extend(generators)
     _, d, v, v_inv = smith_normal_form(rows)
     diagonal = [d[i][i] for i in range(arity)]
-    return _Lattice([[d_i * x for x in row] for d_i, row in zip(diagonal, v_inv)], diagonal, v)
+    # row l of units is row l of scale*V*D^-1, exact because every d_j
+    # divides scale
+    units = [[scale // d_j * x for x, d_j in zip(row, diagonal)] for row in v]
+    return _Lattice([[d_i * x for x in row] for d_i, row in zip(diagonal, v_inv)],
+                    diagonal, v, units)
 
 
-def _unit_coordinates(lattice: _Lattice, scale: int) -> IntMatrix:
-    # coordinates of scale*e_1, ..., scale*e_m in the basis of a lattice
-    # _lattice_basis built with this scale: row l of scale*V*D^-1, exact
-    # because the lattice contains scale*Z^m, so every d_j divides scale
-    return [[scale // d_j * x for x, d_j in zip(row, lattice.diagonal)] for row in lattice.v]
-
-
-def _integer_coordinates(row: list[int], lattice: _Lattice) -> list[int] | None:
-    # coordinates c with c*D*V^-1 == row, that is c_j = (row*V)_j / d_j,
-    # or None when row lies outside the lattice
-    v = lattice.v
-    entries = []
-    for j, d_j in enumerate(lattice.diagonal):
-        c, rest = divmod(sum(x * v[k][j] for k, x in enumerate(row)), d_j)
-        if rest:
-            return None
-        entries.append(c)
-    return entries
-
-
-def _scaled(ambient: QuotientType, vector: Sequence[Fraction]) -> list[int] | None:
-    # n*vector as integers, or None when it is not integral; every vector
-    # of N = Z^m + Z*(weights/n) has n*vector integral
+def _lattice_point(ambient: QuotientType,
+                   vector: Sequence) -> tuple[list[int], _Lattice, list[int]] | None:
+    # (n*vector as integers, the lattice n*N, the coordinates c of n*vector
+    # in its basis), or None when vector lies outside N = Z^m + Z*(weights/n).
+    # Every vector of N has n*vector integral, which is checked before the
+    # Smith normal form; c*D*V^-1 == n*vector gives c_j = (n*vector*V)_j / d_j
     if len(vector) != ambient.arity:
         raise ValueError("vector arity mismatch")
     n = ambient.n
-    out = []
-    for x in vector:
+    scaled = []
+    for x in map(Fraction, vector):
         y, rest = divmod(x.numerator * n, x.denominator)
         if rest:
             return None
-        out.append(y)
-    return out
+        scaled.append(y)
+    lattice = _lattice_basis(n, [list(ambient.weights)], ambient.arity)
+    coords = []
+    for j, d_j in enumerate(lattice.diagonal):
+        c, rest = divmod(sum(x * row[j] for x, row in zip(scaled, lattice.v)), d_j)
+        if rest:
+            return None
+        coords.append(c)
+    return scaled, lattice, coords
 
 
-def _ambient_lattice(ambient: QuotientType) -> _Lattice:
-    # the lattice n*N, N = Z^m + Z*(weights/n)
-    return _lattice_basis(ambient.n, [list(ambient.weights)], ambient.arity)
-
-
-def _lattice_coordinates(ambient: QuotientType, vector: Sequence) -> list[int] | None:
-    # coordinates of n*vector in the basis of n*N, or None when vector lies
-    # outside N
-    scaled = _scaled(ambient, [Fraction(x) for x in vector])
-    return None if scaled is None else _integer_coordinates(scaled, _ambient_lattice(ambient))
-
-
-def quotient_presentation(basis: IntMatrix, coords: IntMatrix,
-                          arity: int) -> list[tuple[int, list[int]]]:
+def quotient_presentation(basis: IntMatrix, coords: IntMatrix) -> list[tuple[int, list[int]]]:
     """Invariant factors of L / M.
 
     L is the lattice with the given basis rows, and M is spanned by the
@@ -282,6 +269,7 @@ def quotient_presentation(basis: IntMatrix, coords: IntMatrix,
     forming a divisibility chain, with each generator an integer vector of
     L.
     """
+    arity = len(basis)
     _, d, _, v_inv = smith_normal_form(coords)
     if len(coords) < arity or any(d[i][i] == 0 for i in range(arity)):
         raise ValueError("quotient is not finite")
@@ -291,6 +279,23 @@ def quotient_presentation(basis: IntMatrix, coords: IntMatrix,
         if order > 1:
             factors.append((order, [sum(v_inv[j][k] * basis[k][l] for k in range(arity))
                                     for l in range(arity)]))
+    return factors
+
+
+def _cyclic_factors(lattice: _Lattice, coords: IntMatrix, denominator: int, what: str,
+                    numerators: Callable[[list[int]], list[int]]) -> list[QuotientType]:
+    # the cyclic factors of lattice / coords, each a QuotientType: a
+    # generator x of order k acts with the weights k*y/denominator mod k,
+    # y running over numerators(x), each of them integral
+    factors = []
+    for order, x in quotient_presentation(lattice.basis, coords):
+        weights = []
+        for y in numerators(x):
+            w, rest = divmod(order * y, denominator)
+            if rest:
+                raise ArithmeticError(f"{what} action weight is not integral")
+            weights.append(w % order)
+        factors.append(QuotientType._reduced(order, tuple(weights)))
     return factors
 
 
@@ -334,61 +339,44 @@ def blowup_charts(ambient: QuotientType, v: Sequence) -> ChartReport:
     _check_order(ambient, m ** 4, "chart computation")
     # the lattice is n*N: its vectors stand for ambient vectors divided by n
     scale = ambient.n
-    scaled_v = _scaled(ambient, vv)
-    lattice = _ambient_lattice(ambient)
-    coords = None if scaled_v is None else _integer_coordinates(scaled_v, lattice)
-    if coords is None:
-        raise LatticeError(f"({', '.join(map(str, vv))}) is not in the lattice of {ambient}")
-    if math.gcd(*coords) != 1:
-        raise LatticeError(f"({', '.join(map(str, vv))}) is not primitive "
-                           f"in the lattice of {ambient}")
+    point = _lattice_point(ambient, vv)
+    if point is None or math.gcd(*point[2]) != 1:
+        where = "in" if point is None else "primitive in"
+        vector = "(" + ", ".join(map(str, vv)) + ")"
+        raise LatticeError(f"{_excerpt(vector, str)} is not {where} the lattice of "
+                           f"{_excerpt(ambient, str)}")
+    scaled_v, lattice, coords = point
 
-    # chart i divides by scale*e_l (l != i) and scale*v; the coordinates of
-    # the rows scale*e_l are computed once for all charts
-    units = _unit_coordinates(lattice, scale)
+    # chart i divides by scale*e_l (l != i) and scale*v
     charts = []
     for i in range(m):
         # coefficients c of a generator X/scale in the cone basis
-        # {e_l (l != i), v}: c_i = X_i/V_i and
-        # c_l = (X_l*V_i - V_l*X_i)/(scale*V_i), with V = scale*v
+        # {e_l (l != i), v}, with V = scale*v, over scale*V_i: c_i =
+        # scale*X_i/(scale*V_i) and c_l = (X_l*V_i - V_l*X_i)/(scale*V_i)
         v_i = scaled_v[i]
-        factors = []
-        sub = units[:i] + units[i + 1:] + [coords]
-        for order, x in quotient_presentation(lattice.basis, sub, m):
-            weights = []
-            for l in range(m):
-                if l == i:
-                    w, rest = divmod(order * x[i], v_i)
-                else:
-                    w, rest = divmod(order * (x[l] * v_i - scaled_v[l] * x[i]), scale * v_i)
-                if rest:
-                    raise ArithmeticError("chart action weight is not integral")
-                weights.append(w % order)
-            factors.append(QuotientType._reduced(order, tuple(weights)))
-        charts.append(ChartGroup(tuple(factors)))
+
+        def numerators(x):
+            return [scale * x[i] if l == i else x[l] * v_i - scaled_v[l] * x[i]
+                    for l in range(m)]
+
+        sub = lattice.units[:i] + lattice.units[i + 1:] + [coords]
+        charts.append(ChartGroup(tuple(_cyclic_factors(lattice, sub, scale * v_i, "chart",
+                                                       numerators))))
     return ChartReport(tuple(charts))
 
 
-def effective_factors(group: ChartGroup, arity: int) -> list[QuotientType]:
+def effective_factors(group: ChartGroup) -> list[QuotientType]:
     """Invariant-factor presentation of the effective image of a diagonal action.
 
     Kernel elements (acting trivially on all coordinates) are divided out,
     so the result is faithful; an empty list means the action is trivial.
+    The image is Z^m + sum Z*(weights/n) over the factors modulo Z^m, whose
+    factors come from the builder that gives the chart groups.
     """
     live = [f for f in group.factors if any(f.weights)]
     if not live:
         return []
     scale = math.lcm(*(f.n for f in live))
     lattice = _lattice_basis(scale, [[scale // f.n * w for w in f.weights] for f in live],
-                             arity)
-    out = []
-    for order, generator in quotient_presentation(lattice.basis,
-                                                  _unit_coordinates(lattice, scale), arity):
-        weights = []
-        for x in generator:
-            w, rest = divmod(x * order, scale)
-            if rest:
-                raise ArithmeticError("effective action weight is not integral")
-            weights.append(w % order)
-        out.append(QuotientType._reduced(order, tuple(weights)))
-    return out
+                             live[0].arity)
+    return _cyclic_factors(lattice, lattice.units, scale, "effective", list)

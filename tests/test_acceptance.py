@@ -142,7 +142,7 @@ def test_criterion_6_property_suites():
         assert truncate_le(p, w, d) + truncate_gt(p, w, d) == p
 
     # square detector round trip up to degree 10, plus guaranteed negatives
-    x3 = SparsePoly.variable("x3", ("x3", "x4"))
+    x3 = parse_poly("x3", ("x3", "x4"))
     for _ in range(40):
         s_terms = {}
         for _ in range(rng.randint(1, 4)):
@@ -189,8 +189,8 @@ def test_criterion_6_property_suites():
 
 def test_criterion_7_structure_checks():
     four = ("x1", "x2", "x3", "x4")
-    x2 = SparsePoly.variable("x2", four)
-    x4 = SparsePoly.variable("x4", four)
+    x2 = parse_poly("x2", four)
+    x4 = parse_poly("x4", four)
     for r in R_VALUES:
         weights = model_weights(r)
         for seed in range(5):

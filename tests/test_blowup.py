@@ -39,7 +39,7 @@ class TestCIGerm:
     def test_rejects_zero_equation(self):
         with pytest.raises(ValueError):
             CIGerm(QuotientType(1, (0, 0, 0)), ("x1", "x2", "x3"),
-                   (SparsePoly.zero(("x1",)),))
+                   (SparsePoly(("x1",)),))
 
     @pytest.mark.parametrize("names", [("x1", "x2"), ("x1", "x2", "x3", "x4")])
     def test_rejects_variable_count(self, names):
@@ -59,7 +59,7 @@ class TestOrders:
         # a three-fold, as the blow-up needs: one equation in four variables
         names = V5[:4]
         germ = CIGerm(QuotientType(2, (1, 1, 0, 0)), names,
-                      (SparsePoly.variable("x4", names),))
+                      (parse_poly("x4", names),))
         assert analyze_blowup(germ, (9, 5, 3, 2)).orders == (2,)
 
     def test_empty(self):

@@ -87,7 +87,7 @@ def reference_findings(germ, v):
                                          f"units at the chart origin; {data}"))
             continue
         keep = [l for l in range(m) if l not in chosen]
-        residual = effective_factors(report.charts[i].restricted(keep), len(keep))
+        residual = effective_factors(report.charts[i].restricted(keep))
         if not residual:
             findings.append(ChartFinding(var, SMOOTH, detail="residual group is trivial"))
         elif len(residual) == 1:

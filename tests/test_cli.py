@@ -290,11 +290,13 @@ class TestTerminal:
                        "at most QUOTIENT_ORDER_LIMIT = 90\n")
 
     def test_many_weights_are_refused_below_the_order_limit(self, capsys, age_loops):
-        # n = 100000 is below the limit, but 200 weights make 2*10^7 steps
+        # n = 100000 is below the limit, but 200 weights make 2*10^7 steps;
+        # the message quotes the first 80 characters of the 809-character type
         text = f"1/100000({','.join(['1', '99999'] * 100)})"
         code, out, err = run(capsys, "terminal", "--type", text)
         assert (code, out) == (2, "") and age_loops == []
-        assert err == (f"error: the terminal verdict of {text} takes 20000000 steps; "
+        assert err == (f"error: the terminal verdict of {text[:80]}... (809 characters) "
+                       "takes 20000000 steps; "
                        f"at most QUOTIENT_ORDER_LIMIT = {quotients.QUOTIENT_ORDER_LIMIT}\n")
 
     def test_limit_is_named_in_help(self, capsys):
@@ -442,6 +444,54 @@ class TestDigitLimit:
             code, out, err = run(capsys, command, "--model", str(path))
             assert (code, out) == (2, "")
             assert err == f"error: an integer in {path} has 5000 digits; {LIMIT}\n"
+
+
+# the most digits a number in input may have, less one
+BIG = "9" * (DIGIT_LIMIT - 1)
+
+
+class TestLongInput:
+    # an error line quotes at most 80 characters of any input value, then
+    # its length, however large the input
+    def assert_short_refusal(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert len(err.encode()) < 300, err
+
+    @pytest.mark.parametrize("argv", [
+        ["terminal", "--type", f"1/17({','.join(['1'] * 60000)})"],
+        ["terminal", "--type", f"1/2({'x' * 100_000})"],
+        ["charts", "--ambient", "1/2(1,1,1)", "--weights", f"1,1,{'x' * 100_000}"],
+        ["charts", "--ambient", "1/2(1,1,1)", "--weights", "1/0" + ",1" * 50_000],
+        ["charts", "--ambient", f"1/{BIG}({','.join(['1'] * 40)})",
+         "--weights", ",".join(["1"] * 40)],
+        ["charts", "--ambient", f"1/{BIG}({','.join(['1'] * 31)})",
+         "--weights", ",".join([f"1/{BIG[:-1]}8"] * 31)],
+    ], ids=["terminal-order", "type-grammar", "weight-grammar", "zero-denominator",
+            "chart-order", "lattice"])
+    def test_command_line(self, capsys, argv):
+        self.assert_short_refusal(capsys, *argv)
+
+    @pytest.mark.parametrize("field", ["coefficient", "r", "vars", "terms", "term", "exponent"])
+    def test_model_file(self, capsys, tmp_path, field):
+        data = generate_model(7, 1).to_json_dict()
+        junk = "x" * 2_000_000
+        if field == "coefficient":
+            data["q"]["terms"][0]["c"] = junk
+        elif field == "r":
+            data["r"] = junk
+        elif field == "vars":
+            data["p"]["vars"] = junk
+        elif field == "terms":
+            data["p"]["terms"] = junk
+        elif field == "term":
+            data["p"]["terms"][0]["e"] = junk
+        else:
+            data["p"]["terms"] = [{"e": [0] * 300_000, "c": 1}] * 2
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        self.assert_short_refusal(capsys, "validate", "--model", str(path))
 
 
 # each integer flag, in a command line whose other arguments are valid

@@ -23,6 +23,7 @@ MODEL = GOLDEN / "model_r7_seed42.json"
 MODEL_R23 = GOLDEN / "model_r23_seed42.json"
 MODEL_R95 = GOLDEN / "model_r95_seed42.json"
 MODEL_SQUARE = GOLDEN / "model_square_r23.json"
+GENERATED = ("generate_r7_seed42.json", "generate_r7_seed42.txt")
 OUT = "<out>"
 
 # (golden file, exit code, arguments after --format json)
@@ -43,6 +44,8 @@ CASES = (
                                   "--weights", "2/5,3/5,1/5"]),
     ("charts_1_2_0_0_1.json", 0, ["charts", "--ambient", "1/2(0,0,1)",
                                   "--weights", "1,2,1"]),
+    ("charts_1_4_0_0_0_1.json", 0, ["charts", "--ambient", "1/4(0,0,0,1)",
+                                    "--weights", "2,1,2,1/2"]),
     ("validate_square_r23.json", 1, ["validate", "--model", str(MODEL_SQUARE)]),
     ("blowup_square_r23.json", 1, ["blowup", "--model", str(MODEL_SQUARE)]),
 )
@@ -74,7 +77,7 @@ def test_generate_output_and_model_file(tmp_path):
     path = tmp_path / "model.json"
     code, out = replay(["generate", "--r", "7", "--seed", "42", "--out", str(path)])
     assert code == 0
-    assert out.replace(str(path), OUT) == (GOLDEN / "generate_r7_seed42.json").read_text(
+    assert out.replace(str(path), OUT) == (GOLDEN / GENERATED[0]).read_text(
         encoding="utf-8")
     assert path.read_bytes() == MODEL.read_bytes()
 
@@ -83,6 +86,15 @@ def test_generate_table_output(tmp_path):
     path = tmp_path / "model.json"
     code, out = replay(["generate", "--r", "7", "--seed", "42", "--out", str(path)], "table")
     assert code == 0
-    assert out.replace(str(path), OUT) == (GOLDEN / "generate_r7_seed42.txt").read_text(
+    assert out.replace(str(path), OUT) == (GOLDEN / GENERATED[1]).read_text(
         encoding="utf-8")
     assert path.read_bytes() == MODEL.read_bytes()
+
+
+def test_golden_inventory():
+    # every golden file is read by a test above, and every case has both
+    # renderings: an orphaned or half-written golden fails here
+    cases = {name for case in CASES for name in (case[0], table_name(case[0]))}
+    models = {path.name for path in (MODEL, MODEL_R23, MODEL_R95, MODEL_SQUARE)}
+    expected = cases | models | set(GENERATED)
+    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(expected)

@@ -67,7 +67,7 @@ class TestValidate:
         assert "q_weight" in [c.name for c in report.failures()]
 
     def test_zero_q_rejected(self):
-        report = validate_model(CD2Model(7, PP("x3^4"), SparsePoly.zero(Q_VARIABLES)))
+        report = validate_model(CD2Model(7, PP("x3^4"), SparsePoly(Q_VARIABLES)))
         assert "q_weight" in [c.name for c in report.failures()]
 
     def test_foreign_variables_rejected_at_construction(self):
@@ -143,7 +143,7 @@ class TestGenerate:
 
 class TestEliminateX5:
     def test_direct_substitution(self):
-        model = CD2Model(7, SparsePoly.zero(P_VARIABLES), QQ("x1*x3"))
+        model = CD2Model(7, SparsePoly(P_VARIABLES), QQ("x1*x3"))
         # p = 0 is legal: the zero polynomial's weighted order exceeds r
         assert validate_model(model).passed
         assert eliminate_x5(model) == germ4("x1^2 - x2^2*x4 - x1*x3*x4")
@@ -170,8 +170,8 @@ class TestEliminateX5:
         model = generate_model(7, 2, 4)
         phi = eliminate_x5(model)
         weights = model_weights(7)
-        x2 = SparsePoly.variable("x2", V4)
-        x4 = SparsePoly.variable("x4", V4)
+        x2 = germ4("x2")
+        x4 = germ4("x4")
         psi = x2 * x2 + model.q.with_variables(V4)
         assert truncate_le(phi, weights, 7) == -(x4 * psi)
         assert low_part_ratio(phi, x4 * psi, weights, 7) == -1
@@ -227,7 +227,7 @@ class TestClassifier:
         assert res.form == "B" and res.data["ord_g_x4"] == 9
 
     def test_flip_matches_eliminated_shape(self):
-        model = CD2Model(7, SparsePoly.zero(P_VARIABLES), QQ("x4^6"))
+        model = CD2Model(7, SparsePoly(P_VARIABLES), QQ("x4^6"))
         res = classify_normal_form(eliminate_x5(model), 7)
         assert res.form == "B" and res.flipped_x4 and res.elephant_ok
 

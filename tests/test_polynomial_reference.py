@@ -302,14 +302,14 @@ def test_model_equations_match_reference():
         for seed in (0, 1):
             model = generate_model(r, seed)
             if seed:
-                model = CD2Model(r, SparsePoly.zero(P_VARIABLES), model.q)
+                model = CD2Model(r, SparsePoly(P_VARIABLES), model.q)
             got, expected = model_equations(model), reference_model_equations(model)
             assert [as_items(eq) for eq in got] == [as_items(eq) for eq in expected], r
 
 
 def reference_eliminate_x5(model):
     four = GERM_VARIABLES[:4]
-    x4 = SparsePoly.variable("x4", four)
+    x4 = parse_poly("x4", four)
     return (parse_poly("x1^2", four) + model.p.with_variables(four)
             - x4 * (parse_poly("x2^2", four) + model.q.with_variables(four)))
 
@@ -319,7 +319,7 @@ def test_eliminate_x5_matches_reference():
         for seed in (0, 1, 2):
             model = generate_model(r, seed)
             if seed == 1:
-                model = CD2Model(r, SparsePoly.zero(P_VARIABLES), model.q)
+                model = CD2Model(r, SparsePoly(P_VARIABLES), model.q)
             got = eliminate_x5(model)
             assert all(type(c) is Fraction for c in got.terms.values())
             assert got.variables == GERM_VARIABLES[:4]
@@ -337,7 +337,7 @@ def reference_sqrt(p):
     # the peel polynomial_sqrt replaced: after each new term it squares the
     # whole root so far and subtracts it from p again
     if p.is_zero:
-        return SparsePoly.zero(p.variables)
+        return SparsePoly(p.variables)
     lead = max(p.terms)
     if any(e % 2 for e in lead):
         return None

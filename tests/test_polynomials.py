@@ -99,7 +99,7 @@ class TestWeightedOrder:
         assert weighted_order(P("x2^2"), WEIGHTS7) == 6
 
     def test_zero_polynomial(self):
-        assert weighted_order(SparsePoly.zero(V5), WEIGHTS7) == INFINITE_ORDER
+        assert weighted_order(SparsePoly(V5), WEIGHTS7) == INFINITE_ORDER
         assert INFINITE_ORDER > 10 ** 9
         assert not (INFINITE_ORDER <= Fraction(10 ** 9))
         assert INFINITE_ORDER + 3 == INFINITE_ORDER
@@ -263,7 +263,7 @@ class TestSquareFormDetector:
 
     def test_round_trip_random(self):
         rng = random.Random(17)
-        x3 = SparsePoly.variable("x3", ("x3", "x4"))
+        x3 = parse_poly("x3", ("x3", "x4"))
         for _ in range(40):
             s = _random_even_x3_poly(rng, max_degree=10)
             if s.is_zero:

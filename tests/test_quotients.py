@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from threefold import quotients
+from threefold.cli import main
 from threefold.linalg import (identity_matrix, invert_unimodular, pivot_columns,
                               rational_determinant, smith_normal_form)
 from threefold.quotients import (ChartGroup, LatticeError,
@@ -338,13 +339,41 @@ class TestCharts:
 class TestEffectiveFactors:
     def test_kernel_divided_out(self):
         group = ChartGroup((QuotientType(4, (2,)),))
-        assert effective_factors(group, 1) == [QuotientType(2, (1,))]
+        assert effective_factors(group) == [QuotientType(2, (1,))]
 
     def test_trivial_action(self):
         group = ChartGroup((QuotientType(4, (0, 0)),))
-        assert effective_factors(group, 2) == []
+        assert effective_factors(group) == []
 
     def test_coprime_factors_merge(self):
         group = ChartGroup((QuotientType(2, (1, 1, 1)), QuotientType(7, (1, 6, 3))))
-        merged = effective_factors(group, 3)
+        merged = effective_factors(group)
         assert len(merged) == 1 and merged[0].n == 14
+
+
+class TestNonIntegralWeight:
+    # a generator whose weight is not integral breaks the factor builder's
+    # invariant: it is an internal fault, never a silently reduced weight
+    @pytest.fixture(autouse=True)
+    def broken_presentation(self, monkeypatch):
+        # order 3 with generator e_1: weight 3*1/2 at scale 2
+        def broken(basis, *rest):
+            return [(3, [1] + [0] * (len(basis) - 1))]
+
+        monkeypatch.setattr(quotients, "quotient_presentation", broken)
+
+    def test_chart_weight(self):
+        with pytest.raises(ArithmeticError) as info:
+            blowup_charts(QuotientType(1, (0, 0, 0)), (2, 1, 1))
+        assert str(info.value) == "chart action weight is not integral"
+
+    def test_effective_weight(self):
+        with pytest.raises(ArithmeticError) as info:
+            effective_factors(ChartGroup((QuotientType(2, (1,)),)))
+        assert str(info.value) == "effective action weight is not integral"
+
+    def test_charts_command_exits_three(self, capsys):
+        code = main(["charts", "--ambient", "1/1(0,0,0)", "--weights", "2,1,1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == "internal error: chart action weight is not integral\n"

@@ -248,7 +248,7 @@ def test_effective_factors_random_groups():
         group = ChartGroup(tuple(
             QuotientType(order, tuple(rng.randint(-order, 2 * order) for _ in range(arity)))
             for order in (rng.randint(1, 30) for _ in range(rng.randint(0, 3)))))
-        assert outcome(effective_factors, group, arity) == \
+        assert outcome(effective_factors, group) == \
             outcome(ref_effective_factors, group, arity), group
 
 
@@ -262,7 +262,7 @@ def test_chart_report_residuals_match_effective_factors():
         expected = {}
         for i, chart in enumerate(data.charts):
             for keep in itertools.combinations(range(5), 3):
-                factors = effective_factors(chart.restricted(keep), 3)
+                factors = effective_factors(chart.restricted(keep))
                 qtype = factors[0].normalized() if len(factors) == 1 else None
                 expected[i, keep] = (tuple(factors), qtype)
         for _ in range(2):
