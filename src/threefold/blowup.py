@@ -6,7 +6,9 @@ and lists each equation's term powers once.  The least term weight of an
 equation is its vanishing order along the exceptional divisor (its weighted
 order under v); the discrepancy  sum(v) - sum(orders) - 1  and the toric
 self-intersection  E^3 = prod(orders) / (n * prod(v))  follow from the
-orders.  The same term powers give the strict transform on every chart,
+orders.  The same term powers give the strict transform on every chart;
+the chart data shows once per (ambient, v) that every chart factor acts
+through the ambient lattice, so each strict transform is semi-invariant,
 and chart_singularities analyses each chart origin: either a nonzero
 constant term shows the origin is off the germ, or linearly independent
 pure linear terms cut the germ out as an equivariant graph whose residual
@@ -26,7 +28,7 @@ from typing import NamedTuple, Sequence
 from .linalg import pivot_columns
 from .models import (CD2Model, CheckResult, GERM_VARIABLES, ValidationReport,
                      blowup_vector, model_equations, validate_model, AMBIENT)
-from .polynomials import SparsePoly, is_semi_invariant
+from .polynomials import SparsePoly, _excerpt, is_semi_invariant
 from .quotients import ChartGroup, QuotientType, blowup_charts, effective_factors
 
 
@@ -39,7 +41,8 @@ class CIGerm:
     """Complete-intersection germ through the origin of a cyclic quotient.
 
     Every equation must vanish at the origin and be semi-invariant under
-    the ambient action.
+    the ambient action; the chart data's lattice test then carries that to
+    its strict transform on every chart of a blow-up.
     """
 
     ambient: QuotientType
@@ -114,24 +117,11 @@ def _strict_transform(terms, chart: int) -> dict[tuple[int, ...], Fraction]:
     return {exps[:chart] + (power,) + exps[chart + 1:]: c for exps, c, power in terms}
 
 
-def _chart_action(factor: QuotientType, chart: int, denominator: int) -> QuotientType:
-    # one chart group factor acting on the exponents of a strict transform,
-    # with characters scaled by denominator: each recorded unit of the chart
-    # coordinate carries 1/denominator of its weight.  The factor's weights
-    # are reduced mod n, so w < n and w * denominator < n * denominator: the
-    # scaled weights are reduced already
-    return QuotientType._reduced(factor.n * denominator,
-                                 tuple(w if l == chart else w * denominator
-                                       for l, w in enumerate(factor.weights)))
-
-
 class _ChartData(NamedTuple):
-    # scaled is v times denominator, the least common denominator of v, and
-    # actions[i] holds the _chart_action of each factor of chart i
+    # scaled is v times denominator, the least common denominator of v
     charts: tuple[ChartGroup, ...]
     scaled: tuple[int, ...]
     denominator: int
-    actions: tuple[tuple[QuotientType, ...], ...]
     residuals: dict
 
     def residual(self, chart: int, keep: tuple[int, ...]):
@@ -150,16 +140,26 @@ def _chart_data(compute, ambient: QuotientType, v: tuple[Fraction, ...]) -> _Cha
     """The chart record of (ambient, v), computed once and then shared.
 
     compute(ambient, v) checks v and gives the chart groups; a LatticeError is
-    not cached.  The groups depend on r alone for the model family, so every
-    model of one r reuses one record.  The key holds the chart function too,
-    so a rebinding of blowup.blowup_charts (a test's or a tracer's) computes
-    afresh rather than reading another function's records."""
+    not cached.  A factor 1/k(b) of chart i acts on x_l = y_l * t^(v_l) as
+    u = (b_l/k for l != i, 0 at i) + (b_i/k) * v, which must lie in N, or an
+    uncached ArithmeticError is raised: then u.e = lambda * (a.e)/n mod 1, so
+    the characters k * (u.e) - const of the terms of a semi-invariant
+    equation's strict transform agree.  The groups depend on r alone for the
+    model family, so every model of one r reuses one record.  The key holds
+    the chart function too, so a rebinding of blowup.blowup_charts (a test's
+    or a tracer's) computes afresh rather than reading another function's
+    records."""
     report = compute(ambient, v)
+    for i, chart in enumerate(report.charts):
+        for factor in chart.factors:
+            k, b = factor.n, factor.weights
+            u = [Fraction(b[i] * x + (b[l] if l != i else 0), k) for l, x in enumerate(v)]
+            if not ambient.lattice_contains(u):
+                raise ArithmeticError(f"chart {i} factor {_excerpt(factor, str)} does not "
+                                      f"act through the lattice of {_excerpt(ambient, str)}")
     denominator = math.lcm(*(x.denominator for x in v))
-    actions = tuple(tuple(_chart_action(factor, i, denominator) for factor in chart.factors)
-                    for i, chart in enumerate(report.charts))
     scaled = tuple(x.numerator * (denominator // x.denominator) for x in v)
-    return _ChartData(report.charts, scaled, denominator, actions, {})
+    return _ChartData(report.charts, scaled, denominator, {})
 
 
 def _matrix_str(rows) -> str:
@@ -176,11 +176,6 @@ def chart_singularities(germ: CIGerm, data: _ChartData,
     findings = []
     for i, var in enumerate(germ.variables):
         transforms = [_strict_transform(terms, i) for terms in powers]
-        for action in data.actions[i]:
-            for transform in transforms:
-                if is_semi_invariant(transform, action) is None:
-                    raise ArithmeticError("strict transform lost semi-invariance")
-
         constant = next((k for k, transform in enumerate(transforms)
                          if transform.get(origin, 0) != 0), None)
         if constant is not None:
@@ -271,7 +266,8 @@ def verify_blowup_profile(model: CD2Model) -> ValidationReport:
     A model failing validation is rejected before any blow-up runs.  For a
     valid model the blow-up must have discrepancy exactly 2, E^3 exactly
     1/r, no charts needing manual analysis, and exactly one non-smooth
-    chart finding, a quotient point of type 1/(2r)(1, 2r-1, r+4).
+    finding at the five chart origins, a quotient point of type
+    1/(2r)(1, 2r-1, r+4); one_singular_point sees no other point of E.
     """
     validation = validate_model(model)
     if not validation.passed:

@@ -233,3 +233,17 @@ class TestProfile:
         assert data["e3"] == "1/7"
         assert data["orders"] == ["8", "6"]
         assert len(data["charts"]) == 5
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the profile sees only the "
+                                           "chart origins, not all of E")
+    def test_singular_point_off_the_chart_origins_fails(self):
+        # model A: in the x4 chart both strict transforms vanish at
+        # (y1, y2, y3, t, y5) = (1, 0, 1, 0, 0), where the gradient of the
+        # second is 0 and the group acts freely, so Y is singular there; the
+        # five chart origins show only the x5 quotient point
+        model = CD2Model(23, parse_poly("-x3^12", P_VARIABLES),
+                         parse_poly("x1*x3^5 - x1*x3^3*x4^4 - x3^2*x4^18 + x4^22",
+                                    Q_VARIABLES))
+        report = verify_blowup_profile(model)
+        assert report.checks[0].passed
+        assert not report.passed

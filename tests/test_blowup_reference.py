@@ -7,22 +7,24 @@ first independent columns found by trying every k x k minor of the linear
 terms with rational_determinant.
 """
 
+import json
 import math
 import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from threefold import blowup, quotients
 from threefold.blowup import (BlowupReport, CIGerm, ChartFinding, MANUAL, QUOTIENT, SMOOTH,
-                              _chart_action, analyze_blowup, model_germ,
-                              verify_blowup_profile)
+                              analyze_blowup, model_germ, verify_blowup_profile)
+from threefold.cli import main
 from threefold.linalg import rational_determinant
-from threefold.models import blowup_vector, generate_model
-from threefold.polynomials import SparsePoly, is_semi_invariant, weighted_order
-from threefold.quotients import (LatticeError, QuotientType, blowup_charts,
-                                  effective_factors)
+from threefold.models import AMBIENT, CD2Model, blowup_vector, generate_model
+from threefold.polynomials import SparsePoly, weighted_order
+from threefold.quotients import (ChartGroup, ChartReport, LatticeError, QuotientType,
+                                 blowup_charts, effective_factors)
 
 from helpers import parse_poly
 
@@ -163,40 +165,6 @@ def test_orders_come_from_the_term_powers(monkeypatch):
     assert [analyze_blowup(*case) for case in cases] == expected
 
 
-@pytest.mark.parametrize("exponents", [((1, 0), (3, 0)), ((1, 0), (5, 0)),
-                                       ((1, 0), (0, 1)), ((2, 0), (0, 1))])
-def test_chart_character_matches_fractions(exponents):
-    # chart coordinate x1 in t^(1/2) units under 1/2(1,1): t and t^3 have
-    # characters 1/2 and 3/2; doubled, 1 and 3 agree modulo 2 but not modulo 4
-    poly = SparsePoly(("x1", "x2"), {e: 1 for e in exponents})
-    factor = QuotientType(2, (1, 1))
-    semi_invariant = len(reference_characters(poly, factor, 0, 2)) == 1
-    action = _chart_action(factor, 0, 2)
-    assert (is_semi_invariant(poly.terms, action) is not None) == semi_invariant
-
-
-def test_chart_action_needs_no_reduction():
-    # _chart_action builds its type without reducing the weights again; the
-    # type built through QuotientType.__init__, which reduces them, is the same,
-    # and the chart data holds it for each factor of each chart
-    cases = [*FIXTURES.values(),
-             *((model_germ(generate_model(r, 1)), blowup_vector(r)) for r in (7, 23, 47, 95))]
-    checked = 0
-    for germ, v in cases:
-        data = blowup._chart_data(blowup_charts, germ.ambient, tuple(map(Fraction, v)))
-        denominator = math.lcm(*(Fraction(x).denominator for x in v))
-        assert data.denominator == denominator
-        for i, chart in enumerate(blowup_charts(germ.ambient, v).charts):
-            assert len(data.actions[i]) == len(chart.factors)
-            for factor, action in zip(chart.factors, data.actions[i]):
-                reduced = QuotientType(factor.n * denominator,
-                                       tuple(w if l == i else w * denominator
-                                             for l, w in enumerate(factor.weights)))
-                assert _chart_action(factor, i, denominator) == reduced == action
-                checked += 1
-    assert checked >= len(cases)
-
-
 def test_one_chart_report_per_r(monkeypatch):
     calls = []
 
@@ -215,24 +183,107 @@ def test_one_chart_report_per_r(monkeypatch):
                       tuple(Fraction(x) for x in blowup_vector(23)))]
 
 
-def test_chart_actions_are_built_once_per_r(monkeypatch):
-    # the five chart factors of an r get their actions once, not once per model
-    calls = []
+def test_chart_factors_are_tested_once_per_r(monkeypatch):
+    # the chart record tests the lattice vector of each of an r's five chart
+    # factors, and later models of that r test none
+    tested = []
+    contains = QuotientType.lattice_contains
 
-    def counting(factor, chart, denominator):
-        calls.append((factor, chart, denominator))
-        return _chart_action(factor, chart, denominator)
+    def counting(self, vector):
+        tested.append(vector)
+        return contains(self, vector)
 
-    monkeypatch.setattr(blowup, "_chart_action", counting)
+    monkeypatch.setattr(QuotientType, "lattice_contains", counting)
     blowup._chart_data.cache_clear()
     try:
-        reports = [verify_blowup_profile(generate_model(r, seed))
-                   for r in (7, 23) for seed in range(10)]
+        counts = []
+        for r in (7, 23):
+            for seed in range(10):
+                assert verify_blowup_profile(generate_model(r, seed)).passed
+                counts.append(len(tested))
     finally:
         blowup._chart_data.cache_clear()
-    assert all(report.passed for report in reports)
-    # one call per chart and r, the first model of each r making them
-    assert [chart for _, chart, _ in calls] == [0, 1, 2, 3, 4] * 2
+    assert counts == [5] * 10 + [10] * 10
+
+
+R7 = (AMBIENT, tuple(Fraction(x) for x in blowup_vector(7)))
+R7_MODEL = Path(__file__).parent / "golden" / "model_r7_seed42.json"
+
+
+def single_weight_mutants():
+    # (chart, factor, report): the r = 7 chart report with one weight of one
+    # chart factor replaced by another residue
+    report = blowup_charts(*R7)
+    for i, chart in enumerate(report.charts):
+        for j, factor in enumerate(chart.factors):
+            for l, weight in enumerate(factor.weights):
+                for other in range(factor.n):
+                    if other != weight:
+                        factors = list(chart.factors)
+                        factors[j] = QuotientType(factor.n, factor.weights[:l] + (other,)
+                                                  + factor.weights[l + 1:])
+                        charts = list(report.charts)
+                        charts[i] = ChartGroup(tuple(factors))
+                        yield i, factors[j], ChartReport(tuple(charts))
+
+
+def test_every_single_weight_mutant_is_refused():
+    refused = 0
+    for chart, factor, report in single_weight_mutants():
+        with pytest.raises(ArithmeticError) as info:
+            blowup._chart_data(lambda ambient, v: report, *R7)
+        assert str(info.value) == (f"chart {chart} factor {factor} does not act through "
+                                   "the lattice of 1/2(1,1,1,0,0)")
+        refused += 1
+    assert refused == 145
+
+
+def wrong_chart_function(calls):
+    # a chart function giving the r = 7 report with one wrong factor weight
+    _, _, report = next(single_weight_mutants())
+
+    def wrong(ambient, v):
+        calls.append(v)
+        return report
+    return wrong
+
+
+def test_wrong_chart_factor_fails_every_analysis(monkeypatch):
+    calls = []
+    model = CD2Model.from_json_dict(json.loads(R7_MODEL.read_text(encoding="utf-8")))
+    monkeypatch.setattr(blowup, "blowup_charts", wrong_chart_function(calls))
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match="^chart 0 factor 1/8"):
+            analyze_blowup(model_germ(model), blowup_vector(7))
+    # the fault is not cached: the second analysis asked the chart function again
+    assert calls == [R7[1]] * 2
+    monkeypatch.setattr(blowup, "blowup_charts", blowup_charts)
+    assert verify_blowup_profile(model).passed
+
+
+def test_wrong_chart_factor_exits_three(monkeypatch, capsys):
+    # a broken chart factor is neither bad input nor a failed verification
+    monkeypatch.setattr(blowup, "blowup_charts", wrong_chart_function([]))
+    assert main(["blowup", "--model", str(R7_MODEL)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal error: chart 0 factor 1/8(0,1,2,7,1) does not act "
+                            "through the lattice of 1/2(1,1,1,0,0)\n")
+
+
+def test_chart_analysis_makes_no_semi_invariance_call(monkeypatch):
+    # every strict transform is semi-invariant by the chart record's lattice
+    # test, so analysing a germ asks is_semi_invariant nothing
+    family, v = model_germ(generate_model(23, 3)), blowup_vector(23)
+    expected = reference_report(family, v)
+    calls = []
+    monkeypatch.setattr(blowup, "is_semi_invariant", lambda *args: calls.append(args))
+    blowup._chart_data.cache_clear()
+    try:
+        assert analyze_blowup(family, v) == expected
+    finally:
+        blowup._chart_data.cache_clear()
+    assert calls == []
 
 
 def test_rebound_chart_function_computes_afresh(monkeypatch):
@@ -312,8 +363,9 @@ def test_residual_groups_are_computed_once_per_r(monkeypatch):
         reports = [verify_blowup_profile(generate_model(47, seed)) for seed in range(1, 31)]
         assert calls == []
         # the counters see the calls fresh chart data makes: one for the basis
-        # of the ambient lattice, one for each of the five charts, then one
-        # residual of two
+        # of the ambient lattice and one for each of the five charts in
+        # blowup_charts, one for the lattice test of each of the five chart
+        # factors, then one residual of two
         blowup._chart_data.cache_clear()
         data = blowup._chart_data(blowup_charts, QuotientType(2, (1, 1, 1, 0, 0)),
                                   blowup_vector(47))
@@ -322,7 +374,7 @@ def test_residual_groups_are_computed_once_per_r(monkeypatch):
     finally:
         blowup._chart_data.cache_clear()
     assert all(report.passed for report in reports)
-    assert calls.count("smith_normal_form") == 8 and calls.count("effective_factors") == 1
+    assert calls.count("smith_normal_form") == 13 and calls.count("effective_factors") == 1
 
 
 def test_expected_point_is_normalized_once_per_r(monkeypatch):

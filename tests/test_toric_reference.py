@@ -223,9 +223,10 @@ def test_blowup_charts_cd2_ambient():
             assert charts_outcome(ambient, v) == ref_blowup_charts(ambient, v), r
 
 
-def test_blowup_charts_random_ambients():
+def random_chart_inputs():
+    # 400 (ambient, v) pairs, v scaled off the primitive or off the lattice
+    # in some of them
     rng = random.Random(7)
-    kinds = set()
     for _ in range(400):
         m, n = rng.randint(1, 4), rng.randint(1, 24)
         ambient = QuotientType(n, tuple(rng.randrange(n) for _ in range(m)))
@@ -235,10 +236,54 @@ def test_blowup_charts_random_ambients():
             v = [x * rng.randint(2, 3) for x in v]
         if rng.random() < 0.1:
             v[rng.randrange(m)] += Fraction(1, n + 1)
+        yield ambient, v
+
+
+def test_blowup_charts_random_ambients():
+    kinds = set()
+    for ambient, v in random_chart_inputs():
         expected = outcome(ref_blowup_charts, ambient, v)
         assert charts_outcome(ambient, v) == expected, (ambient, v)
         kinds.add(expected[0] if isinstance(expected[0], type) else "ok")
     assert kinds == {"ok", LatticeError}
+
+
+def reference_lattice_tests(monkeypatch, cases):
+    # (answers, factors): the k-loop reference's answer to each lattice test
+    # a fresh chart record makes for the blow-ups among cases, and the number
+    # of their chart factors
+    answers = []
+
+    def reference(ambient, vector):
+        answers.append(ref_lattice_contains(ambient, vector))
+        return answers[-1]
+
+    monkeypatch.setattr(QuotientType, "lattice_contains", reference)
+    factors = 0
+    try:
+        for ambient, v in cases:
+            _chart_data.cache_clear()
+            try:
+                data = _chart_data(blowup_charts, ambient, tuple(map(Fraction, v)))
+            except LatticeError:
+                continue
+            factors += sum(len(chart.factors) for chart in data.charts)
+    finally:
+        _chart_data.cache_clear()
+    return answers, factors
+
+
+def test_chart_factors_act_through_random_ambient_lattices(monkeypatch):
+    # each chart factor's vector u lies in N by the reference, not by
+    # lattice_contains
+    answers, factors = reference_lattice_tests(monkeypatch, random_chart_inputs())
+    assert answers == [True] * factors and factors == 381
+
+
+def test_chart_factors_act_through_the_cd2_lattice(monkeypatch):
+    cases = [(AMBIENT, blowup_vector(r)) for r in filter(valid_r, range(401))]
+    answers, factors = reference_lattice_tests(monkeypatch, cases)
+    assert answers == [True] * factors and factors >= 5 * len(cases)
 
 
 def test_effective_factors_random_groups():
