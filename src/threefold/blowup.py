@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Sequence
 
 from .linalg import pivot_columns
 from .models import (CD2Model, CheckResult, GERM_VARIABLES, ValidationReport,
@@ -36,36 +36,35 @@ class DimensionError(ValueError):
     """The germ is not a three-fold where a three-fold is required."""
 
 
-@dataclass(frozen=True)
-class CIGerm:
+class CIGerm(namedtuple("CIGerm", "ambient variables equations")):
     """Complete-intersection germ through the origin of a cyclic quotient.
 
-    Every equation must vanish at the origin and be semi-invariant under
-    the ambient action; the chart data's lattice test then carries that to
-    its strict transform on every chart of a blow-up.
+    The constructor keeps the variable names as a tuple and each equation,
+    a SparsePoly, re-expressed over them.  Every equation must vanish at the
+    origin and be semi-invariant under the ambient action; the chart data's
+    lattice test then carries that to its strict transform on every chart
+    of a blow-up.
     """
 
-    ambient: QuotientType
-    variables: tuple[str, ...]
-    equations: tuple[SparsePoly, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        if len(self.variables) != self.ambient.arity:
+    def __new__(cls, ambient: QuotientType, variables, equations) -> "CIGerm":
+        variables = tuple(variables)
+        if len(variables) != ambient.arity:
             raise ValueError("variable count does not match quotient arity")
         flattened = []
-        for k, eq in enumerate(self.equations):
+        for k, eq in enumerate(equations):
             if eq.is_zero:
                 raise ValueError(f"equation {k} is identically zero")
-            if not eq.used_variables() <= set(self.variables):
+            if not eq.used_variables() <= set(variables):
                 raise ValueError(f"equation {k} uses foreign variables")
-            flat = eq.with_variables(self.variables)
+            flat = eq.with_variables(variables)
             if flat.constant_term() != 0:
                 raise ValueError(f"equation {k} does not pass through the origin")
-            if is_semi_invariant(flat.terms, self.ambient) is None:
-                raise ValueError(f"equation {k} is not semi-invariant under {self.ambient}")
+            if is_semi_invariant(flat.terms, ambient) is None:
+                raise ValueError(f"equation {k} is not semi-invariant under {ambient}")
             flattened.append(flat)
-        object.__setattr__(self, "equations", tuple(flattened))
+        return tuple.__new__(cls, (ambient, variables, tuple(flattened)))
 
 
 # -- strict transforms and chart analysis -------------------------------------
@@ -78,12 +77,12 @@ QUOTIENT = "quotient"
 MANUAL = "manual"
 
 
-@dataclass(frozen=True)
-class ChartFinding:
-    variable: str
-    kind: str
-    quotient: QuotientType | None = None
-    detail: str = ""
+class ChartFinding(namedtuple("ChartFinding", "variable kind quotient detail",
+                              defaults=(None, ""))):
+    """What one chart origin is: kind is SMOOTH, QUOTIENT (with its
+    QuotientType) or MANUAL, and detail gives the evidence."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {"variable": self.variable, "finding": self.kind,
@@ -117,12 +116,10 @@ def _strict_transform(terms, chart: int) -> dict[tuple[int, ...], Fraction]:
     return {exps[:chart] + (power,) + exps[chart + 1:]: c for exps, c, power in terms}
 
 
-class _ChartData(NamedTuple):
-    # scaled is v times denominator, the least common denominator of v
-    charts: tuple[ChartGroup, ...]
-    scaled: tuple[int, ...]
-    denominator: int
-    residuals: dict
+class _ChartData(namedtuple("_ChartData", "charts scaled denominator residuals")):
+    # the chart groups, scaled = v times denominator, the least common
+    # denominator of v, and the residual store of residual()
+    __slots__ = ()
 
     def residual(self, chart: int, keep: tuple[int, ...]):
         """The effective factors of chart's group on the coordinates in keep, and
@@ -209,12 +206,11 @@ def chart_singularities(germ: CIGerm, data: _ChartData,
     return tuple(findings)
 
 
-@dataclass(frozen=True)
-class BlowupReport:
-    orders: tuple[Fraction, ...]
-    discrepancy: Fraction
-    e_cubed: Fraction
-    chart_findings: tuple[ChartFinding, ...]
+class BlowupReport(namedtuple("BlowupReport", "orders discrepancy e_cubed chart_findings")):
+    """The orders, discrepancy and E^3 of a blow-up, Fractions, and the
+    ChartFinding of each chart."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

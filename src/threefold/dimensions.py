@@ -20,7 +20,7 @@ form (closed_form_profile), which the counted profile must match.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
@@ -108,12 +108,11 @@ def graded_dimension(r: int, degree: int, parity: int) -> int:
     return parity_counts(r, degree)[parity]
 
 
-@dataclass(frozen=True)
-class DimensionTable:
-    """Dimensions of every (degree, parity) piece up to a degree bound."""
+class DimensionTable(namedtuple("DimensionTable", "r rows")):
+    """Dimensions of every (degree, parity) piece up to a degree bound, rows
+    mapping (degree, parity) to its dimension."""
 
-    r: int
-    rows: dict[tuple[int, int], int]
+    __slots__ = ()
 
     @classmethod
     def compute(cls, r: int, max_degree: int) -> "DimensionTable":
@@ -160,13 +159,11 @@ def check_decomposition(r: int, degree: int, parity: int) -> bool:
     return lhs == _l3_boundary(r, degree, parity)
 
 
-@dataclass(frozen=True)
-class CorrectionProfile:
+class CorrectionProfile(namedtuple("CorrectionProfile", "r delta")):
     """Increment of the dimension recursion beyond its linear part (2i+1)/r,
-    recorded per residue class of 2i+rj mod 2r."""
+    recorded in delta as a Fraction per residue class of 2i+rj mod 2r."""
 
-    r: int
-    delta: dict[int, Fraction]
+    __slots__ = ()
 
 
 def correction_profile(r: int, max_degree: int | None = None) -> CorrectionProfile:

@@ -7,8 +7,8 @@ no rounding anywhere.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 IntMatrix = list[list[int]]
 

@@ -13,9 +13,8 @@ cD/2 normal forms.
 
 from __future__ import annotations
 
-import random
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .polynomials import (SparsePoly, _excerpt, detect_square_form, is_json_int,
@@ -48,16 +47,14 @@ def valid_r(r: int) -> bool:
     return r >= 7 and r % 8 in (1, 7)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "name passed detail", defaults=("",))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[CheckResult, ...]
+class ValidationReport(namedtuple("ValidationReport", "checks")):
+    """The CheckResult of each check, in the tuple checks."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -74,23 +71,22 @@ class ValidationReport:
         }
 
 
-@dataclass(frozen=True)
-class CD2Model:
-    """A candidate germ datum (r, p, q); run validate_model to check it."""
+class CD2Model(namedtuple("CD2Model", "r p q")):
+    """A candidate germ datum (r, p, q); run validate_model to check it.  The
+    constructor re-expresses the SparsePoly p over P_VARIABLES and q over
+    Q_VARIABLES."""
 
-    r: int
-    p: SparsePoly
-    q: SparsePoly
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.r, int):
+    def __new__(cls, r: int, p: SparsePoly, q: SparsePoly) -> "CD2Model":
+        if not isinstance(r, int):
             raise ValueError("r must be an integer")
-        if not self.p.used_variables() <= set(P_VARIABLES):
+        if not p.used_variables() <= set(P_VARIABLES):
             raise ValueError("p may involve only x2, x3, x4")
-        if not self.q.used_variables() <= set(Q_VARIABLES):
+        if not q.used_variables() <= set(Q_VARIABLES):
             raise ValueError("q may involve only x1, x3, x4")
-        object.__setattr__(self, "p", self.p.with_variables(P_VARIABLES))
-        object.__setattr__(self, "q", self.q.with_variables(Q_VARIABLES))
+        return tuple.__new__(cls, (r, p.with_variables(P_VARIABLES),
+                                   q.with_variables(Q_VARIABLES)))
 
     def to_json_dict(self) -> dict:
         return {"r": self.r, "p": poly_to_dict(self.p), "q": poly_to_dict(self.q)}
@@ -227,6 +223,7 @@ def generate_model(r: int, seed: int, extra_degree: int = 4) -> CD2Model:
     if steps > GENERATE_STEP_LIMIT:
         raise ValueError(f"a model of r={r} with extra degree {extra_degree} takes {steps} "
                          f"steps; at most GENERATE_STEP_LIMIT = {GENERATE_STEP_LIMIT}")
+    import random  # here, so that importing the CLI does not load it
     rng = random.Random((seed * 1_000_003 + r) * 1_009 + extra_degree)
 
     def coefficient() -> Fraction:
@@ -291,12 +288,11 @@ def eliminate_x5(model: CD2Model) -> SparsePoly:
 # -- normal-form recognition ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NormalFormResult:
-    form: str                      # "A", "B" or "unrecognized"
-    elephant_ok: bool | None       # general-elephant bound, None if unrecognized
-    flipped_x4: bool
-    data: dict
+class NormalFormResult(namedtuple("NormalFormResult", "form elephant_ok flipped_x4 data")):
+    """form is "A", "B" or "unrecognized"; elephant_ok is the general-elephant
+    bound, None if unrecognized; data holds the form's parameters."""
+
+    __slots__ = ()
 
 
 def _match_form_a(phi: SparsePoly, r: int) -> NormalFormResult | None:

@@ -26,10 +26,6 @@ import operator
 import re
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .quotients import QuotientType
 
 
 class _InfiniteOrder:

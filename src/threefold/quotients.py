@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
 
 from .linalg import IntMatrix, smith_normal_form
 from .polynomials import _excerpt, check_digits
@@ -34,27 +34,21 @@ _TYPE_GRAMMAR = re.compile(r"\s*1\s*/\s*([0-9]+)\s*\(([^()]*)\)\s*", re.ASCII)
 _WEIGHT_GRAMMAR = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
 
 
-@dataclass(frozen=True)
-class QuotientType:
+class QuotientType(namedtuple("QuotientType", "n weights")):
     """Cyclic quotient datum 1/n(a_1,...,a_m) with weights reduced mod n."""
 
-    n: int
-    weights: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, weights) -> "QuotientType":
+        if n < 1:
             raise ValueError("group order must be a positive integer")
-        n = self.n
-        object.__setattr__(self, "weights", tuple([int(w) % n for w in self.weights]))
+        return tuple.__new__(cls, (n, tuple([int(w) % n for w in weights])))
 
     @classmethod
     def _reduced(cls, n: int, weights: tuple[int, ...]) -> "QuotientType":
         # a type whose order is valid and whose weights are already reduced
-        # mod n, built without reducing them again in __post_init__
-        q = object.__new__(cls)
-        object.__setattr__(q, "n", n)
-        object.__setattr__(q, "weights", weights)
-        return q
+        # mod n, built without reducing them again in __new__
+        return tuple.__new__(cls, (n, weights))
 
     @classmethod
     def parse(cls, text: str) -> "QuotientType":
@@ -210,15 +204,11 @@ def reid_tai_is_canonical(q: QuotientType) -> bool:
 # -- finite quotients of one lattice by another ------------------------------
 
 
-class _Lattice(NamedTuple):
-    # a full-rank integer lattice containing scale*Z^m, through the Smith
-    # normal form of its generators: basis rows D*V^-1, the diagonal D, the
-    # column transform V, and units, the coordinates of scale*e_1, ...,
-    # scale*e_m in that basis
-    basis: IntMatrix
-    diagonal: list[int]
-    v: IntMatrix
-    units: IntMatrix
+# a full-rank integer lattice containing scale*Z^m, through the Smith normal
+# form of its generators: basis rows D*V^-1, the diagonal D, the column
+# transform V, and units, the coordinates of scale*e_1, ..., scale*e_m in
+# that basis, each an integer matrix but the diagonal, a list of integers
+_Lattice = namedtuple("_Lattice", "basis diagonal v units")
 
 
 def _lattice_basis(scale: int, generators: IntMatrix, arity: int) -> _Lattice:
@@ -299,11 +289,11 @@ def _cyclic_factors(lattice: _Lattice, coords: IntMatrix, denominator: int, what
     return factors
 
 
-@dataclass(frozen=True)
-class ChartGroup:
-    """A diagonal action of a finite abelian group as cyclic factors, one QuotientType each."""
+class ChartGroup(namedtuple("ChartGroup", "factors")):
+    """A diagonal action of a finite abelian group as cyclic factors, one
+    QuotientType each, in the tuple factors."""
 
-    factors: tuple[QuotientType, ...]
+    __slots__ = ()
 
     @property
     def order(self) -> int:
@@ -314,11 +304,11 @@ class ChartGroup:
                                 for f in self.factors))
 
 
-@dataclass(frozen=True)
-class ChartReport:
-    """The chart groups of one weighted blow-up, chart i at index i."""
+class ChartReport(namedtuple("ChartReport", "charts")):
+    """The chart groups of one weighted blow-up, a tuple of ChartGroup, chart i
+    at index i."""
 
-    charts: tuple[ChartGroup, ...]
+    __slots__ = ()
 
 
 def blowup_charts(ambient: QuotientType, v: Sequence) -> ChartReport:

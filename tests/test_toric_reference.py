@@ -185,17 +185,19 @@ def test_normalized_random_types():
 def test_normalized_every_four_and_five_weight_type(monkeypatch):
     # exhaustive, so repeated weights of the least gcd and g > 1 with several
     # lifts of the candidate unit all occur; the normal form is built without
-    # running __post_init__, and equals and hashes as the type built from
-    # the reference weights
+    # running the reducing constructor __new__, and equals and hashes as the
+    # type built from the reference weights
     types = [QuotientType(n, weights) for arity, top in ((4, 9), (5, 6))
              for n in range(1, top + 1)
              for weights in itertools.product(range(n), repeat=arity)]
-    post_inits = []
-    post_init = QuotientType.__post_init__
-    monkeypatch.setattr(QuotientType, "__post_init__",
-                        lambda q: post_inits.append(q) or post_init(q))
+    news = []
+    new = QuotientType.__new__
+    monkeypatch.setattr(QuotientType, "__new__",
+                        lambda cls, *args: news.append(args) or new(cls, *args))
+    assert QuotientType(3, (4,)) == (3, (1,)) and news == [(3, (4,))]
+    news.clear()
     forms = [q.normalized() for q in types]
-    assert post_inits == []
+    assert news == []
     monkeypatch.undo()
     for q, form in zip(types, forms):
         expected = QuotientType(q.n, ref_normalized(q.n, q.weights))
