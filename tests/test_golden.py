@@ -5,9 +5,12 @@ command below, and the .txt file of the same stem is its ``--format table``
 stdout; model_r<r>_seed42.json is the model file ``generate --r <r> --seed 42``
 writes.  model_square_r23.json keeps the p of model_r23_seed42.json and takes
 q = (x3*s)^2 with s = x4^9 + 2*x3^2*x4^5 - 1/3*x3^4*x4, so validate and
-blowup fail on the square check alone.  A refactor that changes any byte of
-that output fails here.  The path ``generate`` reports is replaced by OUT
-before comparing, since the test writes to a temporary directory.
+blowup fail on the square check alone.  model_p0_r7.json is the model
+``generate --r 7 --seed 3`` writes with every term of p removed, so validate
+meets the zero polynomial, whose weighted order is infinite.  A refactor
+that changes any byte of that output fails here.  The path ``generate``
+reports is replaced by OUT before comparing, since the test writes to a
+temporary directory.
 """
 
 import io
@@ -23,6 +26,7 @@ MODEL = GOLDEN / "model_r7_seed42.json"
 MODEL_R23 = GOLDEN / "model_r23_seed42.json"
 MODEL_R95 = GOLDEN / "model_r95_seed42.json"
 MODEL_SQUARE = GOLDEN / "model_square_r23.json"
+MODEL_P0 = GOLDEN / "model_p0_r7.json"
 GENERATED = ("generate_r7_seed42.json", "generate_r7_seed42.txt")
 OUT = "<out>"
 
@@ -48,6 +52,7 @@ CASES = (
                                     "--weights", "2,1,2,1/2"]),
     ("validate_square_r23.json", 1, ["validate", "--model", str(MODEL_SQUARE)]),
     ("blowup_square_r23.json", 1, ["blowup", "--model", str(MODEL_SQUARE)]),
+    ("validate_p0_r7.json", 0, ["validate", "--model", str(MODEL_P0)]),
 )
 
 
@@ -95,6 +100,6 @@ def test_golden_inventory():
     # every golden file is read by a test above, and every case has both
     # renderings: an orphaned or half-written golden fails here
     cases = {name for case in CASES for name in (case[0], table_name(case[0]))}
-    models = {path.name for path in (MODEL, MODEL_R23, MODEL_R95, MODEL_SQUARE)}
+    models = {path.name for path in (MODEL, MODEL_R23, MODEL_R95, MODEL_SQUARE, MODEL_P0)}
     expected = cases | models | set(GENERATED)
     assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(expected)
