@@ -10,14 +10,13 @@ from .dimensions import (CorrectionProfile, DimensionTable, InconsistencyError,
                          check_decomposition, correction_profile,
                          degree_points, graded_dimension, solve_correction)
 from .linalg import smith_normal_form
-from .models import (CD2Model, CheckResult, NormalFormResult, ValidationReport,
-                     blowup_vector, check_required_monomials, classify_normal_form,
-                     eliminate_x5, generate_model, model_equations,
-                     model_weights, required_monomials, validate_model)
-from .polynomials import (INFINITE_ORDER, SparsePoly,
-                          detect_square_form, is_semi_invariant, low_part_ratio,
+from .models import (CD2Model, CheckResult, ValidationReport,
+                     blowup_vector, check_required_monomials, generate_model,
+                     model_equations, model_weights, required_monomials,
+                     validate_model)
+from .polynomials import (SparsePoly, detect_square_form, is_semi_invariant,
                           poly_from_dict, poly_to_dict, polynomial_sqrt,
-                          truncate_gt, truncate_le, weighted_order)
+                          weighted_order)
 from .quotients import (ChartGroup, ChartReport, LatticeError,
                         QuotientType, blowup_charts, effective_factors,
                         reid_tai_is_canonical, reid_tai_is_terminal)

@@ -6,9 +6,8 @@
 with r >= 7, r = +-1 mod 8, p of weighted order > r, q weighted
 homogeneous of weight r-1, both invariant under the half-twist, and q not
 a constant times a square of the shape (x3*s(x3^2,x4))^2.  This module
-validates such models, generates deterministic random ones, eliminates x5
-to produce the four-variable hypersurface germ, and recognizes the two
-cD/2 normal forms.
+validates such models, generates deterministic random ones, and writes
+their two defining equations over (x1,...,x5).
 """
 
 from __future__ import annotations
@@ -26,11 +25,11 @@ GERM_VARIABLES = ("x1", "x2", "x3", "x4", "x5")
 P_VARIABLES = ("x2", "x3", "x4")
 Q_VARIABLES = ("x1", "x3", "x4")
 AMBIENT = QuotientType(2, (1, 1, 1, 0, 0))
-# the ambient action on the variables of p, of q and of the x5-eliminated
-# germ, one weight per variable in their order
-_P_ACTION, _Q_ACTION, _FOUR_ACTION = (
+# the ambient action on the variables of p and of q, one weight per
+# variable in their order
+_P_ACTION, _Q_ACTION = (
     QuotientType(AMBIENT.n, tuple(AMBIENT.weights[GERM_VARIABLES.index(v)] for v in names))
-    for names in (P_VARIABLES, Q_VARIABLES, GERM_VARIABLES[:4]))
+    for names in (P_VARIABLES, Q_VARIABLES))
 
 
 def model_weights(r: int) -> dict[str, int]:
@@ -137,8 +136,9 @@ def validate_model(model: CD2Model, strict: bool = False) -> ValidationReport:
     checks.append(CheckResult("congruence", congruence,
                               f"r={r}, r mod 8 = {r % 8}"))
 
-    p_order = weighted_order(model.p, weights)
-    checks.append(CheckResult("p_order", p_order > r,
+    # the zero polynomial has no monomial, so its weighted order is infinite
+    p_order = "INFINITE_ORDER" if model.p.is_zero else weighted_order(model.p, weights)
+    checks.append(CheckResult("p_order", model.p.is_zero or p_order > r,
                               f"weighted order of p is {p_order}, needs > {r}"))
 
     q_powers, scale = scaled_term_weights(model.q, weights)
@@ -244,14 +244,13 @@ def generate_model(r: int, seed: int, extra_degree: int = 4) -> CD2Model:
     return CD2Model(r, p, q)
 
 
-# -- the five-variable germ and the x5 elimination ----------------------------
+# -- the five-variable germ ---------------------------------------------------
 
 
 # exponents over GERM_VARIABLES of the monomials every model's equations share
 _X1_SQUARED, _X4_X5 = (2, 0, 0, 0, 0), (0, 0, 0, 1, 1)
 _X2_SQUARED, _X5 = (0, 2, 0, 0, 0), (0, 0, 0, 0, 1)
 _ONE = Fraction(1)
-_FOUR = GERM_VARIABLES[:4]
 
 
 def model_equations(model: CD2Model) -> tuple[SparsePoly, SparsePoly]:
@@ -267,119 +266,3 @@ def model_equations(model: CD2Model) -> tuple[SparsePoly, SparsePoly]:
     second[_X5] = _ONE
     return SparsePoly(GERM_VARIABLES, first), SparsePoly(GERM_VARIABLES, second)
 
-
-def eliminate_x5(model: CD2Model) -> SparsePoly:
-    """Substitute x5 = -(x2^2 + q) into the first equation.
-
-    Returns the four-variable hypersurface germ
-    x1^2 - x4*(x2^2 + q) + p over C^4/(1/2)(1,1,1,0); its weighted order is
-    exactly r and its weight <= r part is -x4*(x2^2 + q).  The terms of
-    x4*q carry x4 and no x2, so they miss x1^2, x2^2*x4 and each other; a
-    term of p may fall on any of them and is added there.
-    """
-    terms = {(2, 0, 0, 0): _ONE, (0, 2, 0, 1): -_ONE}
-    terms.update(((a, 0, b, c + 1), -coeff) for (a, b, c), coeff in model.q.terms.items())
-    for (a, b, c), coeff in model.p.terms.items():
-        key = (0, a, b, c)
-        terms[key] = terms[key] + coeff if key in terms else coeff
-    return SparsePoly(_FOUR, terms)
-
-
-# -- normal-form recognition ---------------------------------------------------
-
-
-class NormalFormResult(namedtuple("NormalFormResult", "form elephant_ok flipped_x4 data")):
-    """form is "A", "B" or "unrecognized"; elephant_ok is the general-elephant
-    bound, None if unrecognized; data holds the form's parameters."""
-
-    __slots__ = ()
-
-
-def _match_form_a(phi: SparsePoly, r: int) -> NormalFormResult | None:
-    # x1^2 + x2*x3*x4 + x2^(2a) + x3^(2b) + x4^g, a,b >= 2, g >= 3;
-    # the displayed coefficients are units, so after scaling they must be 1
-    terms = dict(phi.terms)
-    if len(terms) != 5 or terms.get((0, 1, 1, 1)) != 1:
-        return None
-    terms.pop((0, 1, 1, 1))
-    alpha = beta = gamma = None
-    for (e1, e2, e3, e4), c in terms.items():
-        if (e1, e2, e3, e4) == (2, 0, 0, 0):
-            continue
-        if c != 1:
-            return None
-        if e1 == 0 and e3 == e4 == 0 and e2 % 2 == 0 and e2 >= 4 and alpha is None:
-            alpha = e2 // 2
-        elif e1 == 0 and e2 == e4 == 0 and e3 % 2 == 0 and e3 >= 4 and beta is None:
-            beta = e3 // 2
-        elif e1 == e2 == e3 == 0 and e4 >= 3 and gamma is None:
-            gamma = e4
-        else:
-            return None
-    if alpha is None or beta is None or gamma is None:
-        return None
-    return NormalFormResult("A", gamma >= r, False,
-                            {"alpha": alpha, "beta": beta, "gamma": gamma})
-
-
-def _match_form_b(phi: SparsePoly, r: int) -> NormalFormResult | None:
-    # x1^2 + x2^2*x4 + lambda*x2*x3^(2a-1) + g(x3^2, x4), a >= 2, lambda and
-    # g free, g in the ideal (x3^4, x3^2*x4^2, x4^3); x2^2*x4 scaled to 1
-    if phi.coefficient((0, 2, 0, 1)) != 1:
-        return None
-    lam = Fraction(0)
-    alpha = None
-    g_terms: dict[tuple[int, int], Fraction] = {}
-    for (e1, e2, e3, e4), c in phi.terms.items():
-        if (e1, e2, e3, e4) in ((2, 0, 0, 0), (0, 2, 0, 1)):
-            continue
-        if e1 == 0 and e2 == 1 and e4 == 0 and e3 % 2 == 1 and e3 >= 3:
-            if alpha is not None:
-                return None
-            lam, alpha = c, (e3 + 1) // 2
-        elif e1 == 0 and e2 == 0 and e3 % 2 == 0:
-            if not (e3 >= 4 or (e3 >= 2 and e4 >= 2) or (e3 == 0 and e4 >= 3)):
-                return None
-            g_terms[(e3, e4)] = c
-        else:
-            return None
-    pure_x4 = [e4 for (e3, e4) in g_terms if e3 == 0]
-    elephant = min(pure_x4, default=None)
-    ok = elephant is None or elephant >= r
-    g = SparsePoly(("x3", "x4"), {e: c for e, c in g_terms.items()})
-    return NormalFormResult("B", ok, False,
-                            {"lambda": lam, "alpha": alpha if alpha is not None else 0,
-                             "g": g, "ord_g_x4": elephant if elephant is not None else "oo"})
-
-
-def classify_normal_form(phi: SparsePoly, r: int) -> NormalFormResult:
-    """Recognize a four-variable germ already written in one of the two cD/2
-    normal shapes, scaling the x1^2 coefficient to one first.
-
-    After scaling, the displayed unit coefficients must be exactly one;
-    lambda and the coefficients of g stay free.  The x4 sign flip that
-    aligns the eliminated germ with shape B is tried automatically and
-    reported.  Germs matching neither shape, or not semi-invariant under
-    1/2(1,1,1,0), come back "unrecognized".
-    """
-    unrecognized = NormalFormResult("unrecognized", None, False, {})
-    if phi.is_zero or not phi.used_variables() <= set(_FOUR):
-        return unrecognized
-    flat = phi.with_variables(_FOUR)
-    if is_semi_invariant(flat.terms, _FOUR_ACTION) is None:
-        return unrecognized
-    lead = flat.coefficient((2, 0, 0, 0))
-    if lead == 0:
-        return unrecognized
-    scaled = flat * (1 / lead)
-    for flipped in (False, True):
-        # x4 -> -x4 negates the terms of odd x4 degree
-        candidate = (SparsePoly(_FOUR, {e: -c if e[3] % 2 else c for e, c in scaled.terms.items()})
-                     if flipped else scaled)
-        for matcher in (_match_form_a, _match_form_b):
-            result = matcher(candidate, r)
-            if result is not None:
-                if flipped:
-                    result = NormalFormResult(result.form, result.elephant_ok, True, result.data)
-                return result
-    return unrecognized

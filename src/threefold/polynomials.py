@@ -9,14 +9,13 @@ variable universes first.
 On top of the ring operations (+, -, *, ==) this module provides the
 weighted-order toolkit used everywhere else: weighted order of a
 polynomial under a positive weight assignment (the vanishing order along
-the exceptional divisor of a weighted blow-up), truncations by weight,
-cyclic semi-invariance, exact polynomial square roots, and the detector
-for squares of the special shape (x3*s(x3^2, x4))^2.
+the exceptional divisor of a weighted blow-up), cyclic semi-invariance,
+exact polynomial square roots, and the detector for squares of the special
+shape (x3*s(x3^2, x4))^2.
 
-No floating point appears anywhere; every coefficient is a Fraction and
-orders are Fraction or the distinguished INFINITE_ORDER value.  Orders and
-term weights are integer dot products over one common denominator of the
-weights, turned into a Fraction once per result.
+No floating point appears anywhere; every coefficient and every order is a
+Fraction.  Orders and term weights are integer dot products over one
+common denominator of the weights, turned into a Fraction once per result.
 """
 
 from __future__ import annotations
@@ -26,41 +25,6 @@ import operator
 import re
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-
-
-class _InfiniteOrder:
-    """Weighted order of the zero polynomial; compares above every rational."""
-
-    __slots__ = ()
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, _InfiniteOrder)
-
-    def __gt__(self, other):
-        return not isinstance(other, _InfiniteOrder)
-
-    def __ge__(self, other):
-        return True
-
-    def __eq__(self, other):
-        return isinstance(other, _InfiniteOrder)
-
-    def __hash__(self):
-        return hash("threefold.INFINITE_ORDER")
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __repr__(self):
-        return "INFINITE_ORDER"
-
-
-INFINITE_ORDER = _InfiniteOrder()
 
 
 class SparsePoly:
@@ -236,28 +200,12 @@ def scaled_term_weights(p: SparsePoly, weights: Mapping) -> tuple[list[int], int
     return [sum(map(operator.mul, scaled, e)) for e in p.terms], denominator
 
 
-def weighted_order(p: SparsePoly, weights: Mapping):
-    """Minimum weight over the monomials of p; INFINITE_ORDER for the zero polynomial."""
+def weighted_order(p: SparsePoly, weights: Mapping) -> Fraction:
+    """Minimum weight over the monomials of p; ValueError for the zero polynomial."""
     if p.is_zero:
-        return INFINITE_ORDER
+        raise ValueError("the zero polynomial has no weighted order")
     powers, denominator = scaled_term_weights(p, weights)
     return Fraction(min(powers), denominator)
-
-
-def _terms_by_weight(p: SparsePoly, weights: Mapping, degree, keep) -> SparsePoly:
-    d = Fraction(degree)
-    powers, denominator = scaled_term_weights(p, weights)
-    target = d * denominator
-    return SparsePoly(p.variables, {e: c for (e, c), w in zip(p.terms.items(), powers)
-                                    if keep(w, target)})
-
-
-def truncate_le(p: SparsePoly, weights: Mapping, degree) -> SparsePoly:
-    return _terms_by_weight(p, weights, degree, operator.le)
-
-
-def truncate_gt(p: SparsePoly, weights: Mapping, degree) -> SparsePoly:
-    return _terms_by_weight(p, weights, degree, operator.gt)
 
 
 def is_semi_invariant(exponents: Iterable[tuple[int, ...]], action: QuotientType) -> int | None:
@@ -372,24 +320,6 @@ def detect_square_form(q: SparsePoly) -> tuple[Fraction, SparsePoly] | None:
     if any(e[0] % 2 == 0 for e in root.terms):
         return None
     return c, SparsePoly(names, {(e[0] - 1, e[1]): d for e, d in root.terms.items()})
-
-
-def low_part_ratio(p: SparsePoly, reference: SparsePoly, weights: Mapping, cutoff) -> Fraction | None:
-    """The constant c with truncate_le(p, weights, cutoff) == c * reference, if any.
-
-    Returns 0 when the truncation vanishes, None when no such constant exists.
-    """
-    low = truncate_le(p, weights, cutoff)
-    if low.is_zero:
-        return Fraction(0)
-    if reference.is_zero:
-        return None
-    low, ref = low._aligned(reference)
-    exps, coeff = next(iter(ref.terms.items()))
-    c = low.terms.get(exps, Fraction(0)) / coeff
-    if c != 0 and low == ref * c:
-        return c
-    return None
 
 
 # -- JSON form ---------------------------------------------------------------

@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
-from threefold.models import CD2Model, P_VARIABLES, Q_VARIABLES
+from threefold.models import CD2Model, GERM_VARIABLES, P_VARIABLES, Q_VARIABLES
 from threefold.polynomials import SparsePoly, parse_rational
 
 _POWER = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)(?:\^(?P<exp>[0-9]+))?")
@@ -65,6 +65,15 @@ def parse_poly(text, variables):
 def matrix_product(a, b):
     return [[sum(x * y for x, y in zip(row, col, strict=True)) for col in zip(*b)]
             for row in a]
+
+
+def reference_eliminate_x5(model):
+    """Substitute x5 = -(x2^2 + q) into x1^2 + x4*x5 + p: the hypersurface
+    germ x1^2 - x4*(x2^2 + q) + p over (x1, x2, x3, x4)."""
+    four = GERM_VARIABLES[:4]
+    x4 = parse_poly("x4", four)
+    return (parse_poly("x1^2", four) + model.p.with_variables(four)
+            - x4 * (parse_poly("x2^2", four) + model.q.with_variables(four)))
 
 
 def square_variants():

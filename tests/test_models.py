@@ -2,11 +2,9 @@ import pytest
 
 from threefold.blowup import verify_blowup_profile
 from threefold.models import (CD2Model, P_VARIABLES, Q_VARIABLES,
-                              check_required_monomials, classify_normal_form,
-                              eliminate_x5, generate_model, model_equations,
-                              model_weights, required_monomials, valid_r, validate_model)
-from threefold.polynomials import (SparsePoly, low_part_ratio, truncate_le,
-                                   weighted_order)
+                              check_required_monomials, generate_model, model_equations,
+                              required_monomials, valid_r, validate_model)
+from threefold.polynomials import SparsePoly
 
 from helpers import parse_poly, square_variants
 
@@ -53,6 +51,12 @@ class TestValidate:
         assert [c.name for c in report.failures()] == ([] if passes else ["q_square_free"])
         assert report.checks[-1].detail == detail
         assert verify_blowup_profile(model).passed == passes
+
+    def test_zero_p_passes(self):
+        # p = 0 is legal: the zero polynomial's weighted order exceeds r
+        report = validate_model(CD2Model(7, SparsePoly(P_VARIABLES), QQ("x1*x3")))
+        assert report.passed
+        assert report.checks[1].detail == "weighted order of p is INFINITE_ORDER, needs > 7"
 
     def test_low_order_p_rejected(self):
         report = validate_model(CD2Model(7, PP("x3^2"), QQ("x1*x3")))
@@ -141,98 +145,9 @@ class TestGenerate:
             generate_model(11, 0, 4)
 
 
-class TestEliminateX5:
-    def test_direct_substitution(self):
-        model = CD2Model(7, SparsePoly(P_VARIABLES), QQ("x1*x3"))
-        # p = 0 is legal: the zero polynomial's weighted order exceeds r
-        assert validate_model(model).passed
-        assert eliminate_x5(model) == germ4("x1^2 - x2^2*x4 - x1*x3*x4")
-
-    def test_p_meets_x4_q(self):
-        # x3^2*x4^3 lies in p and in x4*q: the coefficients add, and the
-        # term goes when they cancel; x2^2*x4 in p cancels -x4*x2^2
-        q = QQ("x1*x3 + x3^2*x4^2")
-        cases = (("x3^4 + 2*x3^2*x4^3", "x1^2 - x2^2*x4 - x1*x3*x4 + x3^2*x4^3 + x3^4"),
-                 ("x3^4 + x3^2*x4^3", "x1^2 - x2^2*x4 - x1*x3*x4 + x3^4"),
-                 ("x2^2*x4", "x1^2 - x1*x3*x4 - x3^2*x4^3"))
-        for p, expected in cases:
-            phi = eliminate_x5(CD2Model(7, PP(p), q))
-            assert phi == germ4(expected), p
-            assert 0 not in phi.terms.values()
-
-    def test_weighted_order_is_r(self):
-        for r in (7, 9, 17):
-            model = generate_model(r, 1, 4)
-            phi = eliminate_x5(model)
-            assert weighted_order(phi, model_weights(r)) == r
-
-    def test_low_part_shape(self):
-        model = generate_model(7, 2, 4)
-        phi = eliminate_x5(model)
-        weights = model_weights(7)
-        x2 = germ4("x2")
-        x4 = germ4("x4")
-        psi = x2 * x2 + model.q.with_variables(V4)
-        assert truncate_le(phi, weights, 7) == -(x4 * psi)
-        assert low_part_ratio(phi, x4 * psi, weights, 7) == -1
-
-    def test_equations_vanish_after_elimination(self):
+class TestModelEquations:
+    def test_second_equation_is_linear_in_x5(self):
         model = generate_model(9, 7, 2)
-        first, second = model_equations(model)
-        assert second.coefficient((0, 0, 0, 0, 1)) == 1  # linear in x5
-
-
-class TestClassifier:
-    def test_form_a(self):
-        res = classify_normal_form(germ4("x1^2 + x2*x3*x4 + x2^4 + x3^4 + x4^9"), 7)
-        assert res.form == "A" and res.elephant_ok
-        assert res.data == {"alpha": 2, "beta": 2, "gamma": 9}
-
-    def test_form_a_elephant_fails(self):
-        res = classify_normal_form(germ4("x1^2 + x2*x3*x4 + x2^4 + x3^4 + x4^5"), 7)
-        assert res.form == "A" and not res.elephant_ok
-
-    def test_form_b_lambda_zero(self):
-        res = classify_normal_form(germ4("x1^2 + x2^2*x4 + x3^6*x4 + x4^7"), 7)
-        assert res.form == "B" and res.elephant_ok
-        assert res.data["lambda"] == 0 and res.data["ord_g_x4"] == 7
-
-    def test_form_b_with_lambda(self):
-        res = classify_normal_form(germ4("x1^2 + x2^2*x4 + 2*x2*x3^3 + x4^9"), 7)
-        assert res.form == "B" and res.data["lambda"] == 2 and res.data["alpha"] == 2
-
-    def test_form_b_no_pure_x4_part(self):
-        res = classify_normal_form(germ4("x1^2 + x2^2*x4 + x3^4"), 7)
-        assert res.form == "B" and res.elephant_ok  # ord g(0, x4) infinite
-
-    def test_odd_x2_is_unrecognized(self):
-        assert classify_normal_form(germ4("x1^2 + x2^3"), 7).form == "unrecognized"
-
-    def test_alpha_one_is_unrecognized(self):
-        assert classify_normal_form(germ4("x1^2 + x2^2*x4 + x2*x3 + x4^7"), 7).form == "unrecognized"
-
-    def test_low_x4_power_not_in_ideal(self):
-        assert classify_normal_form(germ4("x1^2 + x2^2*x4 + x4^2"), 7).form == "unrecognized"
-
-    def test_uniform_scaling_accepted(self):
-        res = classify_normal_form(germ4("3*x1^2 + 3*x2*x3*x4 + 3*x2^4 + 3*x3^4 + 3*x4^9"), 7)
-        assert res.form == "A"
-
-    def test_non_unit_pattern_coefficient_rejected(self):
-        res = classify_normal_form(germ4("x1^2 + 5*x2*x3*x4 + x2^4 + x3^4 + x4^9"), 7)
-        assert res.form == "unrecognized"
-
-    def test_free_g_coefficients(self):
-        res = classify_normal_form(germ4("x1^2 + x2^2*x4 + 5*x4^9"), 7)
-        assert res.form == "B" and res.data["ord_g_x4"] == 9
-
-    def test_flip_matches_eliminated_shape(self):
-        model = CD2Model(7, SparsePoly(P_VARIABLES), QQ("x4^6"))
-        res = classify_normal_form(eliminate_x5(model), 7)
-        assert res.form == "B" and res.flipped_x4 and res.elephant_ok
-
-    def test_pipeline_never_form_a(self):
-        for r in (7, 9, 17):
-            for seed in range(5):
-                phi = eliminate_x5(generate_model(r, seed, 4))
-                assert classify_normal_form(phi, r).form != "A"
+        second = model_equations(model)[1]
+        assert [e for e in second.terms if e[4]] == [(0, 0, 0, 0, 1)]
+        assert second.coefficient((0, 0, 0, 0, 1)) == 1

@@ -12,7 +12,7 @@ import pytest
 import threefold
 from threefold import (BlowupReport, CD2Model, ChartFinding, ChartGroup, ChartReport,
                        CheckResult, CIGerm, CorrectionProfile, DimensionTable,
-                       NormalFormResult, QuotientType, SparsePoly, ValidationReport)
+                       QuotientType, SparsePoly, ValidationReport)
 
 SRC = Path(threefold.__file__).resolve().parent.parent
 
@@ -32,8 +32,6 @@ RECORDS = [
     (CD2Model(7, SparsePoly(("x3",), {(4,): 1}), SparsePoly(("x4",), {(6,): 1})),
      "CD2Model(r=7, p=SparsePoly(('x2', 'x3', 'x4'), {(0, 4, 0): Fraction(1, 1)}), "
      "q=SparsePoly(('x1', 'x3', 'x4'), {(0, 0, 6): Fraction(1, 1)}))"),
-    (NormalFormResult("A", True, False, {"alpha": 2}),
-     "NormalFormResult(form='A', elephant_ok=True, flipped_x4=False, data={'alpha': 2})"),
     (_germ(),
      "CIGerm(ambient=QuotientType(n=2, weights=(1, 1, 0, 0)), "
      "variables=('x1', 'x2', 'x3', 'x4'), "
