@@ -9,11 +9,12 @@ self-intersection  E^3 = prod(orders) / (n * prod(v))  follow from the
 orders.  The same term powers give the strict transform on every chart;
 the chart data shows once per (ambient, v) that every chart factor acts
 through the ambient lattice, so each strict transform is semi-invariant,
-and chart_singularities analyses each chart origin: either a nonzero
-constant term shows the origin is off the germ, or linearly independent
-pure linear terms cut the germ out as an equivariant graph whose residual
-cyclic quotient type is reported.  Charts the rule cannot settle are
-reported as manual findings, never guessed.
+and chart_singularities analyses each chart origin from the terms that
+keep t^0 or t^denominator alone: either a pure power of the chart
+coordinate keeping t^0, a nonzero constant term, shows the origin is off
+the germ, or linearly independent pure linear terms cut the germ out as an
+equivariant graph whose residual cyclic quotient type is reported.  Charts
+the rule cannot settle are reported as manual findings, never guessed.
 """
 
 from __future__ import annotations
@@ -107,15 +108,6 @@ def _term_powers(eq: SparsePoly, scaled: tuple[int, ...]
     return terms, shift
 
 
-def _strict_transform(terms, chart: int) -> dict[tuple[int, ...], Fraction]:
-    """The strict transform on the chart of the coordinate with index chart,
-    as a term map {exponents: coefficient}; terms come from _term_powers.
-
-    Positive weights keep the keys distinct: two terms that differ only in
-    the chart coordinate's exponent differ in their power too."""
-    return {exps[:chart] + (power,) + exps[chart + 1:]: c for exps, c, power in terms}
-
-
 class _ChartData(namedtuple("_ChartData", "charts scaled denominator residuals")):
     # the chart groups, scaled = v times denominator, the least common
     # denominator of v, and the residual store of residual()
@@ -163,46 +155,75 @@ def _matrix_str(rows) -> str:
     return "[" + ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in rows) + "]"
 
 
+def _linear_terms(terms, chart: int, m: int, denominator: int) -> list[Fraction]:
+    """The coefficients of the probes y_l (l != chart) and t^denominator (at
+    chart) in the strict transform on the chart of the coordinate with
+    index chart; terms are one equation's selected (exps, c, power) terms.
+
+    A term lands on y_l when l is the one other coordinate it uses, to the
+    first power, and it keeps t^0; on t^denominator when it uses no other
+    coordinate and keeps t^denominator.  Positive weights keep two terms off
+    one probe: terms that differ only in the chart coordinate's exponent
+    keep different powers of t."""
+    row = [_ZERO] * m
+    for exps, c, power in terms:
+        rest = [l for l, e in enumerate(exps) if e and l != chart]
+        if not rest and power == denominator:
+            row[chart] = c
+        elif power == 0 and len(rest) == 1 and exps[rest[0]] == 1:
+            row[rest[0]] = c
+    return row
+
+
 def chart_singularities(germ: CIGerm, data: _ChartData,
                         powers: Sequence[list]) -> tuple[ChartFinding, ...]:
     """Per-chart analysis of the strict transform at the chart origins;
     data is the _chart_data record of the germ's ambient and v, and powers
-    holds the term list _term_powers gives for each equation."""
+    holds the term list _term_powers gives for each equation.
+
+    On the chart of x_i a term keeps its exponents off i and t^power.  The
+    origin and the probes of the linear terms, y_l for l != i and
+    t^denominator, keep t^0 or t^denominator, so only the terms keeping at
+    most t^denominator are read, selected once per equation.  A pure power
+    of x_i that keeps t^0 is a nonzero constant on the chart of x_i, so one
+    pass over the selected terms settles those origins as off the germ;
+    the linear terms are read on the remaining charts alone, and written
+    out only as the evidence of a manual finding.
+    """
     m = len(germ.variables)
-    origin = (0,) * m
+    denominator = data.denominator
+    selected = [[term for term in terms if term[2] <= denominator] for terms in powers]
+    off = {}  # chart -> the first equation with a constant term there
+    for k, terms in enumerate(selected):
+        for exps, _, power in terms:
+            if power == 0 and exps.count(0) == m - 1:
+                off.setdefault(next(l for l, e in enumerate(exps) if e), k)
     findings = []
     for i, var in enumerate(germ.variables):
-        transforms = [_strict_transform(terms, i) for terms in powers]
-        constant = next((k for k, transform in enumerate(transforms)
-                         if transform.get(origin, 0) != 0), None)
-        if constant is not None:
+        if i in off:
             findings.append(ChartFinding(var, SMOOTH,
-                                         detail=f"equation {constant} has a nonzero "
+                                         detail=f"equation {off[i]} has a nonzero "
                                                 f"constant term; origin is off the germ"))
             continue
 
-        probes = [origin[:l] + (data.denominator if l == i else 1,) + origin[l + 1:]
-                  for l in range(m)]
-        linear = [[transform.get(probe, _ZERO) for probe in probes] for transform in transforms]
+        linear = [_linear_terms(terms, i, m, denominator) for terms in selected]
         chosen = pivot_columns(linear)
-        evidence = f"linear terms {_matrix_str(linear)}, rank {len(chosen)}"
-        if len(chosen) < len(transforms):
-            findings.append(ChartFinding(var, MANUAL,
-                                         detail="no independent linear terms; "
-                                                "strict transform is singular or needs "
-                                                f"analytic units at the chart origin; {evidence}"))
-            continue
-
-        residual, qtype = data.residual(i, tuple(l for l in range(m) if l not in chosen))
-        if not residual:
-            findings.append(ChartFinding(var, SMOOTH,
-                                         detail="residual group is trivial"))
-        elif qtype is not None:
-            findings.append(ChartFinding(var, QUOTIENT, qtype,
-                                         detail=f"quotient point of type {qtype}"))
+        if len(chosen) == len(linear):
+            residual, qtype = data.residual(i, tuple(l for l in range(m) if l not in chosen))
+            if not residual:
+                findings.append(ChartFinding(var, SMOOTH,
+                                             detail="residual group is trivial"))
+                continue
+            if qtype is not None:
+                findings.append(ChartFinding(var, QUOTIENT, qtype,
+                                             detail=f"quotient point of type {qtype}"))
+                continue
+            reason = "residual group is not cyclic"
         else:
-            findings.append(ChartFinding(var, MANUAL,
-                                         detail=f"residual group is not cyclic; {evidence}"))
+            reason = ("no independent linear terms; strict transform is singular or "
+                      "needs analytic units at the chart origin")
+        findings.append(ChartFinding(var, MANUAL, detail=f"{reason}; linear terms "
+                                     f"{_matrix_str(linear)}, rank {len(chosen)}"))
     return tuple(findings)
 
 

@@ -258,11 +258,13 @@ def model_equations(model: CD2Model) -> tuple[SparsePoly, SparsePoly]:
 
     p uses only x2, x3, x4 and q only x1, x3, x4, so no term of p or q
     falls on x1^2, x4*x5, x2^2 or x5 and the term maps merge without sums.
+    Every term is a checked term of p or q, or one of those four, so the
+    equations are built without checking their terms again.
     """
     first = {_X1_SQUARED: _ONE, _X4_X5: _ONE}
     first.update(((0, a, b, c, 0), coeff) for (a, b, c), coeff in model.p.terms.items())
     second = {_X2_SQUARED: _ONE}
     second.update(((a, 0, b, c, 0), coeff) for (a, b, c), coeff in model.q.terms.items())
     second[_X5] = _ONE
-    return SparsePoly(GERM_VARIABLES, first), SparsePoly(GERM_VARIABLES, second)
-
+    return (SparsePoly._of_checked_terms(GERM_VARIABLES, first),
+            SparsePoly._of_checked_terms(GERM_VARIABLES, second))

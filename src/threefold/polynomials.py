@@ -59,6 +59,19 @@ class SparsePoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _of_checked_terms(cls, variables: tuple[str, ...],
+                          terms: dict[tuple[int, ...], Fraction]) -> "SparsePoly":
+        """The polynomial with these variables and this term map, from terms
+        of checked polynomials only: the names are distinct, and each key is
+        a tuple of len(variables) non-negative ints whose value is a nonzero
+        Fraction, as __init__ would leave them.  Nothing is checked again,
+        and terms is kept, not copied."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "variables", variables)
+        object.__setattr__(poly, "terms", terms)
+        return poly
+
+    @classmethod
     def monomial(cls, variables: Iterable[str], exponents: Iterable[int], coefficient=1) -> "SparsePoly":
         return cls(variables, {tuple(exponents): Fraction(coefficient)})
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from threefold.blowup import (CIGerm, DimensionError, MANUAL, QUOTIENT, SMOOTH,
-                              _chart_data, _strict_transform, _term_powers, analyze_blowup,
+                              _chart_data, _term_powers, analyze_blowup,
                               model_germ, verify_blowup_profile)
 from threefold.models import (CD2Model, P_VARIABLES, Q_VARIABLES, blowup_vector,
                               generate_model)
@@ -198,18 +198,25 @@ class TestChartSingularities:
 
 class TestStrictTransform:
     def test_denominator_must_clear_the_weights(self):
-        # v = (1/2, 1/2, 1) needs t^(1/2) units: the chart data scales v by
+        # v = (1/2, 1/2, 1, 1) needs t^(1/2) units: the chart data scales v by
         # the least denominator that clears it, 2
-        names = ("x1", "x2", "x3")
+        names = ("x1", "x2", "x3", "x4")
         eq = parse_poly("x1*x2 + x3^2", names)
-        germ = CIGerm(QuotientType(2, (1, 1, 0)), names, (eq,))
-        data = _chart_data(blowup_charts, germ.ambient, (HALF, HALF, Fraction(1)))
-        assert (data.scaled, data.denominator) == ((1, 1, 2), 2)
-        # the order is 1 (2 units): x1*x2 keeps t^0 and x3^2 keeps t^1
-        # (2 units), written in as the chart coordinate's exponent
-        terms, shift = _term_powers(eq, (1, 1, 2))
-        assert shift == 2
-        assert _strict_transform(terms, 0) == {(0, 1, 0): 1, (2, 0, 2): 1}
+        germ = CIGerm(QuotientType(2, (1, 1, 0, 0)), names, (eq,))
+        v = (HALF, HALF, Fraction(1), Fraction(1))
+        data = _chart_data(blowup_charts, germ.ambient, v)
+        assert (data.scaled, data.denominator) == ((1, 1, 2, 2), 2)
+        # the order is 1 (2 units): x1*x2 keeps t^0 and x3^2 keeps t^1 (2 units)
+        terms, shift = _term_powers(eq, data.scaled)
+        assert shift == 2 and [power for _, _, power in terms] == [0, 2]
+        # in t^(1/2) units the strict transforms on the charts of x1, x3 and x4
+        # are y2 + y3^2*t^2, y1*y2 + t^2 and y1*y2 + y3^2: x3^2 keeps exactly
+        # t^denominator, the linear term of its own chart, and the x4 chart
+        # has no linear term
+        findings = analyze_blowup(germ, v).chart_findings
+        assert [f.kind for f in findings] == [SMOOTH, SMOOTH, QUOTIENT, MANUAL]
+        assert findings[0].detail == "residual group is trivial"
+        assert findings[3].detail.endswith("; linear terms [[0, 0, 0, 0]], rank 0")
 
 
 class TestProfile:

@@ -9,9 +9,10 @@ terms with rational_determinant.
 
 import json
 import math
+import random
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -144,6 +145,90 @@ def test_fixtures_match_reference(name):
     report, expected = analyze_blowup(fixture, v), reference_report(fixture, v)
     assert report.chart_findings == expected.chart_findings
     assert report == expected
+
+
+# the exponent vectors of total degree 1 to 4 in m variables, m = 3, 4, 5
+MONOMIALS = {m: [e for e in product(range(5), repeat=m) if 0 < sum(e) <= 4] for m in (3, 4, 5)}
+
+
+def random_coefficient(rng):
+    return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+
+
+def sweep_case(rng):
+    """A random three-fold germ in C^m/(1/n)(a), m = 3, 4 or 5, and a weight
+    vector v of denominator 1, 2 or 3 in the lattice Z^m + Z*a/n.
+
+    Each of the m - 3 equations starts from a pure power or an x_l*x_i^j
+    term, the lead, and takes the terms of its character that weigh as much
+    as the lead or one unit of t more (they keep t^0 or t^denominator) with
+    probability 1/2, and heavier ones with 1/10.  Terms of one character
+    differ in weight by whole units, as v lies in the lattice."""
+    m = rng.randint(3, 5)
+    d = rng.choice((1, 2, 2, 3, 3))
+    n = d * rng.choice((1, 2))
+    a = tuple(rng.randrange(n) for _ in range(m))
+    s = rng.choice([x for x in range(1, d + 1) if math.gcd(x, d) == 1])
+    # v = s*a/d mod 1 plus an integer, so v lies in the lattice and is positive
+    v = tuple(Fraction(s * w % d, d) + rng.randint(0 if s * w % d else 1, 2) for w in a)
+    scaled = [int(x * d) for x in v]
+    names = tuple(f"x{l + 1}" for l in range(m))
+
+    def weight(e):
+        return sum(map(int.__mul__, scaled, e))
+
+    def character(e):
+        return sum(map(int.__mul__, a, e)) % n
+
+    leads = [e for e in MONOMIALS[m] if m - e.count(0) == 1 or (m - e.count(0) == 2 and 1 in e)]
+    equations = []
+    for _ in range(m - 3):
+        lead = rng.choice(leads)
+        least, chi = weight(lead), character(lead)
+        terms = {lead: random_coefficient(rng)}
+        for e in MONOMIALS[m]:
+            if e != lead and character(e) == chi and weight(e) >= least:
+                if rng.random() < (0.5 if weight(e) <= least + d else 0.1):
+                    terms[e] = random_coefficient(rng)
+        equations.append(SparsePoly(names, terms))
+    return CIGerm(QuotientType(n, a), names, equations), v
+
+
+def test_random_germs_match_reference():
+    # the chart step reads only the terms keeping t^0 or t^denominator, and
+    # settles an origin by a pure power of its chart coordinate: random germs
+    # with such terms, x_l*x_i^j terms and heavier ones find as the
+    # reference, which reads every chart's whole strict transform; a v that
+    # is not primitive is refused by both
+    rng = random.Random(24)
+    seen = {"lattice": 0, "denominator 2": 0, "denominator 3": 0}
+    for _ in range(150):
+        case, v = sweep_case(rng)
+        try:
+            expected = reference_report(case, v)
+        except LatticeError:
+            with pytest.raises(LatticeError):
+                analyze_blowup(case, v)
+            seen["lattice"] += 1
+            continue
+        assert analyze_blowup(case, v) == expected, (case, v)
+        denominator = math.lcm(*(x.denominator for x in v))
+        if denominator > 1:
+            seen[f"denominator {denominator}"] += 1
+        for finding in expected.chart_findings:
+            reason = finding.detail.partition(";")[0]
+            if finding.kind == QUOTIENT:
+                key = QUOTIENT
+            elif "constant term" in reason:
+                key = "smooth: constant term"
+            else:
+                key = f"{finding.kind}: {reason}"
+            seen[key] = seen.get(key, 0) + 1
+    assert sorted(seen) == [
+        "denominator 2", "denominator 3", "lattice",
+        "manual: no independent linear terms", "manual: residual group is not cyclic",
+        "quotient", "smooth: constant term", "smooth: residual group is trivial"]
+    assert min(seen.values()) >= 5, seen
 
 
 def test_orders_come_from_the_term_powers(monkeypatch):
@@ -393,21 +478,28 @@ def test_expected_point_is_normalized_once_per_r(monkeypatch):
 
 
 def test_chart_analysis_builds_no_polynomial(monkeypatch):
-    # strict transforms are term maps: the five charts of a model build no
-    # SparsePoly, with the chart groups computed afresh or from the cache
+    # strict transforms are term lists: the five charts of a model build no
+    # SparsePoly, with the chart groups computed afresh or from the cache.
+    # The counter sees both constructors: __init__ and the one for terms of
+    # checked polynomials, which model_equations uses
     model = generate_model(23, 5)
     v = blowup_vector(23)
     expected = reference_findings(model_germ(model), v)
     built = []
-    construct = SparsePoly.__init__
+    construct, of_checked = SparsePoly.__init__, SparsePoly._of_checked_terms
 
     def counting(self, *args, **kwargs):
         built.append(args)
         construct(self, *args, **kwargs)
 
+    def counting_checked(cls, *args):
+        built.append(args)
+        return of_checked(*args)
+
     monkeypatch.setattr(SparsePoly, "__init__", counting)
+    monkeypatch.setattr(SparsePoly, "_of_checked_terms", classmethod(counting_checked))
     family = model_germ(model)
-    assert built, "the counter sees the constructions of model_germ"
+    assert len(built) == 2, "the counter sees the two equations of model_germ"
     built.clear()
     blowup._chart_data.cache_clear()
     try:
@@ -418,6 +510,27 @@ def test_chart_analysis_builds_no_polynomial(monkeypatch):
     assert built == []
     assert findings == [expected, expected]
     assert SparsePoly.__init__ is construct
+    assert SparsePoly._of_checked_terms == of_checked
+
+
+@pytest.mark.parametrize("r", [7, 23])
+def test_one_rank_and_no_evidence_per_family_model(monkeypatch, r):
+    # four of a family model's five chart origins are off the germ by a pure
+    # power of their coordinate, so one linear-term matrix is reduced, and no
+    # finding is manual, so none is written out
+    family, v = model_germ(generate_model(r, 1)), blowup_vector(r)
+    expected = reference_report(family, v)
+    calls = []
+    pivots = blowup.pivot_columns
+
+    def counting(rows):
+        calls.append("pivot_columns")
+        return pivots(rows)
+
+    monkeypatch.setattr(blowup, "pivot_columns", counting)
+    monkeypatch.setattr(blowup, "_matrix_str", lambda rows: calls.append("_matrix_str"))
+    assert analyze_blowup(family, v) == expected
+    assert calls == ["pivot_columns"]
 
 
 def test_lattice_error_is_raised_on_every_call():

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from threefold import blowup, cli, dimensions, models, polynomials, quotients
 from threefold.cli import build_parser, main
 from threefold.dimensions import (CorrectionProfile, InconsistencyError,
                                   WellDefinednessError, degree_point_count)
-from threefold.models import CD2Model, Q_VARIABLES, generate_model
+from threefold.models import CD2Model, Q_VARIABLES, generate_model, model_equations
 from threefold.polynomials import DIGIT_LIMIT, SparsePoly
 
 from helpers import square_variants
@@ -744,6 +745,59 @@ class TestModelPipeline:
         run(capsys, "generate", "--r", "9", "--seed", "5", "--out", a)
         run(capsys, "generate", "--r", "9", "--seed", "5", "--out", b)
         assert open(a).read() == open(b).read()
+
+
+def mutate_model(rng, data):
+    """One seeded defect in a model file's dict: a bool, negative or
+    wrong-arity exponent, a coefficient "0", "1/0" or 1.5, a foreign or
+    duplicate variable name, or a p or q that is no object."""
+    name = rng.choice(("p", "q"))
+    poly = data[name]
+    term = rng.choice(poly["terms"])
+    kind = rng.randrange(9)
+    if kind == 0:
+        term["e"][rng.randrange(3)] = rng.choice((True, False))
+    elif kind == 1:
+        term["e"][rng.randrange(3)] = -rng.randint(1, 3)
+    elif kind == 2:
+        term["e"] = term["e"] + [0] if rng.random() < 0.5 else term["e"][:rng.randrange(3)]
+    elif kind in (3, 4, 5):
+        term["c"] = ("0", "1/0", 1.5)[kind - 3]
+    elif kind == 6:
+        poly["vars"][rng.randrange(3)] = rng.choice(("x1", "x2", "x5", "y"))
+    elif kind == 7:
+        k = rng.randrange(3)
+        poly["vars"][k] = poly["vars"][k - 1]
+    else:
+        data[name] = rng.choice(([], "x3^2", 7, None, [poly]))
+
+
+def test_mutated_model_files_keep_the_exit_contract(capsys, tmp_path):
+    # every check the equations' constructor skips ran when the file was read:
+    # a defect is refused there (exit 2, one line), or the model it leaves is
+    # validated and blown up (exit 0 or 1), never a traceback
+    rng = random.Random(24)
+    bases = [generate_model(r, seed).to_json_dict() for r in (7, 9, 15) for seed in (1, 2)]
+    path = tmp_path / "model.json"
+    exits = {0: 0, 1: 0, 2: 0}
+    for _ in range(300):
+        data = json.loads(json.dumps(rng.choice(bases)))
+        for _ in range(rng.randint(1, 2)):
+            if isinstance(data["p"], dict) and isinstance(data["q"], dict):
+                mutate_model(rng, data)
+        path.write_text(json.dumps(data))
+        for fmt in ("table", "json"):
+            for command in ("validate", "blowup"):
+                code, out, err = run(capsys, "--format", fmt, command, "--model", str(path))
+                assert code in exits and "Traceback" not in out + err, (data, command)
+                if code == 2:
+                    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+                exits[code] += 1
+        if code != 2:
+            # the constructor's checks, run again, change no term
+            for eq in model_equations(CD2Model.from_json_dict(data)):
+                assert SparsePoly(eq.variables, eq.terms).terms == eq.terms
+    assert min(exits.values()) >= 10, exits
 
 
 class TestParser:
