@@ -44,7 +44,9 @@ class CIGerm(namedtuple("CIGerm", "ambient variables equations")):
     a SparsePoly, re-expressed over them.  Every equation must vanish at the
     origin and be semi-invariant under the ambient action; the chart data's
     lattice test then carries that to its strict transform on every chart
-    of a blow-up.
+    of a blow-up.  The constructor checks all of that; the germ of a model
+    that validate_model passed meets it by the model checks, and is built
+    by _of_checked_equations without checking it again.
     """
 
     __slots__ = ()
@@ -66,6 +68,16 @@ class CIGerm(namedtuple("CIGerm", "ambient variables equations")):
                 raise ValueError(f"equation {k} is not semi-invariant under {ambient}")
             flattened.append(flat)
         return tuple.__new__(cls, (ambient, variables, tuple(flattened)))
+
+    @classmethod
+    def _of_checked_equations(cls, ambient: QuotientType, variables: tuple[str, ...],
+                              equations: tuple[SparsePoly, ...]) -> "CIGerm":
+        """The germ of equations already known to meet every condition of
+        the constructor: written over variables, nonzero, without constant
+        term and semi-invariant under ambient.  Nothing is checked again;
+        only _validated_blowup calls it, on the equations of a model that
+        validate_model passed."""
+        return tuple.__new__(cls, (ambient, variables, equations))
 
 
 # -- strict transforms and chart analysis -------------------------------------
@@ -268,7 +280,26 @@ def analyze_blowup(germ: CIGerm, v: Sequence) -> BlowupReport:
 
 
 def model_germ(model: CD2Model) -> CIGerm:
+    """The germ of a model's two equations in C^5/(1/2)(1,1,1,0,0), with
+    every check of the CIGerm constructor, whether or not the model is valid."""
     return CIGerm(AMBIENT, GERM_VARIABLES, model_equations(model))
+
+
+def _validated_blowup(model: CD2Model) -> tuple[ValidationReport, BlowupReport | None]:
+    """validate_model(model), and the blow-up of the model's germ by
+    blowup_vector(r) when the model passes, else None.
+
+    A passing model's equations are germ equations without a check of their
+    own: they are written over GERM_VARIABLES and hold x1^2 and x2^2, so
+    they are nonzero; p_order > r and q_weight = r - 1 leave no constant
+    term; and x1^2, x4*x5, x2^2 and x5 have character 0 under the half-twist,
+    so p_parity and q_parity make both equations semi-invariant.
+    """
+    validation = validate_model(model)
+    if not validation.passed:
+        return validation, None
+    germ = CIGerm._of_checked_equations(AMBIENT, GERM_VARIABLES, model_equations(model))
+    return validation, analyze_blowup(germ, blowup_vector(model.r))
 
 
 @lru_cache(maxsize=64)
@@ -280,22 +311,20 @@ def _expected_point(r: int) -> QuotientType:
 def verify_blowup_profile(model: CD2Model) -> ValidationReport:
     """Check the numeric profile of a model's weighted blow-up.
 
-    A model failing validation is rejected before any blow-up runs.  For a
-    valid model the blow-up must have discrepancy exactly 2, E^3 exactly
-    1/r, no charts needing manual analysis, and exactly one non-smooth
-    finding at the five chart origins, a quotient point of type
-    1/(2r)(1, 2r-1, r+4); one_singular_point sees no other point of E.
+    A model failing validation is rejected before any blow-up runs, and no
+    germ is built for it.  A valid model's germ is not checked again (see
+    _validated_blowup): validation has shown it is one.  The blow-up must
+    then have discrepancy exactly 2, E^3 exactly 1/r, no charts needing
+    manual analysis, and exactly one non-smooth finding at the five chart
+    origins, a quotient point of type 1/(2r)(1, 2r-1, r+4);
+    one_singular_point sees no other point of E.
     """
-    validation = validate_model(model)
-    if not validation.passed:
+    validation, report = _validated_blowup(model)
+    if report is None:
         names = ", ".join(c.name for c in validation.failures())
         return ValidationReport((CheckResult("model_valid", False,
                                              f"rejected before blow-up: {names}"),))
     r = model.r
-    germ = model_germ(model)
-    v = blowup_vector(r)
-    report = analyze_blowup(germ, v)
-
     checks = [CheckResult("model_valid", True, "all model invariants hold")]
     checks.append(CheckResult("discrepancy", report.discrepancy == 2,
                               f"discrepancy = {report.discrepancy}, expected 2"))

@@ -23,12 +23,12 @@ from collections.abc import Callable
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
 
-from .blowup import MANUAL, analyze_blowup, model_germ
+from .blowup import MANUAL, _validated_blowup
 from .dimensions import (DimensionTable, InconsistencyError, check_decomposition,
                          closed_form_profile, correction_profile, degree_point_count,
                          degree_points, solve_correction, WellDefinednessError)
 from .models import (GENERATE_STEP_LIMIT, CD2Model, CheckResult, ValidationReport,
-                     blowup_vector, generate_model, validate_model)
+                     generate_model, validate_model)
 from .polynomials import DIGIT_LIMIT, _excerpt, check_digits, parse_rational
 from .quotients import (QUOTIENT_ORDER_LIMIT, QuotientType, blowup_charts,
                         reid_tai_is_canonical, reid_tai_is_terminal)
@@ -282,14 +282,13 @@ def cmd_charts(args) -> int:
 
 def cmd_blowup(args) -> int:
     model = _load_model(args.model)
-    validation = validate_model(model)
-    if not validation.passed:
+    validation, report = _validated_blowup(model)
+    if report is None:
         names = ", ".join(c.name for c in validation.failures())
         print(f"blowup: model fails validation ({names}); no blow-up computed",
               file=sys.stderr)
         _emit_checks(validation, args, r=model.r)
         return FAIL
-    report = analyze_blowup(model_germ(model), blowup_vector(model.r))
     payload = report.to_json_dict()
     payload["r"] = model.r
 

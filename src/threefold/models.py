@@ -80,9 +80,10 @@ class CD2Model(namedtuple("CD2Model", "r p q")):
     def __new__(cls, r: int, p: SparsePoly, q: SparsePoly) -> "CD2Model":
         if not isinstance(r, int):
             raise ValueError("r must be an integer")
-        if not p.used_variables() <= set(P_VARIABLES):
+        # a polynomial over exactly those variables uses no other one
+        if p.variables != P_VARIABLES and not p.used_variables() <= set(P_VARIABLES):
             raise ValueError("p may involve only x2, x3, x4")
-        if not q.used_variables() <= set(Q_VARIABLES):
+        if q.variables != Q_VARIABLES and not q.used_variables() <= set(Q_VARIABLES):
             raise ValueError("q may involve only x1, x3, x4")
         return tuple.__new__(cls, (r, p.with_variables(P_VARIABLES),
                                    q.with_variables(Q_VARIABLES)))

@@ -195,21 +195,23 @@ class SparsePoly:
 
 def scaled_term_weights(p: SparsePoly, weights: Mapping) -> tuple[list[int], int]:
     """The weight of each term of p, in p.terms order, times one common
-    denominator of the weights of the variables p uses; and that denominator.
+    denominator of the weights of p's variables; and that denominator.
 
-    Integer dot products only.  A used variable without a weight raises
-    KeyError, naming the first one met in term order; unused variables need
-    no weight.
+    Integer dot products only, and an int weight is used as it is, not as a
+    Fraction.  A used variable without a weight raises KeyError, naming the
+    first one met in term order; an unused variable needs no weight and
+    counts as weight 0.
     """
-    used = [any(column) for column in zip(*p.terms)]
-    missing = [k for k, (v, u) in enumerate(zip(p.variables, used)) if u and v not in weights]
+    missing = [k for k, v in enumerate(p.variables) if v not in weights]
     if missing:
-        first = next(e for e in p.terms if any(e[k] for k in missing))
-        name = next(p.variables[k] for k in missing if first[k])
-        raise KeyError(f"no weight for variable {name!r}")
-    values = [Fraction(weights[v]) if u else None for v, u in zip(p.variables, used)]
-    denominator = math.lcm(*(w.denominator for w in values if w is not None))
-    scaled = [0 if w is None else w.numerator * (denominator // w.denominator) for w in values]
+        for exps in p.terms:
+            name = next((p.variables[k] for k in missing if exps[k]), None)
+            if name is not None:
+                raise KeyError(f"no weight for variable {name!r}")
+    values = [w if type(w) is int else Fraction(w)
+              for w in (weights[v] if v in weights else 0 for v in p.variables)]
+    denominator = math.lcm(*(w.denominator for w in values))
+    scaled = [w.numerator * (denominator // w.denominator) for w in values]
     return [sum(map(operator.mul, scaled, e)) for e in p.terms], denominator
 
 
@@ -390,14 +392,17 @@ def parse_rational(x, what: str) -> Fraction:
     is read once: the Fraction is built from the integers it matched, and
     the digit count is checked before either is converted.
     """
-    if is_json_int(x):
-        return Fraction(x)
+    return Fraction(x) if is_json_int(x) else _parse_rational_text(x, what)
+
+
+def _parse_rational_text(x, what: str) -> Fraction:
+    # parse_rational of anything but a JSON integer
     match = _RATIONAL.fullmatch(x) if isinstance(x, str) else None
     if match is None:
         raise ValueError(f"{what} {_excerpt(x)} is not an integer or a 'p/q' string")
     check_digits(x, what)
     numerator, denominator = match.groups()
-    return Fraction(int(numerator), int(denominator or 1))
+    return Fraction(int(numerator), int(denominator)) if denominator else Fraction(int(numerator))
 
 
 def json_fields(data, what: str, *keys: str) -> list:
@@ -411,26 +416,64 @@ def json_fields(data, what: str, *keys: str) -> list:
     return [data[key] for key in keys]
 
 
+# the type of the exponents json.load gives
+_INT = frozenset((int,))
+
+
+def _exponent_vector(e) -> tuple[int, ...] | None:
+    """e as a tuple of plain ints when it is a list of JSON integers, else None."""
+    if not isinstance(e, list):
+        return None
+    if _INT.issuperset(map(type, e)):
+        return tuple(e)
+    return tuple(map(int, e)) if all(map(is_json_int, e)) else None
+
+
 def poly_from_dict(data: Mapping) -> SparsePoly:
-    """Inverse of poly_to_dict; raises ValueError on any other shape or a repeated exponent vector."""
+    """Inverse of poly_to_dict, in one pass over the terms; raises ValueError
+    on any other shape.
+
+    Each term is checked once, in this order: its shape (an object with a
+    list 'e' of JSON integers and a JSON integer or string 'c'), a repeated
+    exponent vector, then the coefficient's grammar, digit count and
+    denominator; the first failing term raises.  Only then do repeated
+    variable names raise, and then the first term whose vector has the
+    wrong length or a negative entry.  A zero coefficient is dropped, but
+    its vector still counts as a repeat.  Exponents are stored as plain ints.
+    """
     variables, terms = json_fields(data, "a polynomial", "vars", "terms")
     if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
         raise ValueError("polynomial 'vars' must be a list of strings, "
                          f"got {_excerpt(variables)}")
     if not isinstance(terms, list):
         raise ValueError(f"polynomial 'terms' must be a list, got {_excerpt(terms)}")
-    clean = {}
+    arity = len(variables)
+    clean: dict[tuple[int, ...], Fraction] = {}
+    dropped = set()  # the vectors of zero coefficients
+    misfit = None  # why the first vector that does not fit the variables fails
     for t in terms:
-        e, c = (t.get("e"), t.get("c")) if isinstance(t, Mapping) else (None, None)
-        if (not isinstance(e, list) or not all(is_json_int(x) for x in e)
-                or not (is_json_int(c) or isinstance(c, str))):
+        # a dict is a Mapping; the type test spares it the slower ABC test
+        is_object = type(t) is dict or isinstance(t, Mapping)
+        e, c = (t.get("e"), t.get("c")) if is_object else (None, None)
+        exps = _exponent_vector(e)
+        if exps is None or not (isinstance(c, str) or is_json_int(c)):
             raise ValueError("each polynomial term must be an object with an integer "
                              f"list 'e' and an integer or 'p/q' string 'c', got {_excerpt(t)}")
-        exps = tuple(e)
-        if exps in clean:
+        if exps in clean or exps in dropped:
             raise ValueError(f"exponent vector {_excerpt(e, str)} appears twice in a polynomial")
         try:
-            clean[exps] = parse_rational(c, "coefficient")
+            coeff = _parse_rational_text(c, "coefficient") if isinstance(c, str) else Fraction(c)
         except ZeroDivisionError:
             raise ValueError(f"coefficient {_excerpt(c)} has a zero denominator") from None
-    return SparsePoly(variables, clean)
+        if coeff:
+            clean[exps] = coeff
+        else:
+            dropped.add(exps)
+        if misfit is None and (len(exps) != arity or exps and min(exps) < 0):
+            misfit = ("exponent vector arity mismatch" if len(exps) != arity
+                      else "negative exponent")
+    if len(set(variables)) != arity:
+        raise ValueError("duplicate variable names")
+    if misfit is not None:
+        raise ValueError(misfit)
+    return SparsePoly._of_checked_terms(tuple(variables), clean)

@@ -1,7 +1,9 @@
 """Helpers shared by the test modules.
 
 The package reads polynomials only from model JSON (poly_from_dict); tests
-write them as text, which parse_poly reads.  pytest puts this directory on
+write them as text, which parse_poly reads.  reference_poly_from_dict is the
+loader poly_from_dict replaced, and mutate_model seeds one defect into a
+model file's dict.  pytest puts this directory on
 sys.path for every test module in it (the tests directory is no package),
 so ``from helpers import ...`` works under a whole-suite run, for one test
 file, and from inside the directory.
@@ -9,11 +11,13 @@ file, and from inside the directory.
 
 import json
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
 
 from threefold.models import CD2Model, GERM_VARIABLES, P_VARIABLES, Q_VARIABLES
-from threefold.polynomials import SparsePoly, parse_rational
+from threefold.polynomials import (SparsePoly, _excerpt, is_json_int, json_fields,
+                                   parse_rational)
 
 _POWER = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)(?:\^(?P<exp>[0-9]+))?")
 
@@ -98,3 +102,56 @@ def square_variants():
         "model_C": (CD2Model(23, parse_poly("x3^12", P_VARIABLES),
                              parse_poly("x4^22", Q_VARIABLES)), True),
     }
+
+
+def reference_poly_from_dict(data):
+    """The two-step loader poly_from_dict replaced: every term's shape, a
+    repeated vector and the coefficient in one loop, then the SparsePoly
+    constructor, which checks the names and every vector's arity and sign
+    again and drops the zero coefficients."""
+    variables, terms = json_fields(data, "a polynomial", "vars", "terms")
+    if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+        raise ValueError("polynomial 'vars' must be a list of strings, "
+                         f"got {_excerpt(variables)}")
+    if not isinstance(terms, list):
+        raise ValueError(f"polynomial 'terms' must be a list, got {_excerpt(terms)}")
+    clean = {}
+    for t in terms:
+        e, c = (t.get("e"), t.get("c")) if isinstance(t, Mapping) else (None, None)
+        if (not isinstance(e, list) or not all(is_json_int(x) for x in e)
+                or not (is_json_int(c) or isinstance(c, str))):
+            raise ValueError("each polynomial term must be an object with an integer "
+                             f"list 'e' and an integer or 'p/q' string 'c', got {_excerpt(t)}")
+        exps = tuple(e)
+        if exps in clean:
+            raise ValueError(f"exponent vector {_excerpt(e, str)} appears twice in a polynomial")
+        try:
+            clean[exps] = parse_rational(c, "coefficient")
+        except ZeroDivisionError:
+            raise ValueError(f"coefficient {_excerpt(c)} has a zero denominator") from None
+    return SparsePoly(variables, clean)
+
+
+def mutate_model(rng, data):
+    """One seeded defect in a model file's dict: a bool, negative or
+    wrong-arity exponent, a coefficient "0", "1/0" or 1.5, a foreign or
+    duplicate variable name, or a p or q that is no object."""
+    name = rng.choice(("p", "q"))
+    poly = data[name]
+    term = rng.choice(poly["terms"])
+    kind = rng.randrange(9)
+    if kind == 0:
+        term["e"][rng.randrange(3)] = rng.choice((True, False))
+    elif kind == 1:
+        term["e"][rng.randrange(3)] = -rng.randint(1, 3)
+    elif kind == 2:
+        term["e"] = term["e"] + [0] if rng.random() < 0.5 else term["e"][:rng.randrange(3)]
+    elif kind in (3, 4, 5):
+        term["c"] = ("0", "1/0", 1.5)[kind - 3]
+    elif kind == 6:
+        poly["vars"][rng.randrange(3)] = rng.choice(("x1", "x2", "x5", "y"))
+    elif kind == 7:
+        k = rng.randrange(3)
+        poly["vars"][k] = poly["vars"][k - 1]
+    else:
+        data[name] = rng.choice(([], "x3^2", 7, None, [poly]))

@@ -17,17 +17,17 @@ from pathlib import Path
 
 import pytest
 
-from threefold import blowup, quotients
+from threefold import blowup, models, quotients
 from threefold.blowup import (BlowupReport, CIGerm, ChartFinding, MANUAL, QUOTIENT, SMOOTH,
                               analyze_blowup, model_germ, verify_blowup_profile)
 from threefold.cli import main
 from threefold.linalg import rational_determinant
-from threefold.models import AMBIENT, CD2Model, blowup_vector, generate_model
-from threefold.polynomials import SparsePoly, weighted_order
+from threefold.models import AMBIENT, CD2Model, blowup_vector, generate_model, validate_model
+from threefold.polynomials import SparsePoly, is_semi_invariant, weighted_order
 from threefold.quotients import (ChartGroup, ChartReport, LatticeError, QuotientType,
                                  blowup_charts, effective_factors)
 
-from helpers import parse_poly
+from helpers import parse_poly, reference_poly_from_dict
 
 HALF = Fraction(1, 2)
 
@@ -511,6 +511,103 @@ def test_chart_analysis_builds_no_polynomial(monkeypatch):
     assert findings == [expected, expected]
     assert SparsePoly.__init__ is construct
     assert SparsePoly._of_checked_terms == of_checked
+
+
+GOLDEN_MODELS = sorted((Path(__file__).parent / "golden").glob("model_*.json"))
+
+
+def golden_model_data():
+    return [json.loads(path.read_text(encoding="utf-8")) for path in GOLDEN_MODELS]
+
+
+def test_loading_a_model_runs_no_polynomial_constructor(monkeypatch):
+    # poly_from_dict checks each term once and builds p and q from the
+    # checked terms; the model keeps them, written over P_ and Q_VARIABLES
+    datas = golden_model_data() + [generate_model(r, seed).to_json_dict()
+                                   for r in (7, 23, 47, 95) for seed in (0, 1)]
+    expected = [CD2Model(d["r"], reference_poly_from_dict(d["p"]),
+                         reference_poly_from_dict(d["q"])) for d in datas]
+    construct = SparsePoly.__init__
+    calls = []
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(SparsePoly, "__init__", counting)
+    loaded = [CD2Model.from_json_dict(d) for d in datas]
+    monkeypatch.undo()
+    assert calls == []
+    assert [(m.r, list(m.p.terms.items()), list(m.q.terms.items())) for m in loaded] == [
+        (m.r, list(m.p.terms.items()), list(m.q.terms.items())) for m in expected]
+
+
+def test_profile_asks_two_semi_invariance_questions_per_model(monkeypatch):
+    # p_parity and q_parity; the germ of a valid model is not asked again
+    calls = []
+
+    def counting(exponents, action):
+        calls.append(action)
+        return is_semi_invariant(exponents, action)
+
+    for module in (models, blowup):
+        monkeypatch.setattr(module, "is_semi_invariant", counting)
+    family = [generate_model(r, seed) for r in (7, 23, 47, 95) for seed in range(3)]
+    assert all(verify_blowup_profile(model).passed for model in family)
+    assert len(calls) == 2 * len(family)
+
+
+def spy_on_checked_germs(monkeypatch, fail=False):
+    """The germs CIGerm._of_checked_equations builds, in order; with fail,
+    a call raises AssertionError instead."""
+    built = []
+    make = CIGerm._of_checked_equations
+
+    def spy(cls, *args):
+        assert not fail, "a germ was built for a model that fails validation"
+        built.append(make(*args))
+        return built[-1]
+
+    monkeypatch.setattr(CIGerm, "_of_checked_equations", classmethod(spy))
+    return built
+
+
+def test_no_germ_for_a_model_that_fails_validation(monkeypatch, tmp_path, capsys):
+    square = Path(__file__).parent / "golden" / "model_square_r23.json"
+    data = json.loads((Path(__file__).parent / "golden" / "model_r23_seed42.json")
+                      .read_text(encoding="utf-8"))
+    data["p"]["terms"].append({"c": "1", "e": [1, 0, 24]})  # x2*x4^24 is odd under the twist
+    odd = tmp_path / "odd_p.json"
+    odd.write_text(json.dumps(data), encoding="utf-8")
+    failing = {square: ["q_square_free"], odd: ["p_parity"]}
+    spy_on_checked_germs(monkeypatch, fail=True)
+    for path, names in failing.items():
+        model = CD2Model.from_json_dict(json.loads(path.read_text(encoding="utf-8")))
+        assert [c.name for c in validate_model(model).failures()] == names
+        report = verify_blowup_profile(model)
+        assert [(c.name, c.passed) for c in report.checks] == [("model_valid", False)]
+        for fmt in ("table", "json"):
+            assert main(["--format", fmt, "blowup", "--model", str(path)]) == 1
+            assert "model fails validation" in capsys.readouterr().err
+
+
+def test_checked_germ_is_the_model_germ(monkeypatch):
+    built = spy_on_checked_germs(monkeypatch)
+    family = [CD2Model.from_json_dict(d) for d in golden_model_data()]
+    family += [generate_model(r, seed) for r in (7, 23, 47, 95) for seed in range(5)]
+    valid = 0
+    for model in family:
+        built.clear()
+        verify_blowup_profile(model)
+        if not validate_model(model).passed:
+            assert built == []
+            continue
+        valid += 1
+        expected = model_germ(model)
+        assert built == [expected]
+        assert ([list(eq.terms.items()) for eq in built[0].equations]
+                == [list(eq.terms.items()) for eq in expected.equations])
+    assert valid == len(family) - 1  # the square model fails
 
 
 @pytest.mark.parametrize("r", [7, 23])

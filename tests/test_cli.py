@@ -11,7 +11,7 @@ from threefold.dimensions import (CorrectionProfile, InconsistencyError,
 from threefold.models import CD2Model, Q_VARIABLES, generate_model, model_equations
 from threefold.polynomials import DIGIT_LIMIT, SparsePoly
 
-from helpers import square_variants
+from helpers import mutate_model, square_variants
 
 
 def run(capsys, *argv):
@@ -745,31 +745,6 @@ class TestModelPipeline:
         run(capsys, "generate", "--r", "9", "--seed", "5", "--out", a)
         run(capsys, "generate", "--r", "9", "--seed", "5", "--out", b)
         assert open(a).read() == open(b).read()
-
-
-def mutate_model(rng, data):
-    """One seeded defect in a model file's dict: a bool, negative or
-    wrong-arity exponent, a coefficient "0", "1/0" or 1.5, a foreign or
-    duplicate variable name, or a p or q that is no object."""
-    name = rng.choice(("p", "q"))
-    poly = data[name]
-    term = rng.choice(poly["terms"])
-    kind = rng.randrange(9)
-    if kind == 0:
-        term["e"][rng.randrange(3)] = rng.choice((True, False))
-    elif kind == 1:
-        term["e"][rng.randrange(3)] = -rng.randint(1, 3)
-    elif kind == 2:
-        term["e"] = term["e"] + [0] if rng.random() < 0.5 else term["e"][:rng.randrange(3)]
-    elif kind in (3, 4, 5):
-        term["c"] = ("0", "1/0", 1.5)[kind - 3]
-    elif kind == 6:
-        poly["vars"][rng.randrange(3)] = rng.choice(("x1", "x2", "x5", "y"))
-    elif kind == 7:
-        k = rng.randrange(3)
-        poly["vars"][k] = poly["vars"][k - 1]
-    else:
-        data[name] = rng.choice(([], "x3^2", 7, None, [poly]))
 
 
 def test_mutated_model_files_keep_the_exit_contract(capsys, tmp_path):

@@ -1,7 +1,9 @@
 """The polynomial layer against the slow reference it replaced.
 
 The reference is built here: the SparsePoly constructor that converted
-every coefficient and added every term to a Fraction zero, term weights as
+every coefficient and added every term to a Fraction zero, the model-file
+loader that checked every term again in that constructor
+(reference_poly_from_dict, in helpers), term weights as
 sums of Fraction products with the weighted order on top of them,
 characters of is_semi_invariant summed weight by weight from weights not
 reduced mod n, the model equations as sums of SparsePoly values, and the
@@ -10,17 +12,22 @@ On seeded random inputs the fast code must give the same values and raise
 the same errors, message included.
 """
 
+import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+
+import pytest
 
 from threefold.models import (CD2Model, GERM_VARIABLES, P_VARIABLES,
                               generate_model, model_equations, valid_r)
-from threefold.polynomials import (SparsePoly, is_semi_invariant, polynomial_sqrt,
-                                   scaled_term_weights, weighted_order)
+from threefold.polynomials import (DIGIT_LIMIT, SparsePoly, is_semi_invariant,
+                                   poly_from_dict, polynomial_sqrt, scaled_term_weights,
+                                   weighted_order)
 from threefold.quotients import QuotientType
 
-from helpers import parse_poly
+from helpers import mutate_model, parse_poly, reference_poly_from_dict
 
 NAMES = ("x1", "x2", "x3", "x4", "x5", "x6")
 
@@ -204,6 +211,130 @@ def test_weights_match_reference():
         assert outcome(term_weights, p, weights) == outcome(
             lambda: [reference_term_weight(p.variables, e, weights) for e in p.terms])
     assert errors > 0 and zeros > 0
+
+
+def test_int_fraction_and_mixed_weights_match_reference():
+    # the model weights are ints, used as they are; Fractions and a mix of
+    # both give the same term weights and orders as the Fraction sums
+    rng = random.Random(20117)
+    for kind in ("int", "fraction", "mixed"):
+        for _ in range(300):
+            p = random_poly(rng)
+            weights = {}
+            for v in p.variables:
+                n, d = rng.randint(1, 12), rng.choice((2, 3, 4))
+                as_int = kind == "int" or kind == "mixed" and rng.random() < 0.5
+                weights[v] = n if as_int else Fraction(n, d)
+            expected = [reference_term_weight(p.variables, e, weights) for e in p.terms]
+            assert term_weights(p, weights) == expected, (p, weights)
+            if not p.is_zero:
+                assert weighted_order(p, weights) == reference_weighted_order(p, weights)
+
+
+@pytest.mark.parametrize("terms, weights, name", [
+    # x3 unused: no weight needed
+    ({(1, 0, 2): 1, (2, 0, 0): Fraction(1, 2)}, {"x2": 3, "x4": Fraction(1, 2)}, None),
+    # the first term using a weightless variable names it
+    ({(0, 1, 0): 1, (1, 0, 1): 1}, {"x2": 1}, "x3"),
+    ({(1, 0, 1): 1, (0, 1, 0): 1}, {"x2": 1}, "x4"),
+    ({(0, 1, 1): 1}, {"x2": 1}, "x3"),
+    ({(2, 0, 0): 1, (0, 0, 1): 1}, {"x2": Fraction(1, 3), "x3": 2}, "x4"),
+])
+def test_missing_weights(terms, weights, name):
+    p = SparsePoly(P_VARIABLES, terms)
+    expected = outcome(lambda: [reference_term_weight(p.variables, e, weights)
+                                for e in p.terms])
+    assert outcome(term_weights, p, weights) == expected
+    if name is None:
+        assert expected[0] == "value"
+    else:
+        assert expected == ("error", KeyError, repr(f"no weight for variable {name!r}"))
+
+
+def loaded(load, data):
+    """The variables, the term items in order and the types of every
+    exponent and coefficient of load(data), or its error's type and message."""
+    try:
+        poly = load(data)
+    except Exception as exc:  # every error must match, whatever its type
+        return ("error", type(exc), str(exc))
+    types = {type(x) for exps in poly.terms for x in exps} | set(map(type, poly.terms.values()))
+    return ("value", poly.variables, list(poly.terms.items()), types)
+
+
+def error_kind(message):
+    return next((kind for kind in ("twice", "zero denominator", "each polynomial term",
+                                   "duplicate variable", "arity mismatch", "negative",
+                                   "JSON object") if kind in message), message)
+
+
+def test_loader_matches_reference_on_mutated_model_files():
+    # the model files of test_cli's exit-contract test, drawn the same way
+    rng = random.Random(24)
+    bases = [generate_model(r, seed).to_json_dict() for r in (7, 9, 15) for seed in (1, 2)]
+    seen = Counter()
+    for _ in range(300):
+        data = json.loads(json.dumps(rng.choice(bases)))
+        for _ in range(rng.randint(1, 2)):
+            if isinstance(data["p"], dict) and isinstance(data["q"], dict):
+                mutate_model(rng, data)
+        for poly in (data["p"], data["q"]):
+            expected = loaded(reference_poly_from_dict, poly)
+            assert loaded(poly_from_dict, poly) == expected, poly
+            seen[error_kind(expected[2]) if expected[0] == "error" else "value"] += 1
+    assert set(seen) == {"value", "zero denominator", "each polynomial term",
+                         "duplicate variable", "arity mismatch", "negative",
+                         "JSON object"}, seen
+
+
+class Exponent(int):
+    """An int subclass, which the loaders store as a plain int."""
+
+
+def term(c, *e):
+    return {"c": c, "e": list(e)}
+
+
+GOOD = term("-3/7", 1, 0)
+TOO_LONG = "1" * (DIGIT_LIMIT + 1)
+
+
+@pytest.mark.parametrize("variables, terms, message", [
+    # a per-term error after a wrong-arity or negative term comes first
+    (["a", "b"], [term(1, 1), term("x", 1, 0)], "coefficient 'x' is not an integer"),
+    (["a", "b"], [term(1, -1, 0), term("1/0", 0, 1)], "coefficient '1/0' has a zero"),
+    (["a", "b"], [term(1, 1, 0, 0), term(1.5, 0, 1)], "each polynomial term"),
+    (["a", "b"], [term(1, 1), GOOD, term(2, 1, 0)], "exponent vector [1, 0] appears twice"),
+    # and before repeated names
+    (["a", "a"], [term("1/0", 1, 0)], "coefficient '1/0' has a zero denominator"),
+    (["a", "a"], [GOOD, GOOD], "exponent vector [1, 0] appears twice"),
+    (["a", "a"], [term(1, 1), term(1, -1, 0)], "duplicate variable names"),
+    # one term: its shape, then a repeat, then its coefficient
+    (["a", "b"], [GOOD, term(1.5, 1, 0)], "each polynomial term"),
+    (["a", "b"], [GOOD, term("1/0", 1, 0)], "exponent vector [1, 0] appears twice"),
+    (["a", "b"], [term(TOO_LONG + "/0", 1, 0)], f"coefficient has {DIGIT_LIMIT + 2} digits"),
+    # a zero coefficient is dropped but still repeats; its vector still fits or not
+    (["a", "b"], [term("0", 1, 0), term(3, 1, 0)], "exponent vector [1, 0] appears twice"),
+    (["a", "b"], [term("-0/5", 1, 0), term(0, 1, 0)], "exponent vector [1, 0] appears twice"),
+    (["a", "b"], [term("0", 1), GOOD], "exponent vector arity mismatch"),
+    (["a", "b"], [term(0, 2, 0), GOOD], None),
+    # the first vector that does not fit names the error; arity before sign
+    (["a", "b"], [GOOD, term(1, -1, 0)], "negative exponent"),
+    (["a", "b"], [term(1, 0, -2), term(1, 1)], "negative exponent"),
+    (["a", "b"], [term(1, 1), term(1, 0, -2)], "exponent vector arity mismatch"),
+    (["a", "b"], [term(1, -1)], "exponent vector arity mismatch"),
+    (["a", "b"], [term(1, True, 0)], "each polynomial term"),
+    (["a", "b"], [term(2, Exponent(1), Exponent(0)), term("1/2", 0, 1)], None),
+    ([], [term(5)], None),
+])
+def test_loader_precedence_matches_reference(variables, terms, message):
+    data = {"vars": variables, "terms": terms}
+    expected = loaded(reference_poly_from_dict, data)
+    assert loaded(poly_from_dict, data) == expected
+    if message is None:
+        assert expected[0] == "value" and expected[3] <= {int, Fraction}
+    else:
+        assert expected[:2] == ("error", ValueError) and expected[2].startswith(message)
 
 
 def reference_is_semi_invariant(exponents, n, weights):
