@@ -1,20 +1,13 @@
 """Weighted blow-ups of complete-intersection germs in cyclic quotients.
 
-Given a three-fold germ {phi_1 = ... = phi_k = 0} in C^m/(1/n)(a_1,...,a_m)
-and a primitive weight vector v, analyze_blowup reads v's cached chart data
-and lists each equation's term powers once.  The least term weight of an
-equation is its vanishing order along the exceptional divisor (its weighted
-order under v); the discrepancy  sum(v) - sum(orders) - 1  and the toric
-self-intersection  E^3 = prod(orders) / (n * prod(v))  follow from the
-orders.  The same term powers give the strict transform on every chart;
-the chart data shows once per (ambient, v) that every chart factor acts
-through the ambient lattice, so each strict transform is semi-invariant,
-and chart_singularities analyses each chart origin from the terms that
-keep t^0 or t^denominator alone: either a pure power of the chart
-coordinate keeping t^0, a nonzero constant term, shows the origin is off
-the germ, or linearly independent pure linear terms cut the germ out as an
-equivariant graph whose residual cyclic quotient type is reported.  Charts
-the rule cannot settle are reported as manual findings, never guessed.
+For a three-fold germ {phi_1 = ... = phi_k = 0} in C^m/(1/n)(a_1,...,a_m)
+and a primitive weight vector v, an equation's least term weight under v
+is its vanishing order along the exceptional divisor E; the discrepancy
+sum(v) - sum(orders) - 1 and E^3 = prod(orders) / (n * prod(v)) follow.
+Each chart origin is off the germ (a nonzero constant term), or cut out by
+independent linear terms as an equivariant graph whose residual quotient
+type is reported; charts that rule cannot settle are manual findings,
+never guessed.
 """
 
 from __future__ import annotations
@@ -40,13 +33,10 @@ class DimensionError(ValueError):
 class CIGerm(namedtuple("CIGerm", "ambient variables equations")):
     """Complete-intersection germ through the origin of a cyclic quotient.
 
-    The constructor keeps the variable names as a tuple and each equation,
-    a SparsePoly, re-expressed over them.  Every equation must vanish at the
-    origin and be semi-invariant under the ambient action; the chart data's
-    lattice test then carries that to its strict transform on every chart
-    of a blow-up.  The constructor checks all of that; the germ of a model
-    that validate_model passed meets it by the model checks, and is built
-    by _of_checked_equations without checking it again.
+    The constructor re-expresses each equation, a SparsePoly, over the
+    variable tuple and checks that it is nonzero, uses no other variable,
+    vanishes at the origin and is semi-invariant under the ambient action;
+    the chart data's lattice test carries that to every strict transform.
     """
 
     __slots__ = ()
@@ -59,9 +49,9 @@ class CIGerm(namedtuple("CIGerm", "ambient variables equations")):
         for k, eq in enumerate(equations):
             if eq.is_zero:
                 raise ValueError(f"equation {k} is identically zero")
-            if not eq.used_variables() <= set(variables):
-                raise ValueError(f"equation {k} uses foreign variables")
             flat = eq.with_variables(variables)
+            if flat is None:
+                raise ValueError(f"equation {k} uses foreign variables")
             if flat.constant_term() != 0:
                 raise ValueError(f"equation {k} does not pass through the origin")
             if is_semi_invariant(flat.terms, ambient) is None:
@@ -72,11 +62,9 @@ class CIGerm(namedtuple("CIGerm", "ambient variables equations")):
     @classmethod
     def _of_checked_equations(cls, ambient: QuotientType, variables: tuple[str, ...],
                               equations: tuple[SparsePoly, ...]) -> "CIGerm":
-        """The germ of equations already known to meet every condition of
-        the constructor: written over variables, nonzero, without constant
-        term and semi-invariant under ambient.  Nothing is checked again;
-        only _validated_blowup calls it, on the equations of a model that
-        validate_model passed."""
+        """The germ of equations known to meet every condition of the
+        constructor, already written over variables; nothing is checked
+        again.  Only _validated_blowup calls it."""
         return tuple.__new__(cls, (ambient, variables, equations))
 
 
@@ -106,14 +94,9 @@ class ChartFinding(namedtuple("ChartFinding", "variable kind quotient detail",
 def _term_powers(eq: SparsePoly, scaled: tuple[int, ...]
                  ) -> tuple[list[tuple[tuple[int, ...], Fraction, int]], int]:
     """Each term of eq with the power of t^(1/denominator) it keeps after
-    x_l -> y_l * t^(v_l) and division by t^(order), and the shift: the order
-    times denominator; scaled is v times denominator, from _chart_data.
-
-    The power is the term's weight times denominator, less the shift, the
-    least such product over the terms, so no power is negative.  It does not
-    depend on the chart, so it is computed once and each chart's strict
-    transform only writes it in as the exponent of its own coordinate t.
-    """
+    x_l -> y_l * t^(v_l) and division by t^(order), and the shift, the order
+    times denominator; scaled is v times denominator.  The power is the same
+    on every chart, so it is computed once per equation."""
     powers = [sum(map(operator.mul, scaled, exps)) for exps in eq.terms]
     shift = min(powers)
     terms = [(exps, c, power - shift) for (exps, c), power in zip(eq.terms.items(), powers)]
@@ -138,18 +121,17 @@ class _ChartData(namedtuple("_ChartData", "charts scaled denominator residuals")
 
 @lru_cache(maxsize=64)
 def _chart_data(compute, ambient: QuotientType, v: tuple[Fraction, ...]) -> _ChartData:
-    """The chart record of (ambient, v), computed once and then shared.
+    """The chart record of (ambient, v), computed once and shared: for the
+    model family it depends on r alone.
 
     compute(ambient, v) checks v and gives the chart groups; a LatticeError is
     not cached.  A factor 1/k(b) of chart i acts on x_l = y_l * t^(v_l) as
     u = (b_l/k for l != i, 0 at i) + (b_i/k) * v, which must lie in N, or an
     uncached ArithmeticError is raised: then u.e = lambda * (a.e)/n mod 1, so
     the characters k * (u.e) - const of the terms of a semi-invariant
-    equation's strict transform agree.  The groups depend on r alone for the
-    model family, so every model of one r reuses one record.  The key holds
-    the chart function too, so a rebinding of blowup.blowup_charts (a test's
-    or a tracer's) computes afresh rather than reading another function's
-    records."""
+    equation's strict transform agree.  The key holds the chart function, so
+    a rebinding of blowup.blowup_charts (a test's or a tracer's) computes
+    afresh rather than reading another function's records."""
     report = compute(ambient, v)
     for i, chart in enumerate(report.charts):
         for factor in chart.factors:
@@ -169,14 +151,10 @@ def _matrix_str(rows) -> str:
 
 def _linear_terms(terms, chart: int, m: int, denominator: int) -> list[Fraction]:
     """The coefficients of the probes y_l (l != chart) and t^denominator (at
-    chart) in the strict transform on the chart of the coordinate with
-    index chart; terms are one equation's selected (exps, c, power) terms.
-
-    A term lands on y_l when l is the one other coordinate it uses, to the
-    first power, and it keeps t^0; on t^denominator when it uses no other
-    coordinate and keeps t^denominator.  Positive weights keep two terms off
-    one probe: terms that differ only in the chart coordinate's exponent
-    keep different powers of t."""
+    chart) in one equation's strict transform on the chart of coordinate
+    chart, from its (exps, c, power) terms.  Positive weights keep two terms
+    off one probe: terms that differ only in the chart coordinate's
+    exponent keep different powers of t."""
     row = [_ZERO] * m
     for exps, c, power in terms:
         rest = [l for l, e in enumerate(exps) if e and l != chart]
@@ -194,13 +172,9 @@ def chart_singularities(germ: CIGerm, data: _ChartData,
     holds the term list _term_powers gives for each equation.
 
     On the chart of x_i a term keeps its exponents off i and t^power.  The
-    origin and the probes of the linear terms, y_l for l != i and
-    t^denominator, keep t^0 or t^denominator, so only the terms keeping at
-    most t^denominator are read, selected once per equation.  A pure power
-    of x_i that keeps t^0 is a nonzero constant on the chart of x_i, so one
-    pass over the selected terms settles those origins as off the germ;
-    the linear terms are read on the remaining charts alone, and written
-    out only as the evidence of a manual finding.
+    origin and the linear probes keep t^0 or t^denominator, so only terms
+    keeping at most t^denominator are read.  A pure power of x_i keeping
+    t^0 is a nonzero constant there, so that origin is off the germ.
     """
     m = len(germ.variables)
     denominator = data.denominator
@@ -255,10 +229,8 @@ class BlowupReport(namedtuple("BlowupReport", "orders discrepancy e_cubed chart_
 
 
 def analyze_blowup(germ: CIGerm, v: Sequence) -> BlowupReport:
-    """The blow-up of a three-fold germ by v, from one pass over each
-    equation's term powers: an equation's shift is its order times the
-    denominator, and the discrepancy and E^3 are read off the shifts.  First
-    blowup_charts raises LatticeError unless v is primitive and positive."""
+    """The blow-up of a three-fold germ by v; blowup_charts first raises
+    LatticeError unless v is primitive and positive."""
     data = _chart_data(blowup_charts, germ.ambient,
                        tuple(x if type(x) is Fraction else Fraction(x) for x in v))
     if len(germ.variables) - len(germ.equations) != 3:
@@ -289,11 +261,10 @@ def _validated_blowup(model: CD2Model) -> tuple[ValidationReport, BlowupReport |
     """validate_model(model), and the blow-up of the model's germ by
     blowup_vector(r) when the model passes, else None.
 
-    A passing model's equations are germ equations without a check of their
-    own: they are written over GERM_VARIABLES and hold x1^2 and x2^2, so
-    they are nonzero; p_order > r and q_weight = r - 1 leave no constant
-    term; and x1^2, x4*x5, x2^2 and x5 have character 0 under the half-twist,
-    so p_parity and q_parity make both equations semi-invariant.
+    A passing model's equations need no germ check: they hold x1^2 and
+    x2^2, so they are nonzero; p_order > r and q_weight = r - 1 leave no
+    constant term; and x1^2, x4*x5, x2^2 and x5 have character 0 under the
+    half-twist, so p_parity and q_parity make both semi-invariant.
     """
     validation = validate_model(model)
     if not validation.passed:
@@ -311,12 +282,10 @@ def _expected_point(r: int) -> QuotientType:
 def verify_blowup_profile(model: CD2Model) -> ValidationReport:
     """Check the numeric profile of a model's weighted blow-up.
 
-    A model failing validation is rejected before any blow-up runs, and no
-    germ is built for it.  A valid model's germ is not checked again (see
-    _validated_blowup): validation has shown it is one.  The blow-up must
-    then have discrepancy exactly 2, E^3 exactly 1/r, no charts needing
-    manual analysis, and exactly one non-smooth finding at the five chart
-    origins, a quotient point of type 1/(2r)(1, 2r-1, r+4);
+    A model failing validation is rejected before any blow-up runs.  The
+    blow-up must have discrepancy exactly 2, E^3 exactly 1/r, no charts
+    needing manual analysis, and exactly one non-smooth finding at the five
+    chart origins, a quotient point of type 1/(2r)(1, 2r-1, r+4);
     one_singular_point sees no other point of E.
     """
     validation, report = _validated_blowup(model)

@@ -1,16 +1,12 @@
 """Command-line surface.
 
-Every subcommand renders the same report values either as an aligned text
-table (for humans) or as JSON with sorted keys (the machine contract; all
-rationals are "p/q" strings, never floats).  Only the requested rendering is
-built: a command hands emit its table as a function, which JSON output never
-calls.  One direct renderer, _dumps, writes all JSON output, model files
-included, byte-identical to json.dumps(..., sort_keys=True, indent=2); it
-refuses a float, or any value but a dict with str keys, a list, a str, an
-int, a bool or None, with a TypeError, as a programming error.  Exit codes:
-0 pass, 1 verification failure, 2 malformed input, 3 internal fault (an
-exact invariant of the computation broke, an ArithmeticError; one line, no
-traceback, and never read as a verification failure).
+Every subcommand renders its report as an aligned text table or as JSON
+with sorted keys (the machine contract; rationals are "p/q" strings, never
+floats), building only the rendering asked for.  _dumps writes all JSON,
+model files included, byte-identical to json.dumps(..., sort_keys=True,
+indent=2), and refuses a float or other non-JSON value with a TypeError.
+Exit codes: 0 pass, 1 verification failure, 2 malformed input, 3 internal
+fault (an exact invariant broke, an ArithmeticError; one line, no traceback).
 """
 
 from __future__ import annotations
@@ -63,10 +59,8 @@ _int = int.__repr__
 
 def _render(prefix: str, value, out: list[str], newline: str) -> None:
     """Append prefix and the JSON text of value to out, indented from newline
-    ("\n" and the current indentation).  A separator or key prefix shares
-    one chunk with the text after it, as in the json module's own encoder,
-    and the recursion goes through this module-level name, so no closure
-    cycle keeps a finished rendering's chunks alive."""
+    ("\n" and the current indentation).  The recursion goes through this
+    module-level name, so no closure cycle keeps finished chunks alive."""
     kind = type(value)
     if kind is int:
         out.append(prefix + _int(value))

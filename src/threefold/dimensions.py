@@ -1,21 +1,16 @@
 """Lattice-point dimension counting for the bigraded ring of a weighted
 blow-up with weights ((r+1)/2, (r-1)/2, 2, 1, r), r odd.
 
-The degree-i piece of the ring splits by a parity j in {0, 1}; its
-dimension equals the number of exponent vectors (l1,...,l5) with l1,l2 in
-{0,1} solving
+The dimension of the piece of degree i and parity j in {0, 1} is the
+number of (l1,...,l5) with l1, l2 in {0,1} solving
 
-    (r+1)/2*l1 + (r-1)/2*l2 + 2*l3 + l4 + r*l5 = i,   l1+l2+l3 = j mod 2.
+    (r+1)/2*l1 + (r-1)/2*l2 + 2*l3 + l4 + r*l5 = i,   l1+l2+l3 = j mod 2,
 
-The points are counted in closed form (floor sums over l5), never listed;
-degree_points lists them for `ni` and as the reference of the counts.
-The counts obey a two-term recursion whose inhomogeneous part is (2i+1)/r
-plus the difference of a periodic correction term of period 2r.  The
-correction term is reconstructed from the counts: the increment profile
-must be well defined on residues of 2i+rj mod 2r, and it telescopes to
-zero around each parity orbit, which is exactly what solve_correction
-checks before integrating the profile.  The increments also have a closed
-form (closed_form_profile), which the counted profile must match.
+counted in closed form.  The counts obey a two-term recursion whose
+inhomogeneous part is (2i+1)/r plus the difference of a correction term of
+period 2r, reconstructed from the counts when its increments are well
+defined on residues of 2i+rj mod 2r and telescope to zero around each
+parity orbit; closed_form_profile gives the same increments without counting.
 """
 
 from __future__ import annotations
@@ -33,7 +28,7 @@ class InconsistencyError(Exception):
 
 
 def _check_r(r: int) -> None:
-    if r % 2 == 0 or r < 7:
+    if not isinstance(r, int) or r % 2 == 0 or r < 7:
         raise ValueError(f"r must be an odd integer >= 7, got {r}")
 
 
@@ -43,11 +38,9 @@ def _check_parity(j: int) -> None:
 
 
 def degree_points(r: int, degree: int) -> frozenset[tuple[int, int, int, int, int]]:
-    """All solutions (l1,...,l5) of the weighted equation in the given degree.
-
-    Empty for negative degrees.  Bounded nested loops: l1, l2 in {0,1},
-    then l5 and l3 are bounded by the degree and l4 is determined.
-    """
+    """All solutions (l1,...,l5) of the weighted equation in the given
+    degree, for `ni` and as the reference of the counts; empty for negative
+    degrees."""
     _check_r(r)
     w1 = (r + 1) // 2
     w2 = (r - 1) // 2
@@ -167,13 +160,10 @@ class CorrectionProfile(namedtuple("CorrectionProfile", "r delta")):
 
 
 def correction_profile(r: int, max_degree: int | None = None) -> CorrectionProfile:
-    """Tabulate the correction increments over 2 <= i <= max_degree.
-
-    max_degree defaults to 6r (three full periods, so every residue class
-    is witnessed at least twice) and must be at least 2r.  Raises
-    WellDefinednessError if two pairs in one residue class disagree, which
-    would falsify the implementation.
-    """
+    """Tabulate the correction increments over 2 <= i <= max_degree, which
+    defaults to 6r (three periods, every residue witnessed twice) and must
+    be at least 2r.  Two pairs of one residue class that disagree raise
+    WellDefinednessError."""
     _check_r(r)
     if max_degree is None:
         max_degree = 6 * r

@@ -1,9 +1,6 @@
-"""Exact matrix utilities: Smith normal form with its transforms and the
-inverse of the column transform, rational inverses, determinants and pivot
-columns, and unimodular inverses read from the Smith normal form.
-Everything runs on Python integers or Fraction, so there is no overflow and
-no rounding anywhere.
-"""
+"""Exact matrix utilities over Python integers and Fraction: Smith normal
+form, rational inverses and determinants, unimodular inverses and pivot
+columns, with no overflow and no rounding."""
 
 from __future__ import annotations
 
@@ -26,10 +23,8 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]
 
     Returns (u, d, v, v_inv) with u*matrix*v == d, u and v unimodular, d
     diagonal with non-negative entries satisfying d[0][0] | d[1][1] | ...,
-    and v_inv the inverse of v, kept by applying the inverse row operation
-    for each column operation, so no second elimination is needed
-    (invert_unimodular(v) computes the same matrix).  An entry unequal to
-    its int(), such as Fraction(3, 2), raises ValueError.
+    and v_inv the inverse of v, kept alongside v.  An entry unequal to its
+    int(), such as Fraction(3, 2), raises ValueError.
     """
     d = [[int(x) for x in row] for row in matrix]
     m = len(d)

@@ -80,13 +80,13 @@ class CD2Model(namedtuple("CD2Model", "r p q")):
     def __new__(cls, r: int, p: SparsePoly, q: SparsePoly) -> "CD2Model":
         if not isinstance(r, int):
             raise ValueError("r must be an integer")
-        # a polynomial over exactly those variables uses no other one
-        if p.variables != P_VARIABLES and not p.used_variables() <= set(P_VARIABLES):
+        flat_p = p.with_variables(P_VARIABLES)
+        if flat_p is None:
             raise ValueError("p may involve only x2, x3, x4")
-        if q.variables != Q_VARIABLES and not q.used_variables() <= set(Q_VARIABLES):
+        flat_q = q.with_variables(Q_VARIABLES)
+        if flat_q is None:
             raise ValueError("q may involve only x1, x3, x4")
-        return tuple.__new__(cls, (r, p.with_variables(P_VARIABLES),
-                                   q.with_variables(Q_VARIABLES)))
+        return tuple.__new__(cls, (r, flat_p, flat_q))
 
     def to_json_dict(self) -> dict:
         return {"r": self.r, "p": poly_to_dict(self.p), "q": poly_to_dict(self.q)}
@@ -138,7 +138,7 @@ def validate_model(model: CD2Model, strict: bool = False) -> ValidationReport:
                               f"r={r}, r mod 8 = {r % 8}"))
 
     # the zero polynomial has no monomial, so its weighted order is infinite
-    p_order = "INFINITE_ORDER" if model.p.is_zero else weighted_order(model.p, weights)
+    p_order = "infinite" if model.p.is_zero else weighted_order(model.p, weights)
     checks.append(CheckResult("p_order", model.p.is_zero or p_order > r,
                               f"weighted order of p is {p_order}, needs > {r}"))
 
@@ -255,13 +255,9 @@ _ONE = Fraction(1)
 
 
 def model_equations(model: CD2Model) -> tuple[SparsePoly, SparsePoly]:
-    """The two defining equations over (x1,...,x5).
-
-    p uses only x2, x3, x4 and q only x1, x3, x4, so no term of p or q
-    falls on x1^2, x4*x5, x2^2 or x5 and the term maps merge without sums.
-    Every term is a checked term of p or q, or one of those four, so the
-    equations are built without checking their terms again.
-    """
+    """The two defining equations over (x1,...,x5), built without a second
+    check: no term of p (over x2, x3, x4) or of q (over x1, x3, x4) falls
+    on x1^2, x4*x5, x2^2 or x5, so the term maps merge without sums."""
     first = {_X1_SQUARED: _ONE, _X4_X5: _ONE}
     first.update(((0, a, b, c, 0), coeff) for (a, b, c), coeff in model.p.terms.items())
     second = {_X2_SQUARED: _ONE}

@@ -1,21 +1,12 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial is a map from exponent vectors to nonzero Fraction
-coefficients, over an ordered tuple of named variables.  Variables are
-identified by name, not position, so germs written over four and five
-coordinates share the same operations: binary operations align the two
-variable universes first.
-
-On top of the ring operations (+, -, *, ==) this module provides the
-weighted-order toolkit used everywhere else: weighted order of a
-polynomial under a positive weight assignment (the vanishing order along
-the exceptional divisor of a weighted blow-up), cyclic semi-invariance,
-exact polynomial square roots, and the detector for squares of the special
-shape (x3*s(x3^2, x4))^2.
-
-No floating point appears anywhere; every coefficient and every order is a
-Fraction.  Orders and term weights are integer dot products over one
-common denominator of the weights, turned into a Fraction once per result.
+A polynomial maps exponent vectors to nonzero Fraction coefficients over
+an ordered tuple of named variables; binary operations align two variable
+tuples by name first.  Beside + - * == the module gives weighted orders
+(the vanishing order along the exceptional divisor of a weighted blow-up),
+cyclic semi-invariance, exact square roots, the detector for squares
+(x3*s(x3^2, x4))^2 and the model-file JSON form.  No floating point
+appears: every coefficient and order is a Fraction.
 """
 
 from __future__ import annotations
@@ -47,9 +38,12 @@ class SparsePoly:
                 raise ValueError("exponent vector arity mismatch")
             if exps and min(exps) < 0:
                 raise ValueError("negative exponent")
-            c = coeff if type(coeff) is Fraction else Fraction(coeff)
-            if c:
-                clean[exps] = c
+            if type(coeff) is not Fraction:
+                if isinstance(coeff, float):
+                    raise ValueError(f"coefficient {coeff!r} is a float, not an exact rational")
+                coeff = Fraction(coeff)
+            if coeff:
+                clean[exps] = coeff
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", clean)
 
@@ -61,11 +55,9 @@ class SparsePoly:
     @classmethod
     def _of_checked_terms(cls, variables: tuple[str, ...],
                           terms: dict[tuple[int, ...], Fraction]) -> "SparsePoly":
-        """The polynomial with these variables and this term map, from terms
-        of checked polynomials only: the names are distinct, and each key is
-        a tuple of len(variables) non-negative ints whose value is a nonzero
-        Fraction, as __init__ would leave them.  Nothing is checked again,
-        and terms is kept, not copied."""
+        """The polynomial of terms as __init__ leaves them: distinct names,
+        keys of len(variables) non-negative ints, nonzero Fraction values.
+        Nothing is checked again, and terms is kept, not copied."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "variables", variables)
         object.__setattr__(poly, "terms", terms)
@@ -73,7 +65,7 @@ class SparsePoly:
 
     @classmethod
     def monomial(cls, variables: Iterable[str], exponents: Iterable[int], coefficient=1) -> "SparsePoly":
-        return cls(variables, {tuple(exponents): Fraction(coefficient)})
+        return cls(variables, {tuple(exponents): coefficient})
 
     # -- queries -----------------------------------------------------------
 
@@ -91,25 +83,27 @@ class SparsePoly:
     def coefficient(self, exponents: Iterable[int]) -> Fraction:
         return self.terms.get(tuple(exponents), Fraction(0))
 
-    def used_variables(self) -> set[str]:
-        return {v for v, column in zip(self.variables, zip(*self.terms)) if any(column)}
-
-    def with_variables(self, variables: Iterable[str]) -> "SparsePoly":
-        """Re-express over another variable tuple; every used variable must survive."""
+    def with_variables(self, variables: Iterable[str]) -> "SparsePoly | None":
+        """This polynomial over another variable tuple, in one pass over its
+        checked terms, or None when the tuple lacks a used variable; repeated
+        names in the tuple raise ValueError after that."""
         variables = tuple(variables)
         if variables == self.variables:
             return self
         index = {v: i for i, v in enumerate(variables)}
+        slots = [index.get(v) for v in self.variables]
         terms = {}
         for exps, c in self.terms.items():
             new = [0] * len(variables)
-            for v, e in zip(self.variables, exps):
+            for k, e in zip(slots, exps):
                 if e:
-                    if v not in index:
-                        raise ValueError(f"variable {v!r} is used but not retained")
-                    new[index[v]] = e
+                    if k is None:
+                        return None
+                    new[k] = e
             terms[tuple(new)] = c
-        return SparsePoly(variables, terms)
+        if len(index) != len(variables):
+            raise ValueError("duplicate variable names")
+        return SparsePoly._of_checked_terms(variables, terms)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -196,12 +190,8 @@ class SparsePoly:
 def scaled_term_weights(p: SparsePoly, weights: Mapping) -> tuple[list[int], int]:
     """The weight of each term of p, in p.terms order, times one common
     denominator of the weights of p's variables; and that denominator.
-
-    Integer dot products only, and an int weight is used as it is, not as a
-    Fraction.  A used variable without a weight raises KeyError, naming the
-    first one met in term order; an unused variable needs no weight and
-    counts as weight 0.
-    """
+    A used variable without a weight raises KeyError, naming the first one
+    in term order; an unused one counts as weight 0."""
     missing = [k for k, v in enumerate(p.variables) if v not in weights]
     if missing:
         for exps in p.terms:
@@ -226,10 +216,8 @@ def weighted_order(p: SparsePoly, weights: Mapping) -> Fraction:
 def is_semi_invariant(exponents: Iterable[tuple[int, ...]], action: QuotientType) -> int | None:
     """The common character mod action.n of the monomials with these
     exponent vectors (the keys of a term map), or None when they differ.
-
-    Weight k of the action goes with entry k of every vector; a vector of
-    another length raises ValueError.  No monomials have character 0.
-    """
+    Weight k goes with entry k; a vector of another length raises
+    ValueError.  No monomials have character 0."""
     n, weights = action.n, action.weights
     found = set()
     for exps in exponents:
@@ -263,13 +251,12 @@ SQRT_STEP_LIMIT = 25_000
 def polynomial_sqrt(p: SparsePoly) -> SparsePoly | None:
     """Exact square root of p, or None if p is not a perfect square.
 
-    Peels the root term by term from the lexicographically leading monomial
-    (variables compared in declared order).  One running remainder, p minus
-    the square of the root so far, gives each next term; a new term c*m
-    takes 2*c*m*(earlier terms) + c^2*m^2 off it.  The root is returned
-    only when the remainder reaches zero, so its square is exactly p.
-    More than SQRT_STEP_LIMIT term products, or a root coefficient of more
-    than DIGIT_LIMIT digits, raise ValueError: a peel cut short has no verdict.
+    Peels the root term by term from the lexicographically leading monomial;
+    one remainder, p minus the square of the root so far, gives each next
+    term, and the root is returned only when it reaches zero, so its square
+    is exactly p.  More than SQRT_STEP_LIMIT term products, or a root
+    coefficient of more than DIGIT_LIMIT digits, raise ValueError: a peel
+    cut short has no verdict.
     """
     if p.is_zero:
         return SparsePoly(p.variables)
@@ -312,21 +299,15 @@ def polynomial_sqrt(p: SparsePoly) -> SparsePoly | None:
 
 
 def detect_square_form(q: SparsePoly) -> tuple[Fraction, SparsePoly] | None:
-    """Recognize q == c * (x3 * s(x3^2, x4))^2, a constant times a square
-    over C, and return (c, s), otherwise None.
-
-    If q is a constant times a square over C, the root of q / lc(q), lc the
-    leading coefficient, has rational coefficients, so the peel stays over Q.
-    When lc(q) is a positive rational square, c is 1 and x3*s is the root of
-    q itself; otherwise c is lc(q).  s comes back as a polynomial in (x3, x4)
-    whose x3 exponents are all even.
+    """(c, s) when q == c * (x3 * s(x3^2, x4))^2, a constant times a square
+    over C, otherwise None.  Then the root of q / lc(q) has rational
+    coefficients, so the peel stays over Q; c is 1 when lc(q) is a
+    rational square, else lc(q).  s is over (x3, x4), with even x3 powers.
     """
     names = ("x3", "x4")
-    if q.is_zero:
+    flat = None if q.is_zero else q.with_variables(names)
+    if flat is None:
         return None
-    if not q.used_variables() <= set(names):
-        return None
-    flat = q.with_variables(names)
     lead = flat.terms[max(flat.terms)]
     c = Fraction(1) if _fraction_sqrt(lead) is not None else lead
     root = polynomial_sqrt(flat if c == 1 else flat * (1 / c))
@@ -384,14 +365,10 @@ def _excerpt(value, render=repr) -> str:
 
 def parse_rational(x, what: str) -> Fraction:
     """A JSON integer, or a string "n" or "p/q" of ASCII digits with an
-    optional leading minus, as a Fraction.
-
-    Any other value (exponent or decimal notation, underscores, spaces, a
-    plus sign) or more than DIGIT_LIMIT digits raise ValueError naming it
-    as `what`; a zero denominator raises ZeroDivisionError.  The grammar
-    is read once: the Fraction is built from the integers it matched, and
-    the digit count is checked before either is converted.
-    """
+    optional leading minus, as a Fraction.  Any other value (exponent or
+    decimal notation, underscores, spaces, a plus sign) or more than
+    DIGIT_LIMIT digits raise ValueError naming it as `what`; a zero
+    denominator raises ZeroDivisionError."""
     return Fraction(x) if is_json_int(x) else _parse_rational_text(x, what)
 
 
@@ -430,16 +407,13 @@ def _exponent_vector(e) -> tuple[int, ...] | None:
 
 
 def poly_from_dict(data: Mapping) -> SparsePoly:
-    """Inverse of poly_to_dict, in one pass over the terms; raises ValueError
-    on any other shape.
-
-    Each term is checked once, in this order: its shape (an object with a
-    list 'e' of JSON integers and a JSON integer or string 'c'), a repeated
-    exponent vector, then the coefficient's grammar, digit count and
-    denominator; the first failing term raises.  Only then do repeated
-    variable names raise, and then the first term whose vector has the
-    wrong length or a negative entry.  A zero coefficient is dropped, but
-    its vector still counts as a repeat.  Exponents are stored as plain ints.
+    """Inverse of poly_to_dict, in one pass over the terms; ValueError on
+    any other shape.  Each term is checked once, in this order: its shape
+    (an object with a list 'e' of JSON integers and a JSON integer or
+    string 'c'), a repeated vector, then the coefficient; the first failing
+    term raises.  Only then do repeated variable names raise, and then the
+    first vector of the wrong length or with a negative entry.  A zero
+    coefficient is dropped, but its vector still counts as a repeat.
     """
     variables, terms = json_fields(data, "a polynomial", "vars", "terms")
     if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):

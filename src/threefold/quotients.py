@@ -1,17 +1,11 @@
 """Cyclic quotient singularity types and the toric side of weighted blow-ups.
 
-A quotient type 1/n(a_1,...,a_m) is the germ of C^m divided by the cyclic
-group of order n acting diagonally with the given weights.  The module
-canonicalizes such types, tests Reid-Tai terminality (by the terminal
-lemma in dimension 3), and computes the chart groups of the weighted
-blow-up obtained by inserting a primitive weight vector v into the lattice
-N = Z^m + Z*(1/n)(a_1,...,a_m): chart i is C^m divided by the finite
-abelian group N / <e_1,...,v,...,e_m>, presented through Smith normal form
-as cyclic factors, each a QuotientType whose weights act on the chart
-coordinates.  One Smith normal form of N serves every chart: one
-lattice-point step reads a vector's coordinates in n*N for membership,
-primitivity and the charts, and one factor builder turns each finite
-quotient, a chart group or an effective image, into QuotientType factors.
+A quotient type 1/n(a_1,...,a_m) is C^m divided by the cyclic group of
+order n acting diagonally with those weights.  The module canonicalizes
+types, tests Reid-Tai terminality, and computes the chart groups of the
+weighted blow-up at a primitive vector v of N = Z^m + Z*(1/n)(a_1,...,a_m):
+chart i is C^m divided by N / <e_1,...,v,...,e_m>, presented through Smith
+normal form as cyclic factors, each a QuotientType on the chart coordinates.
 """
 
 from __future__ import annotations
@@ -21,6 +15,7 @@ import re
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 from fractions import Fraction
+from operator import index
 
 from .linalg import IntMatrix, smith_normal_form
 from .polynomials import _excerpt, check_digits
@@ -40,14 +35,19 @@ class QuotientType(namedtuple("QuotientType", "n weights")):
     __slots__ = ()
 
     def __new__(cls, n: int, weights) -> "QuotientType":
-        if n < 1:
-            raise ValueError("group order must be a positive integer")
-        return tuple.__new__(cls, (n, tuple([int(w) % n for w in weights])))
+        # operator.index takes an int as it is and refuses a float or a Fraction
+        try:
+            n = index(n)
+            if n < 1:
+                raise ValueError("group order must be a positive integer")
+            return tuple.__new__(cls, (n, tuple([index(w) % n for w in weights])))
+        except TypeError:
+            raise ValueError("the order and weights of a quotient type must be "
+                             "integers") from None
 
     @classmethod
     def _reduced(cls, n: int, weights: tuple[int, ...]) -> "QuotientType":
-        # a type whose order is valid and whose weights are already reduced
-        # mod n, built without reducing them again in __new__
+        # a valid order and weights already reduced mod n, taken as they are
         return tuple.__new__(cls, (n, weights))
 
     @classmethod
@@ -84,13 +84,9 @@ class QuotientType(namedtuple("QuotientType", "n weights")):
         Zero weights stay zero, and a unit keeps gcd(a_i, n), so the least
         tuple continues after its zeros with g = min gcd(a_i, n).  Only the
         units sending some a_i with gcd(a_i, n) = g to g can win: those
-        u = (a_i/g)^-1 mod n/g, lifted mod n and kept when coprime to n
-        (when g = 1 the one lift is a unit).  One pass over the sorted
-        nonzero weights finds g and the distinct weights of gcd g.  Each
-        such weight gives g candidate units, and each candidate costs one
-        pass over the weights, at most QUOTIENT_ORDER_LIMIT steps in all.
-        The weights of the result are already reduced, so it is built
-        without reducing them again.
+        u = (a_i/g)^-1 mod n/g, lifted mod n and kept when coprime to n.
+        Each distinct weight of gcd g gives g candidates of one pass over
+        the weights each, at most QUOTIENT_ORDER_LIMIT steps in all.
         """
         n = self.n
         weights = self.weights
@@ -120,10 +116,6 @@ class QuotientType(namedtuple("QuotientType", "n weights")):
 
     def lattice_contains(self, vector: Sequence) -> bool:
         return _lattice_point(self, vector) is not None
-
-    def is_primitive(self, vector: Sequence) -> bool:
-        point = _lattice_point(self, vector)
-        return point is not None and math.gcd(*point[2]) == 1
 
 
 # -- Reid-Tai terminality ----------------------------------------------------
@@ -316,9 +308,7 @@ def blowup_charts(ambient: QuotientType, v: Sequence) -> ChartReport:
 
     Raises LatticeError unless v is a positive, primitive vector of the
     lattice Z^m + Z*(weights/n), and ValueError when m^4 steps exceed
-    QUOTIENT_ORDER_LIMIT.  One basis of that lattice serves the
-    membership and primitivity tests and every chart, and each chart group
-    is one Smith normal form of coordinate rows computed once.
+    QUOTIENT_ORDER_LIMIT.  One basis of that lattice serves every chart.
     """
     m = ambient.arity
     vv = tuple(x if type(x) is Fraction else Fraction(x) for x in v)
@@ -356,12 +346,10 @@ def blowup_charts(ambient: QuotientType, v: Sequence) -> ChartReport:
 
 
 def effective_factors(group: ChartGroup) -> list[QuotientType]:
-    """Invariant-factor presentation of the effective image of a diagonal action.
-
-    Kernel elements (acting trivially on all coordinates) are divided out,
-    so the result is faithful; an empty list means the action is trivial.
-    The image is Z^m + sum Z*(weights/n) over the factors modulo Z^m, whose
-    factors come from the builder that gives the chart groups.
+    """Invariant-factor presentation of the effective image of a diagonal
+    action: Z^m + sum Z*(weights/n) over the factors, modulo Z^m.  The
+    kernel is divided out, so the result is faithful; an empty list means
+    the action is trivial.
     """
     live = [f for f in group.factors if any(f.weights)]
     if not live:

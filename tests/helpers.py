@@ -3,13 +3,15 @@
 The package reads polynomials only from model JSON (poly_from_dict); tests
 write them as text, which parse_poly reads.  reference_poly_from_dict is the
 loader poly_from_dict replaced, and mutate_model seeds one defect into a
-model file's dict.  pytest puts this directory on
+model file's dict.  is_primitive reads primitivity off the lattice
+coordinates the chart code computes.  pytest puts this directory on
 sys.path for every test module in it (the tests directory is no package),
 so ``from helpers import ...`` works under a whole-suite run, for one test
 file, and from inside the directory.
 """
 
 import json
+import math
 import re
 from collections.abc import Mapping
 from fractions import Fraction
@@ -18,6 +20,7 @@ from pathlib import Path
 from threefold.models import CD2Model, GERM_VARIABLES, P_VARIABLES, Q_VARIABLES
 from threefold.polynomials import (SparsePoly, _excerpt, is_json_int, json_fields,
                                    parse_rational)
+from threefold.quotients import _lattice_point
 
 _POWER = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)(?:\^(?P<exp>[0-9]+))?")
 
@@ -155,3 +158,10 @@ def mutate_model(rng, data):
         poly["vars"][k] = poly["vars"][k - 1]
     else:
         data[name] = rng.choice(([], "x3^2", 7, None, [poly]))
+
+
+def is_primitive(ambient, vector):
+    """Whether vector is a primitive vector of the lattice of ambient: it lies
+    in the lattice and its coordinates there, from _lattice_point, are coprime."""
+    point = _lattice_point(ambient, vector)
+    return point is not None and math.gcd(*point[2]) == 1

@@ -16,7 +16,7 @@ from threefold.polynomials import (SparsePoly, detect_square_form, is_semi_invar
                                    scaled_term_weights, weighted_order)
 from threefold.quotients import QuotientType, reid_tai_is_terminal
 
-from helpers import matrix_product, parse_poly, reference_eliminate_x5
+from helpers import is_primitive, matrix_product, parse_poly, reference_eliminate_x5
 
 R_VALUES = (7, 9, 15, 17, 23, 25)
 
@@ -88,7 +88,7 @@ def test_criterion_4_cross_validated_formulas():
                 continue
             germ = CIGerm(QuotientType(r, (a, r - a, 1)), ("x1", "x2", "x3"), ())
             v = (Fraction(a, r), Fraction(r - a, r), Fraction(1, r))
-            assert germ.ambient.is_primitive(v)
+            assert is_primitive(germ.ambient, v)
             assert analyze_blowup(germ, v).discrepancy == Fraction(1, r)
 
     smooth = CIGerm(QuotientType(1, (0, 0, 0)), ("x1", "x2", "x3"), ())

@@ -22,7 +22,8 @@ from threefold.blowup import (BlowupReport, CIGerm, ChartFinding, MANUAL, QUOTIE
                               analyze_blowup, model_germ, verify_blowup_profile)
 from threefold.cli import main
 from threefold.linalg import rational_determinant
-from threefold.models import AMBIENT, CD2Model, blowup_vector, generate_model, validate_model
+from threefold.models import (AMBIENT, CD2Model, GERM_VARIABLES, blowup_vector,
+                              generate_model, model_equations, validate_model)
 from threefold.polynomials import SparsePoly, is_semi_invariant, weighted_order
 from threefold.quotients import (ChartGroup, ChartReport, LatticeError, QuotientType,
                                  blowup_charts, effective_factors)
@@ -520,13 +521,28 @@ def golden_model_data():
     return [json.loads(path.read_text(encoding="utf-8")) for path in GOLDEN_MODELS]
 
 
+def reversed_model_data(data):
+    """A model file's dict with both 'vars' lists and every exponent vector reversed."""
+    return {"r": data["r"], **{key: {"vars": data[key]["vars"][::-1],
+                                     "terms": [{"c": t["c"], "e": t["e"][::-1]}
+                                               for t in data[key]["terms"]]}
+                               for key in ("p", "q")}}
+
+
 def test_loading_a_model_runs_no_polynomial_constructor(monkeypatch):
     # poly_from_dict checks each term once and builds p and q from the
-    # checked terms; the model keeps them, written over P_ and Q_VARIABLES
-    datas = golden_model_data() + [generate_model(r, seed).to_json_dict()
-                                   for r in (7, 23, 47, 95) for seed in (0, 1)]
+    # checked terms; the model keeps them, written over P_ and Q_VARIABLES,
+    # and a file or a germ with its variables in another order is
+    # re-expressed from those checked terms without checking them again
+    canonical = golden_model_data() + [generate_model(r, seed).to_json_dict()
+                                       for r in (7, 23, 47, 95) for seed in (0, 1)]
+    datas = canonical + [reversed_model_data(d) for d in canonical]
     expected = [CD2Model(d["r"], reference_poly_from_dict(d["p"]),
-                         reference_poly_from_dict(d["q"])) for d in datas]
+                         reference_poly_from_dict(d["q"])) for d in canonical] * 2
+    equations = [model_equations(m) for m in expected]
+    permuted = ("x3", "x5", "x1", "x4", "x2")
+    order = [GERM_VARIABLES.index(v) for v in permuted]
+    ambient = QuotientType(AMBIENT.n, tuple(AMBIENT.weights[k] for k in order))
     construct = SparsePoly.__init__
     calls = []
 
@@ -536,10 +552,15 @@ def test_loading_a_model_runs_no_polynomial_constructor(monkeypatch):
 
     monkeypatch.setattr(SparsePoly, "__init__", counting)
     loaded = [CD2Model.from_json_dict(d) for d in datas]
+    germs = [CIGerm(ambient, permuted, eqs) for eqs in equations[:len(canonical)]]
     monkeypatch.undo()
     assert calls == []
     assert [(m.r, list(m.p.terms.items()), list(m.q.terms.items())) for m in loaded] == [
         (m.r, list(m.p.terms.items()), list(m.q.terms.items())) for m in expected]
+    for germ, eqs in zip(germs, equations):
+        assert germ.variables == permuted
+        assert [list(eq.terms.items()) for eq in germ.equations] == [
+            [(tuple(e[k] for k in order), c) for e, c in eq.terms.items()] for eq in eqs]
 
 
 def test_profile_asks_two_semi_invariance_questions_per_model(monkeypatch):

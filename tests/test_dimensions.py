@@ -54,6 +54,11 @@ class TestDegreePoints:
         with pytest.raises(ValueError):
             degree_points(5, 3)
 
+    @pytest.mark.parametrize("r", [7.0, Fraction(7), 7.5, "7"])
+    def test_rejects_non_integer_r(self, r):
+        with pytest.raises(ValueError, match="^r must be an odd integer >= 7, got "):
+            degree_points(r, 4)
+
 
 class TestDegreePointCount:
     def test_matches_enumeration(self):
@@ -106,6 +111,11 @@ class TestDimensionTable:
         table = DimensionTable.compute(7, 10)
         assert table.rows[(0, 0)] == 1
         assert table.rows[(0, 1)] == 0
+
+    @pytest.mark.parametrize("r", [7.0, Fraction(7), 7.5, "7"])
+    def test_rejects_non_integer_r(self, r):
+        with pytest.raises(ValueError, match="^r must be an odd integer >= 7, got "):
+            DimensionTable.compute(r, 3)
 
     def test_json_shape(self):
         d = DimensionTable.compute(7, 2).to_json_dict()

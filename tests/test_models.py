@@ -56,7 +56,7 @@ class TestValidate:
         # p = 0 is legal: the zero polynomial's weighted order exceeds r
         report = validate_model(CD2Model(7, SparsePoly(P_VARIABLES), QQ("x1*x3")))
         assert report.passed
-        assert report.checks[1].detail == "weighted order of p is INFINITE_ORDER, needs > 7"
+        assert report.checks[1].detail == "weighted order of p is infinite, needs > 7"
 
     def test_low_order_p_rejected(self):
         report = validate_model(CD2Model(7, PP("x3^2"), QQ("x1*x3")))

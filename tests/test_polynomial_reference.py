@@ -178,6 +178,8 @@ def test_constructor_rejects_non_integer_exponents():
 
 def test_arithmetic_matches_reference():
     rng = random.Random(20113)
+    targets = random.Random(20118)  # the variable tuples for with_variables
+    dropped = set()
     for _ in CASES:
         a = random_poly(rng)
         b = (random_poly(rng, a.variables) if rng.random() < 0.5 else
@@ -193,9 +195,18 @@ def test_arithmetic_matches_reference():
         for got, terms in ((a + b, total), (a * b, product)):
             _, clean = reference_terms(a.variables, terms)
             assert as_items(got) == (a.variables, list(clean.items()))
+        # with_variables is None exactly when a used variable is dropped
         used = {v for exps in a.terms for v, e in zip(a.variables, exps) if e}
-        assert a.used_variables() == used
         assert a.with_variables(a.variables) is a
+        target = tuple(targets.sample(NAMES, targets.randint(0, 6)))
+        moved = a.with_variables(target)
+        assert (moved is None) == (not used <= set(target)), (a, target)
+        dropped.add(moved is None)
+        if moved is not None:
+            remapped = [(tuple(dict(zip(a.variables, e)).get(v, 0) for v in target), c)
+                        for e, c in a.terms.items()]
+            assert as_items(moved) == (target, remapped)
+    assert dropped == {True, False}
 
 
 def test_weights_match_reference():

@@ -43,6 +43,15 @@ class TestConstruction:
             with pytest.raises(ValueError, match="^exponents must be integers$"):
                 SparsePoly(("x",), {exps: 1})
 
+    @pytest.mark.parametrize("coefficient", [0.1, 1.0, -2.5, 0.0])
+    def test_coefficients_are_exact(self, coefficient):
+        # a float is refused, not read as its binary fraction
+        message = f"^coefficient {coefficient!r} is a float, not an exact rational$"
+        with pytest.raises(ValueError, match=message):
+            SparsePoly(("x",), {(1,): coefficient})
+        with pytest.raises(ValueError, match=message):
+            SparsePoly.monomial(("x",), (1,), coefficient)
+
     def test_immutability(self):
         p = P("x1")
         with pytest.raises(AttributeError):
@@ -81,8 +90,9 @@ class TestArithmetic:
         assert parse_poly("x1", ("x1", "x2")) == parse_poly("x1", ("x1",))
 
     def test_with_variables_guards_used(self):
-        with pytest.raises(ValueError):
-            P("x5").with_variables(V4)
+        assert P("x5").with_variables(V4) is None
+        with pytest.raises(ValueError, match="duplicate variable names"):
+            P("x5").with_variables(("x5", "x1", "x5"))
 
 
 WEIGHTS7 = {"x1": 4, "x2": 3, "x3": 2, "x4": 1, "x5": 7}

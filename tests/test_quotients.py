@@ -13,10 +13,23 @@ from threefold.quotients import (ChartGroup, LatticeError,
                                  QuotientType, blowup_charts, effective_factors,
                                  reid_tai_is_canonical, reid_tai_is_terminal)
 
-from helpers import matrix_product
+from helpers import is_primitive, matrix_product
 
 
 class TestQuotientType:
+    @pytest.mark.parametrize("n, weights", [
+        (2, (Fraction(3, 2), 1)),  # would print 1/2(1,1)
+        (Fraction(5, 2), (1,)),  # would print 1/5/2(1)
+        (2, (1.0, 1)),
+        (2.0, (1, 1)),
+        (2, (Fraction(2), 1)),
+    ])
+    def test_order_and_weights_are_integers(self, n, weights):
+        # never truncated or carried as a non-integer
+        with pytest.raises(ValueError, match="^the order and weights of a quotient type "
+                                             "must be integers$"):
+            QuotientType(n, weights)
+
     def test_parse_and_print(self):
         q = QuotientType.parse("1/14(1,13,11)")
         assert q == QuotientType(14, (1, 13, 11))
@@ -241,18 +254,22 @@ class TestLattice:
     def test_integral_vector_in_lattice(self):
         amb = QuotientType(2, (1, 1, 1, 0, 0))
         assert amb.lattice_contains((4, 3, 2, 1, 7))
-        assert amb.is_primitive((4, 3, 2, 1, 7))
+        assert is_primitive(amb, (4, 3, 2, 1, 7))
+        assert len(blowup_charts(amb, (4, 3, 2, 1, 7)).charts) == 5
 
     def test_not_primitive(self):
         amb = QuotientType(1, (0, 0, 0))
         assert amb.lattice_contains((2, 2, 2))
-        assert not amb.is_primitive((2, 2, 2))
+        assert not is_primitive(amb, (2, 2, 2))
+        with pytest.raises(LatticeError, match="not primitive in"):
+            blowup_charts(amb, (2, 2, 2))
 
     def test_generator_is_primitive(self):
         amb = QuotientType(2, (1, 1, 1))
         half = (Fraction(1, 2),) * 3
         assert amb.lattice_contains(half)
-        assert amb.is_primitive(half)
+        assert is_primitive(amb, half)
+        assert len(blowup_charts(amb, half).charts) == 3
 
     def test_outside_lattice(self):
         amb = QuotientType(2, (1, 1, 1))
@@ -263,9 +280,9 @@ class TestLattice:
         n = 10 ** 7
         amb = QuotientType(n, (1, 2, 3))
         assert not amb.lattice_contains((1, 1, Fraction(1, n)))
-        assert amb.is_primitive((Fraction(1, n), Fraction(2, n), Fraction(3, n)))
-        assert not amb.is_primitive((Fraction(5, n), Fraction(10, n), Fraction(15, n)))
-        assert not amb.is_primitive((0, 0, 0))
+        assert is_primitive(amb, (Fraction(1, n), Fraction(2, n), Fraction(3, n)))
+        assert not is_primitive(amb, (Fraction(5, n), Fraction(10, n), Fraction(15, n)))
+        assert not is_primitive(amb, (0, 0, 0))
         assert len(snf_calls) == 4
 
 
@@ -328,7 +345,7 @@ class TestCharts:
             weights = tuple(rng.randrange(n) if n > 1 else 0 for _ in range(m))
             amb = QuotientType(n, weights)
             v = tuple(rng.randint(1, 5) for _ in range(m))
-            if not amb.is_primitive(v):
+            if not is_primitive(amb, v):
                 continue
             index = n // math.gcd(n, *weights) if any(weights) else 1
             report = blowup_charts(amb, v)

@@ -25,6 +25,8 @@ from threefold.quotients import (ChartGroup, LatticeError,
                                  reid_tai_is_canonical, reid_tai_is_terminal)
 from threefold.quotients import _ages_above
 
+from helpers import is_primitive
+
 
 def ref_unimodular_inverse(matrix):
     inv = invert_rational(matrix)
@@ -468,6 +470,7 @@ def test_gorenstein_shortcut_in_higher_arity(age_loops):
 def test_lattice_tests_match_the_k_loops():
     rng = random.Random(19)
     kinds = set()
+    positive = set()
     for _ in range(500):
         m, n = rng.randint(1, 5), rng.randint(1, 60)
         step = rng.choice([d for d in range(1, n + 1) if n % d == 0])
@@ -482,7 +485,18 @@ def test_lattice_tests_match_the_k_loops():
         elif shape == 3:
             v[rng.randrange(m)] += Fraction(1, rng.randint(2, 3 * n))
         expected = (ref_lattice_contains(ambient, v), ref_is_primitive(ambient, v))
-        assert (ambient.lattice_contains(v), ambient.is_primitive(v)) == expected, \
+        assert (ambient.lattice_contains(v), is_primitive(ambient, v)) == expected, \
             (ambient, v)
         kinds.add(expected)
+        if all(x > 0 for x in v):
+            # blowup_charts refuses a positive vector of N exactly when it is
+            # not primitive
+            try:
+                blowup_charts(ambient, v)
+                refused = False
+            except LatticeError as exc:
+                refused = "not primitive in" in str(exc)
+            assert refused == (expected == (True, False)), (ambient, v)
+            positive.add(expected)
     assert kinds == {(True, True), (True, False), (False, False)}
+    assert positive == kinds
