@@ -91,6 +91,8 @@ class TestArithmetic:
 
     def test_with_variables_guards_used(self):
         assert P("x5").with_variables(V4) is None
+        # a dropped variable is found before repeated names, as CIGerm reports
+        assert P("x5").with_variables(("x1", "x1")) is None
         with pytest.raises(ValueError, match="duplicate variable names"):
             P("x5").with_variables(("x5", "x1", "x5"))
 
