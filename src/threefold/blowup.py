@@ -22,7 +22,7 @@ from functools import lru_cache
 from .linalg import pivot_columns
 from .models import (CD2Model, CheckResult, GERM_VARIABLES, ValidationReport,
                      blowup_vector, model_equations, validate_model, AMBIENT)
-from .polynomials import SparsePoly, _excerpt, is_semi_invariant
+from .polynomials import SparsePoly, _exact, _excerpt, is_semi_invariant
 from .quotients import ChartGroup, QuotientType, blowup_charts, effective_factors
 
 
@@ -232,7 +232,7 @@ def analyze_blowup(germ: CIGerm, v: Sequence) -> BlowupReport:
     """The blow-up of a three-fold germ by v; blowup_charts first raises
     LatticeError unless v is primitive and positive."""
     data = _chart_data(blowup_charts, germ.ambient,
-                       tuple(x if type(x) is Fraction else Fraction(x) for x in v))
+                       tuple([_exact(x, "weight") for x in v]))
     if len(germ.variables) - len(germ.equations) != 3:
         raise DimensionError(
             f"the blow-up needs a three-fold; got {len(germ.variables)} variables "

@@ -27,9 +27,11 @@ class InconsistencyError(Exception):
     """A correction profile does not telescope to zero around an orbit."""
 
 
-def _check_r(r: int) -> None:
+def _check_r(r: int, degree: int = 0) -> None:
     if not isinstance(r, int) or r % 2 == 0 or r < 7:
         raise ValueError(f"r must be an odd integer >= 7, got {r}")
+    if not isinstance(degree, int):
+        raise ValueError(f"a degree must be an integer, got {type(degree).__name__}")
 
 
 def _check_parity(j: int) -> None:
@@ -41,7 +43,7 @@ def degree_points(r: int, degree: int) -> frozenset[tuple[int, int, int, int, in
     """All solutions (l1,...,l5) of the weighted equation in the given
     degree, for `ni` and as the reference of the counts; empty for negative
     degrees."""
-    _check_r(r)
+    _check_r(r, degree)
     w1 = (r + 1) // 2
     w2 = (r - 1) // 2
     points = []
@@ -70,7 +72,7 @@ def parity_counts(r: int, degree: int) -> tuple[int, int]:
     run through every residue mod 4 once in four terms, so the sums of
     rest // 2 and rest // 4 cost the same for every degree.
     """
-    _check_r(r)
+    _check_r(r, degree)
     counts = [0, 0]
     w1 = (r + 1) // 2
     w2 = (r - 1) // 2
@@ -109,7 +111,7 @@ class DimensionTable(namedtuple("DimensionTable", "r rows")):
 
     @classmethod
     def compute(cls, r: int, max_degree: int) -> "DimensionTable":
-        _check_r(r)
+        _check_r(r, max_degree)
         rows = {}
         for i in range(max_degree + 1):
             rows[(i, 0)], rows[(i, 1)] = parity_counts(r, i)

@@ -26,89 +26,71 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]
     and v_inv the inverse of v, kept alongside v.  An entry unequal to its
     int(), such as Fraction(3, 2), raises ValueError.
     """
-    d = [[int(x) for x in row] for row in matrix]
+    d = [[x if type(x) is int else int(x) for x in row] for row in matrix]
     m = len(d)
     n = len(d[0]) if m else 0
     if any(len(row) != n for row in d):
         raise ValueError("ragged matrix")
-    if any(x != y for row, src in zip(d, matrix) for x, y in zip(row, src)):
+    if d != matrix and any(row != list(src) for row, src in zip(d, matrix)):
         raise ValueError("matrix is not integral")
     u = identity_matrix(m)
     v = identity_matrix(n)
     v_inv = identity_matrix(n)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
-
-    def add_row(i, j, c):
-        # row i += c * row j
-        d[i] = [x + c * y for x, y in zip(d[i], d[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-
-    def add_col(i, j, c):
-        # col i += c * col j, and on the inverse row j -= c * row i
-        for row in d:
-            row[i] += c * row[j]
-        for row in v:
-            row[i] += c * row[j]
-        v_inv[j] = [x - c * y for x, y in zip(v_inv[j], v_inv[i])]
-
-    def pivot_position(t):
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
     t = 0
     while t < min(m, n):
-        pos = pivot_position(t)
-        if pos is None:
+        # the pivot is the first entry of least absolute value in d[t:][t:]
+        best = 0
+        for i in range(t, m):
+            row = d[i]
+            for j in range(t, n):
+                x = abs(row[j])
+                if x and (x < best or not best):
+                    best, p, q = x, i, j
+        if not best:
             break
-        if pos[0] != t:
-            swap_rows(t, pos[0])
-        if pos[1] != t:
-            swap_cols(t, pos[1])
+        if p != t:
+            d[t], d[p] = d[p], d[t]
+            u[t], u[p] = u[p], u[t]
+        if q != t:
+            for row in d + v:
+                row[t], row[q] = row[q], row[t]
+            v_inv[t], v_inv[q] = v_inv[q], v_inv[t]
         while True:
-            restart = False
+            # clear column t below the pivot, then row t beyond it; a nonzero
+            # remainder is a strictly smaller pivot, swapped in to start again
+            top = d[t]
+            pivot = top[t]
             for i in range(t + 1, m):
                 if d[i][t]:
-                    add_row(i, t, -(d[i][t] // d[t][t]))
+                    c = -(d[i][t] // pivot)
+                    d[i] = [x + c * y for x, y in zip(d[i], top)]
+                    u[i] = [x + c * y for x, y in zip(u[i], u[t])]
                     if d[i][t]:
-                        # remainder is a strictly smaller pivot candidate
-                        swap_rows(i, t)
-                        restart = True
+                        d[i], d[t] = top, d[i]
+                        u[i], u[t] = u[t], u[i]
                         break
-            if restart:
+            else:
+                for j in range(t + 1, n):
+                    if top[j]:
+                        c = -(top[j] // pivot)
+                        for row in d + v:
+                            row[j] += c * row[t]
+                        v_inv[t] = [x - c * y for x, y in zip(v_inv[t], v_inv[j])]
+                        if top[j]:
+                            for row in d + v:
+                                row[t], row[j] = row[j], row[t]
+                            v_inv[t], v_inv[j] = v_inv[j], v_inv[t]
+                            break
+                else:
+                    break
+        # enforce the divisibility chain before moving on: a row with an
+        # entry the pivot does not divide is added to row t
+        if pivot != 1 and pivot != -1:
+            offender = next((i for i in range(t + 1, m) if any(x % pivot for x in d[i])), None)
+            if offender is not None:
+                d[t] = [x + y for x, y in zip(top, d[offender])]
+                u[t] = [x + y for x, y in zip(u[t], u[offender])]
                 continue
-            for j in range(t + 1, n):
-                if d[t][j]:
-                    add_col(j, t, -(d[t][j] // d[t][t]))
-                    if d[t][j]:
-                        swap_cols(j, t)
-                        restart = True
-                        break
-            if restart:
-                continue
-            break
-        # enforce the divisibility chain before moving on
-        offender = None
-        for i in range(t + 1, m):
-            if any(d[i][j] % d[t][t] for j in range(t + 1, n)):
-                offender = i
-                break
-        if offender is not None:
-            add_row(t, offender, 1)
-            continue
         t += 1
 
     for i in range(min(m, n)):

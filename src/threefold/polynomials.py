@@ -39,9 +39,7 @@ class SparsePoly:
             if exps and min(exps) < 0:
                 raise ValueError("negative exponent")
             if type(coeff) is not Fraction:
-                if isinstance(coeff, float):
-                    raise ValueError(f"coefficient {coeff!r} is a float, not an exact rational")
-                coeff = Fraction(coeff)
+                coeff = _exact(coeff, "coefficient")
             if coeff:
                 clean[exps] = coeff
         object.__setattr__(self, "variables", variables)
@@ -198,7 +196,7 @@ def scaled_term_weights(p: SparsePoly, weights: Mapping) -> tuple[list[int], int
             name = next((p.variables[k] for k in missing if exps[k]), None)
             if name is not None:
                 raise KeyError(f"no weight for variable {name!r}")
-    values = [w if type(w) is int else Fraction(w)
+    values = [w if type(w) is int else _exact(w, "weight")
               for w in (weights[v] if v in weights else 0 for v in p.variables)]
     denominator = math.lcm(*(w.denominator for w in values))
     scaled = [w.numerator * (denominator // w.denominator) for w in values]
@@ -361,6 +359,18 @@ def _excerpt(value, render=repr) -> str:
     if len(text) <= _EXCERPT_LIMIT:
         return text
     return f"{text[:_EXCERPT_LIMIT]}... ({len(text)} characters)"
+
+
+def _exact(x, what: str) -> Fraction:
+    """x as a Fraction; a float (inexact as written) or a non-number raises ValueError."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, float):
+        raise ValueError(f"{what} {x!r} is a float, not an exact rational")
+    try:
+        return Fraction(x)
+    except TypeError:
+        raise ValueError(f"{what} {_excerpt(x)} is not a rational number") from None
 
 
 def parse_rational(x, what: str) -> Fraction:

@@ -14,11 +14,10 @@ import math
 import re
 from collections import namedtuple
 from collections.abc import Callable, Sequence
-from fractions import Fraction
 from operator import index
 
 from .linalg import IntMatrix, smith_normal_form
-from .polynomials import _excerpt, check_digits
+from .polynomials import _exact, _excerpt, check_digits
 
 
 class LatticeError(ValueError):
@@ -88,10 +87,8 @@ class QuotientType(namedtuple("QuotientType", "n weights")):
         Each distinct weight of gcd g gives g candidates of one pass over
         the weights each, at most QUOTIENT_ORDER_LIMIT steps in all.
         """
-        n = self.n
-        weights = self.weights
+        n, weights = self
         nonzero = sorted([w for w in weights if w])
-        zeros = (0,) * (len(weights) - len(nonzero))
         g = n
         leading = []
         for w in nonzero:
@@ -100,17 +97,26 @@ class QuotientType(namedtuple("QuotientType", "n weights")):
                 g, leading = d, [w]
             elif d == g and w != leading[-1]:
                 leading.append(w)
-        _check_order(self, g * len(leading) * len(weights), "normal form")
-        step = n // g
+        steps = g * len(leading) * len(weights)
+        if steps > QUOTIENT_ORDER_LIMIT:
+            _check_order(self, steps, "normal form")
         best = nonzero
-        for w in leading:
-            for u in range(pow(w // g, -1, step), n, step):
-                if g > 1 and math.gcd(u, n) != 1:
-                    continue
+        if g == 1:
+            # the one unit sending w to 1
+            for w in leading:
+                u = pow(w, -1, n)
                 candidate = sorted([u * x % n for x in nonzero])
                 if candidate < best:
                     best = candidate
-        return QuotientType._reduced(n, zeros + tuple(best))
+        else:
+            step = n // g
+            for w in leading:
+                for u in range(pow(w // g, -1, step), n, step):
+                    if math.gcd(u, n) == 1:
+                        candidate = sorted([u * x % n for x in nonzero])
+                        if candidate < best:
+                            best = candidate
+        return QuotientType._reduced(n, (0,) * (len(weights) - len(nonzero)) + tuple(best))
 
     # -- the lattice N = Z^m + Z*(weights/n) --------------------------------
 
@@ -227,7 +233,8 @@ def _lattice_point(ambient: QuotientType,
         raise ValueError("vector arity mismatch")
     n = ambient.n
     scaled = []
-    for x in map(Fraction, vector):
+    for x in vector:
+        x = _exact(x, "coordinate")
         y, rest = divmod(x.numerator * n, x.denominator)
         if rest:
             return None
@@ -242,15 +249,19 @@ def _lattice_point(ambient: QuotientType,
     return scaled, lattice, coords
 
 
-def quotient_presentation(basis: IntMatrix, coords: IntMatrix) -> list[tuple[int, list[int]]]:
+def quotient_presentation(basis: IntMatrix, coords: IntMatrix,
+                          index: int | None = None) -> list[tuple[int, list[int]]]:
     """Invariant factors of L / M.
 
     L is the lattice with the given basis rows, and M is spanned by the
     rows whose coordinates in that basis are the rows of coords.  Returns
     one (order, generator) pair per nontrivial cyclic factor, orders
     forming a divisibility chain, with each generator an integer vector of
-    L.
+    L.  A known index [L : M] saves the Smith normal form when it is 1 and
+    is checked against the product of the orders otherwise.
     """
+    if index == 1:
+        return []
     arity = len(basis)
     _, d, _, v_inv = smith_normal_form(coords)
     if len(coords) < arity or any(d[i][i] == 0 for i in range(arity)):
@@ -261,16 +272,21 @@ def quotient_presentation(basis: IntMatrix, coords: IntMatrix) -> list[tuple[int
         if order > 1:
             factors.append((order, [sum(v_inv[j][k] * basis[k][l] for k in range(arity))
                                     for l in range(arity)]))
+    found = math.prod(order for order, _ in factors)
+    if index is not None and found != index:
+        raise ArithmeticError(f"invariant factors of product {found}, "
+                              f"not the lattice index {index}")
     return factors
 
 
 def _cyclic_factors(lattice: _Lattice, coords: IntMatrix, denominator: int, what: str,
-                    numerators: Callable[[list[int]], list[int]]) -> list[QuotientType]:
-    # the cyclic factors of lattice / coords, each a QuotientType: a
-    # generator x of order k acts with the weights k*y/denominator mod k,
-    # y running over numerators(x), each of them integral
+                    numerators: Callable[[list[int]], list[int]],
+                    index: int | None = None) -> list[QuotientType]:
+    # the cyclic factors of lattice / coords (of the given index, if known),
+    # each a QuotientType: a generator x of order k acts with the weights
+    # k*y/denominator mod k, y running over numerators(x), each integral
     factors = []
-    for order, x in quotient_presentation(lattice.basis, coords):
+    for order, x in quotient_presentation(lattice.basis, coords, index):
         weights = []
         for y in numerators(x):
             w, rest = divmod(order * y, denominator)
@@ -311,7 +327,7 @@ def blowup_charts(ambient: QuotientType, v: Sequence) -> ChartReport:
     QUOTIENT_ORDER_LIMIT.  One basis of that lattice serves every chart.
     """
     m = ambient.arity
-    vv = tuple(x if type(x) is Fraction else Fraction(x) for x in v)
+    vv = tuple([_exact(x, "weight") for x in v])
     if len(vv) != m:
         raise LatticeError("weight vector arity does not match the ambient")
     if any(x <= 0 for x in vv):
@@ -326,8 +342,10 @@ def blowup_charts(ambient: QuotientType, v: Sequence) -> ChartReport:
         raise LatticeError(f"{_excerpt(vector, str)} is not {where} the lattice of "
                            f"{_excerpt(ambient, str)}")
     scaled_v, lattice, coords = point
+    covolume = math.prod(lattice.diagonal)
 
-    # chart i divides by scale*e_l (l != i) and scale*v
+    # chart i divides by scale*e_l (l != i) and scale*v, of covolume
+    # scale^(m-1) * scale*v_i: over the lattice's covolume, the chart's order
     charts = []
     for i in range(m):
         # coefficients c of a generator X/scale in the cone basis
@@ -339,9 +357,12 @@ def blowup_charts(ambient: QuotientType, v: Sequence) -> ChartReport:
             return [scale * x[i] if l == i else x[l] * v_i - scaled_v[l] * x[i]
                     for l in range(m)]
 
+        index, rest = divmod(scale ** (m - 1) * v_i, covolume)
+        if rest:
+            raise ArithmeticError(f"chart {i + 1} has a fractional lattice index")
         sub = lattice.units[:i] + lattice.units[i + 1:] + [coords]
         charts.append(ChartGroup(tuple(_cyclic_factors(lattice, sub, scale * v_i, "chart",
-                                                       numerators))))
+                                                       numerators, index))))
     return ChartReport(tuple(charts))
 
 

@@ -4,7 +4,9 @@ The package reads polynomials only from model JSON (poly_from_dict); tests
 write them as text, which parse_poly reads.  reference_poly_from_dict is the
 loader poly_from_dict replaced, and mutate_model seeds one defect into a
 model file's dict.  is_primitive reads primitivity off the lattice
-coordinates the chart code computes.  pytest puts this directory on
+coordinates the chart code computes.  reference_smith_normal_form is the
+Smith normal form linalg.smith_normal_form replaced, with the same row and
+column operations in the same order through closures.  pytest puts this directory on
 sys.path for every test module in it (the tests directory is no package),
 so ``from helpers import ...`` works under a whole-suite run, for one test
 file, and from inside the directory.
@@ -17,6 +19,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
 
+from threefold.linalg import identity_matrix
 from threefold.models import CD2Model, GERM_VARIABLES, P_VARIABLES, Q_VARIABLES
 from threefold.polynomials import (SparsePoly, _excerpt, is_json_int, json_fields,
                                    parse_rational)
@@ -165,3 +168,100 @@ def is_primitive(ambient, vector):
     in the lattice and its coordinates there, from _lattice_point, are coprime."""
     point = _lattice_point(ambient, vector)
     return point is not None and math.gcd(*point[2]) == 1
+
+
+def reference_smith_normal_form(matrix):
+    """(u, d, v, v_inv) with u*matrix*v == d, as linalg.smith_normal_form
+    computed them before it was inlined: one closure per row or column
+    operation, a pivot search over the whole remaining block, and the
+    divisibility chain checked for every pivot."""
+    d = [[int(x) for x in row] for row in matrix]
+    m = len(d)
+    n = len(d[0]) if m else 0
+    if any(len(row) != n for row in d):
+        raise ValueError("ragged matrix")
+    if any(x != y for row, src in zip(d, matrix) for x, y in zip(row, src)):
+        raise ValueError("matrix is not integral")
+    u = identity_matrix(m)
+    v = identity_matrix(n)
+    v_inv = identity_matrix(n)
+
+    def swap_rows(i, j):
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in d:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
+
+    def add_row(i, j, c):
+        # row i += c * row j
+        d[i] = [x + c * y for x, y in zip(d[i], d[j])]
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+
+    def add_col(i, j, c):
+        # col i += c * col j, and on the inverse row j -= c * row i
+        for row in d:
+            row[i] += c * row[j]
+        for row in v:
+            row[i] += c * row[j]
+        v_inv[j] = [x - c * y for x, y in zip(v_inv[j], v_inv[i])]
+
+    def pivot_position(t):
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
+                    best = (i, j)
+        return best
+
+    t = 0
+    while t < min(m, n):
+        pos = pivot_position(t)
+        if pos is None:
+            break
+        if pos[0] != t:
+            swap_rows(t, pos[0])
+        if pos[1] != t:
+            swap_cols(t, pos[1])
+        while True:
+            restart = False
+            for i in range(t + 1, m):
+                if d[i][t]:
+                    add_row(i, t, -(d[i][t] // d[t][t]))
+                    if d[i][t]:
+                        # remainder is a strictly smaller pivot candidate
+                        swap_rows(i, t)
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(t + 1, n):
+                if d[t][j]:
+                    add_col(j, t, -(d[t][j] // d[t][t]))
+                    if d[t][j]:
+                        swap_cols(j, t)
+                        restart = True
+                        break
+            if restart:
+                continue
+            break
+        # enforce the divisibility chain before moving on
+        offender = None
+        for i in range(t + 1, m):
+            if any(d[i][j] % d[t][t] for j in range(t + 1, n)):
+                offender = i
+                break
+        if offender is not None:
+            add_row(t, offender, 1)
+            continue
+        t += 1
+
+    for i in range(min(m, n)):
+        if d[i][i] < 0:
+            d[i] = [-x for x in d[i]]
+            u[i] = [-x for x in u[i]]
+    return u, d, v, v_inv

@@ -55,6 +55,14 @@ class TestOrders:
         germ = family_germ(7)
         assert analyze_blowup(germ, blowup_vector(7)).orders == (8, 6)
 
+    @pytest.mark.parametrize("position, weight", [(0, 4.0), (3, 1.0), (4, 7.5)])
+    def test_float_weights_are_refused(self, position, weight):
+        v = list(blowup_vector(7))
+        v[position] = weight
+        with pytest.raises(ValueError, match=f"^weight {weight!r} is a float, not an exact "
+                                             f"rational$"):
+            analyze_blowup(family_germ(7), v)
+
     def test_single_equation(self):
         # a three-fold, as the blow-up needs: one equation in four variables
         names = V5[:4]

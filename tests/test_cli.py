@@ -344,7 +344,8 @@ class TestCharts:
 
     def test_huge_order_takes_one_basis(self, capsys, snf_calls):
         # membership and primitivity read the one basis of the ambient
-        # lattice: one SNF for it, then one per chart, whatever n is
+        # lattice: one SNF for it, then one per chart of order > 1 (the
+        # first chart has order 1), whatever n is
         code, out, err = run(capsys, "charts", "--ambient", "1/1000000(1,2,3)",
                              "--weights", "1,1,1/1000000")
         assert (code, out) == (2, "") and len(snf_calls) == 1
@@ -355,7 +356,7 @@ class TestCharts:
         code, data, _ = run_json(capsys, "charts", "--ambient", "1/1000000(1,2,3)",
                                  "--weights", "1/1000000,2/1000000,3/1000000")
         assert code == 0 and [c["order"] for c in data["charts"]] == [1, 2, 3]
-        assert len(snf_calls) == 2 + 4
+        assert len(snf_calls) == 2 + 3
 
     def test_zero_denominator_is_input_error(self, capsys):
         code, out, err = run(capsys, "charts", "--ambient", "1/2(1,1,1,0,0)",

@@ -59,6 +59,11 @@ class TestDegreePoints:
         with pytest.raises(ValueError, match="^r must be an odd integer >= 7, got "):
             degree_points(r, 4)
 
+    def test_rejects_non_integer_degree(self):
+        # range() would raise TypeError
+        with pytest.raises(ValueError, match="^a degree must be an integer, got float$"):
+            degree_points(7, 4.0)
+
 
 class TestDegreePointCount:
     def test_matches_enumeration(self):
@@ -116,6 +121,10 @@ class TestDimensionTable:
     def test_rejects_non_integer_r(self, r):
         with pytest.raises(ValueError, match="^r must be an odd integer >= 7, got "):
             DimensionTable.compute(r, 3)
+
+    def test_rejects_non_integer_degree_bound(self):
+        with pytest.raises(ValueError, match="^a degree must be an integer, got float$"):
+            DimensionTable.compute(7, 3.0)
 
     def test_json_shape(self):
         d = DimensionTable.compute(7, 2).to_json_dict()

@@ -52,6 +52,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match=message):
             SparsePoly.monomial(("x",), (1,), coefficient)
 
+    def test_coefficient_must_be_a_number(self):
+        # Fraction(None) would raise TypeError
+        with pytest.raises(ValueError, match="^coefficient None is not a rational number$"):
+            SparsePoly(("x",), {(1,): None})
+
     def test_immutability(self):
         p = P("x1")
         with pytest.raises(AttributeError):
@@ -119,6 +124,13 @@ class TestWeightedOrder:
 
     def test_unused_variables_need_no_weight(self):
         assert weighted_order(P("x1"), {"x1": 4}) == 4
+
+    @pytest.mark.parametrize("weight", [0.1, 0.5, 2.0])
+    def test_float_weights_are_refused(self, weight):
+        # 0.1 would be read as 3602879701896397/36028797018963968
+        with pytest.raises(ValueError, match=f"^weight {weight!r} is a float, not an exact "
+                                             f"rational$"):
+            weighted_order(P("x1 + x2"), {"x1": 1, "x2": weight})
 
     def test_order_additive_on_products(self):
         rng = random.Random(7)

@@ -257,6 +257,15 @@ class TestLattice:
         assert is_primitive(amb, (4, 3, 2, 1, 7))
         assert len(blowup_charts(amb, (4, 3, 2, 1, 7)).charts) == 5
 
+    @pytest.mark.parametrize("vector", [(0.5, 0.5, 0.5), (1, 1.0, 1), (1.1, 1, 1)])
+    def test_float_coordinates_are_refused(self, vector):
+        # (0.5, 0.5, 0.5) would lie in the lattice of 1/2(1,1,1)
+        amb = QuotientType(2, (1, 1, 1))
+        bad = next(x for x in vector if type(x) is float)
+        with pytest.raises(ValueError, match=f"^coordinate {bad!r} is a float, not an exact "
+                                             f"rational$"):
+            amb.lattice_contains(vector)
+
     def test_not_primitive(self):
         amb = QuotientType(1, (0, 0, 0))
         assert amb.lattice_contains((2, 2, 2))
@@ -292,11 +301,24 @@ class TestCharts:
         (QuotientType(2, (1, 1, 1, 0, 0)), (4, 3, 2, 1, 7)),
     ])
     def test_one_elimination_per_chart(self, snf_calls, unimodular_inverses, ambient, v):
-        # one SNF for the basis of N and one per chart, each returning the
-        # inverse of its transform, so no unimodular inverse is computed
+        # one SNF for the basis of N and one per chart of order > 1, each
+        # returning the inverse of its transform, so no unimodular inverse is
+        # computed; a chart of lattice index 1 takes none.  The charts of
+        # 1/7(2,5,1) have orders 2, 5, 1, and the cD/2 ones 8, 6, 4, 2, 14
         report = blowup_charts(ambient, v)
-        assert len(report.charts) == ambient.arity
-        assert len(snf_calls) == ambient.arity + 1 and unimodular_inverses == []
+        orders = [chart.order for chart in report.charts]
+        assert orders == {7: [2, 5, 1], 2: [8, 6, 4, 2, 14]}[ambient.n]
+        assert len(snf_calls) == 1 + sum(order > 1 for order in orders) == {7: 3, 2: 6}[ambient.n]
+        assert unimodular_inverses == []
+
+    @pytest.mark.parametrize("v", [(0.5, 0.5, 0.5), (1, 1.0, 1), (1.1, 1, 1)])
+    def test_float_weights_are_refused(self, v):
+        # (0.5, 0.5, 0.5) would blow up 1/2(1,1,1), and (1.1, 1, 1) would be
+        # refused with its binary fraction printed
+        bad = next(x for x in v if type(x) is float)
+        with pytest.raises(ValueError, match=f"^weight {bad!r} is a float, not an exact "
+                                             f"rational$"):
+            blowup_charts(QuotientType(2, (1, 1, 1)), v)
 
     def test_family_chart_orders(self):
         report = blowup_charts(QuotientType(2, (1, 1, 1, 0, 0)), (4, 3, 2, 1, 7))
