@@ -1,9 +1,10 @@
-"""Exact matrix utilities over Python integers and Fraction: Smith normal
-form, rational inverses and determinants, unimodular inverses and pivot
-columns, with no overflow and no rounding."""
+"""Exact matrix utilities over Python integers and Fraction: Smith normal form
+with the column transform and its inverse, and one forward elimination over Q
+for pivot columns, determinants and inverses, with no overflow and no rounding."""
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -17,23 +18,26 @@ def identity_matrix(n: int) -> IntMatrix:
     return rows
 
 
-def smith_normal_form(matrix: Sequence[Sequence[int]]
-                      ) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
-    """Diagonalize an integer matrix by unimodular row and column operations.
-
-    Returns (u, d, v, v_inv) with u*matrix*v == d, u and v unimodular, d
-    diagonal with non-negative entries satisfying d[0][0] | d[1][1] | ...,
-    and v_inv the inverse of v, kept alongside v.  An entry unequal to its
-    int(), such as Fraction(3, 2), raises ValueError.
-    """
+def _integer_rows(matrix: Sequence[Sequence[int]]) -> IntMatrix:
+    # matrix as lists of ints; ragged, or with an entry unequal to its int(), is refused
     d = [[x if type(x) is int else int(x) for x in row] for row in matrix]
-    m = len(d)
-    n = len(d[0]) if m else 0
-    if any(len(row) != n for row in d):
+    if any(len(row) != len(d[0]) for row in d):
         raise ValueError("ragged matrix")
     if d != matrix and any(row != list(src) for row, src in zip(d, matrix)):
         raise ValueError("matrix is not integral")
-    u = identity_matrix(m)
+    return d
+
+
+def smith_normal_form(matrix: Sequence[Sequence[int]]
+                      ) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Diagonalize an integer matrix by unimodular row and column operations:
+    (d, v, v_inv) with u*matrix*v == d for a unimodular u that is not built,
+    d diagonal with non-negative entries d[0][0] | d[1][1] | ..., and v_inv
+    the inverse of the unimodular v.  An entry unequal to its int(), such as
+    Fraction(3, 2), raises ValueError."""
+    d = _integer_rows(matrix)
+    m = len(d)
+    n = len(d[0]) if m else 0
     v = identity_matrix(n)
     v_inv = identity_matrix(n)
     t = 0
@@ -48,9 +52,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]
                     best, p, q = x, i, j
         if not best:
             break
-        if p != t:
-            d[t], d[p] = d[p], d[t]
-            u[t], u[p] = u[p], u[t]
+        d[t], d[p] = d[p], d[t]
         if q != t:
             for row in d + v:
                 row[t], row[q] = row[q], row[t]
@@ -64,10 +66,8 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]
                 if d[i][t]:
                     c = -(d[i][t] // pivot)
                     d[i] = [x + c * y for x, y in zip(d[i], top)]
-                    u[i] = [x + c * y for x, y in zip(u[i], u[t])]
                     if d[i][t]:
                         d[i], d[t] = top, d[i]
-                        u[i], u[t] = u[t], u[i]
                         break
             else:
                 for j in range(t + 1, n):
@@ -89,15 +89,32 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]
             offender = next((i for i in range(t + 1, m) if any(x % pivot for x in d[i])), None)
             if offender is not None:
                 d[t] = [x + y for x, y in zip(top, d[offender])]
-                u[t] = [x + y for x, y in zip(u[t], u[offender])]
                 continue
         t += 1
-
     for i in range(min(m, n)):
-        if d[i][i] < 0:
-            d[i] = [-x for x in d[i]]
-            u[i] = [-x for x in u[i]]
-    return u, d, v, v_inv
+        d[i][i] = abs(d[i][i])
+    return d, v, v_inv
+
+
+def _echelon(a: list[list[Fraction]]) -> tuple[list[int], int]:
+    # forward elimination of the rows of a, in place, to row echelon form:
+    # its pivot columns and the number of row swaps it took
+    pivots, swaps = [], 0
+    for col in range(len(a[0]) if a else 0):
+        row = len(pivots)
+        pivot = next((i for i in range(row, len(a)) if a[i][col] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != row:
+            a[row], a[pivot] = a[pivot], a[row]
+            swaps += 1
+        top = a[row]
+        for i in range(row + 1, len(a)):
+            if a[i][col] != 0:
+                c = a[i][col] / top[col]
+                a[i] = [x - c * y for x, y in zip(a[i], top)]
+        pivots.append(col)
+    return pivots, swaps
 
 
 def invert_rational(matrix: Sequence[Sequence]) -> list[list[Fraction]]:
@@ -106,80 +123,43 @@ def invert_rational(matrix: Sequence[Sequence]) -> list[list[Fraction]]:
     a = [[Fraction(x) for x in row] for row in matrix]
     if any(len(row) != n for row in a):
         raise ValueError("not square")
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = a[col][col]
-        a[col] = [x / scale for x in a[col]]
-        inv[col] = [x / scale for x in inv[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                c = a[i][col]
-                a[i] = [x - c * y for x, y in zip(a[i], a[col])]
-                inv[i] = [x - c * y for x, y in zip(inv[i], inv[col])]
-    return inv
+    a = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    # [matrix | I] has rank n, so matrix is singular when a pivot falls in I
+    if _echelon(a)[0] != list(range(n)):
+        raise ValueError("singular matrix")
+    # back-substitution in [U | L]: row i of the inverse from the rows below it
+    inverse: list[list[Fraction]] = []
+    for i, row in reversed(list(enumerate(a))):
+        inverse.insert(0, [(x - sum(c * below[j] for c, below in zip(row[i + 1:n], inverse)))
+                           / row[i] for j, x in enumerate(row[n:])])
+    return inverse
 
 
 def invert_unimodular(matrix: Sequence[Sequence[int]]) -> IntMatrix:
-    """Inverse of a unimodular integer matrix, returned over the integers.
-
-    Read from the Smith normal form u*matrix*v == d: the matrix is
-    unimodular exactly when d is the identity, and then its inverse is v*u.
-    """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
+    """Inverse of a unimodular integer matrix, returned over the integers:
+    the rational inverse, which is integral exactly when det(matrix) = +-1."""
+    if any(len(row) != len(matrix) for row in matrix):
         raise ValueError("not square")
-    u, d, v, _ = smith_normal_form(matrix)
-    if any(d[i][i] == 0 for i in range(n)):
-        raise ValueError("singular matrix")
-    if d != identity_matrix(n):
+    inverse = invert_rational(_integer_rows(matrix))
+    if any(x.denominator != 1 for row in inverse for x in row):
         raise ValueError("matrix is not unimodular")
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*u)] for row in v]
+    return [[x.numerator for x in row] for row in inverse]
 
 
 def rational_determinant(matrix: Sequence[Sequence]) -> Fraction:
     """Determinant of a square matrix with rational entries."""
-    n = len(matrix)
     a = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        scale = a[col][col]
-        for i in range(col + 1, n):
-            if a[i][col] != 0:
-                c = a[i][col] / scale
-                a[i] = [x - c * y for x, y in zip(a[i], a[col])]
-    return det
+    if any(len(row) != len(a) for row in a):
+        raise ValueError("not square")
+    # the signed diagonal of the echelon form, whose last row is 0 if the rank is short
+    swaps = _echelon(a)[1]
+    return math.prod((row[i] for i, row in enumerate(a)), start=Fraction((-1) ** swaps))
 
 
 def pivot_columns(matrix: Sequence[Sequence]) -> tuple[int, ...]:
-    """Pivot columns of the row echelon form of a rational matrix.
-
-    Their number is the rank, and they are the lexicographically first set
-    of linearly independent columns spanning the column space.  Fraction
-    entries are taken as they are; any other entry is converted.
-    """
+    """Pivot columns of the row echelon form of a rational matrix: as many as
+    the rank, and the lexicographically first set of linearly independent
+    columns spanning the column space.  Fraction entries are taken as they
+    are; any other entry is converted."""
     a = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in matrix]
-    pivots = []
-    for col in range(len(a[0]) if a else 0):
-        row = len(pivots)
-        pivot = next((i for i in range(row, len(a)) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        for i in range(row + 1, len(a)):
-            if a[i][col] != 0:
-                c = a[i][col] / a[row][col]
-                a[i] = [x - c * y for x, y in zip(a[i], a[row])]
-        pivots.append(col)
-    return tuple(pivots)
+    return tuple(_echelon(a)[0])

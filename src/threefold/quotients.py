@@ -214,7 +214,7 @@ def _lattice_basis(scale: int, generators: IntMatrix, arity: int) -> _Lattice:
     # in generators
     rows = [[scale if i == j else 0 for j in range(arity)] for i in range(arity)]
     rows.extend(generators)
-    _, d, v, v_inv = smith_normal_form(rows)
+    d, v, v_inv = smith_normal_form(rows)
     diagonal = [d[i][i] for i in range(arity)]
     # row l of units is row l of scale*V*D^-1, exact because every d_j
     # divides scale
@@ -263,7 +263,7 @@ def quotient_presentation(basis: IntMatrix, coords: IntMatrix,
     if index == 1:
         return []
     arity = len(basis)
-    _, d, _, v_inv = smith_normal_form(coords)
+    d, _, v_inv = smith_normal_form(coords)
     if len(coords) < arity or any(d[i][i] == 0 for i in range(arity)):
         raise ValueError("quotient is not finite")
     factors = []

@@ -6,12 +6,15 @@ loader poly_from_dict replaced, and mutate_model seeds one defect into a
 model file's dict.  is_primitive reads primitivity off the lattice
 coordinates the chart code computes.  reference_smith_normal_form is the
 Smith normal form linalg.smith_normal_form replaced, with the same row and
-column operations in the same order through closures.  pytest puts this directory on
+column operations in the same order through closures, and the only source
+of the row transform u, which linalg no longer builds.  determinant expands
+over permutations, so it shares no elimination with linalg.  pytest puts this directory on
 sys.path for every test module in it (the tests directory is no package),
 so ``from helpers import ...`` works under a whole-suite run, for one test
 file, and from inside the directory.
 """
 
+import itertools
 import json
 import math
 import re
@@ -75,6 +78,19 @@ def parse_poly(text, variables):
 def matrix_product(a, b):
     return [[sum(x * y for x, y in zip(row, col, strict=True)) for col in zip(*b)]
             for row in a]
+
+
+def determinant(matrix):
+    """The determinant of a square matrix as a Fraction, by the Leibniz
+    expansion: a sum over permutations, each signed by its inversions."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("not square")
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        total += (-1) ** inversions * math.prod(Fraction(matrix[i][perm[i]]) for i in range(n))
+    return total
 
 
 def reference_eliminate_x5(model):
@@ -172,9 +188,10 @@ def is_primitive(ambient, vector):
 
 def reference_smith_normal_form(matrix):
     """(u, d, v, v_inv) with u*matrix*v == d, as linalg.smith_normal_form
-    computed them before it was inlined: one closure per row or column
-    operation, a pivot search over the whole remaining block, and the
-    divisibility chain checked for every pivot."""
+    computed them before it was inlined and dropped u: one closure per row
+    or column operation, a pivot search over the whole remaining block, and
+    the divisibility chain checked for every pivot.  The operations come in
+    the same order, so u also fits the (d, v, v_inv) linalg returns."""
     d = [[int(x) for x in row] for row in matrix]
     m = len(d)
     n = len(d[0]) if m else 0

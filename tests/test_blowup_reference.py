@@ -4,7 +4,7 @@ The reference is built here from the parts the fast path no longer uses:
 an uncached blowup_charts call for every germ, strict transforms shifted by
 weighted_order times the denominator, characters as Fractions, and the
 first independent columns found by trying every k x k minor of the linear
-terms with rational_determinant.
+terms with a determinant expanded over permutations.
 """
 
 import json
@@ -21,14 +21,13 @@ from threefold import blowup, models, quotients
 from threefold.blowup import (BlowupReport, CIGerm, ChartFinding, MANUAL, QUOTIENT, SMOOTH,
                               analyze_blowup, model_germ, verify_blowup_profile)
 from threefold.cli import main
-from threefold.linalg import rational_determinant
 from threefold.models import (AMBIENT, CD2Model, GERM_VARIABLES, blowup_vector,
                               generate_model, model_equations, validate_model)
 from threefold.polynomials import SparsePoly, is_semi_invariant, weighted_order
 from threefold.quotients import (ChartGroup, ChartReport, LatticeError, QuotientType,
                                  blowup_charts, effective_factors)
 
-from helpers import parse_poly, reference_poly_from_dict
+from helpers import determinant, parse_poly, reference_poly_from_dict
 
 HALF = Fraction(1, 2)
 
@@ -51,7 +50,7 @@ def reference_characters(poly, factor, chart, denominator):
 
 
 def nonzero_minor(matrix, rows, cols):
-    return rational_determinant([[matrix[a][c] for c in cols] for a in rows]) != 0
+    return determinant([[matrix[a][c] for c in cols] for a in rows]) != 0
 
 
 def reference_rank(matrix, width):

@@ -24,7 +24,6 @@ SRC = ROOT / "src" / "threefold"
 # {"module.name": the file outside src/threefold that reads it}
 KEEP = {
     # the tracer's LAYERS resolve these by getattr when a traced run is set up
-    "linalg.invert_rational": "perfbench/tracer.py",
     "linalg.invert_unimodular": "perfbench/tracer.py",
     "linalg.rational_determinant": "perfbench/tracer.py",
     "dimensions.graded_dimension": "perfbench/tracer.py",

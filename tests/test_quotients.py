@@ -7,13 +7,13 @@ import pytest
 
 from threefold import quotients
 from threefold.cli import main
-from threefold.linalg import (identity_matrix, invert_unimodular, pivot_columns,
-                              rational_determinant, smith_normal_form)
+from threefold.linalg import (identity_matrix, invert_rational, invert_unimodular,
+                              pivot_columns, rational_determinant, smith_normal_form)
 from threefold.quotients import (ChartGroup, LatticeError,
                                  QuotientType, blowup_charts, effective_factors,
                                  reid_tai_is_canonical, reid_tai_is_terminal)
 
-from helpers import is_primitive, matrix_product
+from helpers import determinant, is_primitive, matrix_product, reference_smith_normal_form
 
 
 class TestQuotientType:
@@ -158,22 +158,27 @@ class TestReidTai:
 
 
 class TestSmithNormalForm:
+    # linalg builds no row transform u; the reference's u, from the same
+    # operations in the same order, fits the d and v linalg returns
+
     def test_identity(self):
-        u, d, v, _ = smith_normal_form(identity_matrix(3))
+        d, v, _ = smith_normal_form(identity_matrix(3))
+        u = reference_smith_normal_form(identity_matrix(3))[0]
         assert d == identity_matrix(3)
         assert matrix_product(matrix_product(u, identity_matrix(3)), v) == d
 
     def test_already_diagonal(self):
-        u, d, v, _ = smith_normal_form([[2, 0], [0, 4]])
+        d, _, _ = smith_normal_form([[2, 0], [0, 4]])
         assert d == [[2, 0], [0, 4]]
 
     def test_divisibility_enforced(self):
-        u, d, v, _ = smith_normal_form([[2, 0], [0, 3]])
+        d, _, _ = smith_normal_form([[2, 0], [0, 3]])
         assert d == [[1, 0], [0, 6]]
 
     def test_rectangular(self):
         a = [[2, 4, 4], [-6, 6, 12]]
-        u, d, v, _ = smith_normal_form(a)
+        d, v, _ = smith_normal_form(a)
+        u = reference_smith_normal_form(a)[0]
         assert matrix_product(matrix_product(u, a), v) == d
         assert d[0][0] == 2 and d[1][1] % d[0][0] == 0
 
@@ -194,13 +199,21 @@ class TestSmithNormalForm:
             matrices.append(a)
         for a in matrices:
             m, n = len(a), len(a[0])
-            u, d, v, v_inv = smith_normal_form(a)
+            d, v, v_inv = smith_normal_form(a)
+            u = reference_smith_normal_form(a)[0]
             assert matrix_product(matrix_product(u, a), v) == d
-            assert abs(rational_determinant(u)) == 1
-            assert abs(rational_determinant(v)) == 1
+            assert abs(determinant(u)) == 1
+            assert abs(determinant(v)) == 1
             assert v_inv == invert_unimodular(v)
             assert matrix_product(v, v_inv) == identity_matrix(n)
             diag = [d[i][i] for i in range(min(m, n))]
+            # d_1...d_k is the k-th determinantal divisor: the gcd of all
+            # k x k minors (0 when they all vanish)
+            for k in range(1, min(m, n) + 1):
+                minors = [determinant([[a[i][j] for j in cols] for i in rows])
+                          for rows in itertools.combinations(range(m), k)
+                          for cols in itertools.combinations(range(n), k)]
+                assert math.prod(diag[:k]) == math.gcd(*map(int, minors)), (a, k)
             for i in range(m):
                 for j in range(n):
                     if i != j:
@@ -246,8 +259,46 @@ class TestPivotColumns:
             assert pivot_columns(fractions) == pivots
             assert pivot_columns(mixed) == pivots
             # the pivot columns are independent: some maximal minor is nonzero
-            assert any(rational_determinant([[matrix[a][c] for c in pivots] for a in chosen])
+            assert any(determinant([[matrix[a][c] for c in pivots] for a in chosen])
                        for chosen in itertools.combinations(range(rows), len(pivots)))
+
+
+class TestRationalElimination:
+    @pytest.mark.parametrize("matrix", [[[1, 2, 3], [4, 5, 6]], [[1], [2]], [[1, 2], [3]],
+                                        [[]], [[1, 2], [3, 4], [5, 6]]])
+    def test_determinant_refuses_a_matrix_that_is_not_square(self, matrix):
+        # a determinant of the wrong shape would read -3 for the first and
+        # raise IndexError for the second
+        with pytest.raises(ValueError, match="^not square$"):
+            rational_determinant(matrix)
+        with pytest.raises(ValueError, match="^not square$"):
+            invert_rational(matrix)
+
+    def test_determinant_and_inverse_against_the_permutation_expansion(self):
+        # seeded square matrices up to 5 x 5 with int and Fraction entries,
+        # a third of them made singular by a dependent row
+        rng = random.Random(28)
+        singular = 0
+        for _ in range(400):
+            n = rng.randint(0, 5)
+            matrix = [[Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) if rng.random() < 0.8
+                       else 0 for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.33:
+                c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                matrix[-1] = [x + c * y for x, y in zip(matrix[0], matrix[1])]
+            expected = determinant(matrix)
+            got = rational_determinant(matrix)
+            assert type(got) is Fraction and got == expected, matrix
+            if expected == 0:
+                singular += 1
+                with pytest.raises(ValueError, match="^singular matrix$"):
+                    invert_rational(matrix)
+            else:
+                inverse = invert_rational(matrix)
+                assert all(type(x) is Fraction for row in inverse for x in row)
+                assert matrix_product(matrix, inverse) == identity_matrix(n)
+                assert matrix_product(inverse, matrix) == identity_matrix(n)
+        assert singular > 100
 
 
 class TestLattice:

@@ -18,14 +18,15 @@ from fractions import Fraction
 import pytest
 
 from threefold.blowup import _chart_data
-from threefold.linalg import invert_rational, invert_unimodular, smith_normal_form
+from threefold.linalg import (identity_matrix, invert_rational, invert_unimodular,
+                              smith_normal_form)
 from threefold.models import AMBIENT, blowup_vector, valid_r
 from threefold.quotients import (ChartGroup, LatticeError,
                                  QuotientType, blowup_charts, effective_factors,
                                  reid_tai_is_canonical, reid_tai_is_terminal)
 from threefold.quotients import _ages_above
 
-from helpers import is_primitive, reference_smith_normal_form
+from helpers import determinant, is_primitive, matrix_product, reference_smith_normal_form
 
 
 def ref_unimodular_inverse(matrix):
@@ -38,7 +39,7 @@ def ref_unimodular_inverse(matrix):
 def ref_lattice_basis(sup_rows, arity):
     # basis of the lattice spanned by sup_rows, with its rational inverse;
     # the inverse transform the library's SNF returns is not used
-    _, d, v, _ = smith_normal_form(sup_rows)
+    d, v, _ = smith_normal_form(sup_rows)
     if any(d[i][i] == 0 for i in range(arity)):
         raise ValueError("generators do not span a full-rank lattice")
     v_inv = ref_unimodular_inverse(v)
@@ -55,7 +56,7 @@ def ref_presentation(sup_basis, sub_rows, scale, arity):
         if any(x.denominator != 1 for x in entries):
             raise ValueError("vector lies outside the reference lattice")
         coords.append([int(x) for x in entries])
-    _, d, v, _ = smith_normal_form(coords)
+    d, v, _ = smith_normal_form(coords)
     if len(sub_rows) < arity or any(d[i][i] == 0 for i in range(arity)):
         raise ValueError("quotient is not finite")
     v_inv = ref_unimodular_inverse(v)
@@ -326,7 +327,10 @@ def test_chart_report_residuals_match_effective_factors():
 
 def test_invert_unimodular_on_snf_transforms():
     # rectangular matrices, and rank-deficient ones (a zero column, or a
-    # row repeated up to sign), whose SNF has zeros on its diagonal
+    # row repeated up to sign), whose SNF has zeros on its diagonal; the
+    # row transform u comes from the reference, as linalg builds none, and
+    # each inverse is checked by its product, not by the Fraction inverse
+    # that invert_unimodular reads itself
     rng = random.Random(5)
     deficient = 0
     for _ in range(300):
@@ -339,31 +343,47 @@ def test_invert_unimodular_on_snf_transforms():
                 row[j] = 0
         elif shape == 2:
             matrix.append([rng.choice((1, -1)) * x for x in rng.choice(matrix)])
-        u, d, v, v_inv = smith_normal_form(matrix)
+        d, v, v_inv = smith_normal_form(matrix)
+        u = reference_smith_normal_form(matrix)[0]
         deficient += any(d[i][i] == 0 for i in range(min(len(matrix), cols)))
         for transform in (u, v):
-            assert invert_unimodular(transform) == ref_unimodular_inverse(transform)
+            inverse = invert_unimodular(transform)
+            assert all(type(x) is int for row in inverse for x in row)
+            assert matrix_product(transform, inverse) == identity_matrix(len(transform))
         assert v_inv == invert_unimodular(v)
-        assert [[sum(x * y for x, y in zip(row, col)) for col in zip(*v_inv)] for row in v] == \
-            [[int(i == j) for j in range(cols)] for i in range(cols)]
+        assert matrix_product(v, v_inv) == identity_matrix(cols)
     assert deficient > 50
 
 
-def test_invert_unimodular_rejects_what_the_fraction_inverse_rejects():
+def test_invert_unimodular_rejects_what_the_determinant_rejects():
+    # refused exactly when the matrix is not square, has an entry that is
+    # no integer, or has a determinant, expanded over permutations, other
+    # than 1 or -1; the messages come in that order
     rng = random.Random(9)
-    rejected = 0
-    for _ in range(600):
+    seen = set()
+    for _ in range(800):
         k = rng.randint(1, 4)
-        matrix = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(k)]
-        expected = outcome(ref_unimodular_inverse, matrix)
+        matrix = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(k + (rng.random() < 0.1))]
+        if rng.random() < 0.1:
+            matrix[rng.randrange(len(matrix))][rng.randrange(k)] = Fraction(rng.randint(-4, 4), 2)
         got = outcome(invert_unimodular, matrix)
-        if isinstance(expected, list):
-            assert got == expected, matrix
+        if any(len(row) != len(matrix) for row in matrix):
+            expected = "not square"
+        elif any(x != int(x) for row in matrix for x in row):
+            expected = "matrix is not integral"
+        elif determinant(matrix) == 0:
+            expected = "singular matrix"
+        elif abs(determinant(matrix)) != 1:
+            expected = "matrix is not unimodular"
         else:
-            rejected += 1
-            assert got[0] is ValueError, matrix
-    assert rejected > 300
-    with pytest.raises(ValueError):
+            expected = None
+            assert matrix_product(matrix, got) == identity_matrix(k), matrix
+        if expected is not None:
+            assert got == (ValueError, expected), matrix
+        seen.add(expected)
+    assert seen == {None, "not square", "matrix is not integral", "singular matrix",
+                    "matrix is not unimodular"}
+    with pytest.raises(ValueError, match="^matrix is not integral$"):
         invert_unimodular([[Fraction(1, 2)]])
 
 
@@ -372,12 +392,12 @@ def test_smith_normal_form_refuses_non_integral_entries():
     for matrix in ([[Fraction(3, 2), 0], [0, 2.9]], [[1, 0], [0, 2.9]], [["2"]]):
         with pytest.raises(ValueError, match="^matrix is not integral$"):
             smith_normal_form(matrix)
-    _, d, _, _ = smith_normal_form([[Fraction(4, 2), 0], [0, 3]])
+    d, _, _ = smith_normal_form([[Fraction(4, 2), 0], [0, 3]])
     assert d == [[1, 0], [0, 6]]
 
 
 def test_smith_normal_form_matches_the_closure_reference():
-    # the same (u, d, v, v_inv) on seeded matrices of every shape up to 6 x 6,
+    # the reference's (d, v, v_inv) on seeded matrices of every shape up to 6 x 6,
     # a fifth of them given as tuples, about 30% zeros, entries below 3, 12,
     # 10^4 or 10^12 in absolute value
     rng = random.Random(27)
@@ -389,7 +409,7 @@ def test_smith_normal_form_matches_the_closure_reference():
                   for _ in range(rows)]
         expected = reference_smith_normal_form(matrix)
         given = tuple(map(tuple, matrix)) if rng.random() < 0.2 else matrix
-        assert smith_normal_form(given) == expected, matrix
+        assert smith_normal_form(given) == expected[1:], matrix
         units += expected[1][0][0] == 1
     assert units > 2000
 
@@ -400,9 +420,10 @@ def test_smith_normal_form_matches_the_closure_reference():
     [[2.5, 1]], [["2"]], [["x"]], [[None]], [[True, 2]], [[Fraction(4, 2), 3.0]], [], [[]],
 ])
 def test_smith_normal_form_fails_as_the_reference_does(matrix):
+    # the reference's u, which linalg no longer builds, is left out
     def result(compute):
         try:
-            return compute(matrix)
+            return compute(matrix)[-3:]
         except (TypeError, ValueError) as exc:
             return type(exc), str(exc)
 
