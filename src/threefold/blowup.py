@@ -23,7 +23,7 @@ from .linalg import pivot_columns
 from .models import (CD2Model, CheckResult, GERM_VARIABLES, ValidationReport,
                      blowup_vector, model_equations, validate_model, AMBIENT)
 from .polynomials import SparsePoly, _exact, _excerpt, is_semi_invariant
-from .quotients import ChartGroup, QuotientType, blowup_charts, effective_factors
+from .quotients import QuotientType, _lattice_points, blowup_charts, effective_factors
 
 
 class DimensionError(ValueError):
@@ -129,15 +129,17 @@ def _chart_data(compute, ambient: QuotientType, v: tuple[Fraction, ...]) -> _Cha
     u = (b_l/k for l != i, 0 at i) + (b_i/k) * v, which must lie in N, or an
     uncached ArithmeticError is raised: then u.e = lambda * (a.e)/n mod 1, so
     the characters k * (u.e) - const of the terms of a semi-invariant
-    equation's strict transform agree.  The key holds the chart function, so
+    equation's strict transform agree.  Every u is tested against one basis
+    of n*N, built afresh from the ambient, not from the chart groups.  The key holds the chart function, so
     a rebinding of blowup.blowup_charts (a test's or a tracer's) computes
     afresh rather than reading another function's records."""
     report = compute(ambient, v)
-    for i, chart in enumerate(report.charts):
-        for factor in chart.factors:
-            k, b = factor.n, factor.weights
-            u = [Fraction(b[i] * x + (b[l] if l != i else 0), k) for l, x in enumerate(v)]
-            if not ambient.lattice_contains(u):
+    tested = [(i, factor) for i, chart in enumerate(report.charts) for factor in chart.factors]
+    if tested:
+        vectors = [[Fraction(b[i] * x + (b[l] if l != i else 0), k) for l, x in enumerate(v)]
+                   for i, (k, b) in tested]
+        for (i, factor), point in zip(tested, _lattice_points(ambient, vectors)[1]):
+            if point is None:
                 raise ArithmeticError(f"chart {i} factor {_excerpt(factor, str)} does not "
                                       f"act through the lattice of {_excerpt(ambient, str)}")
     denominator = math.lcm(*(x.denominator for x in v))

@@ -161,14 +161,12 @@ class CorrectionProfile(namedtuple("CorrectionProfile", "r delta")):
     __slots__ = ()
 
 
-def correction_profile(r: int, max_degree: int | None = None) -> CorrectionProfile:
+def correction_profile(r: int, max_degree: int) -> CorrectionProfile:
     """Tabulate the correction increments over 2 <= i <= max_degree, which
-    defaults to 6r (three periods, every residue witnessed twice) and must
-    be at least 2r.  Two pairs of one residue class that disagree raise
+    must be at least 2r; 6r gives three periods, every residue witnessed
+    twice.  Two pairs of one residue class that disagree raise
     WellDefinednessError."""
     _check_r(r)
-    if max_degree is None:
-        max_degree = 6 * r
     if max_degree < 2 * r:
         raise ValueError(f"max_degree must be at least 2r = {2 * r}")
     period = 2 * r

@@ -62,8 +62,9 @@ class SparsePoly:
         return poly
 
     @classmethod
-    def monomial(cls, variables: Iterable[str], exponents: Iterable[int], coefficient=1) -> "SparsePoly":
-        return cls(variables, {tuple(exponents): coefficient})
+    def monomial(cls, variables: Iterable[str], exponents: Iterable[int]) -> "SparsePoly":
+        """The monomial of these exponents, with coefficient 1."""
+        return cls(variables, {tuple(exponents): 1})
 
     # -- queries -----------------------------------------------------------
 

@@ -6,6 +6,10 @@ types, tests Reid-Tai terminality, and computes the chart groups of the
 weighted blow-up at a primitive vector v of N = Z^m + Z*(1/n)(a_1,...,a_m):
 chart i is C^m divided by N / <e_1,...,v,...,e_m>, presented through Smith
 normal form as cyclic factors, each a QuotientType on the chart coordinates.
+One Smith normal form gives a basis of n*N and the coordinates of any
+vectors in it, and the chart loop takes one more per chart of order > 1.
+The effective image of a chart group on the coordinates it keeps is read
+off the one Smith normal form of its lattice.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 from collections import namedtuple
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from operator import index
 
 from .linalg import IntMatrix, smith_normal_form
@@ -118,11 +122,6 @@ class QuotientType(namedtuple("QuotientType", "n weights")):
                             best = candidate
         return QuotientType._reduced(n, (0,) * (len(weights) - len(nonzero)) + tuple(best))
 
-    # -- the lattice N = Z^m + Z*(weights/n) --------------------------------
-
-    def lattice_contains(self, vector: Sequence) -> bool:
-        return _lattice_point(self, vector) is not None
-
 
 # -- Reid-Tai terminality ----------------------------------------------------
 
@@ -202,63 +201,50 @@ def reid_tai_is_canonical(q: QuotientType) -> bool:
 # -- finite quotients of one lattice by another ------------------------------
 
 
-# a full-rank integer lattice containing scale*Z^m, through the Smith normal
-# form of its generators: basis rows D*V^-1, the diagonal D, the column
-# transform V, and units, the coordinates of scale*e_1, ..., scale*e_m in
-# that basis, each an integer matrix but the diagonal, a list of integers
+# the lattice n*N of an ambient through the Smith normal form of its
+# generators: basis rows D*V^-1, the diagonal D, the column transform V, and
+# units, the coordinates of n*e_1, ..., n*e_m in that basis, each an integer
+# matrix but the diagonal, a list of integers
 _Lattice = namedtuple("_Lattice", "basis diagonal v units")
 
 
-def _lattice_basis(scale: int, generators: IntMatrix, arity: int) -> _Lattice:
-    # the lattice spanned by scale*e_1, ..., scale*e_m and the integer rows
-    # in generators
-    rows = [[scale if i == j else 0 for j in range(arity)] for i in range(arity)]
-    rows.extend(generators)
+def _lattice_points(ambient: QuotientType, vectors: Sequence[Sequence]
+                    ) -> tuple[_Lattice, list[tuple[list[int], list[int]] | None]]:
+    # the lattice n*N, from one Smith normal form whatever the number of
+    # vectors, and for each vector the pair (n*vector as integers, its
+    # coordinates c in the basis of n*N), or None when the vector lies
+    # outside N = Z^m + Z*(weights/n); c*D*V^-1 == n*vector gives
+    # c_j = (n*vector*V)_j / d_j
+    n, m = ambient.n, ambient.arity
+    rows = [[n if i == j else 0 for j in range(m)] for i in range(m)]
+    rows.append(list(ambient.weights))
     d, v, v_inv = smith_normal_form(rows)
-    diagonal = [d[i][i] for i in range(arity)]
-    # row l of units is row l of scale*V*D^-1, exact because every d_j
-    # divides scale
-    units = [[scale // d_j * x for x, d_j in zip(row, diagonal)] for row in v]
-    return _Lattice([[d_i * x for x in row] for d_i, row in zip(diagonal, v_inv)],
-                    diagonal, v, units)
-
-
-def _lattice_point(ambient: QuotientType,
-                   vector: Sequence) -> tuple[list[int], _Lattice, list[int]] | None:
-    # (n*vector as integers, the lattice n*N, the coordinates c of n*vector
-    # in its basis), or None when vector lies outside N = Z^m + Z*(weights/n).
-    # Every vector of N has n*vector integral, which is checked before the
-    # Smith normal form; c*D*V^-1 == n*vector gives c_j = (n*vector*V)_j / d_j
-    if len(vector) != ambient.arity:
-        raise ValueError("vector arity mismatch")
-    n = ambient.n
-    scaled = []
-    for x in vector:
-        x = _exact(x, "coordinate")
-        y, rest = divmod(x.numerator * n, x.denominator)
-        if rest:
-            return None
-        scaled.append(y)
-    lattice = _lattice_basis(n, [list(ambient.weights)], ambient.arity)
-    coords = []
-    for j, d_j in enumerate(lattice.diagonal):
-        c, rest = divmod(sum(x * row[j] for x, row in zip(scaled, lattice.v)), d_j)
-        if rest:
-            return None
-        coords.append(c)
-    return scaled, lattice, coords
+    diagonal = [d[i][i] for i in range(m)]
+    # row l of units is row l of n*V*D^-1, exact because every d_j divides n
+    lattice = _Lattice([[d_i * x for x in row] for d_i, row in zip(diagonal, v_inv)],
+                       diagonal, v, [[n // d_j * x for x, d_j in zip(row, diagonal)]
+                                     for row in v])
+    points = []
+    for vector in vectors:
+        scaled = [divmod(x.numerator * n, x.denominator)
+                  for x in (_exact(x, "coordinate") for x in vector)]
+        coords = [divmod(sum(y * row[j] for (y, _), row in zip(scaled, v)), d_j)
+                  for j, d_j in enumerate(diagonal)]
+        inside = not any(rest for _, rest in scaled + coords)
+        points.append(([y for y, _ in scaled], [c for c, _ in coords]) if inside else None)
+    return lattice, points
 
 
 def quotient_presentation(basis: IntMatrix, coords: IntMatrix,
-                          index: int | None = None) -> list[tuple[int, list[int]]]:
+                          index: int) -> list[tuple[int, list[int]]]:
     """Invariant factors of L / M.
 
     L is the lattice with the given basis rows, and M is spanned by the
     rows whose coordinates in that basis are the rows of coords.  Returns
     one (order, generator) pair per nontrivial cyclic factor, orders
     forming a divisibility chain, with each generator an integer vector of
-    L.  A known index [L : M] saves the Smith normal form when it is 1 and
-    is checked against the product of the orders otherwise.
+    L.  The index [L : M] saves the Smith normal form when it is 1 and is
+    checked against the product of the orders otherwise.
     """
     if index == 1:
         return []
@@ -273,27 +259,9 @@ def quotient_presentation(basis: IntMatrix, coords: IntMatrix,
             factors.append((order, [sum(v_inv[j][k] * basis[k][l] for k in range(arity))
                                     for l in range(arity)]))
     found = math.prod(order for order, _ in factors)
-    if index is not None and found != index:
+    if found != index:
         raise ArithmeticError(f"invariant factors of product {found}, "
                               f"not the lattice index {index}")
-    return factors
-
-
-def _cyclic_factors(lattice: _Lattice, coords: IntMatrix, denominator: int, what: str,
-                    numerators: Callable[[list[int]], list[int]],
-                    index: int | None = None) -> list[QuotientType]:
-    # the cyclic factors of lattice / coords (of the given index, if known),
-    # each a QuotientType: a generator x of order k acts with the weights
-    # k*y/denominator mod k, y running over numerators(x), each integral
-    factors = []
-    for order, x in quotient_presentation(lattice.basis, coords, index):
-        weights = []
-        for y in numerators(x):
-            w, rest = divmod(order * y, denominator)
-            if rest:
-                raise ArithmeticError(f"{what} action weight is not integral")
-            weights.append(w % order)
-        factors.append(QuotientType._reduced(order, tuple(weights)))
     return factors
 
 
@@ -335,47 +303,59 @@ def blowup_charts(ambient: QuotientType, v: Sequence) -> ChartReport:
     _check_order(ambient, m ** 4, "chart computation")
     # the lattice is n*N: its vectors stand for ambient vectors divided by n
     scale = ambient.n
-    point = _lattice_point(ambient, vv)
-    if point is None or math.gcd(*point[2]) != 1:
+    lattice, (point,) = _lattice_points(ambient, [vv])
+    if point is None or math.gcd(*point[1]) != 1:
         where = "in" if point is None else "primitive in"
         vector = "(" + ", ".join(map(str, vv)) + ")"
         raise LatticeError(f"{_excerpt(vector, str)} is not {where} the lattice of "
                            f"{_excerpt(ambient, str)}")
-    scaled_v, lattice, coords = point
+    scaled_v, coords = point
     covolume = math.prod(lattice.diagonal)
 
     # chart i divides by scale*e_l (l != i) and scale*v, of covolume
     # scale^(m-1) * scale*v_i: over the lattice's covolume, the chart's order
     charts = []
     for i in range(m):
-        # coefficients c of a generator X/scale in the cone basis
-        # {e_l (l != i), v}, with V = scale*v, over scale*V_i: c_i =
-        # scale*X_i/(scale*V_i) and c_l = (X_l*V_i - V_l*X_i)/(scale*V_i)
         v_i = scaled_v[i]
-
-        def numerators(x):
-            return [scale * x[i] if l == i else x[l] * v_i - scaled_v[l] * x[i]
-                    for l in range(m)]
-
         index, rest = divmod(scale ** (m - 1) * v_i, covolume)
         if rest:
             raise ArithmeticError(f"chart {i + 1} has a fractional lattice index")
         sub = lattice.units[:i] + lattice.units[i + 1:] + [coords]
-        charts.append(ChartGroup(tuple(_cyclic_factors(lattice, sub, scale * v_i, "chart",
-                                                       numerators, index))))
+        factors = []
+        for order, x in quotient_presentation(lattice.basis, sub, index):
+            # coefficients c of the generator x/scale in the cone basis
+            # {e_l (l != i), v}, with V = scale*v, over scale*V_i: c_i =
+            # scale*x_i/(scale*V_i) and c_l = (x_l*V_i - V_l*x_i)/(scale*V_i);
+            # the factor acts with the weights order*c mod order
+            weights = []
+            for l in range(m):
+                y = scale * x[i] if l == i else x[l] * v_i - scaled_v[l] * x[i]
+                w, rest = divmod(order * y, scale * v_i)
+                if rest:
+                    raise ArithmeticError("chart action weight is not integral")
+                weights.append(w % order)
+            factors.append(QuotientType._reduced(order, tuple(weights)))
+        charts.append(ChartGroup(tuple(factors)))
     return ChartReport(tuple(charts))
 
 
 def effective_factors(group: ChartGroup) -> list[QuotientType]:
     """Invariant-factor presentation of the effective image of a diagonal
-    action: Z^m + sum Z*(weights/n) over the factors, modulo Z^m.  The
-    kernel is divided out, so the result is faithful; an empty list means
-    the action is trivial.
+    action: Z^m + sum Z*(weights/n) over the factors, modulo Z^m, with
+    orders ascending in a divisibility chain.  The kernel is divided out,
+    so the result is faithful; an empty list means the action is trivial.
     """
     live = [f for f in group.factors if any(f.weights)]
     if not live:
         return []
     scale = math.lcm(*(f.n for f in live))
-    lattice = _lattice_basis(scale, [[scale // f.n * w for w in f.weights] for f in live],
-                             live[0].arity)
-    return _cyclic_factors(lattice, lattice.units, scale, "effective", list)
+    m = live[0].arity
+    rows = [[scale if i == j else 0 for j in range(m)] for i in range(m)]
+    rows.extend([scale // f.n * w for w in f.weights] for f in live)
+    d, _, v_inv = smith_normal_form(rows)
+    # the lattice L of these rows has basis rows d_j * (row j of V^-1) and
+    # contains scale*Z^m, whose basis rows are scale * (row j of V^-1); so
+    # L / scale*Z^m is the sum of the Z/(scale/d_j), factor j generated by
+    # d_j/scale * (row j of V^-1), which acts with the weights row j of V^-1
+    return [QuotientType(scale // d[j][j], v_inv[j]) for j in reversed(range(m))
+            if d[j][j] != scale]

@@ -41,8 +41,3 @@ def snf_calls(monkeypatch):
     """The matrices the toric layer puts into Smith normal form."""
     return _counted(monkeypatch, linalg, "smith_normal_form")
 
-
-@pytest.fixture
-def unimodular_inverses(monkeypatch):
-    """The matrices given to invert_unimodular."""
-    return _counted(monkeypatch, linalg, "invert_unimodular")

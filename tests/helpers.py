@@ -3,11 +3,12 @@
 The package reads polynomials only from model JSON (poly_from_dict); tests
 write them as text, which parse_poly reads.  reference_poly_from_dict is the
 loader poly_from_dict replaced, and mutate_model seeds one defect into a
-model file's dict.  is_primitive reads primitivity off the lattice
-coordinates the chart code computes.  reference_smith_normal_form is the
-Smith normal form linalg.smith_normal_form replaced, with the same row and
-column operations in the same order through closures, and the only source
-of the row transform u, which linalg no longer builds.  determinant expands
+model file's dict.  lattice_contains and is_primitive read membership and
+primitivity off the lattice coordinates the chart code computes.
+reference_smith_normal_form is the Smith normal form
+linalg.smith_normal_form replaced, with the same row and column operations
+in the same order through closures, and the only source of the row
+transform u, which linalg no longer builds.  determinant expands
 over permutations, so it shares no elimination with linalg.  pytest puts this directory on
 sys.path for every test module in it (the tests directory is no package),
 so ``from helpers import ...`` works under a whole-suite run, for one test
@@ -26,7 +27,7 @@ from threefold.linalg import identity_matrix
 from threefold.models import CD2Model, GERM_VARIABLES, P_VARIABLES, Q_VARIABLES
 from threefold.polynomials import (SparsePoly, _excerpt, is_json_int, json_fields,
                                    parse_rational)
-from threefold.quotients import _lattice_point
+from threefold.quotients import _lattice_points
 
 _POWER = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)(?:\^(?P<exp>[0-9]+))?")
 
@@ -179,11 +180,16 @@ def mutate_model(rng, data):
         data[name] = rng.choice(([], "x3^2", 7, None, [poly]))
 
 
+def lattice_contains(ambient, vector):
+    """Whether vector lies in the lattice of ambient, by _lattice_points."""
+    return _lattice_points(ambient, [vector])[1][0] is not None
+
+
 def is_primitive(ambient, vector):
     """Whether vector is a primitive vector of the lattice of ambient: it lies
-    in the lattice and its coordinates there, from _lattice_point, are coprime."""
-    point = _lattice_point(ambient, vector)
-    return point is not None and math.gcd(*point[2]) == 1
+    in the lattice and its coordinates there, from _lattice_points, are coprime."""
+    point = _lattice_points(ambient, [vector])[1][0]
+    return point is not None and math.gcd(*point[1]) == 1
 
 
 def reference_smith_normal_form(matrix):

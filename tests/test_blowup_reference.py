@@ -269,16 +269,16 @@ def test_one_chart_report_per_r(monkeypatch):
 
 
 def test_chart_factors_are_tested_once_per_r(monkeypatch):
-    # the chart record tests the lattice vector of each of an r's five chart
-    # factors, and later models of that r test none
+    # the chart record tests the lattice vectors of an r's five chart factors
+    # against one basis, and later models of that r test none
     tested = []
-    contains = QuotientType.lattice_contains
+    lattice_points = blowup._lattice_points
 
-    def counting(self, vector):
-        tested.append(vector)
-        return contains(self, vector)
+    def counting(ambient, vectors):
+        tested.append(len(vectors))
+        return lattice_points(ambient, vectors)
 
-    monkeypatch.setattr(QuotientType, "lattice_contains", counting)
+    monkeypatch.setattr(blowup, "_lattice_points", counting)
     blowup._chart_data.cache_clear()
     try:
         counts = []
@@ -288,7 +288,7 @@ def test_chart_factors_are_tested_once_per_r(monkeypatch):
                 counts.append(len(tested))
     finally:
         blowup._chart_data.cache_clear()
-    assert counts == [5] * 10 + [10] * 10
+    assert counts == [1] * 10 + [2] * 10 and tested == [5, 5]
 
 
 R7 = (AMBIENT, tuple(Fraction(x) for x in blowup_vector(7)))
@@ -447,19 +447,22 @@ def test_residual_groups_are_computed_once_per_r(monkeypatch):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         reports = [verify_blowup_profile(generate_model(47, seed)) for seed in range(1, 31)]
         assert calls == []
-        # the counters see the calls fresh chart data makes: one for the basis
-        # of the ambient lattice and one for each of the five charts in
-        # blowup_charts, one for the lattice test of each of the five chart
-        # factors, then one residual of two
-        blowup._chart_data.cache_clear()
-        data = blowup._chart_data(blowup_charts, QuotientType(2, (1, 1, 1, 0, 0)),
-                                  blowup_vector(47))
-        for _ in range(2):
-            data.residual(0, (1, 2, 3))
+        # the counters see the calls fresh chart data makes, whatever r is:
+        # one for the basis of the ambient lattice and one for each of the
+        # five charts in blowup_charts, one for the basis the five chart
+        # factors are tested against, then one residual of two, which takes one
+        fresh = []
+        for r in (7, 23, 47, 95):
+            calls.clear()
+            blowup._chart_data.cache_clear()
+            data = blowup._chart_data(blowup_charts, AMBIENT, blowup_vector(r))
+            for _ in range(2):
+                data.residual(0, (1, 2, 3))
+            fresh.append((calls.count("smith_normal_form"), calls.count("effective_factors")))
     finally:
         blowup._chart_data.cache_clear()
     assert all(report.passed for report in reports)
-    assert calls.count("smith_normal_form") == 13 and calls.count("effective_factors") == 1
+    assert fresh == [(8, 1)] * 4
 
 
 def test_expected_point_is_normalized_once_per_r(monkeypatch):

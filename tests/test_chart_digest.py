@@ -89,12 +89,12 @@ def test_a_dropped_invariant_factor_is_an_internal_fault(monkeypatch, capsys):
 def test_a_covolume_that_does_not_divide_a_chart_is_an_internal_fault(monkeypatch):
     # the lattice 7N of 1/7(2,5,1) has covolume 49 and chart indices 2, 5
     # and 1; a covolume of 21 leaves chart 1 a fractional index
-    lattice_point = quotients._lattice_point
+    lattice_points = quotients._lattice_points
 
-    def skewed(ambient, vector):
-        scaled, lattice, coords = lattice_point(ambient, vector)
-        return scaled, lattice._replace(diagonal=[1, 3, 7]), coords
+    def skewed(ambient, vectors):
+        lattice, points = lattice_points(ambient, vectors)
+        return lattice._replace(diagonal=[1, 3, 7]), points
 
-    monkeypatch.setattr(quotients, "_lattice_point", skewed)
+    monkeypatch.setattr(quotients, "_lattice_points", skewed)
     with pytest.raises(ArithmeticError, match="^chart 1 has a fractional lattice index$"):
         blowup_charts(QuotientType(7, (2, 5, 1)), (Fraction(2, 7), Fraction(5, 7), Fraction(1, 7)))

@@ -26,7 +26,8 @@ from threefold.quotients import (ChartGroup, LatticeError,
                                  reid_tai_is_canonical, reid_tai_is_terminal)
 from threefold.quotients import _ages_above
 
-from helpers import determinant, is_primitive, matrix_product, reference_smith_normal_form
+from helpers import (determinant, is_primitive, lattice_contains, matrix_product,
+                     reference_smith_normal_form)
 
 
 def ref_unimodular_inverse(matrix):
@@ -118,17 +119,23 @@ def ref_blowup_charts(ambient, v):
     return tuple(charts)
 
 
+def ref_action_lattice(factors, arity):
+    # scale, the lcm of the orders, and the reference basis of the lattice
+    # scale*(Z^m + sum Z*(weights/n)) over the factors, with its inverse
+    scale = math.lcm(*(f.n for f in factors))
+    sup = [[scale if i == j else 0 for j in range(arity)] for i in range(arity)]
+    sup.extend([scale // f.n * w for w in f.weights] for f in factors)
+    return scale, ref_lattice_basis(sup, arity)
+
+
 def ref_effective_factors(group, arity):
     live = [f for f in group.factors if any(w % f.n for w in f.weights)]
     if not live:
         return []
-    scale = math.lcm(*(f.n for f in live))
-    sup = [[scale if i == j else 0 for j in range(arity)] for i in range(arity)]
-    sup.extend([scale // f.n * w for w in f.weights] for f in live)
+    scale, sup_basis = ref_action_lattice(live, arity)
     sub = [[scale if i == j else 0 for j in range(arity)] for i in range(arity)]
     out = []
-    for order, generator in ref_presentation(ref_lattice_basis(sup, arity), sub, scale,
-                                              arity):
+    for order, generator in ref_presentation(sup_basis, sub, scale, arity):
         if any((x * order).denominator != 1 for x in generator):
             raise ArithmeticError("effective action weight is not integral")
         out.append(QuotientType(order, tuple(int(x * order) % order for x in generator)))
@@ -253,73 +260,84 @@ def test_blowup_charts_random_ambients():
     assert kinds == {"ok", LatticeError}
 
 
-def reference_lattice_tests(monkeypatch, cases):
-    # (answers, factors): the k-loop reference's answer to each lattice test
-    # a fresh chart record makes for the blow-ups among cases, and the number
-    # of their chart factors
-    answers = []
-
-    def reference(ambient, vector):
-        answers.append(ref_lattice_contains(ambient, vector))
-        return answers[-1]
-
-    monkeypatch.setattr(QuotientType, "lattice_contains", reference)
-    factors = 0
-    try:
-        for ambient, v in cases:
-            _chart_data.cache_clear()
-            try:
-                data = _chart_data(blowup_charts, ambient, tuple(map(Fraction, v)))
-            except LatticeError:
-                continue
-            factors += sum(len(chart.factors) for chart in data.charts)
-    finally:
-        _chart_data.cache_clear()
-    return answers, factors
+def chart_factor_vectors(cases):
+    # (ambient, u) for each factor 1/k(b) of each chart i of the blow-ups
+    # among cases: the factor acts on x_l = y_l * t^(v_l) as
+    # u = (b_l/k for l != i, 0 at i) + (b_i/k) * v
+    for ambient, v in cases:
+        v = [Fraction(x) for x in v]
+        try:
+            report = blowup_charts(ambient, v)
+        except LatticeError:
+            continue
+        for i, chart in enumerate(report.charts):
+            for k, b in chart.factors:
+                yield ambient, [(b[i] * x + (b[l] if l != i else 0)) / k for l, x in enumerate(v)]
 
 
-def test_chart_factors_act_through_random_ambient_lattices(monkeypatch):
-    # each chart factor's vector u lies in N by the reference, not by
-    # lattice_contains
-    answers, factors = reference_lattice_tests(monkeypatch, random_chart_inputs())
-    assert answers == [True] * factors and factors == 381
+def test_chart_factors_act_through_random_ambient_lattices():
+    # each chart factor's vector u lies in N by the k-loop reference
+    vectors = list(chart_factor_vectors(random_chart_inputs()))
+    assert [pair for pair in vectors if not ref_lattice_contains(*pair)] == []
+    assert len(vectors) == 381
 
 
-def test_chart_factors_act_through_the_cd2_lattice(monkeypatch):
+def test_chart_factors_act_through_the_cd2_lattice():
     cases = [(AMBIENT, blowup_vector(r)) for r in filter(valid_r, range(401))]
-    answers, factors = reference_lattice_tests(monkeypatch, cases)
-    assert answers == [True] * factors and factors >= 5 * len(cases)
+    vectors = list(chart_factor_vectors(cases))
+    assert [pair for pair in vectors if not ref_lattice_contains(*pair)] == []
+    assert len(vectors) >= 5 * len(cases)
 
 
 def test_effective_factors_random_groups():
+    # the reference's invariant factors, each factor's vector in the
+    # reference lattice, and factors that generate a group of the reference
+    # group's order, so the same group
     rng = random.Random(3)
     for _ in range(600):
         arity = rng.randint(1, 5)
         group = ChartGroup(tuple(
             QuotientType(order, tuple(rng.randint(-order, 2 * order) for _ in range(arity)))
             for order in (rng.randint(1, 30) for _ in range(rng.randint(0, 3)))))
-        assert outcome(effective_factors, group) == \
-            outcome(ref_effective_factors, group, arity), group
+        factors = effective_factors(group)
+        expected = ref_effective_factors(group, arity)
+        assert [f.n for f in factors] == [f.n for f in expected], group
+        scale, (_, basis_inv) = ref_action_lattice(group.factors, arity)
+        for k, b in factors:
+            coords = [sum(Fraction(scale * w, k) * row[j] for w, row in zip(b, basis_inv))
+                      for j in range(arity)]
+            assert all(c.denominator == 1 for c in coords), (group, b, k)
+        generated = ref_effective_factors(ChartGroup(tuple(factors)), arity)
+        assert math.prod(f.n for f in factors) == math.prod(f.n for f in expected) == \
+            math.prod(f.n for f in generated), group
 
 
 def test_chart_report_residuals_match_effective_factors():
     # every (chart, keep) pair of the cD/2 chart groups for valid r <= 400,
     # asked twice of one blow-up chart record: computed on the first call,
-    # stored after
-    pairs = 0
+    # stored after.  What a chart finding reads of a residual, its number
+    # of factors and the normalized type of a cyclic one, is the reference's;
+    # the 4950 pairs hold 2340 distinct groups, each sent to it once
+    pairs, references = 0, {}
     for r in filter(valid_r, range(401)):
         data = _chart_data(blowup_charts, AMBIENT, blowup_vector(r))
         expected = {}
         for i, chart in enumerate(data.charts):
             for keep in itertools.combinations(range(5), 3):
-                factors = effective_factors(chart.restricted(keep))
+                group = chart.restricted(keep)
+                factors = effective_factors(group)
                 qtype = factors[0].normalized() if len(factors) == 1 else None
                 expected[i, keep] = (tuple(factors), qtype)
+                if group not in references:
+                    references[group] = ref_effective_factors(group, 3)
+                reference = references[group]
+                assert len(reference) == len(factors), (r, i, keep)
+                assert qtype == (reference[0].normalized() if qtype else None), (r, i, keep)
         for _ in range(2):
             assert {pair: data.residual(*pair) for pair in expected} == expected, r
         assert data.charts == blowup_charts(AMBIENT, blowup_vector(r)).charts
         pairs += len(expected)
-    assert pairs == 4950
+    assert (pairs, len(references)) == (4950, 2340)
 
 
 # -- unimodular inverses ---------------------------------------------------------
@@ -539,7 +557,7 @@ def test_lattice_tests_match_the_k_loops():
         elif shape == 3:
             v[rng.randrange(m)] += Fraction(1, rng.randint(2, 3 * n))
         expected = (ref_lattice_contains(ambient, v), ref_is_primitive(ambient, v))
-        assert (ambient.lattice_contains(v), is_primitive(ambient, v)) == expected, \
+        assert (lattice_contains(ambient, v), is_primitive(ambient, v)) == expected, \
             (ambient, v)
         kinds.add(expected)
         if all(x > 0 for x in v):
