@@ -287,8 +287,8 @@ def verify_blowup_profile(model: CD2Model) -> ValidationReport:
     A model failing validation is rejected before any blow-up runs.  The
     blow-up must have discrepancy exactly 2, E^3 exactly 1/r, no charts
     needing manual analysis, and exactly one non-smooth finding at the five
-    chart origins, a quotient point of type 1/(2r)(1, 2r-1, r+4);
-    one_singular_point sees no other point of E.
+    chart origins, a quotient point of type 1/(2r)(1, 2r-1, r+4).
+    one_singular_point looks only at those origins (ROADMAP item 2).
     """
     validation, report = _validated_blowup(model)
     if report is None:

@@ -16,7 +16,6 @@ import functools
 import json
 import sys
 from collections.abc import Callable
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
 
 from .blowup import MANUAL, _validated_blowup
@@ -25,7 +24,7 @@ from .dimensions import (DimensionTable, InconsistencyError, check_decomposition
                          degree_points, solve_correction, WellDefinednessError)
 from .models import (GENERATE_STEP_LIMIT, CD2Model, CheckResult, ValidationReport,
                      generate_model, validate_model)
-from .polynomials import DIGIT_LIMIT, _excerpt, check_digits, parse_rational
+from .polynomials import DIGIT_LIMIT, check_digits, parse_rational
 from .quotients import (QUOTIENT_ORDER_LIMIT, QuotientType, blowup_charts,
                         reid_tai_is_canonical, reid_tai_is_terminal)
 
@@ -111,13 +110,6 @@ def emit(payload: dict, args, table: Callable[[], str]) -> None:
         print(_dumps(payload))
     else:
         print(table())
-
-
-def _parse_weights(text: str) -> tuple[Fraction, ...]:
-    try:
-        return tuple(parse_rational(part.strip(), "weight") for part in text.split(","))
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in weights {_excerpt(text)}") from None
 
 
 def _integer(text: str) -> int:
@@ -256,7 +248,7 @@ def cmd_terminal(args) -> int:
 
 def cmd_charts(args) -> int:
     ambient = QuotientType.parse(args.ambient)
-    v = _parse_weights(args.weights)
+    v = tuple(parse_rational(part.strip(), "weight") for part in args.weights.split(","))
     report = blowup_charts(ambient, v)
     payload = {
         "ambient": str(ambient),

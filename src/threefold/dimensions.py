@@ -208,16 +208,6 @@ def closed_form_profile(r: int) -> CorrectionProfile:
     return CorrectionProfile(r, delta)
 
 
-def orbit(start: int, period: int) -> list[int]:
-    """The orbit of k -> k+2 on Z/period starting at `start`."""
-    out = [start % period]
-    k = (start + 2) % period
-    while k != out[0]:
-        out.append(k)
-        k = (k + 2) % period
-    return out
-
-
 def solve_correction(profile: CorrectionProfile) -> dict[int, Fraction]:
     """Reconstruct the periodic correction term B from its difference profile.
 
@@ -232,7 +222,7 @@ def solve_correction(profile: CorrectionProfile) -> dict[int, Fraction]:
         raise ValueError(f"profile does not cover residues {missing}")
     table: dict[int, Fraction] = {}
     for start in (0, 1):
-        cycle = orbit(start, period)
+        cycle = range(start, period, 2)
         total = sum(profile.delta[k] for k in cycle)
         if total != 0:
             raise InconsistencyError(

@@ -18,9 +18,16 @@ def identity_matrix(n: int) -> IntMatrix:
     return rows
 
 
+def _not_float(x):
+    # x, unless it is a float: inexact as written, it is refused as polynomials._exact does
+    if isinstance(x, float):
+        raise ValueError(f"matrix entry {x!r} is a float, not an exact rational")
+    return x
+
+
 def _integer_rows(matrix: Sequence[Sequence[int]]) -> IntMatrix:
-    # matrix as lists of ints; ragged, or with an entry unequal to its int(), is refused
-    d = [[x if type(x) is int else int(x) for x in row] for row in matrix]
+    # matrix as lists of ints; ragged, or with a float or an entry unequal to its int(), is refused
+    d = [[x if type(x) is int else int(_not_float(x)) for x in row] for row in matrix]
     if any(len(row) != len(d[0]) for row in d):
         raise ValueError("ragged matrix")
     if d != matrix and any(row != list(src) for row, src in zip(d, matrix)):
@@ -33,8 +40,8 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]
     """Diagonalize an integer matrix by unimodular row and column operations:
     (d, v, v_inv) with u*matrix*v == d for a unimodular u that is not built,
     d diagonal with non-negative entries d[0][0] | d[1][1] | ..., and v_inv
-    the inverse of the unimodular v.  An entry unequal to its int(), such as
-    Fraction(3, 2), raises ValueError."""
+    the inverse of the unimodular v.  A float, or an entry unequal to its
+    int(), such as Fraction(3, 2), raises ValueError."""
     d = _integer_rows(matrix)
     m = len(d)
     n = len(d[0]) if m else 0
@@ -96,6 +103,11 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]
     return d, v, v_inv
 
 
+def _rational_rows(matrix: Sequence[Sequence]) -> list[list[Fraction]]:
+    # matrix as lists of Fractions, Fraction entries as they are; a float is refused
+    return [[x if type(x) is Fraction else Fraction(_not_float(x)) for x in row] for row in matrix]
+
+
 def _echelon(a: list[list[Fraction]]) -> tuple[list[int], int]:
     # forward elimination of the rows of a, in place, to row echelon form:
     # its pivot columns and the number of row swaps it took
@@ -120,7 +132,7 @@ def _echelon(a: list[list[Fraction]]) -> tuple[list[int], int]:
 def invert_rational(matrix: Sequence[Sequence]) -> list[list[Fraction]]:
     """Exact inverse of a square matrix with rational entries."""
     n = len(matrix)
-    a = [[Fraction(x) for x in row] for row in matrix]
+    a = _rational_rows(matrix)
     if any(len(row) != n for row in a):
         raise ValueError("not square")
     a = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
@@ -148,7 +160,7 @@ def invert_unimodular(matrix: Sequence[Sequence[int]]) -> IntMatrix:
 
 def rational_determinant(matrix: Sequence[Sequence]) -> Fraction:
     """Determinant of a square matrix with rational entries."""
-    a = [[Fraction(x) for x in row] for row in matrix]
+    a = _rational_rows(matrix)
     if any(len(row) != len(a) for row in a):
         raise ValueError("not square")
     # the signed diagonal of the echelon form, whose last row is 0 if the rank is short
@@ -159,7 +171,5 @@ def rational_determinant(matrix: Sequence[Sequence]) -> Fraction:
 def pivot_columns(matrix: Sequence[Sequence]) -> tuple[int, ...]:
     """Pivot columns of the row echelon form of a rational matrix: as many as
     the rank, and the lexicographically first set of linearly independent
-    columns spanning the column space.  Fraction entries are taken as they
-    are; any other entry is converted."""
-    a = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in matrix]
-    return tuple(_echelon(a)[0])
+    columns spanning the column space."""
+    return tuple(_echelon(_rational_rows(matrix))[0])

@@ -115,8 +115,8 @@ def check_required_monomials(model: CD2Model) -> tuple[CheckResult, CheckResult]
     need = required_monomials(model.r)
     p_ok = model.p.coefficient(need["p"]) != 0
     q_ok = model.q.coefficient(need["q"]) != 0
-    p_mono = SparsePoly.monomial(P_VARIABLES, need["p"])
-    q_mono = SparsePoly.monomial(Q_VARIABLES, need["q"])
+    p_mono = SparsePoly(P_VARIABLES, {need["p"]: 1})
+    q_mono = SparsePoly(Q_VARIABLES, {need["q"]: 1})
     return (
         CheckResult("required_p_monomial", p_ok,
                     f"{p_mono} {'present in' if p_ok else 'missing from'} p"),

@@ -61,11 +61,6 @@ class SparsePoly:
         object.__setattr__(poly, "terms", terms)
         return poly
 
-    @classmethod
-    def monomial(cls, variables: Iterable[str], exponents: Iterable[int]) -> "SparsePoly":
-        """The monomial of these exponents, with coefficient 1."""
-        return cls(variables, {tuple(exponents): 1})
-
     # -- queries -----------------------------------------------------------
 
     @property
@@ -269,16 +264,12 @@ def polynomial_sqrt(p: SparsePoly) -> SparsePoly | None:
     root_terms: dict[tuple[int, ...], Fraction] = {half: lead_coeff}
     remainder = dict(p.terms)
     del remainder[lead]
-    previous = None
     steps = 0
     while remainder:
         top = max(remainder)
         exps = tuple(a - b for a, b in zip(top, half))
         if any(e < 0 for e in exps):
             return None
-        if previous is not None and exps >= previous:
-            return None
-        previous = exps
         steps += len(root_terms) + 1
         if steps > SQRT_STEP_LIMIT:
             raise ValueError(f"the square root of a polynomial of {len(p.terms)} terms takes "
@@ -377,20 +368,22 @@ def _exact(x, what: str) -> Fraction:
 def parse_rational(x, what: str) -> Fraction:
     """A JSON integer, or a string "n" or "p/q" of ASCII digits with an
     optional leading minus, as a Fraction.  Any other value (exponent or
-    decimal notation, underscores, spaces, a plus sign) or more than
-    DIGIT_LIMIT digits raise ValueError naming it as `what`; a zero
-    denominator raises ZeroDivisionError."""
-    return Fraction(x) if is_json_int(x) else _parse_rational_text(x, what)
-
-
-def _parse_rational_text(x, what: str) -> Fraction:
-    # parse_rational of anything but a JSON integer
+    decimal notation, underscores, spaces, a plus sign), more than
+    DIGIT_LIMIT digits or a zero denominator raise ValueError naming it as
+    `what`, in that order."""
+    if is_json_int(x):
+        return Fraction(x)
     match = _RATIONAL.fullmatch(x) if isinstance(x, str) else None
     if match is None:
         raise ValueError(f"{what} {_excerpt(x)} is not an integer or a 'p/q' string")
     check_digits(x, what)
     numerator, denominator = match.groups()
-    return Fraction(int(numerator), int(denominator)) if denominator else Fraction(int(numerator))
+    if denominator is None:
+        return Fraction(int(numerator))
+    denominator = int(denominator)
+    if not denominator:
+        raise ValueError(f"{what} {_excerpt(x)} has a zero denominator")
+    return Fraction(int(numerator), denominator)
 
 
 def json_fields(data, what: str, *keys: str) -> list:
@@ -446,10 +439,7 @@ def poly_from_dict(data: Mapping) -> SparsePoly:
                              f"list 'e' and an integer or 'p/q' string 'c', got {_excerpt(t)}")
         if exps in clean or exps in dropped:
             raise ValueError(f"exponent vector {_excerpt(e, str)} appears twice in a polynomial")
-        try:
-            coeff = _parse_rational_text(c, "coefficient") if isinstance(c, str) else Fraction(c)
-        except ZeroDivisionError:
-            raise ValueError(f"coefficient {_excerpt(c)} has a zero denominator") from None
+        coeff = parse_rational(c, "coefficient")
         if coeff:
             clean[exps] = coeff
         else:

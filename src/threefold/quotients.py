@@ -202,10 +202,10 @@ def reid_tai_is_canonical(q: QuotientType) -> bool:
 
 
 # the lattice n*N of an ambient through the Smith normal form of its
-# generators: basis rows D*V^-1, the diagonal D, the column transform V, and
-# units, the coordinates of n*e_1, ..., n*e_m in that basis, each an integer
-# matrix but the diagonal, a list of integers
-_Lattice = namedtuple("_Lattice", "basis diagonal v units")
+# generators: basis rows D*V^-1, the diagonal D, and units, the coordinates
+# of n*e_1, ..., n*e_m in that basis, each an integer matrix but the
+# diagonal, a list of integers
+_Lattice = namedtuple("_Lattice", "basis diagonal units")
 
 
 def _lattice_points(ambient: QuotientType, vectors: Sequence[Sequence]
@@ -221,9 +221,8 @@ def _lattice_points(ambient: QuotientType, vectors: Sequence[Sequence]
     d, v, v_inv = smith_normal_form(rows)
     diagonal = [d[i][i] for i in range(m)]
     # row l of units is row l of n*V*D^-1, exact because every d_j divides n
-    lattice = _Lattice([[d_i * x for x in row] for d_i, row in zip(diagonal, v_inv)],
-                       diagonal, v, [[n // d_j * x for x, d_j in zip(row, diagonal)]
-                                     for row in v])
+    lattice = _Lattice([[d_i * x for x in row] for d_i, row in zip(diagonal, v_inv)], diagonal,
+                       [[n // d_j * x for x, d_j in zip(row, diagonal)] for row in v])
     points = []
     for vector in vectors:
         scaled = [divmod(x.numerator * n, x.denominator)

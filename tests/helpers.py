@@ -148,10 +148,7 @@ def reference_poly_from_dict(data):
         exps = tuple(e)
         if exps in clean:
             raise ValueError(f"exponent vector {_excerpt(e, str)} appears twice in a polynomial")
-        try:
-            clean[exps] = parse_rational(c, "coefficient")
-        except ZeroDivisionError:
-            raise ValueError(f"coefficient {_excerpt(c)} has a zero denominator") from None
+        clean[exps] = parse_rational(c, "coefficient")
     return SparsePoly(variables, clean)
 
 
@@ -192,13 +189,21 @@ def is_primitive(ambient, vector):
     return point is not None and math.gcd(*point[1]) == 1
 
 
+def refuse_float(x):
+    """x, or ValueError when it is a float, which is inexact as written."""
+    if isinstance(x, float):
+        raise ValueError(f"matrix entry {x!r} is a float, not an exact rational")
+    return x
+
+
 def reference_smith_normal_form(matrix):
     """(u, d, v, v_inv) with u*matrix*v == d, as linalg.smith_normal_form
     computed them before it was inlined and dropped u: one closure per row
     or column operation, a pivot search over the whole remaining block, and
     the divisibility chain checked for every pivot.  The operations come in
-    the same order, so u also fits the (d, v, v_inv) linalg returns."""
-    d = [[int(x) for x in row] for row in matrix]
+    the same order, so u also fits the (d, v, v_inv) linalg returns.  A
+    float entry is refused where int() would read it."""
+    d = [[int(refuse_float(x)) for x in row] for row in matrix]
     m = len(d)
     n = len(d[0]) if m else 0
     if any(len(row) != n for row in d):

@@ -198,7 +198,7 @@ class TestChartSingularities:
         germ = model_germ(model)
         v = blowup_vector(9)
         baseline = analyze_blowup(germ, v).chart_findings
-        x3_12 = SparsePoly.monomial(V5, (0, 0, 12, 0, 0))
+        x3_12 = SparsePoly(V5, {(0, 0, 12, 0, 0): 1})
         perturbed = CIGerm(germ.ambient, germ.variables,
                            (germ.equations[0] + x3_12, germ.equations[1]))
         assert analyze_blowup(perturbed, v).chart_findings == baseline

@@ -361,7 +361,7 @@ class TestCharts:
     def test_zero_denominator_is_input_error(self, capsys):
         code, out, err = run(capsys, "charts", "--ambient", "1/2(1,1,1,0,0)",
                              "--weights", "1/0,1,1,1,1")
-        assert (code, out) == (2, "") and "error: zero denominator" in err
+        assert (code, out, err) == (2, "", "error: weight '1/0' has a zero denominator\n")
 
     @pytest.mark.parametrize("weight", ["1e5", "1.5", "1_0", "+4", "1e200000"])
     def test_weights_outside_the_grammar_are_input_errors(self, capsys, weight):
@@ -623,7 +623,7 @@ class TestModelPipeline:
         ('{"r": [1], "p": {"vars": [], "terms": []}, "q": {"vars": [], "terms": []}}',
          "r must be a JSON integer"),
         ('{"r": 7, "p": {"vars": ["x2"], "terms": [{"e": [2], "c": "1/0"}]}, '
-         '"q": {"vars": [], "terms": []}}', "zero denominator"),
+         '"q": {"vars": [], "terms": []}}', "error: coefficient '1/0' has a zero denominator\n"),
         ('{"r": 7, "p": {"vars": ["x2", "x3", "x4"], "terms": [{"c": 1, "e": [0, 4, 0]}, '
          '{"c": 2, "e": [0, 4, 0]}]}, "q": {"vars": [], "terms": []}}',
          "exponent vector [0, 4, 0] appears twice"),
@@ -693,6 +693,30 @@ class TestModelPipeline:
     def test_missing_file_exits_two(self, capsys, tmp_path):
         code, _, err = run(capsys, "blowup", "--model", str(tmp_path / "nope.json"))
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_strict_remark_without_the_congruence(self, capsys, tmp_path, fmt):
+        # r = 11 is 3 mod 8: no monomials are forced, so the strict check fails
+        path = tmp_path / "r11.json"
+        path.write_text('{"r": 11, "p": {"vars": ["x3"], "terms": [{"c": 1, "e": [6]}]}, '
+                        '"q": {"vars": ["x4"], "terms": [{"c": 1, "e": [10]}]}}')
+        code, out, err = run(capsys, "--format", fmt, "validate", "--model", str(path),
+                             "--strict-remark")
+        assert (code, err) == (1, "")
+        if fmt == "json":
+            assert json.loads(out)["checks"][-1] == {
+                "name": "required_monomials", "passed": False,
+                "detail": "congruence fails, forced monomials undefined"}
+        else:
+            assert out.splitlines()[-1].split(None, 2) == [
+                "required_monomials", "FAIL", "congruence fails, forced monomials undefined"]
+
+    def test_generate_rejects_a_negative_extra_degree(self, capsys, tmp_path):
+        path = tmp_path / "x.json"
+        code, out, err = run(capsys, "generate", "--r", "7", "--seed", "0", "--extra", "-1",
+                             "--out", str(path))
+        assert (code, out, err) == (2, "", "error: extra_degree must be non-negative\n")
+        assert not path.exists()
 
     def test_generate_rejects_bad_r(self, capsys, tmp_path):
         code, _, err = run(capsys, "generate", "--r", "12", "--seed", "0",

@@ -7,8 +7,7 @@ from threefold.dimensions import (CorrectionProfile, DimensionTable,
                                   InconsistencyError, WellDefinednessError,
                                   check_decomposition, correction_profile,
                                   degree_point_count, degree_points,
-                                  graded_dimension, orbit,
-                                  solve_correction)
+                                  graded_dimension, solve_correction)
 
 
 def brute_force_points(r, i):
@@ -184,7 +183,7 @@ class TestCorrectionProfile:
     def test_orbit_sums_vanish(self):
         profile = correction_profile(9, 100)
         for start in (0, 1):
-            assert sum(profile.delta[k] for k in orbit(start, 18)) == 0
+            assert sum(profile.delta[k] for k in range(start, 18, 2)) == 0
 
     def test_denominators_divide_r(self):
         profile = correction_profile(7, 42)

@@ -304,7 +304,7 @@ class TestJson:
             if isinstance(c, str):
                 with pytest.raises(ValueError, match=message):
                     poly_from_dict({"vars": ["x1"], "terms": [{"c": c, "e": [1]}]})
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ValueError, match="^weight '1/0' has a zero denominator$"):
             parse_rational("1/0", "weight")
 
     def test_digit_limit(self):
@@ -348,7 +348,7 @@ class TestJson:
             value = parse_rational(text, "coefficient")
             assert type(value) is Fraction and value == Fraction(text), text
         for text in ("1/0", "-5/000", "0/0"):
-            with pytest.raises(ZeroDivisionError):
+            with pytest.raises(ValueError, match=f"^coefficient '{text}' has a zero denominator$"):
                 parse_rational(text, "coefficient")
         # the digit count is checked before int() reads the numeral, so a
         # numeral past int()'s own 4300-digit bound gets the same message

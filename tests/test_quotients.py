@@ -11,7 +11,8 @@ from threefold.linalg import (identity_matrix, invert_rational, invert_unimodula
                               pivot_columns, rational_determinant, smith_normal_form)
 from threefold.quotients import (ChartGroup, LatticeError,
                                  QuotientType, blowup_charts, effective_factors,
-                                 reid_tai_is_canonical, reid_tai_is_terminal)
+                                 quotient_presentation, reid_tai_is_canonical,
+                                 reid_tai_is_terminal)
 
 from helpers import (determinant, is_primitive, lattice_contains, matrix_product,
                      reference_smith_normal_form)
@@ -275,6 +276,15 @@ class TestRationalElimination:
         with pytest.raises(ValueError, match="^not square$"):
             invert_rational(matrix)
 
+    @pytest.mark.parametrize("compute", [smith_normal_form, pivot_columns, invert_rational,
+                                         invert_unimodular, rational_determinant])
+    def test_float_entries_are_refused(self, compute):
+        # Fraction(0.1) would read the binary 3602879701896397/2^55 as exact
+        for matrix, bad in (([[0.1]], 0.1), ([[1, 0], [Fraction(1, 2), 2.0]], 2.0)):
+            with pytest.raises(ValueError, match=f"^matrix entry {bad} is a float, "
+                                                 "not an exact rational$"):
+                compute(matrix)
+
     def test_determinant_and_inverse_against_the_permutation_expansion(self):
         # seeded square matrices up to 5 x 5 with int and Fraction entries,
         # a third of them made singular by a dependent row
@@ -423,6 +433,14 @@ class TestCharts:
             report = blowup_charts(amb, v)
             for i, chart in enumerate(report.charts):
                 assert chart.order == v[i] * index
+
+
+class TestQuotientPresentation:
+    @pytest.mark.parametrize("coords", [[[2, 0]], [[1, 2], [2, 4]], [[2, 0], [0, 0], [4, 0]]],
+                             ids=["too_few_rows", "dependent_rows", "rank_short"])
+    def test_an_infinite_quotient_is_refused(self, coords):
+        with pytest.raises(ValueError, match="^quotient is not finite$"):
+            quotient_presentation([[1, 0], [0, 1]], coords, 4)
 
 
 class TestEffectiveFactors:

@@ -406,9 +406,14 @@ def test_invert_unimodular_rejects_what_the_determinant_rejects():
 
 
 def test_smith_normal_form_refuses_non_integral_entries():
-    # int() would read the first as diag(1, 2)
-    for matrix in ([[Fraction(3, 2), 0], [0, 2.9]], [[1, 0], [0, 2.9]], [["2"]]):
+    # int() would read the first as diag(1, 2), and the float ones as integers
+    for matrix in ([[Fraction(3, 2), 0], [0, 2]], [["2"]]):
         with pytest.raises(ValueError, match="^matrix is not integral$"):
+            smith_normal_form(matrix)
+    for matrix, bad in (([[Fraction(3, 2), 0], [0, 2.9]], 2.9), ([[1, 0], [0, 2.9]], 2.9),
+                        ([[2.0, 4], [6, 8]], 2.0)):
+        with pytest.raises(ValueError, match=f"^matrix entry {bad} is a float, not an exact "
+                                             "rational$"):
             smith_normal_form(matrix)
     d, _, _ = smith_normal_form([[Fraction(4, 2), 0], [0, 3]])
     assert d == [[1, 0], [0, 6]]
@@ -445,7 +450,12 @@ def test_smith_normal_form_fails_as_the_reference_does(matrix):
         except (TypeError, ValueError) as exc:
             return type(exc), str(exc)
 
-    assert result(smith_normal_form) == result(reference_smith_normal_form)
+    got = result(smith_normal_form)
+    assert got == result(reference_smith_normal_form)
+    floats = [x for row in matrix for x in row if isinstance(x, float)]
+    if floats:
+        # int() reads 2.5 as 2 and 3.0 as 3; a float is refused instead
+        assert got == (ValueError, f"matrix entry {floats[0]!r} is a float, not an exact rational")
 
 
 # -- Reid-Tai verdicts against the age loop ---------------------------------------
