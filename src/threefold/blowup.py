@@ -103,9 +103,10 @@ def _term_powers(eq: SparsePoly, scaled: tuple[int, ...]
     return terms, shift
 
 
-class _ChartData(namedtuple("_ChartData", "charts scaled denominator residuals")):
+class _ChartData(namedtuple("_ChartData", "charts scaled denominator residuals findings")):
     # the chart groups, scaled = v times denominator, the least common
-    # denominator of v, and the residual store of residual()
+    # denominator of v, the residual store of residual() and the finding
+    # store of off_germ() and settled()
     __slots__ = ()
 
     def residual(self, chart: int, keep: tuple[int, ...]):
@@ -117,6 +118,35 @@ class _ChartData(namedtuple("_ChartData", "charts scaled denominator residuals")
             qtype = factors[0].normalized() if len(factors) == 1 else None
             found = self.residuals[chart, keep] = (factors, qtype)
         return found
+
+    def off_germ(self, variable: str, equation: int) -> ChartFinding:
+        """The SMOOTH finding of the chart origin of variable when equation
+        has a nonzero constant term there; built once per pair."""
+        found = self.findings.get((variable, equation))
+        if found is None:
+            found = self.findings[variable, equation] = ChartFinding(
+                variable, SMOOTH,
+                detail=f"equation {equation} has a nonzero constant term; origin is off the germ")
+        return found
+
+    def settled(self, chart: int, variable: str, keep: tuple[int, ...]) -> ChartFinding | None:
+        """The finding of chart's origin, named variable, when independent
+        linear terms leave the coordinates in keep: SMOOTH for a trivial
+        residual group, QUOTIENT for a cyclic one, and None for one that is
+        not cyclic, whose MANUAL finding holds the model's linear terms;
+        built once per triple."""
+        key = (chart, variable, keep)
+        if key not in self.findings:
+            residual, qtype = self.residual(chart, keep)
+            if not residual:
+                found = ChartFinding(variable, SMOOTH, detail="residual group is trivial")
+            elif qtype is not None:
+                found = ChartFinding(variable, QUOTIENT, qtype,
+                                     detail=f"quotient point of type {qtype}")
+            else:
+                found = None
+            self.findings[key] = found
+        return self.findings[key]
 
 
 @lru_cache(maxsize=64)
@@ -144,7 +174,7 @@ def _chart_data(compute, ambient: QuotientType, v: tuple[Fraction, ...]) -> _Cha
                                       f"act through the lattice of {_excerpt(ambient, str)}")
     denominator = math.lcm(*(x.denominator for x in v))
     scaled = tuple(x.numerator * (denominator // x.denominator) for x in v)
-    return _ChartData(report.charts, scaled, denominator, {})
+    return _ChartData(report.charts, scaled, denominator, {}, {})
 
 
 def _matrix_str(rows) -> str:
@@ -189,22 +219,15 @@ def chart_singularities(germ: CIGerm, data: _ChartData,
     findings = []
     for i, var in enumerate(germ.variables):
         if i in off:
-            findings.append(ChartFinding(var, SMOOTH,
-                                         detail=f"equation {off[i]} has a nonzero "
-                                                f"constant term; origin is off the germ"))
+            findings.append(data.off_germ(var, off[i]))
             continue
 
         linear = [_linear_terms(terms, i, m, denominator) for terms in selected]
         chosen = pivot_columns(linear)
         if len(chosen) == len(linear):
-            residual, qtype = data.residual(i, tuple(l for l in range(m) if l not in chosen))
-            if not residual:
-                findings.append(ChartFinding(var, SMOOTH,
-                                             detail="residual group is trivial"))
-                continue
-            if qtype is not None:
-                findings.append(ChartFinding(var, QUOTIENT, qtype,
-                                             detail=f"quotient point of type {qtype}"))
+            found = data.settled(i, var, tuple(l for l in range(m) if l not in chosen))
+            if found is not None:
+                findings.append(found)
                 continue
             reason = "residual group is not cyclic"
         else:

@@ -17,19 +17,13 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 from .polynomials import (SparsePoly, _excerpt, detect_square_form, is_json_int,
-                          is_semi_invariant, json_fields, poly_from_dict, poly_to_dict,
-                          scaled_term_weights, weighted_order)
+                          json_fields, poly_from_dict, poly_to_dict)
 from .quotients import QuotientType
 
 GERM_VARIABLES = ("x1", "x2", "x3", "x4", "x5")
 P_VARIABLES = ("x2", "x3", "x4")
 Q_VARIABLES = ("x1", "x3", "x4")
 AMBIENT = QuotientType(2, (1, 1, 1, 0, 0))
-# the ambient action on the variables of p and of q, one weight per
-# variable in their order
-_P_ACTION, _Q_ACTION = (
-    QuotientType(AMBIENT.n, tuple(AMBIENT.weights[GERM_VARIABLES.index(v)] for v in names))
-    for names in (P_VARIABLES, Q_VARIABLES))
 
 
 def model_weights(r: int) -> dict[str, int]:
@@ -125,6 +119,21 @@ def check_required_monomials(model: CD2Model) -> tuple[CheckResult, CheckResult]
     )
 
 
+def _weights_and_parity(poly: SparsePoly, weights: list[int]) -> tuple[list[int], bool]:
+    """The integer weight of each term of poly, a polynomial over
+    P_VARIABLES or Q_VARIABLES, under their three weights, in terms order;
+    and whether every term has even total degree in the first two
+    variables.  Those are the two of x1, x2, x3, which the half-twist
+    AMBIENT negates, so that is semi-invariance of character 0."""
+    wa, wb, wc = weights
+    found = []
+    odd = 0
+    for a, b, c in poly.terms:
+        found.append(a * wa + b * wb + c * wc)
+        odd |= a ^ b  # its lowest bit is set once some a + b is odd
+    return found, not odd & 1
+
+
 def validate_model(model: CD2Model, strict: bool = False) -> ValidationReport:
     """Run every model invariant as a named check; failures are report
     entries, and only a square-root peel past its limit raises ValueError.
@@ -137,21 +146,22 @@ def validate_model(model: CD2Model, strict: bool = False) -> ValidationReport:
     checks.append(CheckResult("congruence", congruence,
                               f"r={r}, r mod 8 = {r % 8}"))
 
+    p_weights, p_even = _weights_and_parity(model.p, [weights[v] for v in P_VARIABLES])
+    q_weights, q_even = _weights_and_parity(model.q, [weights[v] for v in Q_VARIABLES])
+
     # the zero polynomial has no monomial, so its weighted order is infinite
-    p_order = "infinite" if model.p.is_zero else weighted_order(model.p, weights)
+    p_order = "infinite" if model.p.is_zero else min(p_weights)
     checks.append(CheckResult("p_order", model.p.is_zero or p_order > r,
                               f"weighted order of p is {p_order}, needs > {r}"))
 
-    q_powers, scale = scaled_term_weights(model.q, weights)
-    q_homogeneous = bool(q_powers) and all(w == (r - 1) * scale for w in q_powers)
-    q_weights = sorted(Fraction(w, scale) for w in set(q_powers))
+    q_homogeneous = bool(q_weights) and all(w == r - 1 for w in q_weights)
+    listed = ", ".join(map(str, sorted(set(q_weights))))
     checks.append(CheckResult("q_weight", q_homogeneous,
-                              f"q term weights [{', '.join(map(str, q_weights))}], "
-                              f"needs exactly {{{r - 1}}}"))
+                              f"q term weights [{listed}], needs exactly {{{r - 1}}}"))
 
-    checks.append(CheckResult("p_parity", is_semi_invariant(model.p.terms, _P_ACTION) == 0,
+    checks.append(CheckResult("p_parity", p_even,
                               "p must have even total degree in x2, x3 in every term"))
-    checks.append(CheckResult("q_parity", is_semi_invariant(model.q.terms, _Q_ACTION) == 0,
+    checks.append(CheckResult("q_parity", q_even,
                               "q must have even total degree in x1, x3 in every term"))
 
     # q a constant times a square over C makes E reducible

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from threefold import blowup, models, quotients
+from threefold import blowup, quotients
 from threefold.blowup import (BlowupReport, CIGerm, ChartFinding, MANUAL, QUOTIENT, SMOOTH,
                               analyze_blowup, model_germ, verify_blowup_profile)
 from threefold.cli import main
@@ -231,6 +231,12 @@ def test_random_germs_match_reference():
     assert min(seen.values()) >= 5, seen
 
 
+def bindings(name, function):
+    """The names of the threefold modules that bind function as name."""
+    return [key for key, module in list(sys.modules.items())
+            if key.partition(".")[0] == "threefold" and getattr(module, name, None) is function]
+
+
 def test_orders_come_from_the_term_powers(monkeypatch):
     # the orders are the shifts of the strict transforms: no threefold module
     # asks weighted_order for them
@@ -241,9 +247,7 @@ def test_orders_come_from_the_term_powers(monkeypatch):
     def no_weighted_order(p, weights):
         raise AssertionError("weighted_order called")
 
-    bound = [name for name, module in list(sys.modules.items())
-             if name.partition(".")[0] == "threefold"
-             and getattr(module, "weighted_order", None) is weighted_order]
+    bound = bindings("weighted_order", weighted_order)
     assert "threefold.polynomials" in bound
     for name in bound:
         monkeypatch.setattr(sys.modules[name], "weighted_order", no_weighted_order)
@@ -480,6 +484,49 @@ def test_expected_point_is_normalized_once_per_r(monkeypatch):
     assert normalized == []
 
 
+def test_later_models_read_their_findings_from_the_record():
+    # the chart record builds each smooth and quotient finding once; the
+    # second and later models of an r hand out those very findings, and
+    # still find what the reference builds afresh for every germ
+    blowup._chart_data.cache_clear()
+    try:
+        for r in (7, 9, 17, 23):
+            v = blowup_vector(r)
+            analyze_blowup(model_germ(generate_model(r, 0)), v)
+            data = blowup._chart_data(blowup_charts, AMBIENT, v)
+            for seed in range(1, 8):
+                family = model_germ(generate_model(r, seed))
+                report = analyze_blowup(family, v)
+                assert report == reference_report(family, v), (r, seed)
+                stored = list(data.findings.values())
+                assert all(any(f is g for g in stored) for f in report.chart_findings)
+    finally:
+        blowup._chart_data.cache_clear()
+
+
+def test_record_findings_are_keyed_on_the_variable_name():
+    # a germ with renamed variables, or with its equations swapped, shares
+    # the ambient and v, and so the chart record, of the model germ; its
+    # findings name its own variables and equations
+    v = blowup_vector(23)
+    family = model_germ(generate_model(23, 6))
+    names = ("y1", "y2", "y3", "y4", "y5")
+    renamed = CIGerm(AMBIENT, names,
+                     [SparsePoly(names, eq.terms) for eq in family.equations])
+    swapped = CIGerm(AMBIENT, GERM_VARIABLES, family.equations[::-1])
+    blowup._chart_data.cache_clear()
+    try:
+        for case in (family, renamed, swapped, family):
+            expected = reference_report(case, v)
+            assert analyze_blowup(case, v) == expected
+            assert [f.variable for f in expected.chart_findings] == list(case.variables)
+    finally:
+        blowup._chart_data.cache_clear()
+    assert [f.detail for f in analyze_blowup(swapped, v).chart_findings][:2] == [
+        "equation 1 has a nonzero constant term; origin is off the germ",
+        "equation 0 has a nonzero constant term; origin is off the germ"]
+
+
 def test_chart_analysis_builds_no_polynomial(monkeypatch):
     # strict transforms are term lists: the five charts of a model build no
     # SparsePoly, with the chart groups computed afresh or from the cache.
@@ -565,19 +612,22 @@ def test_loading_a_model_runs_no_polynomial_constructor(monkeypatch):
             [(tuple(e[k] for k in order), c) for e, c in eq.terms.items()] for eq in eqs]
 
 
-def test_profile_asks_two_semi_invariance_questions_per_model(monkeypatch):
-    # p_parity and q_parity; the germ of a valid model is not asked again
+def test_profile_asks_no_semi_invariance_question(monkeypatch):
+    # validate_model reads p_parity and q_parity in its one pass over the
+    # terms, and the germ of a valid model is not asked again
     calls = []
 
     def counting(exponents, action):
         calls.append(action)
         return is_semi_invariant(exponents, action)
 
-    for module in (models, blowup):
-        monkeypatch.setattr(module, "is_semi_invariant", counting)
+    bound = bindings("is_semi_invariant", is_semi_invariant)
+    assert "threefold.blowup" in bound
+    for name in bound:
+        monkeypatch.setattr(sys.modules[name], "is_semi_invariant", counting)
     family = [generate_model(r, seed) for r in (7, 23, 47, 95) for seed in range(3)]
     assert all(verify_blowup_profile(model).passed for model in family)
-    assert len(calls) == 2 * len(family)
+    assert calls == []
 
 
 def spy_on_checked_germs(monkeypatch, fail=False):

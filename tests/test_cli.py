@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -574,6 +575,25 @@ class TestModelPipeline:
         open(path, "w").write(json.dumps(data))
         code, payload, _ = run_json(capsys, "validate", "--model", path)
         assert code == 1 and payload["passed"] is False
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_p_of_order_exactly_r_exits_one(self, capsys, tmp_path, fmt):
+        # the r = 7 golden model with a p term x4^7, of weight exactly r
+        golden = Path(__file__).parent / "golden" / "model_r7_seed42.json"
+        data = json.loads(golden.read_text(encoding="utf-8"))
+        data["p"]["terms"].append({"c": "1", "e": [0, 0, 7]})
+        path = tmp_path / "order7.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, "--format", fmt, "validate", "--model", str(path))
+        assert (code, err) == (1, "")
+        detail = "weighted order of p is 7, needs > 7"
+        if fmt == "json":
+            failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
+            assert failed == [{"name": "p_order", "passed": False, "detail": detail}]
+        else:
+            failed = [line.split(None, 2) for line in out.splitlines()[2:]
+                      if line.split()[1] == "FAIL"]
+            assert failed == [["p_order", "FAIL", detail]]
 
     def test_long_square_exits_one_and_names_it(self, capsys, tmp_path):
         # q = (x3*s)^2 with s of 200 terms in x3^2 and x4, 739 terms of q

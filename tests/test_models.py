@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from threefold.blowup import verify_blowup_profile
@@ -61,6 +64,17 @@ class TestValidate:
     def test_low_order_p_rejected(self):
         report = validate_model(CD2Model(7, PP("x3^2"), QQ("x1*x3")))
         assert "p_order" in [c.name for c in report.failures()]
+
+    def test_p_of_order_exactly_r_rejected(self):
+        # x4^7 weighs 7 = r: the order must exceed r, not reach it
+        path = Path(__file__).parent / "golden" / "model_r7_seed42.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["p"]["terms"].append({"c": "1", "e": [0, 0, 7]})
+        report = validate_model(CD2Model.from_json_dict(data))
+        assert [(c.name, c.detail) for c in report.failures()] == [
+            ("p_order", "weighted order of p is 7, needs > 7")]
+        data["p"]["terms"][-1]["e"] = [0, 0, 8]
+        assert validate_model(CD2Model.from_json_dict(data)).passed
 
     def test_odd_parity_p_rejected(self):
         report = validate_model(CD2Model(7, PP("x2*x3^4"), QQ("x1*x3")))
@@ -143,6 +157,14 @@ class TestGenerate:
     def test_rejects_bad_r(self):
         with pytest.raises(ValueError):
             generate_model(11, 0, 4)
+
+    def test_extra_degree_zero_is_the_least(self):
+        # no optional p-monomial weighs in (r, r]; -1 is refused
+        model = generate_model(7, 1, 0)
+        assert list(model.p.terms) == [required_monomials(7)["p"]]
+        assert validate_model(model, strict=True).passed
+        with pytest.raises(ValueError, match="^extra_degree must be non-negative$"):
+            generate_model(7, 1, -1)
 
 
 class TestModelEquations:

@@ -27,6 +27,7 @@ KEEP = {
     "linalg.invert_unimodular": "perfbench/tracer.py",
     "linalg.rational_determinant": "perfbench/tracer.py",
     "dimensions.graded_dimension": "perfbench/tracer.py",
+    "polynomials.weighted_order": "perfbench/tracer.py",
     "blowup.model_germ": "perfbench/tracer.py",
     # models-batch certifies each model through it
     "blowup.verify_blowup_profile": "perfbench/workloads.py",
