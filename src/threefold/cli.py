@@ -19,9 +19,9 @@ from collections.abc import Callable
 from json.encoder import encode_basestring_ascii as _escape
 
 from .blowup import MANUAL, _validated_blowup
-from .dimensions import (DimensionTable, InconsistencyError, check_decomposition,
-                         closed_form_profile, correction_profile, degree_point_count,
-                         degree_points, solve_correction, WellDefinednessError)
+from .dimensions import (DimensionTable, InconsistencyError, closed_form_profile,
+                         degree_point_count, degree_points, solve_correction,
+                         WellDefinednessError)
 from .models import (GENERATE_STEP_LIMIT, CD2Model, CheckResult, ValidationReport,
                      generate_model, validate_model)
 from .polynomials import DIGIT_LIMIT, check_digits, parse_rational
@@ -187,16 +187,19 @@ def cmd_dims(args) -> int:
 def cmd_verify_dim(args) -> int:
     r = args.r
     imax = 6 * r if args.imax is None else _degree_bound(args.imax)
-    _check_degree_limit("verify-dim", max(imax, 2 * r))
+    top = max(imax, 2 * r)
+    _check_degree_limit("verify-dim", top)
 
-    results = [check_decomposition(r, i, j) for i in range(imax + 1) for j in (0, 1)]
+    # one table, counted once, serves the decomposition and the profile
+    counts = DimensionTable.compute(r, top)
+    results = [counts.decomposes(i, j) for i in range(imax + 1) for j in (0, 1)]
     failures = results.count(False)
     checks = [CheckResult("decomposition", failures == 0,
                           f"{len(results) - failures}/{len(results)} degree/parity pairs")]
 
     solution = None
     try:
-        profile = correction_profile(r, max(imax, 2 * r))
+        profile = counts.counted_profile()
         checks.append(CheckResult("well_defined", True,
                                   f"{len(profile.delta)} residue classes mod {2 * r}"))
         solution = solve_correction(profile)

@@ -85,8 +85,10 @@ def parity_counts(r: int, degree: int) -> tuple[int, int]:
         n = top + 1
         total = n * low + r * n * top // 2
         halves = (total - (n + low % 2) // 2) // 2
-        quarters = (total - 6 * (n // 4)
-                    - sum((low + r * k) % 4 for k in range(n % 4))) // 4
+        leftover = 0
+        for k in range(n % 4):
+            leftover += (low + r * k) % 4
+        quarters = (total - 6 * (n // 4) - leftover) // 4
         counts[parity] += quarters + n
         counts[1 - parity] += halves - quarters
     return counts[0], counts[1]
@@ -105,7 +107,11 @@ def graded_dimension(r: int, degree: int, parity: int) -> int:
 
 class DimensionTable(namedtuple("DimensionTable", "r rows")):
     """Dimensions of every (degree, parity) piece up to a degree bound, rows
-    mapping (degree, parity) to its dimension."""
+    mapping (degree, parity) to its dimension.
+
+    The decomposition check and the correction profile both read the
+    table, so a caller that needs both counts each degree once.
+    """
 
     __slots__ = ()
 
@@ -119,6 +125,50 @@ class DimensionTable(namedtuple("DimensionTable", "r rows")):
 
     def dimension(self, degree: int, parity: int) -> int:
         return self.rows.get((degree, parity), 0)
+
+    def increment(self, degree: int, parity: int) -> int:
+        """D(i, j) = dim(i, j) - dim(i-2, 1-j), the step of the two-term
+        recursion, for a degree the table holds."""
+        rows = self.rows
+        return rows[(degree, parity)] - rows.get((degree - 2, 1 - parity), 0)
+
+    def decomposes(self, degree: int, parity: int) -> bool:
+        """Verify the two-term recursion for one (degree, parity) pair.
+
+        Shifting l3 by one raises the degree by 2 and flips the parity, so
+        the increment across that shift must equal the number of points
+        with l3 = 0, which _l3_boundary counts on its own.
+        """
+        return self.increment(degree, parity) == _l3_boundary(self.r, degree, parity)
+
+    def counted_profile(self) -> "CorrectionProfile":
+        """The correction increments over 2 <= i <= the top degree of a
+        table computed from degree 0, which must be at least 2r; 6r gives
+        three periods, every residue witnessed twice.
+
+        Each increment is compared as the integer r*D(i, j) - (2i+1), r
+        times its value, and becomes one Fraction per residue at the end.
+        Two pairs of one residue class that disagree raise
+        WellDefinednessError.
+        """
+        r = self.r
+        period = 2 * r
+        scaled: dict[int, int] = {}
+        first_pair: dict[int, tuple[int, int]] = {}
+        for i in range(2, len(self.rows) // 2):
+            for j in (0, 1):
+                value = r * self.increment(i, j) - (2 * i + 1)
+                key = (2 * i + r * j) % period
+                if key in scaled:
+                    if scaled[key] != value:
+                        raise WellDefinednessError(
+                            f"residue {key} mod {period}: (i,j)={first_pair[key]} gave "
+                            f"{Fraction(scaled[key], r)} but (i,j)=({i},{j}) gave "
+                            f"{Fraction(value, r)}")
+                else:
+                    scaled[key] = value
+                    first_pair[key] = (i, j)
+        return CorrectionProfile(r, {key: Fraction(value, r) for key, value in scaled.items()})
 
     def to_json_dict(self) -> dict:
         return {
@@ -136,22 +186,20 @@ def _l3_boundary(r: int, degree: int, parity: int) -> int:
     With l3 = 0, each l5 = 0..base//r, base = degree - shift, fixes l4, so
     a pattern adds base//r + 1: nothing when base < 0, as then base >= -r.
     """
-    shifts = (0, r) if parity == 0 else ((r - 1) // 2, (r + 1) // 2)
-    return sum((degree - shift) // r + 1 for shift in shifts)
+    a, b = (0, r) if parity == 0 else ((r - 1) // 2, (r + 1) // 2)
+    return (degree - a) // r + (degree - b) // r + 2
 
 
 def check_decomposition(r: int, degree: int, parity: int) -> bool:
-    """Verify the two-term recursion for one (degree, parity) pair.
-
-    Shifting l3 by one raises the degree by 2 and flips the parity, so the
-    count difference across that shift must equal the number of points with
-    l3 = 0, which _l3_boundary counts on its own.
-    """
+    """DimensionTable.decomposes for one pair, on a table of the two
+    degrees it reads."""
     _check_parity(parity)
     if degree < 0:
         raise ValueError("degree must be non-negative")
-    lhs = parity_counts(r, degree)[parity] - parity_counts(r, degree - 2)[1 - parity]
-    return lhs == _l3_boundary(r, degree, parity)
+    rows = {}
+    for i in (degree - 2, degree):
+        rows[(i, 0)], rows[(i, 1)] = parity_counts(r, i)
+    return DimensionTable(r, rows).decomposes(degree, parity)
 
 
 class CorrectionProfile(namedtuple("CorrectionProfile", "r delta")):
@@ -162,31 +210,12 @@ class CorrectionProfile(namedtuple("CorrectionProfile", "r delta")):
 
 
 def correction_profile(r: int, max_degree: int) -> CorrectionProfile:
-    """Tabulate the correction increments over 2 <= i <= max_degree, which
-    must be at least 2r; 6r gives three periods, every residue witnessed
-    twice.  Two pairs of one residue class that disagree raise
-    WellDefinednessError."""
+    """DimensionTable.counted_profile on the table up to max_degree, which
+    must be at least 2r."""
     _check_r(r)
     if max_degree < 2 * r:
         raise ValueError(f"max_degree must be at least 2r = {2 * r}")
-    period = 2 * r
-    table = DimensionTable.compute(r, max_degree)
-    delta: dict[int, Fraction] = {}
-    first_pair: dict[int, tuple[int, int]] = {}
-    for i in range(2, max_degree + 1):
-        for j in (0, 1):
-            value = (Fraction(table.dimension(i, j) - table.dimension(i - 2, 1 - j))
-                     - Fraction(2 * i + 1, r))
-            key = (2 * i + r * j) % period
-            if key in delta:
-                if delta[key] != value:
-                    raise WellDefinednessError(
-                        f"residue {key} mod {period}: (i,j)={first_pair[key]} gave "
-                        f"{delta[key]} but (i,j)=({i},{j}) gave {value}")
-            else:
-                delta[key] = value
-                first_pair[key] = (i, j)
-    return CorrectionProfile(r, delta)
+    return DimensionTable.compute(r, max_degree).counted_profile()
 
 
 def closed_form_profile(r: int) -> CorrectionProfile:

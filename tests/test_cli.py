@@ -7,7 +7,7 @@ import pytest
 
 from threefold import blowup, cli, dimensions, models, polynomials, quotients
 from threefold.cli import build_parser, main
-from threefold.dimensions import (CorrectionProfile, InconsistencyError,
+from threefold.dimensions import (CorrectionProfile, DimensionTable, InconsistencyError,
                                   WellDefinednessError, degree_point_count)
 from threefold.models import CD2Model, Q_VARIABLES, generate_model, model_equations
 from threefold.polynomials import DIGIT_LIMIT, SparsePoly
@@ -166,10 +166,10 @@ class TestVerifyDim:
 
     def test_wrong_correction_fails(self, capsys, monkeypatch):
         # a zero profile passes all four checks but is not the closed form
-        def zero_profile(r, max_degree):
-            return CorrectionProfile(r, {k: Fraction(0) for k in range(2 * r)})
+        def zero_profile(table):
+            return CorrectionProfile(table.r, {k: Fraction(0) for k in range(2 * table.r)})
 
-        monkeypatch.setattr(cli, "correction_profile", zero_profile)
+        monkeypatch.setattr(DimensionTable, "counted_profile", zero_profile)
         code, data, _ = run_json(capsys, "verify-dim", "--r", "7")
         assert all(c["passed"] for c in data["checks"])
         assert data["correction"]["agrees"] is False
@@ -177,17 +177,18 @@ class TestVerifyDim:
         assert (code, data["passed"]) == (1, False)
 
     @pytest.mark.parametrize("stage, names", [
-        ("correction_profile", ["decomposition", "well_defined"]),
+        ("counted_profile", ["decomposition", "well_defined"]),
         ("solve_correction", ["decomposition", "well_defined", "orbit_sums"]),
     ], ids=["not_well_defined", "inconsistent"])
     def test_failure_paths(self, capsys, monkeypatch, stage, names):
         # the counted profile fails at one stage; the closed form still solves
         counted = []
+        real = DimensionTable.counted_profile
 
-        def profile(r, max_degree):
-            if stage == "correction_profile":
+        def profile(table):
+            if stage == "counted_profile":
                 raise WellDefinednessError("doctored residue")
-            counted.append(dimensions.correction_profile(r, max_degree))
+            counted.append(real(table))
             return counted[-1]
 
         def solve(p):
@@ -195,7 +196,7 @@ class TestVerifyDim:
                 raise InconsistencyError("doctored orbit")
             return dimensions.solve_correction(p)
 
-        monkeypatch.setattr(cli, "correction_profile", profile)
+        monkeypatch.setattr(DimensionTable, "counted_profile", profile)
         monkeypatch.setattr(cli, "solve_correction", solve)
         code, data, _ = run_json(capsys, "verify-dim", "--r", "7")
         assert (code, data["passed"]) == (1, False)
@@ -273,6 +274,16 @@ class TestTerminal:
                  "1/20000000(10000000,10000000,10000000)": 60000000}[text]
         assert err == (f"error: the {what} of {text} takes {steps} steps; "
                        f"at most QUOTIENT_ORDER_LIMIT = {quotients.QUOTIENT_ORDER_LIMIT}\n")
+
+    def test_limit_at_its_exact_value_and_one_past_it(self, capsys, age_loops):
+        # 1/n(1) takes n steps: 10^6 is the limit itself, decided at k = 1
+        code, out, err = run(capsys, "terminal", "--type", "1/1000001(1)")
+        assert (code, out) == (2, "") and age_loops == []
+        assert err == ("error: the terminal verdict of 1/1000001(1) takes 1000001 steps; "
+                       "at most QUOTIENT_ORDER_LIMIT = 1000000\n")
+        code, out, err = run(capsys, "terminal", "--type", "1/1000000(1)")
+        assert (code, out, err) == (1, "1/1000000(1): not canonical\n", "")
+        assert len(age_loops) == 2
 
     def test_limit_admits_exactly_its_order(self, capsys, monkeypatch, age_loops):
         monkeypatch.setattr(quotients, "QUOTIENT_ORDER_LIMIT", 90)
@@ -769,6 +780,18 @@ class TestModelPipeline:
             main(["generate", "--help"])
         text = " ".join(capsys.readouterr().out.split())
         assert f"GENERATE_STEP_LIMIT = {models.GENERATE_STEP_LIMIT}" in text
+
+    def test_generate_limit_at_its_value(self, capsys, tmp_path):
+        # r=7: extra 175 takes 61 * 92 * 176 = 987712 steps, extra 176 takes
+        # 62 * 92 * 177 = 1009608 and is the first refused.  No (r, extra)
+        # takes exactly 10^6 or 10^6 + 1 steps, so the refusal line is what
+        # shows the limit's value
+        path = tmp_path / "refused.json"
+        code, out, err = run(capsys, "generate", "--r", "7", "--extra", "176", "--seed", "1",
+                             "--out", str(path))
+        assert (code, out) == (2, "") and not path.exists()
+        assert err == ("error: a model of r=7 with extra degree 176 takes 1009608 steps; "
+                       "at most GENERATE_STEP_LIMIT = 1000000\n")
 
     def test_square_root_limit_is_input_error(self, capsys, tmp_path, monkeypatch):
         # q = x3^2000000 + x3^1999999 is no square, and its peel would run

@@ -13,10 +13,10 @@ from fractions import Fraction
 import pytest
 
 from threefold import cli, dimensions
-from threefold.dimensions import (DimensionTable, check_decomposition,
-                                  closed_form_profile, correction_profile,
-                                  degree_point_count, degree_points,
-                                  graded_dimension, parity_counts,
+from threefold.dimensions import (DimensionTable, WellDefinednessError,
+                                  check_decomposition, closed_form_profile,
+                                  correction_profile, degree_point_count,
+                                  degree_points, graded_dimension, parity_counts,
                                   solve_correction)
 
 R_VALUES = (7, 9, 15, 23, 47)
@@ -132,3 +132,87 @@ def test_r95_suite_runs_without_enumeration(monkeypatch):
     for argv in (["dims", "--r", "95", "--imax", "570"], ["verify-dim", "--r", "95"]):
         with redirect_stdout(io.StringIO()):
             assert cli.main(["--format", "json", *argv]) == cli.PASS, argv
+
+
+# the profile's r values: r = 11 and 13 are admitted like any odd r >= 7
+PROFILE_R_VALUES = (7, 9, 11, 13, 15, 17, 23, 47, 95)
+
+
+def fraction_profile(table, max_degree):
+    """The correction increments as the Fraction loop that the integer
+    comparison of DimensionTable.counted_profile replaced: three Fractions
+    per (i, j) pair, compared as Fractions, with the same error text."""
+    r = table.r
+    period = 2 * r
+    delta, first_pair = {}, {}
+    for i in range(2, max_degree + 1):
+        for j in (0, 1):
+            value = (Fraction(table.dimension(i, j) - table.dimension(i - 2, 1 - j))
+                     - Fraction(2 * i + 1, r))
+            key = (2 * i + r * j) % period
+            if key in delta:
+                if delta[key] != value:
+                    raise WellDefinednessError(
+                        f"residue {key} mod {period}: (i,j)={first_pair[key]} gave "
+                        f"{delta[key]} but (i,j)=({i},{j}) gave {value}")
+            else:
+                delta[key] = value
+                first_pair[key] = (i, j)
+    return delta
+
+
+@pytest.mark.parametrize("r", PROFILE_R_VALUES)
+def test_integer_profile_matches_the_fraction_loop(r):
+    # the counts are checked against enumeration above; here the loop that
+    # reads them is: the same residues, first met in the same order, with
+    # equal Fractions
+    imax = 6 * r
+    table = DimensionTable.compute(r, imax)
+    profile = table.counted_profile()
+    assert list(profile.delta.items()) == list(fraction_profile(table, imax).items())
+    assert all(type(value) is Fraction for value in profile.delta.values())
+    assert correction_profile(r, imax) == profile == closed_form_profile(r)
+
+
+@pytest.mark.parametrize("r", PROFILE_R_VALUES)
+def test_table_decomposition_matches_the_per_pair_check(r):
+    imax = 6 * r
+    table = DimensionTable.compute(r, imax)
+    pairs = [(i, j) for i in range(imax + 1) for j in (0, 1)]
+    assert [table.decomposes(i, j) for i, j in pairs] == [
+        check_decomposition(r, i, j) for i, j in pairs]
+    assert all(table.decomposes(i, j) for i, j in pairs)
+
+
+@pytest.mark.parametrize("r, bad, parity", [
+    (7, 20, 0), (7, 0, 1), (7, 42, 1), (9, 33, 1), (11, 5, 0), (13, 77, 1),
+    (23, 138, 0), (95, 300, 1),
+])
+def test_a_doctored_count_fails_both_paths_alike(monkeypatch, r, bad, parity):
+    # one count raised by 1, in the table and in parity_counts: the table
+    # path and the per-pair check fail at the same pairs, and the integer
+    # profile raises the Fraction loop's message word for word
+    imax = 6 * r
+    rows = dict(DimensionTable.compute(r, imax).rows)
+    rows[(bad, parity)] += 1
+    doctored = DimensionTable(r, rows)
+    real = dimensions.parity_counts
+
+    def off_by_one(r_, degree):
+        split = list(real(r_, degree))
+        if degree == bad:
+            split[parity] += 1
+        return tuple(split)
+
+    monkeypatch.setattr(dimensions, "parity_counts", off_by_one)
+    pairs = [(i, j) for i in range(imax + 1) for j in (0, 1)]
+    failing = [(i, j) for i, j in pairs if not doctored.decomposes(i, j)]
+    assert failing == [(i, j) for i, j in pairs if not check_decomposition(r, i, j)]
+    assert failing == [pair for pair in ((bad, parity), (bad + 2, 1 - parity))
+                       if pair[0] <= imax]
+    with pytest.raises(WellDefinednessError) as expected:
+        fraction_profile(doctored, imax)
+    for profile in (doctored.counted_profile, lambda: correction_profile(r, imax)):
+        with pytest.raises(WellDefinednessError) as caught:
+            profile()
+        assert str(caught.value) == str(expected.value)

@@ -166,6 +166,14 @@ class TestCorrectionProfile:
         with pytest.raises(ValueError):
             correction_profile(7, 10)
 
+    def test_two_r_is_the_least_max_degree(self):
+        # degrees 2..2r already witness every residue once
+        for r in (7, 9, 23):
+            assert correction_profile(r, 2 * r) == correction_profile(r, 6 * r)
+            with pytest.raises(ValueError) as info:
+                correction_profile(r, 2 * r - 1)
+            assert str(info.value) == f"max_degree must be at least 2r = {2 * r}"
+
     def test_matches_graded_dimension(self):
         # the table-backed increments against one enumeration per count
         r = 9

@@ -31,6 +31,10 @@ KEEP = {
     "blowup.model_germ": "perfbench/tracer.py",
     # models-batch certifies each model through it
     "blowup.verify_blowup_profile": "perfbench/workloads.py",
+    # dims-growth runs the per-pair check and the profile by name; the CLI
+    # calls the DimensionTable methods they wrap
+    "dimensions.check_decomposition": "perfbench/workloads.py",
+    "dimensions.correction_profile": "perfbench/workloads.py",
 }
 
 

@@ -158,6 +158,21 @@ class TestReidTai:
     def test_non_faithful_fails(self):
         assert reid_tai_is_terminal(QuotientType(4, (2, 2, 2))) is False
 
+    def test_order_limit_admits_its_exact_value(self, age_loops):
+        # n * arity = 10^6 steps is the limit itself; the age of k = 1 is
+        # 1/n, so the scan stops at its first element
+        assert quotients.QUOTIENT_ORDER_LIMIT == 10 ** 6
+        q = QuotientType(10 ** 6, (1,))
+        assert reid_tai_is_terminal(q) is False
+        assert age_loops == [q]
+
+    def test_order_limit_refuses_one_step_past_it(self, age_loops):
+        with pytest.raises(ValueError) as info:
+            reid_tai_is_terminal(QuotientType(10 ** 6 + 1, (1,)))
+        assert str(info.value) == ("the terminal verdict of 1/1000001(1) takes 1000001 "
+                                   "steps; at most QUOTIENT_ORDER_LIMIT = 1000000")
+        assert age_loops == []
+
 
 class TestSmithNormalForm:
     # linalg builds no row transform u; the reference's u, from the same

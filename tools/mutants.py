@@ -41,6 +41,13 @@ EQUIVALENT = {
     ("models.py", "for b in range((top - a * w2) // 2 + 1):", "1 -> 2"): _EMPTY,
     ("models.py", "if mono not in q_terms and rng.random() < 0.2:", "Lt -> LtE"): _DRAW,
     ("models.py", "if mono not in p_terms and rng.random() < 0.2:", "Lt -> LtE"): _DRAW,
+    ("dimensions.py", "def _check_r(r: int, degree: int = 0) -> None:", "0 -> 1"):
+        "the default degree is only checked to be an int",
+    ("dimensions.py", "w1 = (r + 1) // 2", "1 -> 2"): _ODD,
+    ("dimensions.py", "a, b = (0, r) if parity == 0 else ((r - 1) // 2, (r + 1) // 2)",
+     "1 -> 2"): _ODD,
+    ("dimensions.py", "for l5 in range(base // r + 1):", "1 -> 2"):
+        _EMPTY + ": the extra l5 leaves rest in [-r, -1], with no l3",
 }
 
 
