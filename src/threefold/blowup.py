@@ -23,7 +23,8 @@ from .linalg import pivot_columns
 from .models import (CD2Model, CheckResult, GERM_VARIABLES, ValidationReport,
                      blowup_vector, model_equations, validate_model, AMBIENT)
 from .polynomials import SparsePoly, _exact, _excerpt, is_semi_invariant
-from .quotients import QuotientType, _lattice_points, blowup_charts, effective_factors
+from .quotients import (ChartGroup, QuotientType, _lattice_points, blowup_charts,
+                        effective_factors)
 
 
 class DimensionError(ValueError):
@@ -103,50 +104,24 @@ def _term_powers(eq: SparsePoly, scaled: tuple[int, ...]
     return terms, shift
 
 
-class _ChartData(namedtuple("_ChartData", "charts scaled denominator residuals findings")):
-    # the chart groups, scaled = v times denominator, the least common
-    # denominator of v, the residual store of residual() and the finding
-    # store of off_germ() and settled()
-    __slots__ = ()
+# the chart groups, scaled = v times denominator, the least common
+# denominator of v, and the findings chart_singularities stores: keyed by
+# (variable, equation) for an origin off the germ and by (chart, variable,
+# keep) for one whose residual group is read
+_ChartData = namedtuple("_ChartData", "charts scaled denominator findings")
 
-    def residual(self, chart: int, keep: tuple[int, ...]):
-        """The effective factors of chart's group on the coordinates in keep, and
-        their normalized type when there is one factor; computed once per pair."""
-        found = self.residuals.get((chart, keep))
-        if found is None:
-            factors = tuple(effective_factors(self.charts[chart].restricted(keep)))
-            qtype = factors[0].normalized() if len(factors) == 1 else None
-            found = self.residuals[chart, keep] = (factors, qtype)
-        return found
 
-    def off_germ(self, variable: str, equation: int) -> ChartFinding:
-        """The SMOOTH finding of the chart origin of variable when equation
-        has a nonzero constant term there; built once per pair."""
-        found = self.findings.get((variable, equation))
-        if found is None:
-            found = self.findings[variable, equation] = ChartFinding(
-                variable, SMOOTH,
-                detail=f"equation {equation} has a nonzero constant term; origin is off the germ")
-        return found
-
-    def settled(self, chart: int, variable: str, keep: tuple[int, ...]) -> ChartFinding | None:
-        """The finding of chart's origin, named variable, when independent
-        linear terms leave the coordinates in keep: SMOOTH for a trivial
-        residual group, QUOTIENT for a cyclic one, and None for one that is
-        not cyclic, whose MANUAL finding holds the model's linear terms;
-        built once per triple."""
-        key = (chart, variable, keep)
-        if key not in self.findings:
-            residual, qtype = self.residual(chart, keep)
-            if not residual:
-                found = ChartFinding(variable, SMOOTH, detail="residual group is trivial")
-            elif qtype is not None:
-                found = ChartFinding(variable, QUOTIENT, qtype,
-                                     detail=f"quotient point of type {qtype}")
-            else:
-                found = None
-            self.findings[key] = found
-        return self.findings[key]
+def _residual_finding(group: ChartGroup, variable: str) -> ChartFinding | None:
+    """The finding of the chart origin named variable whose residual group is
+    group: SMOOTH for a trivial group, QUOTIENT with the normalized type of a
+    cyclic one, and None for one that is not cyclic."""
+    factors = effective_factors(group)
+    if not factors:
+        return ChartFinding(variable, SMOOTH, detail="residual group is trivial")
+    if len(factors) > 1:
+        return None
+    qtype = factors[0].normalized()
+    return ChartFinding(variable, QUOTIENT, qtype, detail=f"quotient point of type {qtype}")
 
 
 @lru_cache(maxsize=64)
@@ -174,7 +149,7 @@ def _chart_data(compute, ambient: QuotientType, v: tuple[Fraction, ...]) -> _Cha
                                       f"act through the lattice of {_excerpt(ambient, str)}")
     denominator = math.lcm(*(x.denominator for x in v))
     scaled = tuple(x.numerator * (denominator // x.denominator) for x in v)
-    return _ChartData(report.charts, scaled, denominator, {}, {})
+    return _ChartData(report.charts, scaled, denominator, {})
 
 
 def _matrix_str(rows) -> str:
@@ -219,13 +194,21 @@ def chart_singularities(germ: CIGerm, data: _ChartData,
     findings = []
     for i, var in enumerate(germ.variables):
         if i in off:
-            findings.append(data.off_germ(var, off[i]))
+            key = (var, off[i])
+            if key not in data.findings:
+                data.findings[key] = ChartFinding(var, SMOOTH, detail=(
+                    f"equation {off[i]} has a nonzero constant term; origin is off the germ"))
+            findings.append(data.findings[key])
             continue
 
         linear = [_linear_terms(terms, i, m, denominator) for terms in selected]
         chosen = pivot_columns(linear)
         if len(chosen) == len(linear):
-            found = data.settled(i, var, tuple(l for l in range(m) if l not in chosen))
+            keep = tuple(l for l in range(m) if l not in chosen)
+            key = (i, var, keep)
+            if key not in data.findings:
+                data.findings[key] = _residual_finding(data.charts[i].restricted(keep), var)
+            found = data.findings[key]
             if found is not None:
                 findings.append(found)
                 continue

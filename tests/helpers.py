@@ -4,7 +4,8 @@ The package reads polynomials only from model JSON (poly_from_dict); tests
 write them as text, which parse_poly reads.  reference_poly_from_dict is the
 loader poly_from_dict replaced, and mutate_model seeds one defect into a
 model file's dict.  lattice_contains and is_primitive read membership and
-primitivity off the lattice coordinates the chart code computes.
+primitivity off the lattice coordinates the chart code computes, and
+ref_normalized is the normal form of a quotient type by a loop over units.
 reference_smith_normal_form is the Smith normal form
 linalg.smith_normal_form replaced, with the same row and column operations
 in the same order through closures, and the only source of the row
@@ -187,6 +188,16 @@ def is_primitive(ambient, vector):
     in the lattice and its coordinates there, from _lattice_points, are coprime."""
     point = _lattice_points(ambient, [vector])[1][0]
     return point is not None and math.gcd(*point[1]) == 1
+
+
+def units(n):
+    return [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
+
+
+def ref_normalized(n, weights, unit_list=None):
+    """The normal form of 1/n(weights): the least sorted weight tuple over
+    the units mod n."""
+    return min(tuple(sorted(u * w % n for w in weights)) for u in unit_list or units(n))
 
 
 def refuse_float(x):

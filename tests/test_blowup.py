@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from threefold.models import (CD2Model, P_VARIABLES, Q_VARIABLES, blowup_vector,
 from threefold.polynomials import SparsePoly
 from threefold.quotients import LatticeError, QuotientType, blowup_charts
 
-from helpers import parse_poly
+from helpers import parse_poly, ref_normalized
 
 V5 = ("x1", "x2", "x3", "x4", "x5")
 HALF = Fraction(1, 2)
@@ -225,6 +226,63 @@ class TestStrictTransform:
         assert [f.kind for f in findings] == [SMOOTH, SMOOTH, QUOTIENT, MANUAL]
         assert findings[0].detail == "residual group is trivial"
         assert findings[3].detail.endswith("; linear terms [[0, 0, 0, 0]], rank 0")
+
+
+def expected_point(n, weights):
+    # the (kind, order, normal form) of the point 1/n(weights): an index-1
+    # point is smooth
+    return (SMOOTH, None, None) if n == 1 else (QUOTIENT, n, ref_normalized(n, weights))
+
+
+def found_points(report):
+    return [(f.kind, f.quotient and f.quotient.n, f.quotient and f.quotient.weights)
+            for f in report.chart_findings]
+
+
+class TestClosedFormAnchors:
+    # divisorial contractions whose profile is known in closed form: every
+    # expected value below comes from the formula, none from the code
+
+    def test_kawamata_contraction_to_a_quotient_point(self):
+        # Kawamata (Km96): the contraction to 1/r(a, r-a, 1) is the blow-up by
+        # v = (a, r-a, 1)/r, with discrepancy 1/r and E^3 = r^2/(a(r-a)); Y
+        # has the point 1/a(r,-r,1) on the x chart, 1/(r-a)(r,-r,1) on the y
+        # chart, and the z chart is smooth
+        cases = 0
+        for r in range(2, 61):
+            for a in range(1, r):
+                if math.gcd(a, r) != 1:
+                    continue
+                germ = CIGerm(QuotientType(r, (a, r - a, 1)), ("x", "y", "z"), ())
+                report = analyze_blowup(germ, (Fraction(a, r), Fraction(r - a, r),
+                                               Fraction(1, r)))
+                assert report.discrepancy == Fraction(1, r), (r, a)
+                assert report.e_cubed == Fraction(r * r, a * (r - a)), (r, a)
+                assert found_points(report) == [expected_point(a, (r, -r, 1)),
+                                                expected_point(r - a, (r, -r, 1)),
+                                                (SMOOTH, None, None)], (r, a)
+                cases += 1
+        assert cases == 1101
+
+    def test_contraction_to_a_smooth_point(self):
+        # Kawakita (Invent. Math. 145, 2001): every divisorial contraction to
+        # a smooth point is the blow-up of C^3 by (1, a, b), gcd(a, b) = 1,
+        # with discrepancy a + b and E^3 = 1/(ab); Y has the point 1/a(1,-1,b)
+        # on the chart of x2 and 1/b(1,a,-1) on that of x3, and the chart of
+        # x1 is smooth
+        cases = 0
+        for b in range(1, 41):
+            for a in range(1, b + 1):
+                if math.gcd(a, b) != 1:
+                    continue
+                report = analyze_blowup(smooth_space(), (1, a, b))
+                assert report.discrepancy == a + b, (a, b)
+                assert report.e_cubed == Fraction(1, a * b), (a, b)
+                assert found_points(report) == [(SMOOTH, None, None),
+                                                expected_point(a, (1, -1, b)),
+                                                expected_point(b, (1, a, -1))], (a, b)
+                cases += 1
+        assert cases == 490
 
 
 class TestProfile:

@@ -434,8 +434,8 @@ def test_chart_step_is_called_once_through_the_module(monkeypatch):
 
 
 def test_residual_groups_are_computed_once_per_r(monkeypatch):
-    # after one model of an r, further models of that r make no lattice
-    # computation: the chart data and its residual groups are shared
+    # the first model of an r builds the chart record and its findings; later
+    # models of that r make no lattice computation
     calls = []
 
     def counting(name, compute):
@@ -444,28 +444,25 @@ def test_residual_groups_are_computed_once_per_r(monkeypatch):
             return compute(*args)
         return counted
 
+    for module, name in ((blowup, "effective_factors"), (quotients, "smith_normal_form")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     blowup._chart_data.cache_clear()
     try:
-        assert verify_blowup_profile(generate_model(47, 0)).passed
-        for module, name in ((blowup, "effective_factors"), (quotients, "smith_normal_form")):
-            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        reports = [verify_blowup_profile(generate_model(47, seed)) for seed in range(1, 31)]
-        assert calls == []
-        # the counters see the calls fresh chart data makes, whatever r is:
-        # one for the basis of the ambient lattice and one for each of the
-        # five charts in blowup_charts, one for the basis the five chart
-        # factors are tested against, then one residual of two, which takes one
         fresh = []
         for r in (7, 23, 47, 95):
             calls.clear()
-            blowup._chart_data.cache_clear()
-            data = blowup._chart_data(blowup_charts, AMBIENT, blowup_vector(r))
-            for _ in range(2):
-                data.residual(0, (1, 2, 3))
+            assert verify_blowup_profile(generate_model(r, 0)).passed
+            # one SNF for the basis of the ambient lattice and one for each
+            # of the five charts in blowup_charts, one for the basis the five
+            # chart factors are tested against, then the residual group of
+            # the quotient chart, which takes one
             fresh.append((calls.count("smith_normal_form"), calls.count("effective_factors")))
+            calls.clear()
+            for seed in range(1, 11):
+                assert verify_blowup_profile(generate_model(r, seed)).passed
+            assert calls == [], r
     finally:
         blowup._chart_data.cache_clear()
-    assert all(report.passed for report in reports)
     assert fresh == [(8, 1)] * 4
 
 

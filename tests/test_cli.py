@@ -15,6 +15,15 @@ from threefold.polynomials import DIGIT_LIMIT, SparsePoly
 from helpers import mutate_model, square_variants
 
 
+@pytest.fixture(autouse=True)
+def fresh_parser():
+    # the help texts name limits a test may patch, and main builds its parser
+    # once per process: each test starts and ends with none built
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -852,15 +861,11 @@ class TestParser:
             return build_parser()
 
         monkeypatch.setattr(cli, "build_parser", counting)
-        cli._parser.cache_clear()
-        try:
-            outputs = [run(capsys, "--format", "json", "dims", "--r", "7", "--imax", "4")
-                       for _ in range(5)]
-            with pytest.raises(SystemExit):
-                main(["verify-dim", "--help"])
-            shared_help = capsys.readouterr().out
-        finally:
-            cli._parser.cache_clear()
+        outputs = [run(capsys, "--format", "json", "dims", "--r", "7", "--imax", "4")
+                   for _ in range(5)]
+        with pytest.raises(SystemExit):
+            main(["verify-dim", "--help"])
+        shared_help = capsys.readouterr().out
         assert len(built) == 1
         assert outputs == outputs[:1] * 5 and outputs[0][0] == 0
         with pytest.raises(SystemExit):

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from threefold.blowup import _chart_data
+from threefold.blowup import ChartFinding, QUOTIENT, SMOOTH, _chart_data, _residual_finding
 from threefold.linalg import (identity_matrix, invert_rational, invert_unimodular,
                               smith_normal_form)
 from threefold.models import AMBIENT, blowup_vector, valid_r
@@ -27,7 +27,7 @@ from threefold.quotients import (ChartGroup, LatticeError,
 from threefold.quotients import _ages_above
 
 from helpers import (determinant, is_primitive, lattice_contains, matrix_product,
-                     reference_smith_normal_form)
+                     ref_normalized, reference_smith_normal_form, units)
 
 
 def ref_unimodular_inverse(matrix):
@@ -149,14 +149,6 @@ def ref_ages_above(q, bound):
         if sum((k * a) % n for a in q.weights) <= bound:
             return False
     return True
-
-
-def units(n):
-    return [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
-
-
-def ref_normalized(n, weights, unit_list=None):
-    return min(tuple(sorted(u * w % n for w in weights)) for u in unit_list or units(n))
 
 
 def outcome(compute, *args):
@@ -313,30 +305,32 @@ def test_effective_factors_random_groups():
 
 
 def test_chart_report_residuals_match_effective_factors():
-    # every (chart, keep) pair of the cD/2 chart groups for valid r <= 400,
-    # asked twice of one blow-up chart record: computed on the first call,
-    # stored after.  What a chart finding reads of a residual, its number
-    # of factors and the normalized type of a cyclic one, is the reference's;
-    # the 4950 pairs hold 2340 distinct groups, each sent to it once
+    # every (chart, keep) pair of the cD/2 chart groups for valid r <= 400:
+    # the finding built from the residual group is the reference's, smooth
+    # for a trivial group, a quotient point of the normalized type of a
+    # cyclic one and None for one that is not cyclic; the 4950 pairs hold
+    # 2340 distinct groups, each sent to the reference once
     pairs, references = 0, {}
     for r in filter(valid_r, range(401)):
         data = _chart_data(blowup_charts, AMBIENT, blowup_vector(r))
-        expected = {}
         for i, chart in enumerate(data.charts):
             for keep in itertools.combinations(range(5), 3):
                 group = chart.restricted(keep)
-                factors = effective_factors(group)
-                qtype = factors[0].normalized() if len(factors) == 1 else None
-                expected[i, keep] = (tuple(factors), qtype)
                 if group not in references:
                     references[group] = ref_effective_factors(group, 3)
                 reference = references[group]
-                assert len(reference) == len(factors), (r, i, keep)
-                assert qtype == (reference[0].normalized() if qtype else None), (r, i, keep)
-        for _ in range(2):
-            assert {pair: data.residual(*pair) for pair in expected} == expected, r
+                assert len(effective_factors(group)) == len(reference), (r, i, keep)
+                if not reference:
+                    expected = ChartFinding("x", SMOOTH, detail="residual group is trivial")
+                elif len(reference) == 1:
+                    qtype = QuotientType(reference[0].n, ref_normalized(*reference[0]))
+                    expected = ChartFinding("x", QUOTIENT, qtype,
+                                            detail=f"quotient point of type {qtype}")
+                else:
+                    expected = None
+                assert _residual_finding(group, "x") == expected, (r, i, keep)
+                pairs += 1
         assert data.charts == blowup_charts(AMBIENT, blowup_vector(r)).charts
-        pairs += len(expected)
     assert (pairs, len(references)) == (4950, 2340)
 
 
