@@ -19,8 +19,8 @@ from collections.abc import Callable
 from json.encoder import encode_basestring_ascii as _escape
 
 from .blowup import MANUAL, _validated_blowup
-from .dimensions import (DimensionTable, InconsistencyError, closed_form_profile,
-                         degree_point_count, degree_points, solve_correction,
+from .dimensions import (DimensionTable, InconsistencyError, closed_form_correction,
+                         degree_points, parity_counts, solve_correction,
                          WellDefinednessError)
 from .models import (GENERATE_STEP_LIMIT, CD2Model, CheckResult, ValidationReport,
                      generate_model, validate_model)
@@ -147,7 +147,7 @@ def _load_model(path: str) -> CD2Model:
 
 
 def cmd_ni(args) -> int:
-    count = degree_point_count(args.r, args.i)
+    count = sum(parity_counts(args.r, args.i))
     if count > NI_POINT_LIMIT:
         raise ValueError(f"degree {args.i} has {count} lattice points at r={args.r}; "
                          f"ni lists at most NI_POINT_LIMIT = {NI_POINT_LIMIT}")
@@ -212,8 +212,8 @@ def cmd_verify_dim(args) -> int:
         checks.append(CheckResult("orbit_sums", False, str(exc)))
     report = ValidationReport(tuple(checks))
 
-    # B from the closed-form increments, beside the B reconstructed from counts
-    closed = solve_correction(closed_form_profile(r))
+    # B in closed form, beside the B reconstructed from counts
+    closed = closed_form_correction(r)
     agrees = solution == closed
     correction = {
         "agrees": agrees,

@@ -10,7 +10,7 @@ counted in closed form.  The counts obey a two-term recursion whose
 inhomogeneous part is (2i+1)/r plus the difference of a correction term of
 period 2r, reconstructed from the counts when its increments are well
 defined on residues of 2i+rj mod 2r and telescope to zero around each
-parity orbit; closed_form_profile gives the same increments without counting.
+parity orbit; closed_form_correction gives the term itself without counting.
 """
 
 from __future__ import annotations
@@ -92,11 +92,6 @@ def parity_counts(r: int, degree: int) -> tuple[int, int]:
         counts[parity] += quarters + n
         counts[1 - parity] += halves - quarters
     return counts[0], counts[1]
-
-
-def degree_point_count(r: int, degree: int) -> int:
-    """len(degree_points(r, degree)), counted without building the points."""
-    return sum(parity_counts(r, degree))
 
 
 def graded_dimension(r: int, degree: int, parity: int) -> int:
@@ -218,23 +213,23 @@ def correction_profile(r: int, max_degree: int) -> CorrectionProfile:
     return DimensionTable.compute(r, max_degree).counted_profile()
 
 
-def closed_form_profile(r: int) -> CorrectionProfile:
-    """The correction increments from the closed forms of the differences
-    D(i, j) = dim(i, j) - dim(i-2, 1-j), which hold at every degree i >= 0:
+def closed_form_correction(r: int) -> dict[int, Fraction]:
+    """The correction term B that solve_correction reconstructs from the
+    counts, B(0) = B(1) = 0, in closed form for 0 <= m < r:
 
-        D(i, 0) = 2*floor(i/r) + 1,
-        D(i, 1) = floor((i-a)/r) + floor((i-b)/r) + 2,   a, b = (r+1)/2, (r-1)/2,
+        B(2m) = m(r-m)/r,   B(2m+1) = m(r-1-m)/r.
 
-    the counts of the l3 = 0 boundary (_l3_boundary).  No point is counted.
-    Residue k mod 2r is witnessed by its one pair (i, j) with 0 <= i < r.
+    No point is counted and no increment integrated.  Residue k = 2i+rj
+    mod 2r is witnessed by its pair (i, j) with 0 <= i < r, where the
+    increment is D(i, j) - (2i+1)/r, D(i, j) = dim(i, j) - dim(i-2, 1-j).
+    Even k = 2m: take (i, j) = (m, 0); D(m, 0) = 1, so the increment is
+    (r-2m-1)/r = B(2m+2) - B(2m).  Odd k = 2m+1: take j = 1 and
+    i = m - (r-1)/2 mod r; D(i, 1) is 0, 1 or 2 as i is below, at or above
+    (r-1)/2, so the increment is (r-2m-2)/r = B(2m+3) - B(2m+1), save the
+    last odd step, which wraps to B(1) = 0 with increment 0.
     """
     _check_r(r)
-    delta: dict[int, Fraction] = {}
-    for k in range(2 * r):
-        j = k % 2
-        i = (k - r * j) // 2 % r
-        delta[k] = _l3_boundary(r, i, j) - Fraction(2 * i + 1, r)
-    return CorrectionProfile(r, delta)
+    return {k: Fraction(k // 2 * (r - k % 2 - k // 2), r) for k in range(2 * r)}
 
 
 def solve_correction(profile: CorrectionProfile) -> dict[int, Fraction]:

@@ -8,7 +8,7 @@ import pytest
 from threefold import blowup, cli, dimensions, models, polynomials, quotients
 from threefold.cli import build_parser, main
 from threefold.dimensions import (CorrectionProfile, DimensionTable, InconsistencyError,
-                                  WellDefinednessError, degree_point_count)
+                                  WellDefinednessError, parity_counts)
 from threefold.models import CD2Model, Q_VARIABLES, generate_model, model_equations
 from threefold.polynomials import DIGIT_LIMIT, SparsePoly
 
@@ -92,6 +92,8 @@ class TestNi:
     def test_parity_filter(self, capsys):
         code, data, _ = run_json(capsys, "ni", "--r", "7", "--i", "4", "--parity", "0")
         assert code == 0 and len(data["points"]) == 2
+        code, data, _ = run_json(capsys, "ni", "--r", "7", "--i", "4", "--parity", "1")
+        assert code == 0 and [p["parity"] for p in data["points"]] == [1, 1, 1]
 
     def test_bad_r_is_input_error(self, capsys):
         code, _, err = run(capsys, "ni", "--r", "8", "--i", "4")
@@ -109,13 +111,24 @@ class TestNi:
         assert f"NI_POINT_LIMIT = {cli.NI_POINT_LIMIT}" in err
 
     def test_limit_admits_exactly_its_count(self, capsys, monkeypatch):
-        count = degree_point_count(23, 69)
+        count = sum(parity_counts(23, 69))
         monkeypatch.setattr(cli, "NI_POINT_LIMIT", count)
         code, data, _ = run_json(capsys, "ni", "--r", "23", "--i", "69")
         assert code == 0 and len(data["points"]) == count
         monkeypatch.setattr(cli, "NI_POINT_LIMIT", count - 1)
         code, _, err = run(capsys, "ni", "--r", "23", "--i", "69")
         assert code == 2 and err.startswith("error:")
+
+    def test_default_limit_admits_exactly_its_count(self, capsys, monkeypatch):
+        # degree 3048 has 100000 points at r = 93 and degree 5575 has 100001
+        # at r = 311; the count alone decides, no point is built
+        monkeypatch.setattr(cli, "degree_points", lambda r, degree: frozenset())
+        code, data, _ = run_json(capsys, "ni", "--r", "93", "--i", "3048")
+        assert code == 0 and data["points"] == []
+        code, out, err = run(capsys, "ni", "--r", "311", "--i", "5575")
+        assert (code, out) == (2, "")
+        assert err == ("error: degree 5575 has 100001 lattice points at r=311; "
+                       "ni lists at most NI_POINT_LIMIT = 100000\n")
 
     def test_limit_is_named_in_help(self, capsys):
         with pytest.raises(SystemExit):
@@ -143,6 +156,17 @@ class TestDims:
         code, out, err = run(capsys, "dims", "--r", "7", "--imax", "43")
         assert (code, out) == (2, "")
         assert err == "error: dims would count degrees up to 43; at most DEGREE_LIMIT = 42\n"
+
+    def test_default_limit_admits_exactly_its_bound(self, capsys, monkeypatch):
+        # the bound is checked before any degree is counted
+        monkeypatch.setattr(DimensionTable, "compute",
+                            classmethod(lambda cls, r, top: cls(r, {})))
+        code, data, _ = run_json(capsys, "dims", "--r", "7", "--imax", "50000")
+        assert code == 0 and data["dims"] == []
+        code, out, err = run(capsys, "dims", "--r", "7", "--imax", "50001")
+        assert (code, out) == (2, "")
+        assert err == ("error: dims would count degrees up to 50001; "
+                       "at most DEGREE_LIMIT = 50000\n")
 
     def test_limit_is_named_in_help(self, capsys):
         for argv in (["--help"], ["dims", "--help"], ["verify-dim", "--help"]):
@@ -173,6 +197,19 @@ class TestVerifyDim:
                                                     "12/7", "10/7", "6/7"]
         assert correction["reconstructed"] == correction["closed_form"]
 
+    def test_integrates_only_the_counted_profile(self, capsys, monkeypatch):
+        # the closed form is B itself: one solve_correction, on the counts
+        profiles = []
+
+        def solve(profile):
+            profiles.append(profile)
+            return dimensions.solve_correction(profile)
+
+        monkeypatch.setattr(cli, "solve_correction", solve)
+        code, data, _ = run_json(capsys, "verify-dim", "--r", "7")
+        assert (code, data["passed"]) == (0, True)
+        assert profiles == [DimensionTable.compute(7, 42).counted_profile()]
+
     def test_wrong_correction_fails(self, capsys, monkeypatch):
         # a zero profile passes all four checks but is not the closed form
         def zero_profile(table):
@@ -190,23 +227,13 @@ class TestVerifyDim:
         ("solve_correction", ["decomposition", "well_defined", "orbit_sums"]),
     ], ids=["not_well_defined", "inconsistent"])
     def test_failure_paths(self, capsys, monkeypatch, stage, names):
-        # the counted profile fails at one stage; the closed form still solves
-        counted = []
-        real = DimensionTable.counted_profile
-
-        def profile(table):
+        # the counted profile fails at one stage; the closed form is still reported
+        def fail(*_):
             if stage == "counted_profile":
                 raise WellDefinednessError("doctored residue")
-            counted.append(real(table))
-            return counted[-1]
+            raise InconsistencyError("doctored orbit")
 
-        def solve(p):
-            if counted and p is counted[-1]:
-                raise InconsistencyError("doctored orbit")
-            return dimensions.solve_correction(p)
-
-        monkeypatch.setattr(DimensionTable, "counted_profile", profile)
-        monkeypatch.setattr(cli, "solve_correction", solve)
+        monkeypatch.setattr(DimensionTable if stage == "counted_profile" else cli, stage, fail)
         code, data, _ = run_json(capsys, "verify-dim", "--r", "7")
         assert (code, data["passed"]) == (1, False)
         assert [c["name"] for c in data["checks"]] == names
@@ -220,6 +247,19 @@ class TestVerifyDim:
         assert code == 1
         assert rows == ([[name, "pass"] for name in names[:-1]]
                         + [[names[-1], "FAIL"], ["correction", "FAIL"]])
+
+    def test_checks_every_degree_parity_pair_once(self, capsys, monkeypatch):
+        asked = []
+        real = DimensionTable.decomposes
+
+        def decomposes(table, degree, parity):
+            asked.append((degree, parity))
+            return real(table, degree, parity)
+
+        monkeypatch.setattr(DimensionTable, "decomposes", decomposes)
+        code, data, _ = run_json(capsys, "verify-dim", "--r", "7", "--imax", "9")
+        assert code == 0 and data["checks"][0]["detail"] == "20/20 degree/parity pairs"
+        assert sorted(asked) == [(i, j) for i in range(10) for j in (0, 1)]
 
     def test_limit_covers_the_effective_bound(self, capsys, monkeypatch):
         # the profile counts up to max(imax, 2r), the default imax is 6r
@@ -237,6 +277,13 @@ class TestVerifyDim:
             code, out, err = run(capsys, "--format", "json", command, "--r", "7",
                                  "--imax", "-5")
             assert (code, out) == (2, "") and "--imax" in err, command
+
+    def test_zero_imax_is_degree_zero(self, capsys):
+        code, data, _ = run_json(capsys, "dims", "--r", "7", "--imax", "0")
+        assert code == 0 and data["dims"] == [{"i": 0, "j": 0, "dim": 1},
+                                              {"i": 0, "j": 1, "dim": 0}]
+        code, data, _ = run_json(capsys, "verify-dim", "--r", "7", "--imax", "0")
+        assert code == 0 and data["checks"][0]["detail"] == "2/2 degree/parity pairs"
 
 
 class TestTerminal:

@@ -13,13 +13,15 @@ from fractions import Fraction
 import pytest
 
 from threefold import cli, dimensions
-from threefold.dimensions import (DimensionTable, WellDefinednessError,
-                                  check_decomposition, closed_form_profile,
-                                  correction_profile, degree_point_count,
-                                  degree_points, graded_dimension, parity_counts,
-                                  solve_correction)
+from threefold.dimensions import (DimensionTable, WellDefinednessError, _l3_boundary,
+                                  check_decomposition, closed_form_correction,
+                                  correction_profile, degree_points,
+                                  graded_dimension, parity_counts, solve_correction)
 
 R_VALUES = (7, 9, 15, 23, 47)
+
+# the profile's r values: r = 11 and 13 are admitted like any odd r >= 7
+PROFILE_R_VALUES = (7, 9, 11, 13, 15, 17, 23, 47, 95)
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +44,6 @@ def test_parity_counts_match_enumeration(enumerated):
         table = DimensionTable.compute(r, 8 * r)
         for i, (even, odd) in counts.items():
             assert parity_counts(r, i) == (even, odd), (r, i)
-            assert degree_point_count(r, i) == even + odd, (r, i)
             assert [graded_dimension(r, i, j) for j in (0, 1)] == [even, odd], (r, i)
             assert [table.dimension(i, j) for j in (0, 1)] == [even, odd], (r, i)
 
@@ -89,15 +90,13 @@ def test_decomposition_catches_a_wrong_count(monkeypatch):
 def test_increment_formulas_equal_count_differences(enumerated):
     for r, counts in enumerated.items():
         a, b = (r + 1) // 2, (r - 1) // 2
-        profile = closed_form_profile(r)
         for i in range(8 * r + 1):
             d0 = counts[i][0] - counts[i - 2][1]
             d1 = counts[i][1] - counts[i - 2][0]
             assert d0 == 2 * (i // r) + 1, (r, i)
             assert d1 == (i - a) // r + (i - b) // r + 2, (r, i)
             for j, d in ((0, d0), (1, d1)):
-                key = (2 * i + r * j) % (2 * r)
-                assert profile.delta[key] == d - Fraction(2 * i + 1, r), (r, i, j)
+                assert _l3_boundary(r, i, j) == d, (r, i, j)
 
 
 def test_correction_profile_matches_enumeration(enumerated):
@@ -110,12 +109,39 @@ def test_correction_profile_matches_enumeration(enumerated):
                 assert profile.delta[(2 * i + r * j) % (2 * r)] == expected, (r, i, j)
 
 
+def enumerated_correction(r):
+    """B on Z/2r with B(0) = B(1) = 0, integrated here from the increments
+    dim(i, j) - dim(i-2, 1-j) - (2i+1)/r of enumerated counts, every residue
+    witnessed by both its pairs with 0 <= i < 2r."""
+    counts = {i: [0, 0] for i in range(-2, 2 * r)}
+    for i in range(2 * r):
+        for point in degree_points(r, i):
+            counts[i][sum(point[:3]) % 2] += 1
+    delta = {}
+    for i in range(2 * r):
+        for j in (0, 1):
+            value = counts[i][j] - counts[i - 2][1 - j] - Fraction(2 * i + 1, r)
+            assert delta.setdefault((2 * i + r * j) % (2 * r), value) == value, (r, i, j)
+    b = {0: Fraction(0), 1: Fraction(0)}
+    for k in range(2 * r - 2):
+        b[k + 2] = b[k] + delta[k]
+    assert b[2 * r - 2] + delta[2 * r - 2] == 0 and b[2 * r - 1] + delta[2 * r - 1] == 0
+    return b
+
+
 def test_even_residues_of_the_closed_form_correction():
-    # on even residues the increment is 1 - (2m+1)/r, so B(2m) = m(r-m)/r
-    for r in (7, 23, 95):
-        b = solve_correction(closed_form_profile(r))
+    # on both parities, against the B integrated from enumeration; on even
+    # residues the increment is 1 - (2m+1)/r, so B(2m) = m(r-m)/r
+    for r in PROFILE_R_VALUES:
+        b = closed_form_correction(r)
+        assert b == enumerated_correction(r), r
         for m in range(r):
             assert b[2 * m] == Fraction(m * (r - m), r), (r, m)
+
+
+def test_closed_form_correction_equals_the_counted_one():
+    for r in range(7, 202, 2):
+        assert solve_correction(correction_profile(r, 2 * r)) == closed_form_correction(r), r
 
 
 def test_r95_suite_runs_without_enumeration(monkeypatch):
@@ -128,14 +154,10 @@ def test_r95_suite_runs_without_enumeration(monkeypatch):
     assert len(DimensionTable.compute(r, imax).rows) == 2 * (imax + 1)
     assert all(check_decomposition(r, i, j) for i in range(imax + 1) for j in (0, 1))
     profile = correction_profile(r, imax)
-    assert solve_correction(profile) == solve_correction(closed_form_profile(r))
+    assert solve_correction(profile) == closed_form_correction(r)
     for argv in (["dims", "--r", "95", "--imax", "570"], ["verify-dim", "--r", "95"]):
         with redirect_stdout(io.StringIO()):
             assert cli.main(["--format", "json", *argv]) == cli.PASS, argv
-
-
-# the profile's r values: r = 11 and 13 are admitted like any odd r >= 7
-PROFILE_R_VALUES = (7, 9, 11, 13, 15, 17, 23, 47, 95)
 
 
 def fraction_profile(table, max_degree):
@@ -171,7 +193,8 @@ def test_integer_profile_matches_the_fraction_loop(r):
     profile = table.counted_profile()
     assert list(profile.delta.items()) == list(fraction_profile(table, imax).items())
     assert all(type(value) is Fraction for value in profile.delta.values())
-    assert correction_profile(r, imax) == profile == closed_form_profile(r)
+    assert correction_profile(r, imax) == profile
+    assert solve_correction(profile) == closed_form_correction(r)
 
 
 @pytest.mark.parametrize("r", PROFILE_R_VALUES)
