@@ -5,6 +5,8 @@ with sorted keys (the machine contract; rationals are "p/q" strings, never
 floats), building only the rendering asked for.  _dumps writes all JSON,
 model files included, byte-identical to json.dumps(..., sort_keys=True,
 indent=2), and refuses a float or other non-JSON value with a TypeError.
+A list of same-shape records, such as ni's points and dims' rows, renders
+through one template per shape; any other list falls back node by node.
 Exit codes: 0 pass, 1 verification failure, 2 malformed input, 3 internal
 fault (an exact invariant broke, an ArithmeticError; one line, no traceback).
 """
@@ -16,6 +18,7 @@ import functools
 import json
 import sys
 from collections.abc import Callable
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
 
 from .blowup import MANUAL, _validated_blowup
@@ -31,13 +34,13 @@ from .quotients import (QUOTIENT_ORDER_LIMIT, QuotientType, blowup_charts,
 PASS, FAIL, BAD_INPUT, INTERNAL_FAULT = 0, 1, 2, 3
 
 # ni lists at most this many lattice points; each listed point costs about
-# 1.2 KiB of memory in the JSON rendering (ni --r 7 --i 835, 99962 points,
-# peaks at about 134 MiB of RSS under CPython 3.11)
+# 0.9 KiB of memory in the JSON rendering (ni --r 7 --i 835, 99962 points,
+# peaks at about 101 MiB of RSS under CPython 3.11)
 NI_POINT_LIMIT = 100_000
 
 # dims and verify-dim count every degree up to at most this bound; their
 # output grows with it, and dims --format json at the bound peaks at about
-# 88 MiB of RSS under CPython 3.11
+# 76 MiB of RSS under CPython 3.11
 DEGREE_LIMIT = 50_000
 
 
@@ -82,6 +85,11 @@ def _render(prefix: str, value, out: list[str], newline: str) -> None:
             out.append(prefix + "[]")
             return
         inner = newline + "  "
+        if type(value[0]) is dict:
+            text = _records(value, inner)
+            if text is not None:
+                out.append(prefix + "[" + inner + text + newline + "]")
+                return
         sep = prefix + "[" + inner
         for item in value:
             _render(sep, item, out, inner)
@@ -95,10 +103,65 @@ def _render(prefix: str, value, out: list[str], newline: str) -> None:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
+def _records(records: list, newline: str) -> str | None:
+    """The JSON items of records, joined by "," and newline, or None.
+
+    Every record must be a dict with the first record's str keys, and each
+    value an int or a non-empty list of ints as long as the first record's;
+    one %-template built from the first record's sorted keys then renders
+    each record.  If any record deviates the answer is None, and _render
+    lays out the whole list node by node, refusals included.  The types of
+    all keys and values are checked in one pass each before any record is
+    formatted."""
+    first = records[0]
+    if not first or any(type(key) is not str for key in first):
+        return None
+    inner = newline + "  "
+    plan = []  # (key, 0) for an int value, (key, n) for a list of n ints
+    parts = []
+    for key in sorted(first):
+        value = first[key]
+        if type(value) is list:
+            if not value:
+                return None
+            plan.append((key, len(value)))
+            slot = "[" + inner + "  %d" + ("," + inner + "  %d") * (len(value) - 1) + inner + "]"
+        else:
+            plan.append((key, 0))
+            slot = "%d"
+        parts.append(_escape(key).replace("%", "%%") + ": " + slot)
+    template = "{" + inner + ("," + inner).join(parts) + newline + "}"
+    size = len(plan)
+    rows = []
+    try:
+        for record in records:
+            # as many keys as the first record, each of its keys found: the same keys
+            if type(record) is not dict or len(record) != size:
+                return None
+            values = []
+            for key, length in plan:
+                value = record[key]
+                if not length:
+                    values.append(value)
+                elif type(value) is list and len(value) == length:
+                    values += value
+                else:
+                    return None
+            rows.append(tuple(values))
+    except KeyError:
+        return None
+    if (set(map(type, chain.from_iterable(records))) != {str}
+            or set(map(type, chain.from_iterable(rows))) != {int}):
+        return None
+    return ("," + newline).join([template % row for row in rows])
+
+
 def _dumps(value) -> str:
     """json.dumps(value, sort_keys=True, indent=2), byte for byte; under
     CPython 3.11 the json module indents only in its pure-Python encoder,
-    which is slower than this direct pass."""
+    which is slower than this direct pass.  A list of records of one shape
+    (_records) fills one template per record; any other value, or a list
+    with a record that deviates, renders node by node."""
     out: list[str] = []
     _render("", value, out, "\n")
     return "".join(out)
@@ -132,7 +195,9 @@ def _emit_checks(report: ValidationReport, args, **extra) -> None:
 
 def _load_model(path: str) -> CD2Model:
     def json_int(text: str) -> int:
-        check_digits(text, f"an integer in {path}")
+        # the message is built only for a numeral that may be refused
+        if len(text) > DIGIT_LIMIT:
+            check_digits(text, f"an integer in {path}")
         return int(text)
 
     with open(path, "r", encoding="utf-8") as handle:

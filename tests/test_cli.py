@@ -515,6 +515,25 @@ class TestDigitLimit:
             assert (code, out) == (2, "")
             assert err == f"error: an integer in {path} has 5000 digits; {LIMIT}\n"
 
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+    def test_model_json_integer_at_the_limit(self, capsys, tmp_path, sign):
+        # a JSON integer of DIGIT_LIMIT digits loads, minus or not; one more is refused
+        data = generate_model(7, 1).to_json_dict()
+        term = data["p"]["terms"][0]
+        marker = 123456789
+        term["c"] = marker
+        for digits in (DIGIT_LIMIT, DIGIT_LIMIT + 1):
+            numeral = sign + "7" * digits
+            path = tmp_path / f"integer{digits}.json"
+            path.write_text(json.dumps(data).replace(str(marker), numeral))
+            code, out, err = run(capsys, "validate", "--model", str(path))
+            if digits == DIGIT_LIMIT:
+                assert (code, err) == (0, "")
+                assert cli._load_model(str(path)).p.terms[tuple(term["e"])] == int(numeral)
+            else:
+                assert (code, out) == (2, "")
+                assert err == f"error: an integer in {path} has {digits} digits; {LIMIT}\n"
+
 
 # the most digits a number in input may have, less one
 BIG = "9" * (DIGIT_LIMIT - 1)

@@ -69,6 +69,82 @@ def test_edge_values_render_as_json_dumps():
         assert cli._dumps(value) == reference(value)
 
 
+# record keys: plain, empty, and ones that hold a % (the template's own
+# character), a quote, non-ASCII or an astral character
+RECORD_KEYS = ["i", "j", "dim", "exponents", "parity", "", "%", "a%d", "%%s", '"q"',
+               "\xe9", "中", "\U0001f600"]
+
+# how the one deviating record of a list differs from the first
+DEVIATIONS = ["none", "missing key", "extra key", "other length", "bool in list", "bool",
+              "str", "float", "float in list", "list for int", "int for list", "odd key",
+              "not a dict"]
+
+
+def random_records(rng: random.Random, deviation: str) -> list:
+    """Same-shape records of int and int-list values, one of them changed by deviation."""
+    keys = rng.sample(RECORD_KEYS, rng.randint(1, 4))
+    lengths = {key: rng.choice((0, 0, 1, 3, 5)) for key in keys}  # 0 for an int value
+
+    def record():
+        return {key: random_int(rng) if not n else [random_int(rng) for _ in range(n)]
+                for key, n in lengths.items()}
+
+    records = [record() for _ in range(rng.randint(1, 6))]
+    odd = record()
+    ints = [key for key, n in lengths.items() if not n]
+    lists = [key for key, n in lengths.items() if n]
+    key = rng.choice(keys)
+    if deviation == "missing key":
+        del odd[key]
+    elif deviation == "extra key":
+        odd[rng.choice([k for k in RECORD_KEYS if k not in odd])] = random_int(rng)
+    elif deviation == "odd key":
+        odd[rng.choice(["%", "\xe9", "%d", "\U0001f600"]) + key] = odd.pop(key)
+    elif deviation == "not a dict":
+        odd = rng.choice([[1, 2], 3, None, "x"])
+    elif deviation in ("other length", "bool in list", "float in list", "int for list") and lists:
+        key = rng.choice(lists)
+        if deviation == "other length":
+            odd[key] = odd[key][:-1] if rng.randrange(2) else odd[key] + [0]
+        elif deviation == "int for list":
+            odd[key] = random_int(rng)
+        else:
+            odd[key][rng.randrange(len(odd[key]))] = True if deviation == "bool in list" else 0.5
+    elif deviation in ("bool", "str", "float", "list for int") and ints:
+        odd[rng.choice(ints)] = {"bool": False, "str": "7", "float": 2.0,
+                                 "list for int": [random_int(rng)]}[deviation]
+    records.insert(rng.randint(1, len(records)), odd)
+    return records
+
+
+def holds_float(value) -> bool:
+    if type(value) is dict:
+        value = list(value.values())
+    return type(value) is float or type(value) is list and any(map(holds_float, value))
+
+
+@pytest.mark.parametrize("deviation", DEVIATIONS)
+def test_record_lists_render_as_json_dumps(deviation):
+    rng = random.Random(f"records {deviation}")
+    for _ in range(300):
+        records = random_records(rng, deviation)
+        value = {"r": 7, "points": records} if rng.randrange(2) else records
+        if holds_float(value):
+            with pytest.raises(TypeError, match="^Object of type float is not JSON serializable$"):
+                cli._dumps(value)
+        else:
+            assert cli._dumps(value) == reference(value), value
+
+
+def test_a_record_list_renders_through_one_template():
+    records = [{"a%d": 1, "b": [2, -3]}, {"b": [4, 5], "a%d": 6}]
+    text = cli._records(records, "\n  ")
+    assert "[" + "\n  " + text + "\n]" == reference(records)
+    assert cli._records(records + [{"a%d": 7, "b": [8, True]}], "\n  ") is None
+    assert cli._records([{"b": []}], "\n  ") is None
+    assert cli._records([{}], "\n  ") is None
+
+
 REFUSED = {"float": (1.5, "float"), "nested float": ([0.0], "float"),
            "nan": ({"a": float("nan")}, "float"), "Fraction": (Fraction(1, 2), "Fraction"),
            "set": ({1, 2}, "set"), "tuple": ((1, 2), "tuple"), "int key": ({1: "x"}, "int"),
@@ -79,6 +155,46 @@ REFUSED = {"float": (1.5, "float"), "nested float": ([0.0], "float"),
 def test_anything_else_is_a_type_error(value, kind):
     with pytest.raises(TypeError, match=rf"\b{kind}\b"):
         cli._dumps(value)
+
+
+class Key(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+class Loud:
+    """An int-like value that %d would format; the renderer must refuse it unread."""
+
+    def __index__(self):
+        raise AssertionError("formatted before its type was checked")
+
+    __int__ = __index__
+
+
+# a record list refused anywhere is refused as the node-by-node pass refuses
+# it; json.dumps takes subclasses of str and int, the renderer does not
+RECORD_REFUSALS = {
+    "int keys": ([{1: 2}, {1: 3}], "keys must be str, not int"),
+    "int key in a later record": ([{"a": 1}, {1: 2}], "keys must be str, not int"),
+    "str subclass key": ([{"a": 1}, {Key("a"): 2}], "keys must be str, not Key"),
+    "int subclass": ([{"a": [1]}, {"a": [Count(2)]}],
+                     "Object of type Count is not JSON serializable"),
+    "int-like value": ([{"a": 1, "b": [2]}, {"a": Loud(), "b": [3]}],
+                       "Object of type Loud is not JSON serializable"),
+    "float before an odd record": ([{"a": 1}, {"a": 2.0}, {"b": 3}],
+                                   "Object of type float is not JSON serializable"),
+}
+
+
+@pytest.mark.parametrize("value, message", RECORD_REFUSALS.values(), ids=list(RECORD_REFUSALS))
+def test_a_refused_record_list_keeps_its_message(value, message):
+    assert cli._records(value, "\n  ") is None
+    with pytest.raises(TypeError) as refusal:
+        cli._dumps(value)
+    assert str(refusal.value) == message
 
 
 def json_payloads(monkeypatch, argv) -> list:
@@ -96,7 +212,14 @@ def json_payloads(monkeypatch, argv) -> list:
     return seen
 
 
-@pytest.mark.parametrize("name, code, argv", CASES, ids=[case[0] for case in CASES])
+# larger payloads than the goldens hold: a parity-filtered point list, and
+# dimension rows with multi-digit degrees and dimensions
+LARGER = (("ni_r7_i200_parity1", 0, ["ni", "--r", "7", "--i", "200", "--parity", "1"]),
+          ("dims_r23_imax138", 0, ["dims", "--r", "23", "--imax", "138"]))
+
+
+@pytest.mark.parametrize("name, code, argv", CASES + LARGER,
+                         ids=[case[0] for case in CASES + LARGER])
 def test_golden_payloads_render_as_json_dumps(monkeypatch, capsys, name, code, argv):
     payloads = json_payloads(monkeypatch, argv)
     capsys.readouterr()
@@ -104,8 +227,30 @@ def test_golden_payloads_render_as_json_dumps(monkeypatch, capsys, name, code, a
     assert cli._dumps(payloads[0]) == reference(payloads[0])
 
 
-@pytest.mark.parametrize("argv", [["ni", "--r", "23", "--i", "69"], ["verify-dim", "--r", "7"]],
-                         ids=["ni", "verify-dim"])
+@pytest.mark.parametrize("argv, key", [(["ni", "--r", "23", "--i", "69"], "points"),
+                                       (["dims", "--r", "7", "--imax", "42"], "dims")],
+                         ids=["ni", "dims"])
+def test_record_payloads_render_through_the_template(monkeypatch, capsys, argv, key):
+    payload, = json_payloads(monkeypatch, argv)
+    capsys.readouterr()
+    texts = []
+    records = cli._records
+
+    def recording(value, newline):
+        texts.append(records(value, newline))
+        return texts[-1]
+
+    monkeypatch.setattr(cli, "_records", recording)
+    assert cli._dumps(payload) == reference(payload)
+    assert len(texts) == 1 and texts[0] is not None
+    assert texts[0] == ",\n    ".join(reference(item).replace("\n", "\n    ")
+                                      for item in payload[key])
+
+
+@pytest.mark.parametrize("argv", [["ni", "--r", "23", "--i", "69"],
+                                  ["dims", "--r", "7", "--imax", "42"],
+                                  ["verify-dim", "--r", "7"]],
+                         ids=["ni", "dims", "verify-dim"])
 def test_rendering_leaves_no_garbage(monkeypatch, capsys, argv):
     # a renderer that reaches itself through a closure makes a reference
     # cycle per call, which keeps that call's chunks alive until a collection

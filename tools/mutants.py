@@ -48,6 +48,8 @@ EQUIVALENT = {
      "1 -> 2"): _ODD,
     ("dimensions.py", "for l5 in range(base // r + 1):", "1 -> 2"):
         _EMPTY + ": the extra l5 leaves rest in [-r, -1], with no l3",
+    ("cli.py", "if len(text) > DIGIT_LIMIT:", "Gt -> GtE"):
+        "check_digits accepts a numeral of DIGIT_LIMIT characters; only the message is built",
 }
 
 
